@@ -6,26 +6,28 @@ c = 1 for light); configs carry values in those units.  A config may declare
 JSON summary also echoes femtosecond conversions of every reported time --
 unit conversion lives here and nowhere else.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (the failing
-error class is named in the JSON summary).  Outputs are deterministic:
-identical configs produce byte-identical CSVs at any thread count, with
-floats printed at 17 significant digits.
+Exit codes: 0 success, 2 config error (including NaN or infinite numbers),
+3 numerical failure (the failing error class is named in the JSON summary;
+a NaN or infinite result is one).  Outputs are deterministic: identical
+configs produce byte-identical CSVs, with floats printed at 17 significant
+digits.  ``threads`` is validated but sweeps run serially, so every thread
+count gives the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__, analysis, photonic, quantum, spectral, timedomain
-from .errors import TunnelTimeError
+from .errors import NonFiniteResultError, TunnelTimeError
 
 _SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
@@ -44,6 +46,8 @@ def _require(cfg: dict, key: str, kind, positive: bool = False):
         value = float(value)
     if not isinstance(value, kind):
         raise ConfigError(f"key '{key}' must be {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite")
     if positive and not value > 0:
         raise ConfigError(f"key '{key}' must be positive")
     return value
@@ -64,9 +68,10 @@ def _check_keys(cfg: dict, allowed: set, where: str):
 def _lengths(cfg: dict) -> List[float]:
     lengths = _require(cfg, "lengths", list)
     if not lengths or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in lengths
+        isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
+        for x in lengths
     ):
-        raise ConfigError("'lengths' must be a non-empty list of positive numbers")
+        raise ConfigError("'lengths' must be a non-empty list of positive finite numbers")
     return [float(x) for x in lengths]
 
 
@@ -111,7 +116,7 @@ def _grating_from_config(cfg: dict) -> photonic.UniformGrating:
 
 # -- experiment runners ------------------------------------------------------
 
-def _run_quantum(cfg: dict, threads: int):
+def _run_quantum(cfg: dict):
     _check_keys(cfg, {"v0", "length", "energy"}, "quantum experiment")
     try:
         barrier = quantum.QuantumBarrier(
@@ -133,7 +138,7 @@ def _run_quantum(cfg: dict, threads: int):
     return ["tau_g", "tau_d", "tau_i", "front_time", "apparent_speed"], [row], summary
 
 
-def _run_stack(cfg: dict, threads: int):
+def _run_stack(cfg: dict):
     allowed = {"stack", "omega_min", "omega_max", "points"}
     _check_keys(cfg, allowed, "stack experiment")
     stack = _stack_from_config(_require(cfg, "stack", dict))
@@ -154,7 +159,7 @@ def _run_stack(cfg: dict, threads: int):
     return _RESPONSE_COLUMNS, rows, summary
 
 
-def _run_grating(cfg: dict, threads: int):
+def _run_grating(cfg: dict):
     allowed = {"grating", "delta_min", "delta_max", "points"}
     _check_keys(cfg, allowed, "grating experiment")
     grating = _grating_from_config(_require(cfg, "grating", dict))
@@ -213,35 +218,23 @@ def _family_from_config(cfg: dict):
     raise ConfigError("'family' must be 'quantum' or 'grating'")
 
 
-def _run_hartman(cfg: dict, threads: int):
+def _run_hartman(cfg: dict):
     family = _family_from_config(cfg)
-    lengths = _lengths(cfg)
-
-    def point(length: float):
-        return length, family.delay(length), family.stored(length)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(point, sorted(lengths)))
+    sweep = analysis.hartman_sweep(family, _lengths(cfg))
     rows = [
-        {
-            "length": length,
-            "tau_g": tau,
-            "u_per_pin": stored,
-            "apparent_speed": length / tau,
-        }
-        for length, tau, stored in results
+        {"length": length, "tau_g": tau, "u_per_pin": stored, "apparent_speed": speed}
+        for length, tau, stored, speed in zip(
+            sweep.lengths, sweep.tau_g, sweep.u_per_pin, sweep.apparent_speed
+        )
     ]
-    tau_last = results[-1][1]
-    decade = [r for r in results if r[0] <= results[-1][0] / 10.0]
-    tau_ref = decade[-1][1] if decade else results[0][1]
     summary = {
-        "tail_relative_change": abs(tau_last - tau_ref) / abs(tau_last),
-        "proportionality_ratio_last": tau_last / results[-1][2],
+        "tail_relative_change": sweep.tail_relative_change,
+        "proportionality_ratio_last": float(sweep.proportionality_ratio[-1]),
     }
     return ["length", "tau_g", "u_per_pin", "apparent_speed"], rows, summary
 
 
-def _run_pulse(cfg: dict, threads: int):
+def _run_pulse(cfg: dict):
     allowed = {"stack", "omega_mid", "bandwidth_fraction", "samples"}
     _check_keys(cfg, allowed, "pulse experiment")
     stack = _stack_from_config(_require(cfg, "stack", dict))
@@ -270,7 +263,7 @@ def _run_pulse(cfg: dict, threads: int):
     return ["time", "abs_a_in", "abs_a_out"], rows, summary
 
 
-def _run_front(cfg: dict, threads: int):
+def _run_front(cfg: dict):
     allowed = {"stack", "omega_mid", "n_cycles", "hold_cycles", "band_factor"}
     _check_keys(cfg, allowed, "front experiment")
     stack = _stack_from_config(_require(cfg, "stack", dict))
@@ -281,7 +274,9 @@ def _run_front(cfg: dict, threads: int):
     )
     factor = _optional(cfg, "band_factor", float, 50.0, positive=True)
     band = photonic.find_stopband(stack, omega_mid)
-    result = timedomain.front_causality(stack, omega_mid, ramp, band_factor=factor)
+    result = timedomain.front_causality(
+        stack, omega_mid, ramp, band_factor=factor, stopband_width=band.width
+    )
     control = timedomain.front_causality(
         photonic.LayeredStack.vacuum_slab(stack.total_length),
         omega_mid,
@@ -309,7 +304,7 @@ def _run_front(cfg: dict, threads: int):
     return ["front_time", "pre_front_fraction", "vacuum_floor", "tau_g"], rows, summary
 
 
-def _run_skc(cfg: dict, threads: int):
+def _run_skc(cfg: dict):
     allowed = {"stack", "omega_mid"}
     _check_keys(cfg, allowed, "skc experiment")
     stack = _stack_from_config(_require(cfg, "stack", dict))
@@ -425,6 +420,14 @@ def _fs_conversions(summary: dict, scale_m: float) -> dict:
     return out
 
 
+def _check_finite(rows: Sequence[dict], summary: dict):
+    """NonFiniteResultError naming the first NaN or infinite output value."""
+    for values in [*rows, summary]:
+        for key, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonFiniteResultError(f"result '{key}' is {value}")
+
+
 def run(config_path: str, output_dir: str = ".", threads: int = 1,
         out_format: str = "both") -> int:
     """Execute the experiment named in a JSON config; exit-code semantics."""
@@ -459,12 +462,13 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
     written: List[Path] = []
     try:
         try:
-            columns, rows, summary = runner(payload, threads)
+            columns, rows, summary = runner(payload)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         if report_units is not None:
             summary.update(_fs_conversions(summary, report_units["length_scale_m"]))
+        _check_finite(rows, summary)
         report = {
             "tool": "tunneltime",
             "version": __version__,
@@ -513,7 +517,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser = sub.add_parser("run", help="execute an experiment config")
     run_parser.add_argument("config", help="path to a JSON experiment config")
     run_parser.add_argument("--output-dir", default=".", help="directory for outputs")
-    run_parser.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+    run_parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and validated; sweeps run serially"
+    )
     run_parser.add_argument(
         "--format", choices=("csv", "json", "both"), default="both", dest="out_format"
     )

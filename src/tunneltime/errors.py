@@ -84,3 +84,9 @@ class BoundaryContaminationError(TunnelTimeError):
 
 class BandTooNarrowError(TunnelTimeError):
     """Synthesis band cannot cover the required multiple of the stopband."""
+
+
+# -- command line ----------------------------------------------------------
+
+class NonFiniteResultError(TunnelTimeError):
+    """A result bound for the CSV or JSON output is NaN or infinite."""

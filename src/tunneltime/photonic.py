@@ -42,7 +42,6 @@ _GRATING_VALIDITY = 0.2
 # small enough that the stencil truncation stays below the 1e-6 convergence
 # gate even for sharp resonances, while staying well above roundoff
 _DELAY_GRID_REL_HALFWIDTH = 1e-6
-_DELAY_GRID_POINTS = 9
 
 _MIN_FIELD_POINTS_PER_LAYER = 32
 
@@ -61,8 +60,8 @@ class LayeredStack:
         for n, d in norm:
             if not (n > 0.0 and np.isfinite(n) and d > 0.0 and np.isfinite(d)):
                 raise ValueError("layer indices and thicknesses must be positive")
-        if not (self.n_in > 0.0 and self.n_out > 0.0):
-            raise ValueError("surrounding indices must be positive")
+        if not all(n > 0.0 and np.isfinite(n) for n in (self.n_in, self.n_out)):
+            raise ValueError("surrounding indices must be positive and finite")
 
     @property
     def total_length(self) -> float:
@@ -111,15 +110,14 @@ class UniformGrating:
     omega_b: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.kappa, self.length, self.n_bar, self.omega_b])):
+            raise ValueError("grating parameters must be finite")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
         if self.omega_b <= 0.0 or self.n_bar <= 0.0:
             raise ValueError("omega_b and n_bar must be positive")
-
-    def with_length(self, length: float) -> "UniformGrating":
-        return UniformGrating(self.kappa, float(length), self.n_bar, self.omega_b)
 
     def detuning(self, omega) -> np.ndarray:
         """delta = n_bar * (omega - omega_b)."""
@@ -200,8 +198,14 @@ class PhaseEnergyReport:
     max_residual: float
 
 
-def _transfer_matrices(stack: LayeredStack, omegas: np.ndarray) -> np.ndarray:
-    """Accumulated forward field-transfer matrix per frequency, shape (m, 2, 2)."""
+def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
+    """t and r of a stack at positive frequencies: the one transfer-matrix kernel.
+
+    Accumulates the forward field-transfer matrix P per frequency and solves
+    the boundary equations for t and r.
+    """
+    if np.any(omegas <= 0.0):
+        raise ValueError("frequencies must be positive")
     m = omegas.size
     total = np.zeros((m, 2, 2), dtype=complex)
     total[:, 0, 0] = 1.0
@@ -216,46 +220,37 @@ def _transfer_matrices(stack: LayeredStack, omegas: np.ndarray) -> np.ndarray:
         layer[:, 1, 0] = 1j * n * sin_d
         layer[:, 1, 1] = cos_d
         total = layer @ total
-    return total
-
-
-def _t_r_from_matrix(total: np.ndarray, n_in: float, n_out: float):
     # det P = 1, so the boundary equations invert cleanly; this form avoids
     # the catastrophic 1 + r cancellation for opaque stacks (|r| -> 1)
-    p11, p12 = total[..., 0, 0], total[..., 0, 1]
-    p21, p22 = total[..., 1, 0], total[..., 1, 1]
+    n_in, n_out = stack.n_in, stack.n_out
+    p11, p12 = total[:, 0, 0], total[:, 0, 1]
+    p21, p22 = total[:, 1, 0], total[:, 1, 1]
     t = 2.0 * n_in / (n_out * p11 - p21 + n_in * p22 - n_in * n_out * p12)
     r = t * (p22 - n_out * p12) - 1.0
     return t, r
 
+
+# The three public forms below differ only in how frequencies come in and
+# results go out; none calls another, so a tracer wrapping them counts each
+# transfer-matrix evaluation once.
 
 def stack_response(stack: LayeredStack, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
     """Complex transmission/reflection of a layered stack over a grid.
 
     For equal surrounding media the response is unitary: |t|^2 + |r|^2 = 1.
     """
-    omegas = grid.omegas
-    if np.any(omegas <= 0.0):
-        raise ValueError("grid frequencies must be positive")
-    total = _transfer_matrices(stack, omegas)
-    t, r = _t_r_from_matrix(total, stack.n_in, stack.n_out)
-    return spectral.ComplexResponse(grid, t, r)
+    return spectral.ComplexResponse(grid, *_stack_t_r(stack, grid.omegas))
 
 
 def stack_t_r(stack: LayeredStack, omega: float):
     """Single-frequency transmission and reflection of a stack."""
-    total = _transfer_matrices(stack, np.asarray([float(omega)]))
-    t, r = _t_r_from_matrix(total, stack.n_in, stack.n_out)
+    t, r = _stack_t_r(stack, np.asarray([float(omega)]))
     return complex(t[0]), complex(r[0])
 
 
 def stack_t_r_samples(stack: LayeredStack, omegas: np.ndarray):
     """Vectorized t, r over an arbitrary array of positive frequencies."""
-    omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas <= 0.0):
-        raise ValueError("frequencies must be positive")
-    total = _transfer_matrices(stack, omegas)
-    return _t_r_from_matrix(total, stack.n_in, stack.n_out)
+    return _stack_t_r(stack, np.asarray(omegas, dtype=float))
 
 
 def grating_response(grating: UniformGrating, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
@@ -316,8 +311,9 @@ def grating_envelopes(grating: UniformGrating, omega: float, z: np.ndarray):
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     """Stored energy per unit input power, U/P_in = n_bar * int(|R|^2 + |S|^2) dz.
 
-    Independent route from the transmission phase: the coupled-mode envelopes
-    are integrated by adaptive quadrature.
+    A field integral, independent of the phase-derivative route of
+    :func:`grating_group_delay`: the coupled-mode envelopes are integrated
+    by adaptive quadrature.
     """
     def mode_density(z: float) -> float:
         f, b = grating_envelopes(grating, omega, np.asarray([z]))
@@ -332,50 +328,25 @@ def reconstruct_fields(
     omega: float,
     points_per_layer: int = _MIN_FIELD_POINTS_PER_LAYER,
 ) -> FieldProfile:
-    """E and H through the stack by back-propagating the transmitted wave.
+    """E and H through the stack, unit input power normalization.
 
-    The transmitted wave fixes (E, H) at the back face; marching backwards
-    through each layer follows the numerically dominant solution, so the
-    reconstruction stays stable even for opaque barriers.  The incident
-    amplitude is scaled to unit input power.
+    Inside layer j, at distance s from its front face,
+    E = a_j e^{i n w s} + b_j e^{-i n w s} and H = n (a_j e^{i n w s} - b_j e^{-i n w s})
+    with the wave amplitudes of :func:`_layer_wave_coefficients`.
     """
-    if points_per_layer < _MIN_FIELD_POINTS_PER_LAYER:
-        points_per_layer = _MIN_FIELD_POINTS_PER_LAYER
-    t, _ = stack_t_r(stack, omega)
-    e0 = np.sqrt(2.0 / stack.n_in)  # unit input power: P_in = n_in |E0|^2 / 2
-    e_right = e0 * t
-    h_right = stack.n_out * e_right
-
-    edges = np.concatenate(([0.0], np.cumsum([d for _, d in stack.layers])))
-    z_parts = []
-    e_parts = []
-    h_parts = []
-    n_parts = []
-    for j in range(len(stack.layers) - 1, -1, -1):
-        n, d = stack.layers[j]
-        s = np.linspace(0.0, d, points_per_layer)  # distance below the layer top
-        phase = n * omega * s
-        cos_p = np.cos(phase)
-        sin_p = np.sin(phase)
-        # inverse of the forward transfer over s: propagate by -s
-        e_vals = cos_p * e_right - 1j * sin_p / n * h_right
-        h_vals = -1j * n * sin_p * e_right + cos_p * h_right
-        z_vals = edges[j + 1] - s
-        z_parts.append(z_vals[::-1])
-        e_parts.append(e_vals[::-1])
-        h_parts.append(h_vals[::-1])
-        n_parts.append(np.full(points_per_layer, n))
-        e_right = e_vals[-1]
-        h_right = h_vals[-1]
-    z_parts.reverse()
-    e_parts.reverse()
-    h_parts.reverse()
-    n_parts.reverse()
+    points_per_layer = max(points_per_layer, _MIN_FIELD_POINTS_PER_LAYER)
+    coeffs = np.asarray(_layer_wave_coefficients(stack, omega))
+    index, thickness = (np.asarray(col) for col in zip(*stack.layers))
+    edges = np.concatenate(([0.0], np.cumsum(thickness)))
+    s = np.linspace(0.0, thickness, points_per_layer, axis=1)
+    phase = (index * omega)[:, None] * s
+    forward = coeffs[:, :1] * np.exp(1j * phase)
+    backward = coeffs[:, 1:] * np.exp(-1j * phase)
     return FieldProfile(
-        z=np.concatenate(z_parts),
-        e=np.concatenate(e_parts),
-        h=np.concatenate(h_parts),
-        index=np.concatenate(n_parts),
+        z=(edges[:-1, None] + s).ravel(),
+        e=(forward + backward).ravel(),
+        h=(index[:, None] * (forward - backward)).ravel(),
+        index=np.repeat(index, points_per_layer),
         layer_edges=edges,
     )
 
@@ -384,11 +355,13 @@ def _layer_wave_coefficients(stack: LayeredStack, omega: float):
     """Per-layer forward/backward wave amplitudes (a_j, b_j), unit input power.
 
     Within layer j the field is a_j e^{i n w s} + b_j e^{-i n w s} with s the
-    distance from the layer's front face.  Computed by the same backward
-    march as reconstruct_fields.
+    distance from the layer's front face.  The transmitted wave fixes (E, H)
+    at the back face; marching backwards through each layer follows the
+    numerically dominant solution, so the amplitudes stay accurate even for
+    opaque barriers.
     """
     t, _ = stack_t_r(stack, omega)
-    e0 = np.sqrt(2.0 / stack.n_in)
+    e0 = np.sqrt(2.0 / stack.n_in)  # unit input power: P_in = n_in |E0|^2 / 2
     e_cur = e0 * t
     h_cur = stack.n_out * e_cur
     coeffs = [None] * len(stack.layers)
@@ -478,19 +451,18 @@ def _fit_penetration_depth(stack, omega, densities, edges) -> Optional[float]:
 def group_delay(stack: LayeredStack, omega: float) -> float:
     """Group delay d(arg t)/dw of a stack via the shared phase stencil."""
     half = _DELAY_GRID_REL_HALFWIDTH * omega
-    grid = spectral.FrequencyGrid.centered(omega, half, _DELAY_GRID_POINTS)
-    resp = stack_response(stack, grid)
-    phase = spectral.unwrap_phase(resp)
-    return spectral.phase_derivative(phase, omega).value
+    return spectral.group_delay(lambda grid: stack_response(stack, grid), omega, half).value
 
 
 def grating_group_delay(grating: UniformGrating, omega: float) -> float:
     """Group delay of a uniform grating from the coupled-mode phase."""
     half = _DELAY_GRID_REL_HALFWIDTH * omega
-    grid = spectral.FrequencyGrid.centered(omega, half, _DELAY_GRID_POINTS)
-    resp = grating_response(grating, grid)
-    phase = spectral.unwrap_phase(resp)
-    return spectral.phase_derivative(phase, omega).value
+    return spectral.group_delay(lambda grid: grating_response(grating, grid), omega, half).value
+
+
+def _transmittance(stack: LayeredStack, omegas) -> np.ndarray:
+    t, _ = _stack_t_r(stack, np.asarray(omegas, dtype=float))
+    return np.abs(t) ** 2
 
 
 def find_stopband(
@@ -505,51 +477,30 @@ def find_stopband(
     region below 0.5 around omega_ref is refined by bisection.  Raises
     NotInStopbandError when |t(omega_ref)|^2 >= 0.5.
     """
-    def trans(omegas: np.ndarray) -> np.ndarray:
-        t, _ = stack_t_r_samples(stack, omegas)
-        return np.abs(t) ** 2
-
-    return _scan_stopband(trans, omega_ref, scan_factor, scan_points)
-
-
-def grating_stopband(grating: UniformGrating, scan_points: int = 4001) -> Stopband:
-    """Half-transmission stopband of a uniform grating around omega_b."""
-    window = 0.95 * _GRATING_VALIDITY * grating.omega_b / grating.n_bar
-
-    def trans(omegas: np.ndarray) -> np.ndarray:
-        t, _ = _grating_t_r(grating.kappa, grating.length, grating.detuning(omegas))
-        return np.abs(t) ** 2
-
-    return _scan_stopband(trans, grating.omega_b, window / grating.omega_b, scan_points)
-
-
-def _scan_stopband(trans, omega_ref: float, scan_factor: float, scan_points: int) -> Stopband:
-    """``trans`` maps an array of frequencies to |t|^2 values."""
-    if float(trans(np.asarray([omega_ref]))[0]) >= 0.5:
+    if float(_transmittance(stack, [omega_ref])[0]) >= 0.5:
         raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5; not inside a stopband")
     lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
     hi = omega_ref * (1.0 + scan_factor)
     omegas = np.linspace(lo, hi, scan_points)
-    values = trans(omegas)
+    below = _transmittance(stack, omegas) < 0.5
     j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
-    below = values < 0.5
 
     j = j_ref
     while j > 0 and below[j - 1]:
         j -= 1
-    lower = omegas[j] if j == 0 else _bisect_half(trans, omegas[j - 1], omegas[j])
+    lower = omegas[j] if j == 0 else _bisect_half(stack, omegas[j - 1], omegas[j])
     j = j_ref
     while j < scan_points - 1 and below[j + 1]:
         j += 1
-    upper = omegas[j] if j == scan_points - 1 else _bisect_half(trans, omegas[j + 1], omegas[j])
+    upper = omegas[j] if j == scan_points - 1 else _bisect_half(stack, omegas[j + 1], omegas[j])
     return Stopband(lower=float(lower), upper=float(upper))
 
 
-def _bisect_half(trans, outside: float, inside: float) -> float:
+def _bisect_half(stack: LayeredStack, outside: float, inside: float) -> float:
     """Root of |t|^2 - 0.5 between a sample outside and one inside the band."""
     for _ in range(200):
         mid = 0.5 * (outside + inside)
-        if float(trans(np.asarray([mid]))[0]) < 0.5:
+        if float(_transmittance(stack, [mid])[0]) < 0.5:
             inside = mid
         else:
             outside = mid

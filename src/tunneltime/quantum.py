@@ -22,9 +22,8 @@ from . import spectral
 from .errors import AboveBarrierError, NonPositiveEnergyError, QuadratureFailureError
 
 # half-width of the energy grid used for phase differentiation, as a
-# fraction of E; 9 points give the Richardson stencil exactly
+# fraction of E
 _ENERGY_GRID_REL_HALFWIDTH = 1e-4
-_ENERGY_GRID_POINTS = 9
 
 _DWELL_REL_TOL = 1e-10
 
@@ -176,14 +175,12 @@ def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
     )
 
 
-def _phase_response(barrier: QuantumBarrier, energy: float) -> spectral.UnwrappedPhase:
-    half = _ENERGY_GRID_REL_HALFWIDTH * energy
-    grid = spectral.FrequencyGrid.centered(energy, half, _ENERGY_GRID_POINTS)
+def _response(barrier: QuantumBarrier, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
     ts = np.empty(grid.count, dtype=complex)
     rs = np.empty(grid.count, dtype=complex)
     for i, e in enumerate(grid.omegas):
         ts[i], rs[i], _, _ = _amplitudes(barrier.v0, barrier.length, float(e))
-    return spectral.unwrap_phase(spectral.ComplexResponse(grid, ts, rs))
+    return spectral.ComplexResponse(grid, ts, rs)
 
 
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:
@@ -196,8 +193,8 @@ def group_delay(barrier: QuantumBarrier, energy: float) -> float:
     """
     if energy <= 0.0:
         raise NonPositiveEnergyError("energy must be positive")
-    phase = _phase_response(barrier, energy)
-    return spectral.phase_derivative(phase, energy).value
+    half = _ENERGY_GRID_REL_HALFWIDTH * energy
+    return spectral.group_delay(lambda grid: _response(barrier, grid), energy, half).value
 
 
 def dwell_time(barrier: QuantumBarrier, energy: float) -> float:

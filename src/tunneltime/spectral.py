@@ -15,7 +15,7 @@ call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,10 @@ _AMPLITUDE_FLOOR = 1e-300
 
 # fractional non-uniformity tolerated in "uniform" grids
 _UNIFORMITY_TOL = 1e-9
+
+# samples of a group-delay grid: 4 on each side of the centre, as the
+# h / 2h stencil pair of phase_derivative needs
+_DELAY_STENCIL_POINTS = 9
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -201,6 +205,20 @@ def phase_derivative(phase: UnwrappedPhase, at: float) -> DerivativeEstimate:
             f"stencil refinements disagree: {d_h!r} vs {d_2h!r}"
         )
     return DerivativeEstimate(value=float(value), error=float(disagreement / 15.0))
+
+
+def group_delay(
+    response: Callable[[FrequencyGrid], ComplexResponse], at: float, half_width: float
+) -> DerivativeEstimate:
+    """d(arg t)/d(omega) at ``at``: the one phase-derivative delay route.
+
+    ``response`` maps a grid to its complex response.  It is sampled on
+    9 points spanning ``at +/- half_width`` -- exactly the samples the
+    Richardson stencil pair needs -- and the unwrapped phase is
+    differentiated at the centre.
+    """
+    grid = FrequencyGrid.centered(at, half_width, _DELAY_STENCIL_POINTS)
+    return phase_derivative(unwrap_phase(response(grid)), at)
 
 
 def locate_peak(times, samples) -> float:

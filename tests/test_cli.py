@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import LAMBDA0, OMEGA0
-from tunneltime import cli, quantum
+from tunneltime import analysis, cli, quantum
 
 
 def write_config(path, payload):
@@ -67,6 +67,22 @@ class TestRunHartman:
         assert cli.run(cfg, output_dir=str(dir_b), threads=4) == 0
         assert (dir_a / "hartman.csv").read_bytes() == (dir_b / "hartman.csv").read_bytes()
 
+    def test_rows_and_summary_are_the_library_sweep(self, tmp_path):
+        cfg = write_config(tmp_path / "hartman.json", HARTMAN_CONFIG)
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        sweep = analysis.hartman_sweep(analysis.GratingFamily(0.2), HARTMAN_CONFIG["lengths"])
+        rows = [
+            [float(cell) for cell in line.split(",")]
+            for line in (tmp_path / "hartman.csv").read_text().splitlines()[1:]
+        ]
+        expected = np.column_stack(
+            (sweep.lengths, sweep.tau_g, sweep.u_per_pin, sweep.apparent_speed)
+        )
+        assert np.array_equal(np.array(rows), expected)
+        results = json.loads((tmp_path / "hartman.json").read_text())["results"]
+        assert results["tail_relative_change"] == sweep.tail_relative_change
+        assert results["proportionality_ratio_last"] == sweep.proportionality_ratio[-1]
+
     def test_json_summary_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "hartman.json", HARTMAN_CONFIG)
         assert cli.run(cfg, output_dir=str(tmp_path)) == 0
@@ -105,6 +121,30 @@ class TestConfigErrors:
     def test_missing_file_rejected(self, tmp_path):
         assert cli.run(str(tmp_path / "absent.json")) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "kind": "grating",
+                "grating": {"kappa": float("nan"), "length": 10.0, "omega_b": 6.0},
+                "delta_min": -0.1,
+                "delta_max": 0.1,
+            },
+            {
+                "kind": "stack",
+                "stack": {"layers": [[2.0, 0.1]], "n_in": float("inf")},
+                "omega_min": 1.0,
+                "omega_max": 2.0,
+            },
+        ],
+        ids=["nan-kappa", "infinite-n_in"],
+    )
+    def test_non_finite_number_exits_2_and_writes_nothing(self, tmp_path, payload):
+        cfg = write_config(tmp_path / "bad.json", payload)  # json.dumps emits NaN/Infinity
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 2
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestNumericalFailure:
     def test_exit_3_names_module_error(self, tmp_path):
@@ -122,6 +162,32 @@ class TestNumericalFailure:
         summary = json.loads((out / "gr.json").read_text())
         assert summary["error"] == "DetuningOutOfRangeError"
         assert not (out / "gr.csv").exists()
+
+    def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
+        real = quantum.delay_report
+
+        def nan_delay(barrier, energy):
+            report = real(barrier, energy)
+            return quantum.DelayReport(
+                tau_g=float("nan"),
+                tau_d=report.tau_d,
+                tau_i=report.tau_i,
+                front_time=report.front_time,
+                apparent_speed=None,
+                apparent_superluminal=False,
+            )
+
+        monkeypatch.setattr(quantum, "delay_report", nan_delay)
+        cfg = write_config(
+            tmp_path / "q.json", {"kind": "quantum", "v0": 2.0, "length": 3.0, "energy": 1.0}
+        )
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 3
+        # strict JSON: a bare NaN or Infinity fails the parse
+        summary = json.loads((out / "q.json").read_text(), parse_constant=pytest.fail)
+        assert summary["error"] == "NonFiniteResultError"
+        assert "tau_g" in summary["message"]
+        assert not (out / "q.csv").exists()
 
 
 class TestSkcExperiment:

@@ -27,6 +27,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             photonic.UniformGrating(0.1, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        good = (0.1, 1.0, 1.0, 1.0)
+        for k in range(4):
+            with pytest.raises(ValueError):
+                photonic.UniformGrating(*good[:k], bad, *good[k + 1:])
+        with pytest.raises(ValueError):
+            photonic.LayeredStack(((1.5, 0.1),), n_in=bad)
+        with pytest.raises(ValueError):
+            photonic.LayeredStack(((1.5, 0.1),), n_out=bad)
+
     def test_quarter_wave_builder(self):
         stack = photonic.LayeredStack.quarter_wave(2.0, 1.5, 11, LAMBDA0)
         assert len(stack.layers) == 11
@@ -56,6 +67,24 @@ class TestStackResponse:
         assert r == pytest.approx(r_ref, rel=1e-10, abs=1e-14)
         # midgap of an odd quarter-wave stack: purely imaginary transmission
         assert abs(np.angle(t)) == pytest.approx(np.pi / 2.0, abs=1e-12)
+
+    def test_entry_points_agree_bit_for_bit(self, skc_stack):
+        grid = spectral.FrequencyGrid.centered(OMEGA0, 0.5, 9)
+        resp = photonic.stack_response(skc_stack, grid)
+        t_s, r_s = photonic.stack_t_r_samples(skc_stack, grid.omegas)
+        scalar = [photonic.stack_t_r(skc_stack, w) for w in grid.omegas]
+        for ts, rs in ((resp.t, resp.r), (t_s, r_s)):
+            assert list(zip(ts, rs)) == scalar
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_entry_points_reject_nonpositive_frequency(self, skc_stack, omega):
+        with pytest.raises(ValueError):
+            photonic.stack_t_r(skc_stack, omega)
+        with pytest.raises(ValueError):
+            photonic.stack_t_r_samples(skc_stack, [1.0, omega])
+        grid = spectral.FrequencyGrid(1.0, np.linspace(omega - 1.0, 0.0, 5))
+        with pytest.raises(ValueError):
+            photonic.stack_response(skc_stack, grid)
 
     def test_unitarity_over_random_stacks(self):
         rng = np.random.default_rng(23)
@@ -145,6 +174,15 @@ class TestFields:
             right_h = profile.h[j * per_layer]
             assert abs(left_e - right_e) < 1e-10
             assert abs(left_h - right_h) < 1e-10
+
+    def test_field_density_is_the_stored_energy_density(self):
+        # links the sampled fields to the closed-form per-layer energy route,
+        # down to the back of an opaque stack where the envelope is ~1e-20
+        stack = photonic.LayeredStack.quarter_wave(2.22, 1.41, 201, LAMBDA0)
+        profile = photonic.reconstruct_fields(stack, OMEGA0)
+        per_layer = profile.density().reshape(len(stack.layers), -1)
+        expected = photonic.stored_energy(stack, OMEGA0).density[:, None]
+        np.testing.assert_allclose(per_layer / expected, 1.0, rtol=0.0, atol=1e-12)
 
     def test_midgap_envelope_decays_front_to_back(self, skc_stack):
         report = photonic.stored_energy(skc_stack, OMEGA0)
