@@ -456,7 +456,6 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
         return 2
 
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}.json"
     written: List[Path] = []
@@ -478,6 +477,7 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
             "determinism_seed": 0,
             "wall_clock_seconds": time.monotonic() - started,
         }
+        out_dir.mkdir(parents=True, exist_ok=True)
         if out_format in ("csv", "both"):
             _write_csv(csv_path, columns, rows)
             written.append(csv_path)
@@ -501,6 +501,7 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
             "determinism_seed": 0,
             "wall_clock_seconds": time.monotonic() - started,
         }
+        out_dir.mkdir(parents=True, exist_ok=True)
         json_path.write_text(
             json.dumps(failure, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

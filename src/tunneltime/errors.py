@@ -46,10 +46,6 @@ class NonPositiveEnergyError(TunnelTimeError):
     """Scattering energy must be strictly positive."""
 
 
-class QuadratureFailureError(TunnelTimeError):
-    """Adaptive quadrature did not reach the requested relative accuracy."""
-
-
 # -- photonic barrier ------------------------------------------------------
 
 class DetuningOutOfRangeError(TunnelTimeError):

@@ -19,13 +19,13 @@ a wave packet and times the transmitted peak at a detector plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack as _lapack
-from scipy.special import erfc
 
 from . import photonic, spectral
 from .errors import (
@@ -408,7 +408,7 @@ def tdse_oracle(
         if packet.delta_k > 0.05 * kappa:
             raise ValueError("quasi-static run needs delta_k <= 0.05 * kappa")
     # launch overlap with the barrier must be negligible
-    overlap = 0.5 * erfc(-packet.x0 / (np.sqrt(2.0) * sigma_x))
+    overlap = 0.5 * math.erfc(-packet.x0 / (np.sqrt(2.0) * sigma_x))
     if overlap > 1e-12:
         raise ValueError("launch position overlaps the barrier (needs < 1e-12)")
 

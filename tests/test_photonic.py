@@ -252,6 +252,38 @@ class TestStoredEnergy:
             assert weighted == pytest.approx(u, rel=1e-6, abs=1e-9)
 
 
+class TestGratingStoredEnergy:
+    @pytest.mark.parametrize(
+        "kappa, n_bar, delta",
+        [(0.25, 1.0, 0.0), (0.25, 1.0, 0.125), (0.25, 1.0, 0.25), (0.25, 1.0, 0.5),
+         (0.25, 1.4, 0.1), (0.0, 1.0, 0.125)],
+        ids=["bragg", "inside", "edge", "outside", "n_bar", "no-coupling"],
+    )
+    def test_against_midpoint_rule_of_envelopes(self, kappa, n_bar, delta):
+        grating = photonic.UniformGrating(kappa, 20.0, n_bar, 4.0)
+        omega = grating.omega_b + delta / n_bar
+        if n_bar == 1.0:
+            assert grating.detuning(omega) == delta  # the band edge is hit exactly
+        count = 200_000
+        z = (np.arange(count) + 0.5) * (grating.length / count)
+        forward, backward = photonic.grating_envelopes(grating, omega, z)
+        brute = n_bar * np.sum(np.abs(forward) ** 2 + np.abs(backward) ** 2)
+        brute *= grating.length / count
+        assert photonic.grating_stored_energy(grating, omega) == pytest.approx(brute, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "kappa, length, n_bar",
+        [(1e-6, 5.0, 1.0), (0.05, 10.0, 1.0), (0.2, 25.0, 1.3), (0.3, 100.0, 1.4),
+         (0.2, 600.0, 1.0)],  # the last is opaque: |t|^2 alone underflows there
+    )
+    def test_bragg_identity(self, kappa, length, n_bar):
+        grating = photonic.UniformGrating(kappa, length, n_bar, 2.0 * np.pi)
+        expected = n_bar * np.tanh(kappa * length) / kappa
+        assert photonic.grating_stored_energy(grating, grating.omega_b) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+
 class TestStopbandAndPhaseEnergy:
     def test_quarter_wave_stopband_convention(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)

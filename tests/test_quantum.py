@@ -137,6 +137,17 @@ class TestDwellTime:
             length = rng.uniform(0.05, 10.0 / np.sqrt(2.0 * (v0 - energy)))
             assert quantum.dwell_time(quantum.QuantumBarrier(v0, length), energy) > 0.0
 
+    def test_continuous_through_barrier_top(self):
+        barrier = quantum.QuantumBarrier(2.0, 1.0)
+        at_top = quantum.dwell_time(barrier, 2.0)
+        for energy in (2.0 * (1.0 - 1e-9), 2.0 * (1.0 + 1e-9)):
+            assert quantum.dwell_time(barrier, energy) == pytest.approx(at_top, rel=1e-8)
+
+    def test_opaque_barrier_saturates(self):
+        # kappa L = 600 at v0 = 2, E = 1: |t|^2 alone underflows, tau_d -> 1/2
+        barrier = quantum.QuantumBarrier(2.0, 600.0 / np.sqrt(2.0))
+        assert quantum.dwell_time(barrier, 1.0) == pytest.approx(0.5, rel=1e-12)
+
 
 class TestDelayReport:
     def test_zero_length_report(self):
