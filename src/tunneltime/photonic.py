@@ -252,6 +252,24 @@ def stack_t_r_samples(stack: LayeredStack, omegas: np.ndarray):
     return _stack_t_r(stack, np.asarray(omegas, dtype=float))
 
 
+def _grating_closed_form(grating: UniformGrating, omega, length=None):
+    """t, r, t e^{Re(gamma) L} and gamma of the coupled-mode grating at ``omega``.
+
+    The two-wave barrier of :func:`spectral._two_wave` with a = -delta, b = kappa
+    and gamma = sqrt(kappa^2 - delta^2) taken complex; ``length`` defaults to
+    the grating's.  The validity window is enforced here for every grating quantity.
+    """
+    delta = grating.detuning(omega)
+    if np.any(np.abs(delta) >= _GRATING_VALIDITY * grating.omega_b):
+        raise DetuningOutOfRangeError(
+            "detuning outside coupled-mode validity |delta| < 0.2 * omega_b"
+        )
+    gamma = np.sqrt((grating.kappa ** 2 - delta ** 2).astype(complex))
+    if length is None:
+        length = grating.length
+    return (*spectral._two_wave(gamma, -delta, grating.kappa, length), gamma)
+
+
 def grating_response(grating: UniformGrating, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
     """Coupled-mode closed-form response of a uniform grating.
 
@@ -263,48 +281,23 @@ def grating_response(grating: UniformGrating, grid: spectral.FrequencyGrid) -> s
     At the Bragg frequency |t| = sech(kappa L).  Detunings are only trusted
     within |delta| < 0.2 * omega_b.
     """
-    delta = grating.detuning(grid.omegas)
-    if np.any(np.abs(delta) >= _GRATING_VALIDITY * grating.omega_b):
-        raise DetuningOutOfRangeError(
-            "detuning outside coupled-mode validity |delta| < 0.2 * omega_b"
-        )
-    t, r = _grating_t_r(grating.kappa, grating.length, delta)
+    t, r, _, _ = _grating_closed_form(grating, grid.omegas)
     return spectral.ComplexResponse(grid, t, r)
 
 
-def _grating_t_r(kappa: float, length: float, delta: np.ndarray):
-    delta = np.asarray(delta, dtype=complex)
-    gamma = np.sqrt(kappa ** 2 - delta ** 2)
-    # gamma -> 0 at the band edges; replace by the analytic limit there
-    small = np.abs(gamma) * length < 1e-8
-    gamma_safe = np.where(small, 1.0, gamma)
-    ch = np.cosh(gamma_safe * length)
-    sh_over_g = np.sinh(gamma_safe * length) / gamma_safe
-    ch = np.where(small, 1.0 + 0.5 * (gamma * length) ** 2, ch)
-    sh_over_g = np.where(small, length * (1.0 + (gamma * length) ** 2 / 6.0), sh_over_g)
-    denom = ch - 1j * delta * sh_over_g
-    t = 1.0 / denom
-    r = 1j * kappa * sh_over_g / denom
-    return t, r
-
-
 def grating_envelopes(grating: UniformGrating, omega: float, z: np.ndarray):
-    """Forward/backward mode envelopes R(z), S(z) with R(0) = 1, S(L) = 0."""
-    delta = complex(grating.detuning(omega))
-    kappa, length = grating.kappa, grating.length
-    gamma = np.sqrt(complex(kappa ** 2 - delta ** 2))
-    t, _ = _grating_t_r(kappa, length, np.asarray([delta]))
-    t = complex(t[0])
+    """Forward/backward mode envelopes R(z), S(z) with R(0) = 1, S(L) = 0.
+
+    The grating beyond z is a grating of length L - z with amplitudes t', r'.
+    It transmits R t' = t and reflects S = r' R; both are taken in scaled
+    form, so opaque gratings stay finite.
+    """
     z = np.asarray(z, dtype=float)
-    if abs(gamma) * length < 1e-8:
-        # degenerate band edge: linearized envelopes
-        forward = t * (1.0 + 1j * delta * (z - length) + 0.0 * z)
-        backward = t * 1j * kappa * (length - z)
-        return forward, backward
-    arg = gamma * (z - length)
-    forward = t * (np.cosh(arg) + 1j * delta * np.sinh(arg) / gamma)
-    backward = t * 1j * kappa * np.sinh(gamma * (length - z)) / gamma
-    return forward, backward
+    _, _, scaled_t, gamma = _grating_closed_form(grating, omega)
+    _, rest_r, rest_scaled_t, _ = _grating_closed_form(grating, omega, grating.length - z)
+    # t / t' = (t e^{Re(gamma) L}) e^{-Re(gamma) z} / (t' e^{Re(gamma) (L - z)})
+    forward = scaled_t * np.exp(-gamma.real * z) / rest_scaled_t
+    return forward, rest_r * forward
 
 
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
@@ -315,10 +308,8 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     complex, inside, at the edge of and outside the stopband alike:
     U/P_in = n_bar |t|^2 L [1 + 4 kappa^2 L^2 h(2 gamma L)], h(z) = (sinh z - z)/z^3.
     """
-    delta = float(grating.detuning(omega))
-    t, _ = _grating_t_r(grating.kappa, grating.length, np.asarray([delta]))
-    gamma = np.sqrt(complex(grating.kappa ** 2 - delta ** 2))
-    integral = spectral._two_wave_integral(t[0], gamma, grating.kappa ** 2, grating.length)
+    _, _, scaled_t, gamma = _grating_closed_form(grating, omega)
+    integral = spectral._two_wave_integral(scaled_t, gamma, grating.kappa ** 2, grating.length)
     return float(grating.n_bar * integral)
 
 

@@ -7,7 +7,9 @@ Phase convention: the incident wave is exp(ikx) for x <= 0 and the
 transmitted wave is t * exp(ik(x - L)) for x >= L, i.e. the transmission
 phase is anchored at the barrier exit.  A vanishing barrier then gives
 t -> exp(ikL) and a zero-length barrier gives t = 1 exactly.  With this
-anchoring the group delay is simply d(arg t)/dE.
+anchoring the group delay is simply d(arg t)/dE.  t and r come from the
+scaled two-wave closed form of :mod:`spectral` with kappa taken complex: one
+expression below, at and above the barrier top, finite on opaque barriers.
 """
 
 from __future__ import annotations
@@ -39,41 +41,25 @@ class QuantumBarrier:
             raise ValueError("barrier length must be nonnegative and finite")
 
 
-def _amplitudes(v0: float, length: float, energy: float):
-    """Transmission/reflection and interior coefficients for any E > 0.
+def _closed_form(barrier: QuantumBarrier, energy):
+    """t, r, t e^{Re(kappa) L} and kappa at energies E > 0 (array or scalar).
 
-    Returns (t, r, a, b) where the interior wave is
-    a*exp(kappa_c*x) + b*exp(-kappa_c*x) with kappa_c = sqrt(2*(v0-E)) taken
-    as a complex number, making the same expressions valid above the barrier
-    (kappa_c imaginary) as below it.  At E == v0 exactly the interior basis
-    degenerates and (a, b) are returned as None.
+    kappa = sqrt(2 (v0 - E)) is taken complex, so the one two-wave closed form
+    of :func:`spectral._two_wave` holds below, at and above the barrier top,
+    with a = (v0 - 2E)/k and b = -v0/k.
     """
+    energy = np.asarray(energy, dtype=float)
+    if np.any(energy <= 0.0):
+        raise NonPositiveEnergyError("energy must be positive")
     k = np.sqrt(2.0 * energy)
-    kappa_c = np.sqrt(complex(2.0 * (v0 - energy)))
-    if kappa_c == 0.0:
-        # E == v0 in floating point: the interior is linear, psi = t*(1 + ik(x-L)),
-        # and the matching equations collapse to t = 1/(1 - ikL/2).
-        t = 1.0 / (1.0 - 0.5j * k * length)
-        r = 1.0 - t
-        return t, r, None, None
-    ch = np.cosh(kappa_c * length)
-    sh = np.sinh(kappa_c * length)
-    denom = ch + 0.5j * (kappa_c / k - k / kappa_c) * sh
-    t = 1.0 / denom
-    r = t * (ch - 1j * (k / kappa_c) * sh) - 1.0
-    # interior coefficients follow from matching at x = L:
-    #   a*exp(+kappa*L) = t*(1 + ik/kappa)/2,  b*exp(-kappa*L) = t*(1 - ik/kappa)/2
-    a = 0.5 * t * (1.0 + 1j * k / kappa_c) * np.exp(-kappa_c * length)
-    b = 0.5 * t * (1.0 - 1j * k / kappa_c) * np.exp(kappa_c * length)
-    return t, r, a, b
+    kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
+    a = (barrier.v0 - 2.0 * energy) / k
+    return (*spectral._two_wave(kappa_c, a, -barrier.v0 / k, barrier.length), kappa_c)
 
 
 def transmission(barrier: QuantumBarrier, energy: float) -> complex:
     """Complex transmission amplitude, exit-anchored, valid for any E > 0."""
-    if energy <= 0.0:
-        raise NonPositiveEnergyError("energy must be positive")
-    t, _, _, _ = _amplitudes(barrier.v0, barrier.length, energy)
-    return complex(t)
+    return complex(_closed_form(barrier, energy)[0])
 
 
 @dataclass(frozen=True)
@@ -86,8 +72,6 @@ class ScatterState:
     kappa: float
     t: complex
     r: complex
-    _a: complex
-    _b: complex
 
     def psi_incident_side(self, x):
         """exp(ikx) + r exp(-ikx); the x <= 0 form."""
@@ -95,10 +79,9 @@ class ScatterState:
         return np.exp(1j * self.k * x) + self.r * np.exp(-1j * self.k * x)
 
     def psi_inside(self, x):
-        """Interior evanescent combination; the 0 <= x <= L form."""
-        x = np.asarray(x, dtype=float)
-        kap = complex(self.kappa)
-        return self._a * np.exp(kap * x) + self._b * np.exp(-kap * x)
+        """t [cosh kappa(x - L) + i (k/kappa) sinh kappa(x - L)]; the 0 <= x <= L form."""
+        u = self.kappa * (np.asarray(x, dtype=float) - self.barrier.length)
+        return self.t * (np.cosh(u) + 1j * (self.k / self.kappa) * np.sinh(u))
 
     def psi_transmitted_side(self, x):
         """t exp(ik(x - L)); the x >= L form."""
@@ -110,9 +93,8 @@ class ScatterState:
         return 1j * self.k * (np.exp(1j * self.k * x) - self.r * np.exp(-1j * self.k * x))
 
     def dpsi_inside(self, x):
-        x = np.asarray(x, dtype=float)
-        kap = complex(self.kappa)
-        return kap * (self._a * np.exp(kap * x) - self._b * np.exp(-kap * x))
+        u = self.kappa * (np.asarray(x, dtype=float) - self.barrier.length)
+        return self.t * (self.kappa * np.sinh(u) + 1j * self.k * np.cosh(u))
 
     def dpsi_transmitted_side(self, x):
         x = np.asarray(x, dtype=float)
@@ -150,16 +132,14 @@ class DelayReport:
 
 
 def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
-    """Stationary tunneling solution from the four matching equations.
+    """Stationary tunneling solution: closed-form t and r at the energy.
 
     Requires 0 < E < v0; use :func:`transmission` for the analytically
     continued amplitude at other energies.
     """
-    if energy <= 0.0:
-        raise NonPositiveEnergyError("energy must be positive")
     if energy >= barrier.v0:
         raise AboveBarrierError("scatter() requires the tunneling regime E < v0")
-    t, r, a, b = _amplitudes(barrier.v0, barrier.length, energy)
+    t, r, _, _ = _closed_form(barrier, energy)
     return ScatterState(
         barrier=barrier,
         energy=energy,
@@ -167,17 +147,12 @@ def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
         kappa=float(np.sqrt(2.0 * (barrier.v0 - energy))),
         t=complex(t),
         r=complex(r),
-        _a=complex(a),
-        _b=complex(b),
     )
 
 
 def _response(barrier: QuantumBarrier, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
-    ts = np.empty(grid.count, dtype=complex)
-    rs = np.empty(grid.count, dtype=complex)
-    for i, e in enumerate(grid.omegas):
-        ts[i], rs[i], _, _ = _amplitudes(barrier.v0, barrier.length, float(e))
-    return spectral.ComplexResponse(grid, ts, rs)
+    t, r, _, _ = _closed_form(barrier, grid.omegas)
+    return spectral.ComplexResponse(grid, t, r)
 
 
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:
@@ -201,9 +176,8 @@ def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
     complex, so one expression holds below, at and above the barrier top:
     tau_d = |t|^2 L [1 + 4 v0 L^2 h(2 kappa L)] / k with h(z) = (sinh z - z)/z^3.
     """
-    t = transmission(barrier, energy)
-    kappa_c = np.sqrt(complex(2.0 * (barrier.v0 - energy)))
-    integral = spectral._two_wave_integral(t, kappa_c, barrier.v0, barrier.length)
+    _, _, scaled_t, kappa_c = _closed_form(barrier, energy)
+    integral = spectral._two_wave_integral(scaled_t, kappa_c, barrier.v0, barrier.length)
     return float(integral / np.sqrt(2.0 * energy))
 
 

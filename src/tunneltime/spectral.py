@@ -1,5 +1,6 @@
 """Shared spectral substrate: frequency grids, complex responses, phase tools,
-and the closed-form field integral behind the dwell time and the grating stored energy.
+and the two-wave barrier of the quantum rectangle and the uniform grating
+(scaled closed-form t and r, exact field integral).
 
 Conventions
 -----------
@@ -166,13 +167,14 @@ class DerivativeEstimate(NamedTuple):
 def unwrap_phase(resp: ComplexResponse) -> UnwrappedPhase:
     """Unwrap arg(t) over the response grid.
 
+    A |t| that is non-finite or below 1e-300 has no phase: ZeroAmplitudeError.
     Each step is corrected by the nearest multiple of 2*pi.  If a corrected
     step still reaches pi the direction of the jump is ambiguous and the grid
     is too coarse: UndersampledPhaseError.
     """
     mags = np.abs(resp.t)
-    if np.any(mags < _AMPLITUDE_FLOOR):
-        raise ZeroAmplitudeError("|t| below 1e-300; phase undefined")
+    if not np.all(np.isfinite(mags) & (mags >= _AMPLITUDE_FLOOR)):
+        raise ZeroAmplitudeError("|t| non-finite or below 1e-300; phase undefined")
     raw = np.angle(resp.t)
     jumps = np.diff(raw)
     wraps = np.round(jumps / _TWO_PI)
@@ -229,28 +231,55 @@ def group_delay(
     return phase_derivative(unwrap_phase(response(grid)), at)
 
 
-def _two_wave_integral(t: complex, rate: complex, coupling: float, length: float) -> float:
+def _h_series(z):
+    """h(z) = (sinh z - z)/z^3 by its Taylor series; accurate below the cutoff."""
+    h = 0.0
+    for c in _H_SERIES:
+        h = h * z * z + c
+    return h
+
+
+def _two_wave(rate, a, b, length):
+    """t, r and t e^{Re(rate) L} of a two-wave barrier, vectorised over every argument.
+
+    The field is a cosh/sinh combination of ``rate`` (Re >= 0) inside, and
+
+        t = 1 / (cosh(rate L) + i a sinh(rate L)/rate),  r = i b (sinh(rate L)/rate) t.
+
+    cosh and sinh are carried times e^{-Re(rate) L}: nothing overflows, an
+    opaque barrier's t underflows cleanly to zero, and r and the scaled
+    amplitude stay exact.  sinh(z)/z = 1 + z^2 h(z) is summed as a series near
+    z = 0, so rate = 0 (the barrier top, the band edge) needs no branch.
+    """
+    z = np.asarray(rate, dtype=complex) * length
+    decay = np.exp(-z.real)
+    turn = np.exp(1j * z.imag)
+    far = np.exp(-z - z.real)
+    small = np.abs(z) < _H_SERIES_CUTOFF
+    near = np.where(small, z, 0.0)
+    series = (1.0 + near * near * _h_series(near)) * decay
+    # sinh(rate L)/rate times e^{-Re z}: the series near 0, the quotient elsewhere
+    sinh_over_rate = length * np.where(small, series, 0.5 * (turn - far) / np.where(small, 1.0, z))
+    scaled_t = 1.0 / (0.5 * (turn + far) + 1j * a * sinh_over_rate)
+    return decay * scaled_t, 1j * b * sinh_over_rate * scaled_t, scaled_t
+
+
+def _two_wave_integral(scaled_t, rate, coupling: float, length: float) -> float:
     """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] with h(z) = (sinh z - z)/z^3.
 
-    The exact integral of |field|^2 over a barrier of length L whose field
-    is a cosh/sinh combination of ``rate`` (Re >= 0) with amplitude ``t`` at
-    the exit face.  h is entire and even, h(0) = 1/6; it is evaluated times
-    e^{-Re z} and |t| times e^{Re(rate) L}, so the product stays exact on
-    opaque barriers where |t|^2 alone underflows.
+    The exact integral of |field|^2 over a two-wave barrier of length L
+    (see :func:`_two_wave`), given its scaled exit amplitude
+    ``scaled_t`` = t e^{Re(rate) L}.  h is entire and even, h(0) = 1/6; both
+    terms in the bracket are evaluated times e^{-2 Re(rate) L}, so the product
+    stays exact on opaque barriers where |t|^2 alone underflows.
     """
-    z = 2.0 * rate * length
+    z = 2.0 * complex(rate) * length
+    decay = math.exp(-z.real)
     if abs(z) < _H_SERIES_CUTOFF:
-        h = 0.0
-        for c in _H_SERIES:
-            h = h * z * z + c
-        h *= math.exp(-z.real)
-    else:
-        # sinh(z) e^{-Re z} = (e^{i Im z} - e^{-z - Re z}) / 2
-        sinh_scaled = 0.5 * (cmath.exp(1j * z.imag) - cmath.exp(-z - z.real))
-        h = (sinh_scaled - z * math.exp(-z.real)) / z ** 3
-    mag = np.abs(t)
-    scaled_t = mag * np.exp(rate.real * length)
-    return float(length * (mag ** 2 + 4.0 * coupling * length ** 2 * scaled_t ** 2 * h.real))
+        h = _h_series(z) * decay
+    else:  # sinh(z) e^{-Re z} = (e^{i Im z} - e^{-z - Re z}) / 2
+        h = (0.5 * (cmath.exp(1j * z.imag) - cmath.exp(-z - z.real)) - z * decay) / z ** 3
+    return float(length * abs(scaled_t) ** 2 * (decay + 4.0 * coupling * length ** 2 * h.real))
 
 
 def locate_peak(times, samples) -> float:

@@ -168,6 +168,17 @@ class TestNumericalFailure:
         assert summary["error"] == "DetuningOutOfRangeError"
         assert not (out / "gr.csv").exists()
 
+    def test_opaque_quantum_barrier_names_zero_amplitude(self, tmp_path):
+        # kappa L = 1414: tau_d is exact, but |t| underflows, so tau_g has no phase
+        cfg = write_config(
+            tmp_path / "q.json", {"kind": "quantum", "v0": 2, "length": 1000, "energy": 1}
+        )
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 3
+        summary = json.loads((out / "q.json").read_text(), parse_constant=pytest.fail)
+        assert summary["error"] == "ZeroAmplitudeError"
+        assert not (out / "q.csv").exists()
+
     def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
         real = quantum.delay_report
 
@@ -233,6 +244,30 @@ class TestQuantumExperiment:
         assert values[0] == report.tau_g  # 17 significant digits are exact
         assert values[1] == report.tau_d
         assert values[4] == report.apparent_speed
+
+
+class TestGratingExperiment:
+    @pytest.mark.parametrize("length", [10.0, 1000.0, 2500.0])  # kappa L = 3, 300, 750
+    def test_midgap_transmission_is_sech_squared(self, tmp_path, length):
+        cfg = write_config(
+            tmp_path / "gr.json",
+            {
+                "kind": "grating",
+                "grating": {"kappa": 0.3, "length": length, "omega_b": 6.0},
+                "delta_min": -0.5,
+                "delta_max": 0.5,
+                "points": 11,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 0
+        summary = json.loads((out / "gr.json").read_text())
+        kappa_l = 0.3 * length
+        # past kappa L ~ 710 cosh overflows and sech^2 underflows to zero
+        expected = 1.0 / np.cosh(kappa_l) ** 2 if kappa_l < 700.0 else 0.0
+        assert summary["results"]["midgap_transmission"] == pytest.approx(
+            expected, rel=1e-14, abs=0.0
+        )
 
 
 class TestStackExperiment:

@@ -135,6 +135,12 @@ class TestGratingResponse:
         grid = spectral.FrequencyGrid.centered(grating.omega_b, 0.5 * grating.omega_b, 9)
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_response(grating, grid)
+        # the field quantities share the window
+        omega = 1.5 * grating.omega_b
+        with pytest.raises(DetuningOutOfRangeError):
+            photonic.grating_stored_energy(grating, omega)
+        with pytest.raises(DetuningOutOfRangeError):
+            photonic.grating_envelopes(grating, omega, np.linspace(0.0, grating.length, 5))
 
     def test_group_delay_analytic_value(self):
         grating = photonic.UniformGrating(0.2, 25.0, 1.3, 2.0 * np.pi)
@@ -274,7 +280,9 @@ class TestGratingStoredEnergy:
     @pytest.mark.parametrize(
         "kappa, length, n_bar",
         [(1e-6, 5.0, 1.0), (0.05, 10.0, 1.0), (0.2, 25.0, 1.3), (0.3, 100.0, 1.4),
-         (0.2, 600.0, 1.0)],  # the last is opaque: |t|^2 alone underflows there
+         (0.2, 600.0, 1.0), (0.2, 4000.0, 1.0)],
+        # the last two are opaque: |t|^2 alone underflows at kappa L = 120, and
+        # cosh(kappa L) overflows at 800
     )
     def test_bragg_identity(self, kappa, length, n_bar):
         grating = photonic.UniformGrating(kappa, length, n_bar, 2.0 * np.pi)

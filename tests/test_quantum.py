@@ -144,9 +144,11 @@ class TestDwellTime:
             assert quantum.dwell_time(barrier, energy) == pytest.approx(at_top, rel=1e-8)
 
     def test_opaque_barrier_saturates(self):
-        # kappa L = 600 at v0 = 2, E = 1: |t|^2 alone underflows, tau_d -> 1/2
-        barrier = quantum.QuantumBarrier(2.0, 600.0 / np.sqrt(2.0))
-        assert quantum.dwell_time(barrier, 1.0) == pytest.approx(0.5, rel=1e-12)
+        # kappa L = 600 at v0 = 2, E = 1: |t|^2 alone underflows, tau_d -> 1/2;
+        # at kappa L = 1414 (L = 1000) cosh(kappa L) itself overflows
+        for length in (600.0 / np.sqrt(2.0), 1000.0):
+            barrier = quantum.QuantumBarrier(2.0, length)
+            assert quantum.dwell_time(barrier, 1.0) == pytest.approx(0.5, rel=1e-12)
 
 
 class TestDelayReport:

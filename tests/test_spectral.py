@@ -78,10 +78,11 @@ class TestUnwrapPhase:
 
     def test_zero_amplitude_rejected(self):
         grid = spectral.FrequencyGrid.centered(5.0, 1.0, 9)
-        t = np.ones(9, dtype=complex)
-        t[4] = 0.0
-        with pytest.raises(ZeroAmplitudeError):
-            spectral.unwrap_phase(spectral.ComplexResponse(grid, t, np.zeros(9)))
+        for bad in (0.0, np.nan, np.inf):
+            t = np.ones(9, dtype=complex)
+            t[4] = bad
+            with pytest.raises(ZeroAmplitudeError):
+                spectral.unwrap_phase(spectral.ComplexResponse(grid, t, np.zeros(9)))
 
     def test_undersampled_phase_rejected(self):
         # alternating 0/pi phases leave the wrap direction ambiguous
