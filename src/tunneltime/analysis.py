@@ -62,7 +62,7 @@ class GratingFamily:
     def field_penetration_depth(self, length: float, slices_per_period: int = 30) -> Optional[float]:
         """Field 1/e depth measured on the sliced-stack energy-density profile.
 
-        This is an independent estimate (transfer-matrix fields of the
+        This is an independent estimate (backward-march fields of the
         discretized index profile) of the coupled-mode prediction 1/kappa.
         """
         stack = self._grating(length).as_layered_stack(slices_per_period)

@@ -12,15 +12,17 @@ empty stack gives t = 1 and a vacuum slab of thickness d gives
 t = exp(i w d) (pure propagation, delay d).  With this anchoring the group
 delay d(arg t)/dw of a vacuum slab is its transit time.
 
-A layer of index n and thickness d maps interface fields forward via
+One backward march carries the unit transmitted wave (E, H) = (1, n_out)
+from the exit face to the front face; a layer of index n and thickness d
+steps the interface fields back by
 
-    [E, H](z + d) = [[cos(delta), i sin(delta)/n],
-                     [i n sin(delta), cos(delta)]] . [E, H](z),
+    [E, H](z) = [[cos(delta), -i sin(delta)/n],
+                 [-i n sin(delta), cos(delta)]] . [E, H](z + d),
 
-with delta = n d w.  Stored energy uses the time-averaged density
-u = (n^2 |E|^2 + |H|^2)/4; with the incident field scaled to unit input
-power, the stored energy per input power is directly a time, and a vacuum
-slab yields exactly its length.
+delta = n d w, with exact power-of-two rescaling against overflow.  t and r
+are read off at the front face, each layer's wave amplitudes at its own.
+Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
+unit input power it is directly a time, and a vacuum slab yields its length.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ _GRATING_VALIDITY = 0.2
 _DELAY_GRID_REL_HALFWIDTH = 1e-6
 
 _MIN_FIELD_POINTS_PER_LAYER = 32
+
+# growth bound at which the backward march rescales: far below overflow, and
+# out of reach of short or weakly modulated stacks
+_RESCALE_BOUND = 1e150
 
 
 @dataclass(frozen=True)
@@ -197,41 +203,53 @@ class PhaseEnergyReport:
     max_residual: float
 
 
-def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
-    """t and r of a stack at positive frequencies: the one transfer-matrix kernel.
+def _backward_march(stack: LayeredStack, omegas: np.ndarray):
+    """(E, H, k) at the exit face, then at each layer's front face, last layer first.
 
-    Accumulates the forward field-transfer matrix P per frequency and solves
-    the boundary equations for t and r.
+    The true fields are 2^k (E, H), k an integer per frequency: E and H are
+    rescaled by exact powers of two before a step that could take a running
+    bound on their size past _RESCALE_BOUND, and never otherwise.
+    """
+    e = np.ones(omegas.shape, dtype=complex)
+    h = np.full(omegas.shape, complex(stack.n_out))
+    k = np.zeros(omegas.shape, dtype=int)
+    bound = max(1.0, stack.n_out)
+    yield e, h, k
+    for n, d in reversed(stack.layers):
+        # one step grows max(|E|, |H|) by at most this factor
+        growth = 1.0 + max(n, 1.0 / n)
+        if bound * growth > _RESCALE_BOUND:
+            _, shift = np.frexp(np.maximum(np.abs(e), np.abs(h)))
+            scale = np.ldexp(1.0, -shift)
+            e, h, k, bound = e * scale, h * scale, k + shift, 1.0
+        bound *= growth
+        phase = (n * d) * omegas
+        cos_p, sin_p = np.cos(phase), np.sin(phase)
+        e, h = cos_p * e - 1j * (sin_p / n) * h, cos_p * h - 1j * (n * sin_p) * e
+        yield e, h, k
+
+
+def _split_waves(e, h, n):
+    """Forward and backward wave amplitudes of the fields (E, H) in index n."""
+    return 0.5 * (e + h / n), 0.5 * (e - h / n)
+
+
+def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
+    """t and r at positive frequencies, read off the backward march's front face.
+
+    With incident and reflected amplitudes a, b there, t = 2^(-k)/a and r = b/a.
     """
     if np.any(omegas <= 0.0):
         raise ValueError("frequencies must be positive")
-    m = omegas.size
-    total = np.zeros((m, 2, 2), dtype=complex)
-    total[:, 0, 0] = 1.0
-    total[:, 1, 1] = 1.0
-    for n, d in stack.layers:
-        delta = n * d * omegas
-        cos_d = np.cos(delta)
-        sin_d = np.sin(delta)
-        layer = np.empty((m, 2, 2), dtype=complex)
-        layer[:, 0, 0] = cos_d
-        layer[:, 0, 1] = 1j * sin_d / n
-        layer[:, 1, 0] = 1j * n * sin_d
-        layer[:, 1, 1] = cos_d
-        total = layer @ total
-    # det P = 1, so the boundary equations invert cleanly; this form avoids
-    # the catastrophic 1 + r cancellation for opaque stacks (|r| -> 1)
-    n_in, n_out = stack.n_in, stack.n_out
-    p11, p12 = total[:, 0, 0], total[:, 0, 1]
-    p21, p22 = total[:, 1, 0], total[:, 1, 1]
-    t = 2.0 * n_in / (n_out * p11 - p21 + n_in * p22 - n_in * n_out * p12)
-    r = t * (p22 - n_out * p12) - 1.0
-    return t, r
+    for e, h, k in _backward_march(stack, omegas):
+        pass  # only the front face is needed
+    incident, reflected = _split_waves(e, h, stack.n_in)
+    return np.ldexp(1.0, -k) / incident, reflected / incident
 
 
 # The three public forms below differ only in how frequencies come in and
 # results go out; none calls another, so a tracer wrapping them counts each
-# transfer-matrix evaluation once.
+# march to the front face once.
 
 def stack_response(stack: LayeredStack, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
     """Complex transmission/reflection of a layered stack over a grid.
@@ -325,7 +343,7 @@ def reconstruct_fields(
     with the wave amplitudes of :func:`_layer_wave_coefficients`.
     """
     points_per_layer = max(points_per_layer, _MIN_FIELD_POINTS_PER_LAYER)
-    coeffs = np.asarray(_layer_wave_coefficients(stack, omega))
+    coeffs = _layer_wave_coefficients(stack, omega)
     index, thickness = (np.asarray(col) for col in zip(*stack.layers))
     edges = np.concatenate(([0.0], np.cumsum(thickness)))
     s = np.linspace(0.0, thickness, points_per_layer, axis=1)
@@ -341,28 +359,22 @@ def reconstruct_fields(
     )
 
 
-def _layer_wave_coefficients(stack: LayeredStack, omega: float):
+def _layer_wave_coefficients(stack: LayeredStack, omega: float) -> np.ndarray:
     """Per-layer forward/backward wave amplitudes (a_j, b_j), unit input power.
 
     Within layer j the field is a_j e^{i n w s} + b_j e^{-i n w s} with s the
-    distance from the layer's front face.  The transmitted wave fixes (E, H)
-    at the back face; marching backwards through each layer follows the
-    numerically dominant solution, so the amplitudes stay accurate even for
-    opaque barriers.
+    distance from the layer's front face; row j of the (N, 2) result is read
+    off the backward march there.  The march follows the dominant solution,
+    so opaque barriers stay accurate and too deep layers underflow to zero.
     """
-    t, _ = stack_t_r(stack, omega)
-    e0 = np.sqrt(2.0 / stack.n_in)  # unit input power: P_in = n_in |E0|^2 / 2
-    e_cur = e0 * t
-    h_cur = stack.n_out * e_cur
-    coeffs = [None] * len(stack.layers)
-    for j in range(len(stack.layers) - 1, -1, -1):
-        n, d = stack.layers[j]
-        phase = n * omega * d
-        e_front = np.cos(phase) * e_cur - 1j * np.sin(phase) / n * h_cur
-        h_front = -1j * n * np.sin(phase) * e_cur + np.cos(phase) * h_cur
-        coeffs[j] = (0.5 * (e_front + h_front / n), 0.5 * (e_front - h_front / n))
-        e_cur, h_cur = e_front, h_front
-    return coeffs
+    march = _backward_march(stack, np.asarray([float(omega)]))
+    # index 0 is the stack's front face, index N its exit face
+    e, h, k = (np.concatenate(col)[::-1] for col in zip(*march))
+    incident, _ = _split_waves(e[0], h[0], stack.n_in)
+    # unit input power: P_in = n_in |E0|^2 / 2
+    scale = np.sqrt(2.0 / stack.n_in) * np.ldexp(1.0, k[:-1] - k[0]) / incident
+    index = np.array([n for n, _ in stack.layers])
+    return scale[:, None] * np.stack(_split_waves(e[:-1], h[:-1], index), axis=1)
 
 
 def stored_energy(stack: LayeredStack, omega: float) -> EnergyReport:
@@ -379,15 +391,14 @@ def stored_energy(stack: LayeredStack, omega: float) -> EnergyReport:
     profile does not decay.
     """
     coeffs = _layer_wave_coefficients(stack, omega)
+    index = np.array([n for n, _ in stack.layers])
+    densities = 0.5 * index ** 2 * np.sum(np.abs(coeffs) ** 2, axis=1)
     edges = np.concatenate(([0.0], np.cumsum([d for _, d in stack.layers])))
-    densities = np.empty(len(stack.layers))
-    for j, ((n, d), (a, b)) in enumerate(zip(stack.layers, coeffs)):
-        densities[j] = 0.5 * n ** 2 * (abs(a) ** 2 + abs(b) ** 2)
     thicknesses = np.diff(edges)
     u_total = float(np.sum(densities * thicknesses))
 
     centers = 0.5 * (edges[:-1] + edges[1:])
-    depth = _fit_penetration_depth(stack, omega, densities, edges)
+    depth = _fit_penetration_depth(stack, omega, densities)
 
     return EnergyReport(
         u_per_pin=u_total,
@@ -398,41 +409,31 @@ def stored_energy(stack: LayeredStack, omega: float) -> EnergyReport:
     )
 
 
-def _fit_penetration_depth(stack, omega, densities, edges) -> Optional[float]:
+def _fit_penetration_depth(stack, omega, densities) -> Optional[float]:
     """Field 1/e depth from layer densities binned to ~half-wave thickness."""
     # group consecutive layers until each bin holds >= pi of optical phase,
     # which averages out the half-wave alternation of quarter-wave pairs and
-    # of finely sliced gratings alike
-    bins_z = []
-    bins_u = []
-    acc_phase = 0.0
-    acc_energy = 0.0
-    acc_thick = 0.0
-    z_start = 0.0
+    # of finely sliced gratings alike; a trailing bin needs >= pi/2
+    bounds, phase = [0], 0.0
     for j, (n, d) in enumerate(stack.layers):
-        acc_phase += n * d * omega
-        acc_energy += densities[j] * d
-        acc_thick += d
-        if acc_phase >= np.pi - 1e-12:
-            bins_z.append(z_start + 0.5 * acc_thick)
-            bins_u.append(acc_energy / acc_thick)
-            z_start += acc_thick
-            acc_phase = 0.0
-            acc_energy = 0.0
-            acc_thick = 0.0
-    if acc_thick > 0.0 and acc_phase >= 0.5 * np.pi:
-        bins_z.append(z_start + 0.5 * acc_thick)
-        bins_u.append(acc_energy / acc_thick)
-    bins_z = np.asarray(bins_z)
-    bins_u = np.asarray(bins_u)
+        phase += n * d * omega
+        if phase >= np.pi - 1e-12:
+            bounds.append(j + 1)
+            phase = 0.0
+    if phase >= 0.5 * np.pi:
+        bounds.append(len(stack.layers))
+    starts = np.array(bounds[:-1], dtype=int)
+    thick = np.array([d for _, d in stack.layers[: bounds[-1]]])
+    widths = np.add.reduceat(thick, starts)
+    bins_z = np.concatenate(([0.0], np.cumsum(widths)[:-1])) + 0.5 * widths
+    bins_u = np.add.reduceat(densities[: bounds[-1]] * thick, starts) / widths
 
-    half = stack.total_length / 2.0
-    front = bins_z <= half
-    z_fit = bins_z[front]
-    u_fit = bins_u[front]
-    if z_fit.size < 3 or np.any(u_fit <= 0.0):
+    # bins deep inside a stack too opaque for floating point hold a density
+    # that has underflowed (subnormal or zero); they are left out of the fit
+    front = (bins_z <= stack.total_length / 2.0) & (bins_u >= np.finfo(float).tiny)
+    if np.count_nonzero(front) < 3:
         return None
-    slope, _ = np.polyfit(z_fit, np.log(u_fit), 1)
+    slope, _ = np.polyfit(bins_z[front], np.log(bins_u[front]), 1)
     if slope >= 0.0:
         return None  # not decaying: passband illumination, no 1/e depth
     return float(2.0 / (-slope))

@@ -72,16 +72,29 @@ class ScatterState:
     kappa: float
     t: complex
     r: complex
+    scaled_t: complex  # t e^{kappa L}, finite where t itself underflows
 
     def psi_incident_side(self, x):
         """exp(ikx) + r exp(-ikx); the x <= 0 form."""
         x = np.asarray(x, dtype=float)
         return np.exp(1j * self.k * x) + self.r * np.exp(-1j * self.k * x)
 
+    def _inside_waves(self, x):
+        """The growing and decaying terms of psi_inside, from t e^{kappa L}.
+
+        (t e^{kappa L} / 2)(1 +/- ik/kappa) times e^{kappa (x - 2L)} and e^{-kappa x}:
+        both exponents are <= 0 on [0, L], so opaque barriers never overflow.
+        """
+        x = np.asarray(x, dtype=float)
+        half = 0.5 * self.scaled_t
+        ratio = 1j * self.k / self.kappa
+        grow = half * (1.0 + ratio) * np.exp(self.kappa * (x - 2.0 * self.barrier.length))
+        return grow, half * (1.0 - ratio) * np.exp(-self.kappa * x)
+
     def psi_inside(self, x):
         """t [cosh kappa(x - L) + i (k/kappa) sinh kappa(x - L)]; the 0 <= x <= L form."""
-        u = self.kappa * (np.asarray(x, dtype=float) - self.barrier.length)
-        return self.t * (np.cosh(u) + 1j * (self.k / self.kappa) * np.sinh(u))
+        grow, decay = self._inside_waves(x)
+        return grow + decay
 
     def psi_transmitted_side(self, x):
         """t exp(ik(x - L)); the x >= L form."""
@@ -93,8 +106,8 @@ class ScatterState:
         return 1j * self.k * (np.exp(1j * self.k * x) - self.r * np.exp(-1j * self.k * x))
 
     def dpsi_inside(self, x):
-        u = self.kappa * (np.asarray(x, dtype=float) - self.barrier.length)
-        return self.t * (self.kappa * np.sinh(u) + 1j * self.k * np.cosh(u))
+        grow, decay = self._inside_waves(x)
+        return self.kappa * (grow - decay)
 
     def dpsi_transmitted_side(self, x):
         x = np.asarray(x, dtype=float)
@@ -139,7 +152,7 @@ def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
     """
     if energy >= barrier.v0:
         raise AboveBarrierError("scatter() requires the tunneling regime E < v0")
-    t, r, _, _ = _closed_form(barrier, energy)
+    t, r, scaled_t, _ = _closed_form(barrier, energy)
     return ScatterState(
         barrier=barrier,
         energy=energy,
@@ -147,6 +160,7 @@ def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
         kappa=float(np.sqrt(2.0 * (barrier.v0 - energy))),
         t=complex(t),
         r=complex(r),
+        scaled_t=complex(scaled_t),
     )
 
 

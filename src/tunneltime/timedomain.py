@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack as _lapack
 
 from . import photonic, spectral
@@ -212,39 +211,24 @@ class TdseResult:
 
 
 def _response_on_fft_grid(resp: spectral.ComplexResponse, pulse: PulseEnvelope):
-    """Response samples reordered/interpolated onto the pulse's FFT bins."""
-    n = pulse.count
-    dt = pulse.dt
-    omega_fft = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+    """Response samples reordered onto the FFT bins of ``pulse.fft_grid()``, its only grid."""
     grid = resp.grid
     if abs(grid.omega0 - pulse.omega0) > 1e-9 * max(1.0, abs(pulse.omega0)):
         raise ValueError("response carrier differs from the pulse carrier")
 
-    spec_power = np.abs(np.fft.ifft(pulse.a)) ** 2
-    significant = spec_power >= _SPECTRUM_POWER_LEVEL * np.max(spec_power)
-    needed = omega_fft[significant]
+    fft_detunings = pulse.fft_grid().detunings
+    spec_power = np.abs(np.fft.fftshift(np.fft.ifft(pulse.a))) ** 2
+    needed = fft_detunings[spec_power >= _SPECTRUM_POWER_LEVEL * np.max(spec_power)]
     margin = 0.5 * grid.spacing
     if needed.min() < grid.detunings[0] - margin or needed.max() > grid.detunings[-1] + margin:
         raise SpectrumExceedsGridError(
             "pulse spectrum at the 1e-6 power level spills past the response grid"
         )
-
-    fft_spacing = 2.0 * np.pi / (n * dt)
-    same = (
-        grid.count == n
-        and abs(grid.spacing - fft_spacing) <= 1e-9 * fft_spacing
-        and abs(grid.detunings[0] + fft_spacing * (n // 2)) <= 1e-6 * fft_spacing
-    )
-    if same:
-        return np.fft.ifftshift(resp.t), np.fft.ifftshift(resp.r)
-    t_spline = CubicSpline(grid.detunings, resp.t)
-    r_spline = CubicSpline(grid.detunings, resp.r)
-    inside = (omega_fft >= grid.detunings[0]) & (omega_fft <= grid.detunings[-1])
-    t_fft = np.zeros(n, dtype=complex)
-    r_fft = np.zeros(n, dtype=complex)
-    t_fft[inside] = t_spline(omega_fft[inside])
-    r_fft[inside] = r_spline(omega_fft[inside])
-    return t_fft, r_fft
+    if grid.count != pulse.count or (
+        np.max(np.abs(grid.detunings - fft_detunings)) > 1e-6 * grid.spacing
+    ):
+        raise ValueError("response must be sampled on the pulse's FFT grid (pulse.fft_grid())")
+    return np.fft.ifftshift(resp.t), np.fft.ifftshift(resp.r)
 
 
 def _rms_width(times: np.ndarray, envelope: np.ndarray) -> float:

@@ -63,8 +63,8 @@ def stack_matching_oracle(stack: photonic.LayeredStack, omega: float):
 
     Unknowns are (r, a_j, b_j per layer, t) with per-layer local coordinates;
     returns (t, r, field sampler e(z)) for unit incident amplitude.  This is
-    the brute-force route the transfer-matrix implementation is checked
-    against.
+    the brute-force route the backward field march of :mod:`photonic` is
+    checked against.
     """
     layers = stack.layers
     n_layers = len(layers)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import LAMBDA0, OMEGA0, random_stack, random_symmetric_stack, stack_matching_oracle
 from tunneltime import photonic, spectral
-from tunneltime.errors import DetuningOutOfRangeError, NotInStopbandError
+from tunneltime.errors import DetuningOutOfRangeError, NotInStopbandError, ZeroAmplitudeError
 
 
 class TestTypes:
@@ -67,6 +67,28 @@ class TestStackResponse:
         assert r == pytest.approx(r_ref, rel=1e-10, abs=1e-14)
         # midgap of an odd quarter-wave stack: purely imaginary transmission
         assert abs(np.angle(t)) == pytest.approx(np.pi / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["slab", "random-n_in-n_out", "front-pass", "front-stop"])
+    def test_march_matches_field_matching_oracle(self, case, front_stack):
+        if case == "slab":
+            stack, omega = photonic.LayeredStack(((2.3, 0.37),), n_in=1.2, n_out=1.6), 7.1
+        elif case == "random-n_in-n_out":
+            layers = random_stack(np.random.default_rng(31)).layers
+            stack, omega = photonic.LayeredStack(layers, n_in=1.4, n_out=2.1), 6.3
+        else:
+            stack = front_stack
+            omega = 0.95 * OMEGA0 if case == "front-pass" else OMEGA0
+        t, r = photonic.stack_t_r(stack, omega)
+        t_ref, r_ref, e_ref = stack_matching_oracle(stack, omega)
+        assert t == pytest.approx(t_ref, rel=1e-10, abs=1e-14)
+        assert r == pytest.approx(r_ref, rel=1e-10, abs=1e-14)
+        # the layer amplitudes come off the same march
+        profile = photonic.reconstruct_fields(stack, omega)
+        scale = np.sqrt(2.0 / stack.n_in)  # oracle uses unit incident amplitude
+        for idx in range(0, profile.z.size, 37):
+            assert profile.e[idx] == pytest.approx(
+                scale * e_ref(profile.z[idx]), rel=1e-10, abs=1e-12
+            )
 
     def test_entry_points_agree_bit_for_bit(self, skc_stack):
         grid = spectral.FrequencyGrid.centered(OMEGA0, 0.5, 9)
@@ -218,6 +240,21 @@ class TestStoredEnergy:
         u1 = photonic.stored_energy(base, OMEGA0).u_per_pin
         u2 = photonic.stored_energy(double, OMEGA0).u_per_pin
         assert abs(u2 - u1) / u1 < 1e-4
+
+    def test_stack_too_opaque_for_floating_point(self):
+        # |t| ~ 1e-477 at midgap of the 2001-layer stack: the stored energy
+        # saturates at the 401-layer value, while the phase of t is lost
+        shallow = photonic.LayeredStack.quarter_wave(3.0, 1.0, 401, LAMBDA0)
+        deep = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, LAMBDA0)
+        report = photonic.stored_energy(deep, OMEGA0)
+        expected = photonic.stored_energy(shallow, OMEGA0)
+        assert report.u_per_pin == pytest.approx(expected.u_per_pin, rel=1e-12)
+        assert report.penetration_depth == pytest.approx(expected.penetration_depth, rel=1e-12)
+        t, r = photonic.stack_t_r(deep, OMEGA0)
+        assert t == 0.0
+        assert abs(r) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(ZeroAmplitudeError):
+            photonic.group_delay(deep, OMEGA0)
 
     def test_grating_density_decay_rate_is_twice_kappa(self):
         kappa = 0.1

@@ -58,7 +58,8 @@ class TestScatter:
             defect = abs(abs(state.t) ** 2 + abs(state.r) ** 2 - 1.0)
             assert defect < 1e-12
 
-    @pytest.mark.parametrize("kappa_l", [3.0, 20.0])
+    # at kappa L = 1000 t underflows to zero and cosh(kappa L) overflows
+    @pytest.mark.parametrize("kappa_l", [3.0, 20.0, 1000.0])
     def test_wavefunction_continuity_at_interfaces(self, kappa_l):
         barrier = quantum.QuantumBarrier(2.0, kappa_l / KAPPA)
         state = quantum.scatter(barrier, 1.0)
