@@ -428,9 +428,13 @@ def _fit_penetration_depth(stack, omega, densities) -> Optional[float]:
     bins_z = np.concatenate(([0.0], np.cumsum(widths)[:-1])) + 0.5 * widths
     bins_u = np.add.reduceat(densities[: bounds[-1]] * thick, starts) / widths
 
-    # bins deep inside a stack too opaque for floating point hold a density
-    # that has underflowed (subnormal or zero); they are left out of the fit
-    front = (bins_z <= stack.total_length / 2.0) & (bins_u >= np.finfo(float).tiny)
+    # the fit covers the front half, including a bin centred on the half
+    # length: a mirror-symmetric stack puts the middle bin's centre there
+    # only up to roundoff, so the comparison carries a tolerance.  Bins deep
+    # inside a stack too opaque for floating point hold a density that has
+    # underflowed (subnormal or zero); they are left out of the fit
+    half = (0.5 + 1e-9) * stack.total_length
+    front = (bins_z <= half) & (bins_u >= np.finfo(float).tiny)
     if np.count_nonzero(front) < 3:
         return None
     slope, _ = np.polyfit(bins_z[front], np.log(bins_u[front]), 1)

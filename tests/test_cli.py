@@ -296,14 +296,14 @@ class TestStackExperiment:
 
 
 def test_import_does_not_load_scipy_integrate():
-    # the field integrals are closed forms and pulse responses are sampled on
-    # the FFT grid, so neither quadrature nor splines are needed; every CLI
-    # call pays for what the package imports
+    # the field integrals are closed forms, pulse responses are sampled on
+    # the FFT grid and only the wave-packet oracle imports scipy's tridiagonal
+    # solver, when it runs; every CLI call pays for what the package imports
     src = str(Path(tunneltime.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, tunneltime; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+        "import sys, tunneltime, tunneltime.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

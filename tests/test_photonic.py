@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,23 @@ class TestStoredEnergy:
         assert abs(r) == pytest.approx(1.0, rel=1e-15)
         with pytest.raises(ZeroAmplitudeError):
             photonic.group_delay(deep, OMEGA0)
+
+    def test_middle_bin_on_half_length_is_not_a_coin_toss(self):
+        # the first stack from default_rng(5) has 21 layers, and at 2 pi its
+        # middle phase bin is centred on the half length up to roundoff; a
+        # one-ulp move of the half length must not move the fitted depth
+        stack = random_symmetric_stack(np.random.default_rng(5))
+        omega = 2.0 * np.pi
+        report = photonic.stored_energy(stack, omega)
+        assert len(stack.layers) == 21
+        depths = []
+        for toward in (0.0, np.inf):
+            nudged = SimpleNamespace(
+                layers=stack.layers,
+                total_length=np.nextafter(stack.total_length, toward),
+            )
+            depths.append(photonic._fit_penetration_depth(nudged, omega, report.density))
+        assert depths == [report.penetration_depth] * 2
 
     def test_grating_density_decay_rate_is_twice_kappa(self):
         kappa = 0.1

@@ -14,6 +14,39 @@ from tunneltime.errors import (
 )
 
 
+def stencil_run(psi0, potential, dx, dt, detector, record_every):
+    """Crank-Nicolson reference with the right side B psi applied as a stencil.
+
+    Same ``advance(done, stop)`` contract as the oracle's runs: A psi' = B psi
+    with A = I + i dt H / 2 solved by gttrs and B = I - i dt H / 2 built
+    cell by cell.
+    """
+    from scipy.linalg import lapack
+
+    a_main = (1.0 + 0.5j * dt * (1.0 / dx ** 2 + potential)).astype(complex)
+    a_off = np.full(psi0.size - 1, -0.25j * dt / dx ** 2)
+    b_main = 2.0 - a_main
+    b_off = 0.25j * dt / dx ** 2
+    gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (a_main, psi0))
+    dl, d, du, du2, ipiv, _ = gttrf(a_off, a_main, a_off)
+    psi = psi0
+
+    def advance(done, stop):
+        nonlocal psi
+        samples = []
+        for step in range(done + 1, stop + 1):
+            rhs = b_main * psi
+            rhs[1:-1] += b_off * (psi[2:] + psi[:-2])
+            rhs[0] += b_off * psi[1]
+            rhs[-1] += b_off * psi[-2]
+            psi, _ = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+            if step % record_every == 0:
+                samples.append(psi[detector])
+        return samples, psi
+
+    return advance
+
+
 def unity_response(grid):
     return spectral.ComplexResponse(
         grid, np.ones(grid.count, dtype=complex), np.zeros(grid.count, dtype=complex)
@@ -193,3 +226,51 @@ class TestTdseOracle:
         assert abs(result.delay) < dx * dx
         assert result.norm_error < 1e-8
         assert result.boundary_leak < 1e-10
+
+    # a small box: 1700 cells, 3200 steps of dt = dx^2, records every 7th
+    # step (so the last stretch is partial), a k0 = 3 packet at x0 = -12
+    # and a V0 = 6, L = 0.5 barrier with a detector at x = 6
+    DX, DT, STEPS, EVERY, EDGE = 0.05, 0.0025, 3200, 7, 40
+
+    def small_box(self):
+        x = np.arange(-45.0, 40.0, self.DX)
+        psi0 = np.exp(-((x + 12.0) ** 2) / 16.0 + 3j * x)
+        psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * self.DX)
+        detector = int(np.argmin(np.abs(x - 6.0)))
+        barrier = np.where((x >= 0.0) & (x <= 0.5), 6.0, 0.0)
+        return psi0, detector, barrier
+
+    def assert_runs_agree(self, advance, reference, psi0, detector, tol):
+        layout = (psi0, detector, self.STEPS, self.EVERY, self.EDGE, self.DX)
+        rec, norm, leak = timedomain._watched_run(advance, *layout)
+        rec_ref, norm_ref, leak_ref = timedomain._watched_run(reference, *layout)
+        # advancing from the last step to itself hands back the final psi
+        psi = advance(self.STEPS, self.STEPS)[1]
+        psi_ref = reference(self.STEPS, self.STEPS)[1]
+        assert rec.size == rec_ref.size == self.STEPS // self.EVERY + 1
+        assert np.max(np.abs(rec - rec_ref)) <= tol * np.max(np.abs(rec_ref))
+        assert np.max(np.abs(psi - psi_ref)) <= tol * np.max(np.abs(psi_ref))
+        assert norm == pytest.approx(norm_ref, abs=1e-12)
+        # leaks far below the 1e-10 gate sit at roundoff, hence the floor
+        assert leak == pytest.approx(leak_ref, rel=1e-6, abs=1e-18)
+
+    def test_spectral_free_run_equals_stepping(self):
+        psi0, detector, _ = self.small_box()
+        free = np.zeros(psi0.size)
+        self.assert_runs_agree(
+            timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY),
+            stencil_run(psi0, free, self.DX, self.DT, detector, self.EVERY),
+            psi0,
+            detector,
+            tol=1e-11,
+        )
+
+    def test_cayley_step_equals_stencil_step(self):
+        psi0, detector, barrier = self.small_box()
+        self.assert_runs_agree(
+            timedomain._cayley_run(psi0, barrier, self.DX, self.DT, detector, self.EVERY),
+            stencil_run(psi0, barrier, self.DX, self.DT, detector, self.EVERY),
+            psi0,
+            detector,
+            tol=1e-12,
+        )
