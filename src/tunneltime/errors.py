@@ -62,10 +62,6 @@ class FitFailureError(TunnelTimeError):
 
 # -- time domain -----------------------------------------------------------
 
-class SpectrumExceedsGridError(TunnelTimeError):
-    """Pulse spectrum (at the 1e-6 power level) spills past the response grid."""
-
-
 class WraparoundDetectedError(TunnelTimeError):
     """Synthesized record does not decay at its ends; FFT wraparound present."""
 

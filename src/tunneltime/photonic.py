@@ -21,12 +21,18 @@ steps the interface fields back by
 
 delta = n d w, with exact power-of-two rescaling against overflow.  t and r
 are read off at the front face, each layer's wave amplitudes at its own.
+cos(delta) and sin(delta) are evaluated once per layer type, a distinct
+(n, d) pair, and held from its first step to its last, so a periodic stack
+costs one trig evaluation per type and frequency.  A type that occurs once is
+never held; the most held at once is half the layers, for a palindrome of
+distinct layers.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, and a vacuum slab yields its length.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -49,6 +55,10 @@ _MIN_FIELD_POINTS_PER_LAYER = 32
 # growth bound at which the backward march rescales: far below overflow, and
 # out of reach of short or weakly modulated stacks
 _RESCALE_BOUND = 1e150
+
+# sections each k-section round cuts a stopband-edge bracket into, so one
+# march per round samples 63 interior points of every bracket
+_SECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -214,8 +224,11 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
     h = np.full(omegas.shape, complex(stack.n_out))
     k = np.zeros(omegas.shape, dtype=int)
     bound = max(1.0, stack.n_out)
+    # steps left per layer type, and the cos, sin of types with steps left
+    left, trig = Counter(stack.layers), {}
     yield e, h, k
-    for n, d in reversed(stack.layers):
+    for layer in reversed(stack.layers):
+        n, d = layer
         # one step grows max(|E|, |H|) by at most this factor
         growth = 1.0 + max(n, 1.0 / n)
         if bound * growth > _RESCALE_BOUND:
@@ -223,8 +236,14 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
             scale = np.ldexp(1.0, -shift)
             e, h, k, bound = e * scale, h * scale, k + shift, 1.0
         bound *= growth
-        phase = (n * d) * omegas
-        cos_p, sin_p = np.cos(phase), np.sin(phase)
+        left[layer] -= 1
+        cos_sin = trig.pop(layer, None)
+        if cos_sin is None:
+            phase = (n * d) * omegas
+            cos_sin = np.cos(phase), np.sin(phase)
+        if left[layer]:
+            trig[layer] = cos_sin
+        cos_p, sin_p = cos_sin
         e, h = cos_p * e - 1j * (sin_p / n) * h, cos_p * h - 1j * (n * sin_p) * e
         yield e, h, k
 
@@ -468,8 +487,11 @@ def find_stopband(
 ) -> Stopband:
     """Locate the half-transmission stopband containing ``omega_ref``.
 
-    |t|^2 is scanned over omega_ref * (1 +/- scan_factor) and the contiguous
-    region below 0.5 around omega_ref is refined by bisection.  Raises
+    |t|^2 is scanned over omega_ref * (1 +/- scan_factor), and each end of the
+    contiguous region below 0.5 around omega_ref is refined by k-section: every
+    round samples both edge brackets at once and keeps, in each, the crossing
+    nearest the band, so an edge bounds the below-0.5 run that holds
+    omega_ref.  An edge on the scan boundary stays there.  Raises
     NotInStopbandError when |t(omega_ref)|^2 >= 0.5.
     """
     if float(_transmittance(stack, [omega_ref])[0]) >= 0.5:
@@ -480,27 +502,39 @@ def find_stopband(
     below = _transmittance(stack, omegas) < 0.5
     j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
 
-    j = j_ref
-    while j > 0 and below[j - 1]:
-        j -= 1
-    lower = omegas[j] if j == 0 else _bisect_half(stack, omegas[j - 1], omegas[j])
-    j = j_ref
-    while j < scan_points - 1 and below[j + 1]:
-        j += 1
-    upper = omegas[j] if j == scan_points - 1 else _bisect_half(stack, omegas[j + 1], omegas[j])
+    j_lo = j_hi = j_ref
+    while j_lo > 0 and below[j_lo - 1]:
+        j_lo -= 1
+    while j_hi < scan_points - 1 and below[j_hi + 1]:
+        j_hi += 1
+    # an edge on the scan boundary gets an empty bracket and keeps its sample
+    inside = omegas[[j_lo, j_hi]]
+    outside = omegas[[max(j_lo - 1, 0), min(j_hi + 1, scan_points - 1)]]
+    lower, upper = _k_section(stack, outside, inside)
     return Stopband(lower=float(lower), upper=float(upper))
 
 
-def _bisect_half(stack: LayeredStack, outside: float, inside: float) -> float:
-    """Root of |t|^2 - 0.5 between a sample outside and one inside the band."""
-    for _ in range(200):
-        mid = 0.5 * (outside + inside)
-        if float(_transmittance(stack, [mid])[0]) < 0.5:
-            inside = mid
-        else:
-            outside = mid
-        if abs(inside - outside) <= 1e-14 * abs(inside):
-            break
+def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Crossings of |t|^2 = 0.5, one per bracket, refined together.
+
+    Each bracket runs from a sample inside the band (|t|^2 < 0.5) to one
+    outside.  A round marches once over _SECTIONS - 1 interior points of every
+    live bracket; walking out from its inside end, the first point with
+    |t|^2 >= 0.5 becomes the new outside end (the old one if none does) and
+    the point before it the new inside end.  A bracket stops once
+    |inside - outside| <= 1e-14 |inside| and yields its midpoint.
+    """
+    outside, inside = outside.copy(), inside.copy()
+    steps = np.arange(1, _SECTIONS) / _SECTIONS
+    live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+    while np.any(live):
+        a, b = inside[live], outside[live]
+        points = np.column_stack((a, a[:, None] + (b - a)[:, None] * steps, b))
+        crossed = _transmittance(stack, points[:, 1:-1]) >= 0.5
+        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, _SECTIONS)
+        rows = np.arange(first.size)
+        inside[live], outside[live] = points[rows, first - 1], points[rows, first]
+        live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
     return 0.5 * (outside + inside)
 
 

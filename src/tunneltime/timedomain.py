@@ -34,7 +34,6 @@ from .errors import (
     BandTooNarrowError,
     BoundaryContaminationError,
     NormDriftError,
-    SpectrumExceedsGridError,
     WraparoundDetectedError,
 )
 from .photonic import LayeredStack
@@ -42,7 +41,6 @@ from .quantum import QuantumBarrier
 
 _EDGE_DECAY = 1e-12          # envelope floor at record ends, relative to peak
 _WRAPAROUND_LIMIT = 1e-9     # synthesized records must stay below this at ends
-_SPECTRUM_POWER_LEVEL = 1e-6  # power level at which the spectrum must fit the grid
 
 
 @dataclass(frozen=True)
@@ -220,13 +218,6 @@ def _response_on_fft_grid(resp: spectral.ComplexResponse, pulse: PulseEnvelope):
         raise ValueError("response carrier differs from the pulse carrier")
 
     fft_detunings = pulse.fft_grid().detunings
-    spec_power = np.abs(np.fft.fftshift(np.fft.ifft(pulse.a))) ** 2
-    needed = fft_detunings[spec_power >= _SPECTRUM_POWER_LEVEL * np.max(spec_power)]
-    margin = 0.5 * grid.spacing
-    if needed.min() < grid.detunings[0] - margin or needed.max() > grid.detunings[-1] + margin:
-        raise SpectrumExceedsGridError(
-            "pulse spectrum at the 1e-6 power level spills past the response grid"
-        )
     if grid.count != pulse.count or (
         np.max(np.abs(grid.detunings - fft_detunings)) > 1e-6 * grid.spacing
     ):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,56 @@ import pytest
 from conftest import LAMBDA0, OMEGA0, random_stack, random_symmetric_stack, stack_matching_oracle
 from tunneltime import photonic, spectral
 from tunneltime.errors import DetuningOutOfRangeError, NotInStopbandError, ZeroAmplitudeError
+
+
+def uncached_march(stack, omegas):
+    """The backward march with cos and sin evaluated afresh at every layer."""
+    e = np.ones(omegas.shape, dtype=complex)
+    h = np.full(omegas.shape, complex(stack.n_out))
+    k = np.zeros(omegas.shape, dtype=int)
+    bound = max(1.0, stack.n_out)
+    yield e, h, k
+    for n, d in reversed(stack.layers):
+        growth = 1.0 + max(n, 1.0 / n)
+        if bound * growth > photonic._RESCALE_BOUND:
+            _, shift = np.frexp(np.maximum(np.abs(e), np.abs(h)))
+            scale = np.ldexp(1.0, -shift)
+            e, h, k, bound = e * scale, h * scale, k + shift, 1.0
+        bound *= growth
+        phase = (n * d) * omegas
+        cos_p, sin_p = np.cos(phase), np.sin(phase)
+        e, h = cos_p * e - 1j * (sin_p / n) * h, cos_p * h - 1j * (n * sin_p) * e
+        yield e, h, k
+
+
+def bisection_stopband(stack, omega_ref, scan_factor=0.7, scan_points=4001):
+    """find_stopband's scan and walk with each edge bisected on its own."""
+
+    def bisect(outside, inside):
+        for _ in range(200):
+            mid = 0.5 * (outside + inside)
+            if abs(photonic.stack_t_r(stack, mid)[0]) ** 2 < 0.5:
+                inside = mid
+            else:
+                outside = mid
+            if abs(inside - outside) <= 1e-14 * abs(inside):
+                break
+        return 0.5 * (outside + inside)
+
+    lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
+    omegas = np.linspace(lo, omega_ref * (1.0 + scan_factor), scan_points)
+    t, _ = photonic.stack_t_r_samples(stack, omegas)
+    below = np.abs(t) ** 2 < 0.5
+    j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
+    j = j_ref
+    while j > 0 and below[j - 1]:
+        j -= 1
+    lower = omegas[j] if j == 0 else bisect(omegas[j - 1], omegas[j])
+    j = j_ref
+    while j < scan_points - 1 and below[j + 1]:
+        j += 1
+    upper = omegas[j] if j == scan_points - 1 else bisect(omegas[j + 1], omegas[j])
+    return lower, upper
 
 
 class TestTypes:
@@ -125,6 +176,51 @@ class TestStackResponse:
             fwd = photonic.stack_response(stack, grid)
             rev = photonic.stack_response(stack.reversed(), grid)
             np.testing.assert_allclose(np.abs(fwd.t), np.abs(rev.t), atol=1e-12)
+
+
+class TestMarchCache:
+    @pytest.mark.parametrize("case", ["front", "grating", "random", "rescaled"])
+    def test_bit_identical_to_uncached_march(self, case, front_stack):
+        if case == "front":
+            stack = front_stack
+            omegas = np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 8192)
+        elif case == "grating":
+            grating = photonic.UniformGrating(0.3, 20.0, 1.4, 2.0 * np.pi)
+            stack = grating.as_layered_stack()
+            omegas = grating.omega_b * np.linspace(0.9, 1.1, 257)
+        elif case == "random":
+            stack = random_stack(np.random.default_rng(13))
+            omegas = np.linspace(4.0, 9.0, 513)
+        else:
+            stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 601, LAMBDA0, n_in=1.3, n_out=1.7)
+            omegas = np.linspace(0.8 * OMEGA0, 1.2 * OMEGA0, 513)
+        steps = 0
+        for got, want in zip(photonic._backward_march(stack, omegas), uncached_march(stack, omegas)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            steps += 1
+        assert steps == len(stack.layers) + 1
+        _, _, k = got
+        if case == "rescaled":
+            assert np.all(k > 0)
+        if case == "grating":
+            assert len(set(stack.layers)) < len(stack.layers)
+
+    def test_distinct_layers_allocate_no_table(self):
+        rng = np.random.default_rng(41)
+        layers = tuple(zip(rng.uniform(1.05, 3.2, 1001), rng.uniform(0.02, 0.6, 1001)))
+        stack = photonic.LayeredStack(layers)
+        assert len(set(stack.layers)) == len(stack.layers)
+        omegas = np.linspace(4.0, 9.0, 4096)
+        peaks = []
+        for march in (uncached_march, photonic._backward_march):
+            tracemalloc.start()
+            try:
+                for _ in march(stack, omegas):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestGratingResponse:
@@ -366,6 +462,53 @@ class TestStopbandAndPhaseEnergy:
             widths.append(photonic.find_stopband(stack, OMEGA0).width)
         assert widths[0] > widths[1] > widths[2] > analytic
         assert widths[2] == pytest.approx(analytic, rel=0.05)
+
+    def test_k_section_finds_the_bisection_edges(self, skc_stack, front_stack):
+        cases = [(skc_stack, OMEGA0), (front_stack, OMEGA0)]
+        cases += [
+            (photonic.LayeredStack.quarter_wave(2.0, 1.5, layers, LAMBDA0), OMEGA0)
+            for layers in (11, 43, 81)
+        ]
+        rng = np.random.default_rng(101)  # the draws of the lifetime-identity test
+        for _ in range(25):
+            cases.append((random_symmetric_stack(rng), 2.0 * np.pi))
+        checked = 0
+        for stack, omega in cases:
+            try:
+                band = photonic.find_stopband(stack, omega)
+            except NotInStopbandError:
+                continue
+            lower, upper = bisection_stopband(stack, omega)
+            assert band.lower == pytest.approx(lower, rel=1e-14, abs=0.0)
+            assert band.upper == pytest.approx(upper, rel=1e-14, abs=0.0)
+            checked += 1
+        assert checked >= 10
+
+    def test_edge_on_scan_boundary_keeps_the_scan_end(self, front_stack):
+        # the scan is centred near the upper edge and half a band wide, so
+        # the band runs past the scan's lower end but not past its upper one
+        band = photonic.find_stopband(front_stack, OMEGA0)
+        omega = band.upper - 0.2 * band.width
+        factor = 0.5 * band.width / omega
+        near = photonic.find_stopband(front_stack, omega, scan_factor=factor)
+        lower, upper = bisection_stopband(front_stack, omega, scan_factor=factor)
+        assert near.lower == lower == omega * (1.0 - factor)
+        assert near.upper == pytest.approx(upper, rel=1e-14, abs=0.0)
+        assert near.upper == pytest.approx(band.upper, rel=1e-14, abs=0.0)
+
+    def test_edges_refined_in_few_marches(self, front_stack, monkeypatch):
+        # one march for omega_ref, one for the scan and one per k-section
+        # round; refining one frequency at a time took 74
+        marches = []
+        stack_t_r = photonic._stack_t_r
+
+        def counted(stack, omegas):
+            marches.append(omegas)
+            return stack_t_r(stack, omegas)
+
+        monkeypatch.setattr(photonic, "_stack_t_r", counted)
+        photonic.find_stopband(front_stack, OMEGA0)
+        assert len(marches) <= 10
 
     def test_not_in_stopband_for_transparent_structure(self):
         with pytest.raises(NotInStopbandError):
