@@ -6,23 +6,31 @@ c = 1 for light); configs carry values in those units.  A config may declare
 JSON summary also echoes femtosecond conversions of every reported time --
 unit conversion lives here and nowhere else.
 
-Exit codes: 0 success, 2 config error (including NaN or infinite numbers),
-3 numerical failure (the failing error class is named in the JSON summary;
-a NaN or infinite result is one).  Outputs are deterministic: identical
-configs produce byte-identical CSVs, with floats printed at 17 significant
-digits.  ``threads`` is validated but sweeps run serially, so every thread
-count gives the same bytes.
+Each experiment declares its config keys once, in a key table giving each
+key's type, default and positivity, nested objects included.  That table
+drives validation of the whole config before any computation, the
+unknown-key errors and the ``tunneltime list`` text.
+
+Exit codes: 0 success, 2 config error (a missing, unknown or wrongly typed
+key -- a JSON boolean is not a number --, a NaN or infinite number, or a
+value a library constructor rejects; nothing is written), 3 numerical
+failure (the failing error class is named in the JSON summary; a NaN or
+infinite result is one).  Outputs are deterministic: identical configs
+produce byte-identical CSVs, with floats printed at 17 significant digits.
+``threads`` is validated but sweeps run serially, so every thread count
+gives the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,220 +44,215 @@ class ConfigError(Exception):
     """Invalid, unreadable, or unknown configuration."""
 
 
-# -- config plumbing --------------------------------------------------------
+# -- key tables ---------------------------------------------------------------
+#
+# A key table maps each key of one JSON object to a _Key.  A nested object
+# is a _Key whose type is its own table; _Variants picks the table by the
+# string value of one key (``kind``, hartman's ``family``).
 
-def _require(cfg: dict, key: str, kind, positive: bool = False):
-    if key not in cfg:
-        raise ConfigError(f"missing required key '{key}'")
-    value = cfg[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+_REQUIRED = object()  # default of a key that must be given
+_ONE_OF = object()  # default of each key of a group that takes exactly one
+
+
+class _Key(NamedTuple):
+    """Type (float, int, str, a list reader or a nested table), default and
+    positivity of one config key; an optional key without a value reads None."""
+
+    type: Any
+    default: Any = _REQUIRED
+    positive: bool = False
+
+
+class _Variants(NamedTuple):
+    """Key tables picked by the string value of ``key``, plus shared keys."""
+
+    key: str
+    tables: Dict[str, Any]
+    shared: Dict[str, _Key]
+
+
+def _scalar(value, key: _Key, path: str):
+    kind = key.type
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"key '{path}' must be {kind.__name__}")
+    if kind is float:
         value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"key '{key}' must be {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"key '{key}' must be finite")
-    if positive and not value > 0:
-        raise ConfigError(f"key '{key}' must be positive")
+        if not math.isfinite(value):
+            raise ConfigError(f"key '{path}' must be finite")
+    if key.positive and not value > 0:
+        raise ConfigError(f"key '{path}' must be positive")
     return value
 
 
-def _optional(cfg: dict, key: str, kind, default, positive: bool = False):
-    if key not in cfg:
-        return default
-    return _require(cfg, key, kind, positive)
+def _layers(value, path: str):
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+        raise ConfigError(f"'{path}' must be a list of [index, thickness] pairs")
+    return tuple(
+        tuple(_scalar(x, _Key(float), f"{path}[{i}]") for x in pair) for i, pair in enumerate(value)
+    )
 
 
-def _check_keys(cfg: dict, allowed: set, where: str):
-    unknown = set(cfg) - allowed
+def _lengths(value, path: str):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{path}' must be a non-empty list of positive finite numbers")
+    return [_scalar(x, _POSITIVE, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _value(cfg: dict, name: str, key: _Key, where: str):
+    path = f"{where}.{name}" if where else name
+    if name not in cfg:
+        if key.default is _REQUIRED:
+            raise ConfigError(f"missing required key '{path}'")
+        return None if key.default is _ONE_OF else key.default
+    if isinstance(key.type, dict):
+        return _read(cfg[name], key.type, path)
+    if key.type in (float, int, str):
+        return _scalar(cfg[name], key, path)
+    return key.type(cfg[name], path)
+
+
+def _read(cfg, table, where: str = "") -> dict:
+    """Validated values of one JSON object by its table, defaults filled in."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object")
+    keys: Dict[str, _Key] = {}
+    values = {}
+    while isinstance(table, _Variants):
+        choice = values[table.key] = _value(cfg, table.key, _Key(str), where)
+        if choice not in table.tables:
+            raise ConfigError(f"'{table.key}' must be one of: {', '.join(table.tables)}")
+        keys.update(table.shared)
+        table = table.tables[choice]
+    keys.update(table)
+    unknown = sorted(set(cfg) - set(keys) - set(values))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(unknown)}")
+    one_of = [name for name, key in keys.items() if key.default is _ONE_OF]
+    if one_of and sum(name in cfg for name in one_of) != 1:
+        raise ConfigError(f"'{where}' needs exactly one of: {', '.join(one_of)}")
+    for name, key in keys.items():
+        values[name] = _value(cfg, name, key, where)
+    return values
 
 
-def _lengths(cfg: dict) -> List[float]:
-    lengths = _require(cfg, "lengths", list)
-    if not lengths or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
-        for x in lengths
-    ):
-        raise ConfigError("'lengths' must be a non-empty list of positive finite numbers")
-    return [float(x) for x in lengths]
+def _render(table) -> str:
+    """The keys of a table as ``tunneltime list`` prints them."""
+    if isinstance(table, _Variants):
+        choices = "|".join(f"{value}({_render(keys)})" for value, keys in table.tables.items())
+        return f"{table.key}={choices}, {_render(table.shared)}"
+    parts, previous = [], None
+    for name, key in table.items():
+        text = f"{name}{{{_render(key.type)}}}" if isinstance(key.type, dict) else name
+        if key.default is _ONE_OF and previous is _ONE_OF:
+            parts[-1] += f"|{text}"
+        elif key.default is _REQUIRED or key.default is _ONE_OF:
+            parts.append(text)
+        else:
+            parts.append(f"[{text}]" if key.default is None else f"[{text}={key.default}]")
+        previous = key.default
+    return ", ".join(parts)
 
 
-def _stack_from_config(cfg: dict) -> photonic.LayeredStack:
-    _check_keys(cfg, {"layers", "quarter_wave", "n_in", "n_out"}, "stack")
-    n_in = _optional(cfg, "n_in", float, 1.0, positive=True)
-    n_out = _optional(cfg, "n_out", float, 1.0, positive=True)
-    if "quarter_wave" in cfg:
-        qw = _require(cfg, "quarter_wave", dict)
-        _check_keys(qw, {"n_hi", "n_lo", "layer_count", "lambda0"}, "quarter_wave")
-        return photonic.LayeredStack.quarter_wave(
-            _require(qw, "n_hi", float, positive=True),
-            _require(qw, "n_lo", float, positive=True),
-            _require(qw, "layer_count", int, positive=True),
-            _require(qw, "lambda0", float, positive=True),
-            n_in=n_in,
-            n_out=n_out,
-        )
-    layers = _require(cfg, "layers", list)
+_POSITIVE = _Key(float, positive=True)
+_STACK = {
+    "layers": _Key(_layers, _ONE_OF),
+    "quarter_wave": _Key(
+        {"n_hi": _POSITIVE, "n_lo": _POSITIVE, "layer_count": _Key(int, positive=True),
+         "lambda0": _POSITIVE},
+        _ONE_OF,
+    ),
+    "n_in": _Key(float, 1.0, True),
+    "n_out": _Key(float, 1.0, True),
+}
+_COMMON = {"basename": _Key(str, None), "report_units": _Key({"length_scale_m": _POSITIVE}, None)}
+
+
+def _build(make: Callable, *args, **kwargs):
+    """A library object from config values; its ValueError is a config error."""
     try:
-        pairs = tuple((float(n), float(d)) for n, d in layers)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'layers' must be a list of [index, thickness] pairs") from exc
-    try:
-        return photonic.LayeredStack(pairs, n_in=n_in, n_out=n_out)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _grating_from_config(cfg: dict) -> photonic.UniformGrating:
-    _check_keys(cfg, {"kappa", "length", "n_bar", "omega_b"}, "grating")
-    try:
-        return photonic.UniformGrating(
-            kappa=_require(cfg, "kappa", float),
-            length=_require(cfg, "length", float, positive=True),
-            n_bar=_optional(cfg, "n_bar", float, 1.0, positive=True),
-            omega_b=_require(cfg, "omega_b", float, positive=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _stack(v: dict) -> photonic.LayeredStack:
+    sides, qw = {"n_in": v["n_in"], "n_out": v["n_out"]}, v["quarter_wave"]
+    if qw is None:
+        return _build(photonic.LayeredStack, v["layers"], **sides)
+    return _build(photonic.LayeredStack.quarter_wave,
+                  qw["n_hi"], qw["n_lo"], qw["layer_count"], qw["lambda0"], **sides)
 
 
 # -- experiment runners ------------------------------------------------------
+#
+# A runner takes the validated values of its table and returns the CSV
+# columns (name -> one value per row) and the JSON summary.
 
-def _run_quantum(cfg: dict):
-    _check_keys(cfg, {"v0", "length", "energy"}, "quantum experiment")
-    try:
-        barrier = quantum.QuantumBarrier(
-            _require(cfg, "v0", float, positive=True),
-            _require(cfg, "length", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    report = quantum.delay_report(barrier, _require(cfg, "energy", float, positive=True))
-    row = {
-        "tau_g": report.tau_g,
-        "tau_d": report.tau_d,
-        "tau_i": report.tau_i,
-        "front_time": report.front_time,
-        "apparent_speed": report.apparent_speed,
-    }
-    summary = dict(row)
-    summary["apparent_superluminal"] = report.apparent_superluminal
-    return ["tau_g", "tau_d", "tau_i", "front_time", "apparent_speed"], [row], summary
+def _row(values: dict, *names: str) -> dict:
+    return {name: [values[name]] for name in names}
 
 
-def _run_stack(cfg: dict):
-    allowed = {"stack", "omega_min", "omega_max", "points"}
-    _check_keys(cfg, allowed, "stack experiment")
-    stack = _stack_from_config(_require(cfg, "stack", dict))
-    lo = _require(cfg, "omega_min", float, positive=True)
-    hi = _require(cfg, "omega_max", float, positive=True)
-    points = _optional(cfg, "points", int, 501, positive=True)
-    if hi <= lo or points < 5:
+def _run_quantum(v: dict):
+    barrier = _build(quantum.QuantumBarrier, v["v0"], v["length"])
+    summary = dataclasses.asdict(quantum.delay_report(barrier, v["energy"]))
+    return _row(summary, "tau_g", "tau_d", "tau_i", "front_time", "apparent_speed"), summary
+
+
+# |t|, |a| are taken per element, as Python scalars: numpy's vectorised complex
+# abs rounds differently in the last bit, which would move the CSV bytes
+def _response_columns(omegas, resp) -> dict:
+    return {"omega": omegas, "t_re": resp.t.real, "t_im": resp.t.imag, "r_re": resp.r.real,
+            "r_im": resp.r.imag, "transmission": [abs(t) ** 2 for t in resp.t]}
+
+
+def _run_stack(v: dict):
+    stack, lo, hi = _stack(v["stack"]), v["omega_min"], v["omega_max"]
+    if hi <= lo or v["points"] < 5:
         raise ConfigError("need omega_max > omega_min and points >= 5")
-    omegas = np.linspace(lo, hi, points)
+    omegas = np.linspace(lo, hi, v["points"])
     center = 0.5 * (lo + hi)
-    grid = spectral.FrequencyGrid(center, omegas - center)
-    resp = photonic.stack_response(stack, grid)
-    rows = _response_rows(omegas, resp)
-    summary = {
-        "total_length": stack.total_length,
-        "unitarity_defect": resp.unitarity_defect(),
-    }
-    return _RESPONSE_COLUMNS, rows, summary
+    resp = photonic.stack_response(stack, spectral.FrequencyGrid(center, omegas - center))
+    summary = {"total_length": stack.total_length, "unitarity_defect": resp.unitarity_defect()}
+    return _response_columns(omegas, resp), summary
 
 
-def _run_grating(cfg: dict):
-    allowed = {"grating", "delta_min", "delta_max", "points"}
-    _check_keys(cfg, allowed, "grating experiment")
-    grating = _grating_from_config(_require(cfg, "grating", dict))
-    lo = _require(cfg, "delta_min", float)
-    hi = _require(cfg, "delta_max", float)
-    points = _optional(cfg, "points", int, 501, positive=True)
-    if hi <= lo or points < 5:
+def _run_grating(v: dict):
+    grating = _build(photonic.UniformGrating, **v["grating"])
+    lo, hi = v["delta_min"], v["delta_max"]
+    if hi <= lo or v["points"] < 5:
         raise ConfigError("need delta_max > delta_min and points >= 5")
-    deltas = np.linspace(lo, hi, points)
-    omegas = grating.omega_b + deltas / grating.n_bar
+    omegas = grating.omega_b + np.linspace(lo, hi, v["points"]) / grating.n_bar
     center = float(np.median(omegas))
-    grid = spectral.FrequencyGrid(center, omegas - center)
-    resp = photonic.grating_response(grating, grid)
-    rows = _response_rows(omegas, resp)
+    resp = photonic.grating_response(grating, spectral.FrequencyGrid(center, omegas - center))
     t_midgap = photonic._grating_closed_form(grating, grating.omega_b)[0]
-    summary = {
-        "midgap_transmission": float(abs(t_midgap) ** 2),
-        "unitarity_defect": resp.unitarity_defect(),
-    }
-    return _RESPONSE_COLUMNS, rows, summary
+    summary = {"midgap_transmission": float(abs(t_midgap) ** 2),
+               "unitarity_defect": resp.unitarity_defect()}
+    return _response_columns(omegas, resp), summary
 
 
-_RESPONSE_COLUMNS = ["omega", "t_re", "t_im", "r_re", "r_im", "transmission"]
+def _run_hartman(v: dict):
+    if v["family"] == "quantum":
+        family = analysis.QuantumBarrierFamily(v["v0"], v["energy"])
+    else:
+        family = analysis.GratingFamily(v["kappa"], v["n_bar"], v["omega_b"])
+        _build(family._grating, v["lengths"][0])  # a bad kappa is a config error
+    sweep = analysis.hartman_sweep(family, v["lengths"])
+    columns = {"length": sweep.lengths, "tau_g": sweep.tau_g, "u_per_pin": sweep.u_per_pin,
+               "apparent_speed": sweep.apparent_speed}
+    summary = {"tail_relative_change": sweep.tail_relative_change,
+               "proportionality_ratio_last": float(sweep.proportionality_ratio[-1])}
+    return columns, summary
 
 
-def _response_rows(omegas, resp):
-    return [
-        {
-            "omega": w,
-            "t_re": t.real,
-            "t_im": t.imag,
-            "r_re": r.real,
-            "r_im": r.imag,
-            "transmission": abs(t) ** 2,
-        }
-        for w, t, r in zip(omegas, resp.t, resp.r)
-    ]
-
-
-def _family_from_config(cfg: dict):
-    kind = _require(cfg, "family", str)
-    if kind == "quantum":
-        _check_keys(cfg, {"family", "v0", "energy", "lengths"}, "hartman experiment")
-        return analysis.QuantumBarrierFamily(
-            _require(cfg, "v0", float, positive=True),
-            _require(cfg, "energy", float, positive=True),
-        )
-    if kind == "grating":
-        _check_keys(cfg, {"family", "kappa", "n_bar", "omega_b", "lengths"}, "hartman experiment")
-        return analysis.GratingFamily(
-            kappa=_require(cfg, "kappa", float),
-            n_bar=_optional(cfg, "n_bar", float, 1.0, positive=True),
-            omega_b=_optional(cfg, "omega_b", float, 2.0 * np.pi, positive=True),
-        )
-    raise ConfigError("'family' must be 'quantum' or 'grating'")
-
-
-def _run_hartman(cfg: dict):
-    family = _family_from_config(cfg)
-    sweep = analysis.hartman_sweep(family, _lengths(cfg))
-    rows = [
-        {"length": length, "tau_g": tau, "u_per_pin": stored, "apparent_speed": speed}
-        for length, tau, stored, speed in zip(
-            sweep.lengths, sweep.tau_g, sweep.u_per_pin, sweep.apparent_speed
-        )
-    ]
-    summary = {
-        "tail_relative_change": sweep.tail_relative_change,
-        "proportionality_ratio_last": float(sweep.proportionality_ratio[-1]),
-    }
-    return ["length", "tau_g", "u_per_pin", "apparent_speed"], rows, summary
-
-
-def _run_pulse(cfg: dict):
-    allowed = {"stack", "omega_mid", "bandwidth_fraction", "samples"}
-    _check_keys(cfg, allowed, "pulse experiment")
-    stack = _stack_from_config(_require(cfg, "stack", dict))
-    omega_mid = _require(cfg, "omega_mid", float, positive=True)
-    fraction = _optional(cfg, "bandwidth_fraction", float, 0.01, positive=True)
-    samples = _optional(cfg, "samples", int, 1024, positive=True)
-    band = photonic.find_stopband(stack, omega_mid)
+def _run_pulse(v: dict):
+    stack = _stack(v["stack"])
+    band = photonic.find_stopband(stack, v["omega_mid"])
     pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
-        omega_mid, fraction * band.width, samples=samples
+        v["omega_mid"], v["bandwidth_fraction"] * band.width, samples=v["samples"]
     )
-    resp = photonic.stack_response(stack, pulse.fft_grid())
-    result = timedomain.propagate_spectral(resp, pulse)
-    rows = [
-        {"time": t, "abs_a_in": abs(ai), "abs_a_out": abs(ao)}
-        for t, ai, ao in zip(pulse.times, pulse.a, result.a_out)
-    ]
+    result = timedomain.propagate_spectral(photonic.stack_response(stack, pulse.fft_grid()), pulse)
+    columns = {"time": pulse.times, "abs_a_in": [abs(a) for a in pulse.a],
+               "abs_a_out": [abs(a) for a in result.a_out]}
     summary = {
         "peak_delay": result.peak_delay,
         "tau_g": result.tau_g,
@@ -259,39 +262,23 @@ def _run_pulse(cfg: dict):
         "energy_balance": (result.energy_transmitted + result.energy_reflected)
         / result.energy_in,
     }
-    return ["time", "abs_a_in", "abs_a_out"], rows, summary
+    return columns, summary
 
 
-def _run_front(cfg: dict):
-    allowed = {"stack", "omega_mid", "n_cycles", "hold_cycles", "band_factor"}
-    _check_keys(cfg, allowed, "front experiment")
-    stack = _stack_from_config(_require(cfg, "stack", dict))
-    omega_mid = _require(cfg, "omega_mid", float, positive=True)
-    ramp = timedomain.TurnOnRamp(
-        n_cycles=_optional(cfg, "n_cycles", float, 24.0, positive=True),
-        hold_cycles=_optional(cfg, "hold_cycles", float, 60.0, positive=True),
-    )
-    factor = _optional(cfg, "band_factor", float, 50.0, positive=True)
-    band = photonic.find_stopband(stack, omega_mid)
-    result = timedomain.front_causality(
-        stack, omega_mid, ramp, band_factor=factor, stopband_width=band.width
-    )
-    control = timedomain.front_causality(
-        photonic.LayeredStack.vacuum_slab(stack.total_length),
-        omega_mid,
-        ramp,
-        band_factor=factor,
-        stopband_width=band.width,
-    )
+def _run_front(v: dict):
+    stack, omega_mid = _stack(v["stack"]), v["omega_mid"]
+    ramp = timedomain.TurnOnRamp(n_cycles=v["n_cycles"], hold_cycles=v["hold_cycles"])
+    synthesis = {
+        "band_factor": v["band_factor"],
+        "stopband_width": photonic.find_stopband(stack, omega_mid).width,
+    }
+    result = timedomain.front_causality(stack, omega_mid, ramp, **synthesis)
+    vacuum = photonic.LayeredStack.vacuum_slab(stack.total_length)
+    control = timedomain.front_causality(vacuum, omega_mid, ramp, **synthesis)
     tau_g = photonic.group_delay(stack, omega_mid)
-    rows = [
-        {
-            "front_time": result.front_time,
-            "pre_front_fraction": result.pre_front_fraction,
-            "vacuum_floor": control.pre_front_fraction,
-            "tau_g": tau_g,
-        }
-    ]
+    columns = {"front_time": [result.front_time],
+               "pre_front_fraction": [result.pre_front_fraction],
+               "vacuum_floor": [control.pre_front_fraction], "tau_g": [tau_g]}
     summary = {
         "front_time": result.front_time,
         "pre_front_fraction": result.pre_front_fraction,
@@ -300,129 +287,110 @@ def _run_front(cfg: dict):
         "tau_g_below_front_time": bool(tau_g < result.front_time),
         "synthesis_band": result.band,
     }
-    return ["front_time", "pre_front_fraction", "vacuum_floor", "tau_g"], rows, summary
+    return columns, summary
 
 
-def _run_skc(cfg: dict):
-    allowed = {"stack", "omega_mid"}
-    _check_keys(cfg, allowed, "skc experiment")
-    stack = _stack_from_config(_require(cfg, "stack", dict))
-    omega_mid = _require(cfg, "omega_mid", float, positive=True)
-    report = analysis.skc_report(stack, omega_mid)
-    row = {
-        "barrier_delay": report.barrier_delay,
-        "vacuum_delay": report.vacuum_delay,
-        "advance": report.advance,
-        "mirror_shift": report.mirror_shift,
-        "apparent_speed": report.apparent_speed,
-    }
-    summary = dict(row)
-    summary.update(
-        {
-            "u_barrier": report.u_barrier,
-            "u_free": report.u_free,
-            "backward_escape_fraction": report.backward_escape_fraction,
-            "interpretation": report.interpretation,
-        }
-    )
-    return list(row.keys()), [row], summary
+def _run_skc(v: dict):
+    report = analysis.skc_report(_stack(v["stack"]), v["omega_mid"])
+    summary = {**dataclasses.asdict(report), "interpretation": report.interpretation}
+    names = ("barrier_delay", "vacuum_delay", "advance", "mirror_shift", "apparent_speed")
+    return _row(summary, *names), summary
 
 
-_EXPERIMENTS: Dict[str, Tuple[Callable, str, str]] = {
-    "quantum": (
-        _run_quantum,
-        "v0, length, energy",
-        "group delay, dwell time and their split for one rectangular barrier",
-    ),
-    "stack": (
+class _Experiment(NamedTuple):
+    run: Callable
+    keys: Any  # key table or _Variants
+    demonstrates: str
+
+
+_EXPERIMENTS: Dict[str, _Experiment] = {
+    "quantum": _Experiment(
+        _run_quantum, {"v0": _POSITIVE, "length": _Key(float), "energy": _POSITIVE},
+        "group delay, dwell time and their split for one rectangular barrier"),
+    "stack": _Experiment(
         _run_stack,
-        "stack{layers|quarter_wave,n_in,n_out}, omega_min, omega_max, points",
-        "complex transmission/reflection spectrum of a layered stack",
-    ),
-    "grating": (
+        {"stack": _Key(_STACK), "omega_min": _POSITIVE, "omega_max": _POSITIVE,
+         "points": _Key(int, 501, True)},
+        "complex transmission/reflection spectrum of a layered stack"),
+    "grating": _Experiment(
         _run_grating,
-        "grating{kappa,length,n_bar,omega_b}, delta_min, delta_max, points",
-        "coupled-mode response of a uniform grating across detuning",
-    ),
-    "hartman": (
+        {"grating": _Key({"kappa": _Key(float), "length": _POSITIVE,
+                          "n_bar": _Key(float, 1.0, True), "omega_b": _POSITIVE}),
+         "delta_min": _Key(float), "delta_max": _Key(float), "points": _Key(int, 501, True)},
+        "coupled-mode response of a uniform grating across detuning"),
+    "hartman": _Experiment(
         _run_hartman,
-        "family=quantum{v0,energy}|grating{kappa,n_bar,omega_b}, lengths",
-        "delay saturation with barrier length while length/delay keeps growing",
-    ),
-    "pulse": (
+        _Variants("family", {
+            "quantum": {"v0": _POSITIVE, "energy": _POSITIVE},
+            "grating": {"kappa": _Key(float), "n_bar": _Key(float, 1.0, True),
+                        "omega_b": _Key(float, 2.0 * np.pi, True)},
+        }, {"lengths": _Key(_lengths)}),
+        "delay saturation with barrier length while length/delay keeps growing"),
+    "pulse": _Experiment(
         _run_pulse,
-        "stack{...}, omega_mid, bandwidth_fraction, samples",
-        "narrowband pulse transits undistorted with the group delay",
-    ),
-    "front": (
+        {"stack": _Key(_STACK), "omega_mid": _POSITIVE,
+         "bandwidth_fraction": _Key(float, 0.01, True), "samples": _Key(int, 1024, True)},
+        "narrowband pulse transits undistorted with the group delay"),
+    "front": _Experiment(
         _run_front,
-        "stack{...}, omega_mid, n_cycles, hold_cycles, band_factor",
-        "no transmitted energy precedes the vacuum light front",
-    ),
-    "skc": (
-        _run_skc,
-        "stack{...}, omega_mid",
-        "mirror-shift reading of the delay as a stored-energy difference",
-    ),
+        {"stack": _Key(_STACK), "omega_mid": _POSITIVE, "n_cycles": _Key(float, 24.0, True),
+         "hold_cycles": _Key(float, 60.0, True), "band_factor": _Key(float, 50.0, True)},
+        "no transmitted energy precedes the vacuum light front"),
+    "skc": _Experiment(
+        _run_skc, {"stack": _Key(_STACK), "omega_mid": _POSITIVE},
+        "mirror-shift reading of the delay as a stored-energy difference"),
 }
-
-_CONFIG_KEYS = {"kind", "basename", "report_units"}
+_CONFIG = _Variants("kind", {kind: e.keys for kind, e in _EXPERIMENTS.items()}, _COMMON)
 
 
 def list_experiments() -> str:
     """Stable text listing of every experiment kind and its config keys."""
     lines = ["available experiments:"]
     for kind in sorted(_EXPERIMENTS):
-        _, keys, what = _EXPERIMENTS[kind]
-        lines.append(f"  {kind:<8} demonstrates: {what}")
-        lines.append(f"  {'':<8} config keys: kind, {keys}")
-    lines.append("common optional keys: basename, report_units{length_scale_m}")
+        experiment = _EXPERIMENTS[kind]
+        keys = ", ".join(["kind", _render(experiment.keys), _render(_COMMON)])
+        lines.append(f"  {kind:<8} demonstrates: {experiment.demonstrates}")
+        lines.append(f"  {'':<8} config keys: {keys}")
+    lines.append(
+        "[key] and [key=default] are optional; a{...} holds a nested object; a|b takes"
+        " exactly one; key=v(...) adds the keys in parentheses when key is v"
+    )
     return "\n".join(lines)
 
 
-def _format_float(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _csv_escape(text: str) -> str:
-    if any(ch in text for ch in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
-    lines = [",".join(_csv_escape(c) for c in columns)]
-    for row in rows:
-        lines.append(",".join(_csv_escape(_cell(row[c])) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return _format_float(value)
+    return "" if value is None else format(float(value), ".17g")
+
+
+def _csv_text(columns: Dict[str, Sequence]) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(map(_cell, row)) for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n"
+
+
+def _write(output_dir: str, name: str, text: str):
+    out_dir = Path(output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+_TIME_KEYS = ("tau_g", "tau_d", "tau_i", "barrier_delay", "vacuum_delay", "advance",
+              "front_time", "peak_delay")
 
 
 def _fs_conversions(summary: dict, scale_m: float) -> dict:
     fs_per_unit = scale_m / _SPEED_OF_LIGHT_M_PER_S * 1e15
-    out = {}
-    for key in ("tau_g", "tau_d", "tau_i", "barrier_delay", "vacuum_delay", "advance",
-                "front_time", "peak_delay"):
-        if key in summary and isinstance(summary[key], (int, float)) and summary[key] is not None:
-            out[key + "_fs"] = summary[key] * fs_per_unit
-    return out
+    return {
+        f"{key}_fs": summary[key] * fs_per_unit
+        for key in _TIME_KEYS
+        if isinstance(summary.get(key), (int, float))
+    }
 
 
-def _check_finite(rows: Sequence[dict], summary: dict):
+def _check_finite(columns: dict, summary: dict):
     """NonFiniteResultError naming the first NaN or infinite output value."""
-    for values in [*rows, summary]:
-        for key, value in values.items():
+    for key, values in [*columns.items(), *((k, [v]) for k, v in summary.items())]:
+        for value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 raise NonFiniteResultError(f"result '{key}' is {value}")
 
@@ -432,80 +400,43 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
     """Execute the experiment named in a JSON config; exit-code semantics."""
     started = time.monotonic()
     try:
-        raw = Path(config_path).read_text(encoding="utf-8")
-        cfg = json.loads(raw)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        kind = _require(cfg, "kind", str)
-        if kind not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment kind '{kind}'")
+        cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        values = _read(cfg, _CONFIG)
         if threads < 1:
             raise ConfigError("threads must be >= 1")
         if out_format not in ("csv", "json", "both"):
             raise ConfigError("format must be csv, json or both")
-        runner, _, _ = _EXPERIMENTS[kind]
-        basename = _optional(cfg, "basename", str, Path(config_path).stem)
-        report_units = _optional(cfg, "report_units", dict, None)
-        if report_units is not None:
-            _check_keys(report_units, {"length_scale_m"}, "report_units")
-            _require(report_units, "length_scale_m", float, positive=True)
-        payload = {k: v for k, v in cfg.items() if k not in _CONFIG_KEYS}
+        kind, basename, units = (values.pop(k) for k in ("kind", "basename", "report_units"))
+        if basename is None:
+            basename = Path(config_path).stem
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(output_dir)
-    csv_path = out_dir / f"{basename}.csv"
-    json_path = out_dir / f"{basename}.json"
-    written: List[Path] = []
+    def report(**fields) -> str:
+        header = {"tool": "tunneltime", "version": __version__, "kind": kind, "config": cfg,
+                  "determinism_seed": 0, "wall_clock_seconds": time.monotonic() - started}
+        return json.dumps({**header, **fields}, indent=2, sort_keys=True) + "\n"
+
     try:
         try:
-            columns, rows, summary = runner(payload)
+            columns, summary = _EXPERIMENTS[kind].run(values)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if report_units is not None:
-            summary.update(_fs_conversions(summary, report_units["length_scale_m"]))
-        _check_finite(rows, summary)
-        report = {
-            "tool": "tunneltime",
-            "version": __version__,
-            "kind": kind,
-            "config": cfg,
-            "results": summary,
-            "determinism_seed": 0,
-            "wall_clock_seconds": time.monotonic() - started,
-        }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if out_format in ("csv", "both"):
-            _write_csv(csv_path, columns, rows)
-            written.append(csv_path)
-        if out_format in ("json", "both"):
-            json_path.write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            written.append(json_path)
-        return 0
+        if units is not None:
+            summary.update(_fs_conversions(summary, units["length_scale_m"]))
+        _check_finite(columns, summary)
     except (TunnelTimeError, ValueError) as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        failure = {
-            "tool": "tunneltime",
-            "version": __version__,
-            "kind": kind,
-            "config": cfg,
-            "status": "numerical failure",
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "determinism_seed": 0,
-            "wall_clock_seconds": time.monotonic() - started,
-        }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(
-            json.dumps(failure, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        failure = report(status="numerical failure", error=type(exc).__name__, message=str(exc))
+        _write(output_dir, f"{basename}.json", failure)
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if out_format in ("csv", "both"):
+        _write(output_dir, f"{basename}.csv", _csv_text(columns))
+    if out_format in ("json", "both"):
+        _write(output_dir, f"{basename}.json", report(results=summary))
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

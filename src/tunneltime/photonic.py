@@ -177,7 +177,8 @@ class EnergyReport:
     ``penetration_depth`` is the 1/e depth of the *field-amplitude* envelope,
     obtained from a log-linear fit of the per-layer energy density over the
     front half of the structure (the density decays at twice the field rate).
-    It is None when the envelope does not decay (passband illumination).
+    It is None when the envelope does not fall by 1/e within the stack
+    (passband illumination).
     """
 
     u_per_pin: float
@@ -457,8 +458,10 @@ def _fit_penetration_depth(stack, omega, densities) -> Optional[float]:
     if np.count_nonzero(front) < 3:
         return None
     slope, _ = np.polyfit(bins_z[front], np.log(bins_u[front]), 1)
-    if slope >= 0.0:
-        return None  # not decaying: passband illumination, no 1/e depth
+    # a field that does not fall by 1/e within the stack (passband
+    # illumination) has no penetration depth
+    if slope >= 0.0 or 2.0 / -slope > stack.total_length:
+        return None
     return float(2.0 / (-slope))
 
 

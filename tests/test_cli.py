@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,30 @@ import tunneltime
 from tunneltime import analysis, cli, quantum
 
 
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
 def write_config(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def key_paths(cfg, prefix=()):
+    """Every key path of a config, nested objects included."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def replaced(cfg, path, value):
+    """Deep copy of a config with the value at a key path replaced."""
+    cfg = json.loads(json.dumps(cfg))
+    inner = cfg
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return cfg
 
 
 SKC_CONFIG = {
@@ -50,6 +72,18 @@ class TestListExperiments:
     def test_main_list_exit_code(self, capsys):
         assert cli.main(["list"]) == 0
         assert "available experiments" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_names_every_key_of_the_shipped_configs(self, tmp_path, config):
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        assert cli.run(str(config), output_dir=str(tmp_path)) == 0
+        lines = cli.list_experiments().splitlines()
+        keys_line = dict(zip((line.split()[0] for line in lines[1::2]), lines[2::2]))
+        line = keys_line[cfg["kind"]]
+        assert "config keys:" in line
+        listed = set(re.findall(r"\w+", line))
+        assert {path[-1] for path in key_paths(cfg)} <= listed
 
 
 class TestRunHartman:
@@ -149,6 +183,65 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert cli.run(cfg, output_dir=str(out)) == 2
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "quantum", "v0": 2.0, "length": -1, "energy": 1.0},
+            {
+                "kind": "grating",
+                "grating": {"kappa": -0.1, "length": 10.0, "omega_b": 6.0},
+                "delta_min": -0.1,
+                "delta_max": 0.1,
+            },
+            {
+                "kind": "stack",
+                "stack": {"layers": [[2.0, 0.1], [1.5, 0.0]]},
+                "omega_min": 1.0,
+                "omega_max": 2.0,
+            },
+            {"kind": "hartman", "family": "grating", "kappa": -0.1, "lengths": [5.0, 10.0]},
+        ],
+        ids=[
+            "quantum-negative-length",
+            "grating-negative-kappa",
+            "zero-thickness-layer",
+            "hartman-negative-kappa",
+        ],
+    )
+    def test_library_constructor_error_exits_2_and_writes_nothing(self, tmp_path, payload):
+        cfg = write_config(tmp_path / "bad.json", payload)
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 2
+        assert not out.exists()
+
+    def test_boolean_layer_entry_exits_2(self, tmp_path):
+        payload = {
+            "kind": "stack",
+            "stack": {"layers": [[True, 0.1]]},
+            "omega_min": 1.0,
+            "omega_max": 2.0,
+        }
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path / "bad.json", payload), output_dir=str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_wrong_typed_values_exit_2_and_write_nothing(self, tmp_path, config):
+        # every key path, nested ones and "kind" included, holding a value of
+        # each JSON type that no key accepts there; a JSON boolean is not a number
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        path = tmp_path / config.name
+        failed = []
+        for keys in key_paths(cfg):
+            for value in (True, "x", None, [], {}):
+                write_config(path, replaced(cfg, keys, value))
+                out = tmp_path / f"out-{'.'.join(keys)}-{json.dumps(value)}"
+                code = cli.run(str(path), output_dir=str(out))
+                if code != 2 or out.exists():
+                    failed.append((".".join(keys), value, code))
+        assert failed == []
 
 
 class TestNumericalFailure:

@@ -371,6 +371,19 @@ class TestStoredEnergy:
             depths.append(photonic._fit_penetration_depth(nudged, omega, report.density))
         assert depths == [report.penetration_depth] * 2
 
+    def test_no_depth_for_a_field_that_barely_decays(self):
+        # the seventh stack from default_rng(5) is in a passband at 2 pi
+        # (|t|^2 = 0.88); its density profile still fits a tiny negative
+        # slope, whose 1/e depth of about 77 is 45 times the stack
+        rng = np.random.default_rng(5)
+        for _ in range(7):
+            stack = random_symmetric_stack(rng)
+        omega = 2.0 * np.pi
+        t, _ = photonic.stack_t_r(stack, omega)
+        assert len(stack.layers) == 21
+        assert abs(t) ** 2 == pytest.approx(0.877, abs=1e-3)
+        assert photonic.stored_energy(stack, omega).penetration_depth is None
+
     def test_grating_density_decay_rate_is_twice_kappa(self):
         kappa = 0.1
         grating = photonic.UniformGrating(kappa, 100.0, 1.0, 2.0 * np.pi)
