@@ -41,6 +41,11 @@ from .quantum import QuantumBarrier
 
 _EDGE_DECAY = 1e-12          # envelope floor at record ends, relative to peak
 _WRAPAROUND_LIMIT = 1e-9     # synthesized records must stay below this at ends
+# oracle detector window past the peak arrival, in packet widths at arrival
+_WINDOW_WIDTHS = 8.0
+# oracle default step in units of dx^2: the coarsest whose Richardson pair
+# stays within 1/10 of criterion 9's 5 % gate on its packet
+_DEFAULT_DT_PER_DX2 = 32.0
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,10 @@ class TdseResult:
     over the common path, which would otherwise bias the difference of
     independently located peaks by O(delta_k * path).  The naive per-run
     peak arrivals are kept as diagnostics.
+
+    Every time is the Richardson extrapolation of the runs at steps dt and
+    2 dt, and ``dt_error`` = |delay(dt) - delay(2 dt)| is the time step's
+    own error estimate (0.0 for a result built without the second run).
     """
 
     delay: float
@@ -209,6 +218,7 @@ class TdseResult:
     arrival_free: float
     norm_error: float
     boundary_leak: float
+    dt_error: float = 0.0
 
 
 def _response_on_fft_grid(resp: spectral.ComplexResponse, pulse: PulseEnvelope):
@@ -472,6 +482,41 @@ def _watched_run(advance, psi0, detector, steps, record_every, edge_cells, dx):
     return np.asarray(recorded), norm_err, worst_leak
 
 
+def _anchored_grid(barrier: QuantumBarrier, x_lo: float, x_hi: float, dx_max: float):
+    """Oracle grid with nodes on both barrier faces, and the potential on it.
+
+    dx = L / ceil(L / dx_max) puts nodes on x = 0 and x = L, so the barrier
+    spans the same whole number of cells wherever the box ends fall; the
+    ends are rounded outward to whole cells from 0.  The two face nodes
+    carry V0 / 2 (the trapezoid rule), so sum(V) dx = V0 L.
+    """
+    cells = math.ceil(barrier.length / dx_max)
+    dx = barrier.length / cells if cells else dx_max
+    below = math.ceil(-x_lo / dx)
+    x = (np.arange(below + math.ceil(x_hi / dx) + 1) - below) * dx
+    potential = np.zeros(x.size)
+    if cells:
+        potential[below : below + cells + 1] = barrier.v0
+        potential[[below, below + cells]] = 0.5 * barrier.v0
+    return x, potential, dx
+
+
+def _pair_times(series_b: np.ndarray, series_f: np.ndarray, dt_rec: float) -> np.ndarray:
+    """Delay, barrier arrival and free arrival from one pair of detector records."""
+    t_axis = np.arange(series_b.size) * dt_rec
+    # arrival difference as the complex cross-correlation lag; numpy
+    # conjugates the second argument
+    corr = np.correlate(series_b, series_f, mode="full")
+    lags = (np.arange(corr.size) - (series_b.size - 1)) * dt_rec
+    return np.array(
+        [
+            spectral.locate_peak(lags, np.abs(corr)),
+            spectral.locate_peak(t_axis, np.abs(series_b) ** 2),
+            spectral.locate_peak(t_axis, np.abs(series_f) ** 2),
+        ]
+    )
+
+
 def tdse_oracle(
     barrier: QuantumBarrier,
     packet: GaussianPacket,
@@ -491,10 +536,15 @@ def tdse_oracle(
     Both runs follow the same discrete Crank-Nicolson map on the same grid:
     the barrier run steps it (`_cayley_run`), the free run evaluates it
     exactly through a discrete sine transform (`_free_run`), and one loop
-    (`_watched_run`) keeps both records and applies both checks.
+    (`_watched_run`) keeps both records and applies both checks.  The pair
+    runs at steps dt and 2 dt, both recorded every 2 dt of physical time;
+    the phase error of Crank-Nicolson is second order in dt, so the delay
+    d(dt) + (d(dt) - d(2 dt)) / 3 cancels its leading term.
 
-    Quasi-static precondition: delta_k <= 0.05 * kappa in the tunneling
-    regime.  Defaults follow dx <= 1/(20 k0), dt <= dx^2.
+    The grid has nodes on both barrier faces (`_anchored_grid`).  Quasi-static
+    precondition: delta_k <= 0.05 * kappa in the tunneling regime.  Defaults
+    follow dx = L / ceil(20 k0 L) <= 1/(20 k0) and dt = 32 dx^2; an explicit
+    dx is an upper bound and an explicit dt the finer step of the pair.
     """
     k0, sigma_x = packet.k0, packet.sigma_x
     energy = 0.5 * k0 ** 2
@@ -507,53 +557,52 @@ def tdse_oracle(
     if overlap > 1e-12:
         raise ValueError("launch position overlaps the barrier (needs < 1e-12)")
 
-    length = barrier.length
+    def free_width(t: float) -> float:
+        return sigma_x * math.sqrt(1.0 + (t / (2.0 * sigma_x ** 2)) ** 2)
+
     v = k0
-    x_det = length + 5.0 * sigma_x
-    t_end = (x_det - packet.x0) / v + 6.0 * sigma_x / v
+    x_det = barrier.length + 5.0 * sigma_x
+    t_arrival = (x_det - packet.x0) / v
+    t_end = t_arrival + _WINDOW_WIDTHS * free_width(t_arrival) / v
     # free-packet dispersion over the run sets the box margins
-    sigma_end = sigma_x * np.sqrt(1.0 + (t_end / (2.0 * sigma_x ** 2)) ** 2)
+    sigma_end = free_width(t_end)
     x_refl_end = -v * t_end - packet.x0  # reflected peak position at t_end
-    x_lo = min(packet.x0, x_refl_end) - 10.0 * sigma_end
-    x_hi = x_det + 6.0 * sigma_x + 10.0 * sigma_end
-    if dx is None:
-        dx = 1.0 / (20.0 * k0)
+    x, potential, dx = _anchored_grid(
+        barrier,
+        min(packet.x0, x_refl_end) - 10.0 * sigma_end,
+        packet.x0 + v * t_end + 10.0 * sigma_end,
+        1.0 / (20.0 * k0) if dx is None else dx,
+    )
     if dt is None:
-        dt = dx * dx
-    n = int(np.ceil((x_hi - x_lo) / dx)) + 1
-    x = x_lo + np.arange(n) * dx
-    steps = int(np.ceil(t_end / dt))
+        dt = _DEFAULT_DT_PER_DX2 * dx * dx
+    records = math.ceil(t_end / (2.0 * dt))
 
     psi0 = np.exp(-((x - packet.x0) ** 2) / (4.0 * sigma_x ** 2) + 1j * k0 * x)
     psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
 
-    detector = int(round((x_det - x_lo) / dx))
+    detector = int(round((x_det - x[0]) / dx))
     edge_cells = max(4, int(round(2.0 * sigma_end / dx)))
-    # detector record decimation: plenty of samples per packet width while
-    # keeping the cross-correlation cheap
-    record_every = max(1, steps // 8192)
 
-    potential = np.where((x >= 0.0) & (x <= length), barrier.v0, 0.0)
-    layout = (psi0, detector, steps, record_every, edge_cells, dx)
-    series_b, norm_b, leak_b = _watched_run(
-        _cayley_run(psi0, potential, dx, dt, detector, record_every), *layout
-    )
-    series_f, norm_f, leak_f = _watched_run(
-        _free_run(psi0, dx, dt, detector, record_every), *layout
-    )
-    dt_rec = record_every * dt
-    t_axis = np.arange(series_b.size) * dt_rec
-    arrival_barrier = spectral.locate_peak(t_axis, np.abs(series_b) ** 2)
-    arrival_free = spectral.locate_peak(t_axis, np.abs(series_f) ** 2)
-    # arrival difference as the complex cross-correlation lag; numpy
-    # conjugates the second argument
-    corr = np.correlate(series_b, series_f, mode="full")
-    lags = (np.arange(corr.size) - (series_b.size - 1)) * dt_rec
-    delay = spectral.locate_peak(lags, np.abs(corr))
+    times, norm_error, leak = [], 0.0, 0.0
+    for every in (2, 1):  # step dt recorded every 2nd step, then step 2 dt every step
+        step = 2.0 * dt / every
+        layout = (psi0, detector, records * every, every, edge_cells, dx)
+        series_b, norm_b, leak_b = _watched_run(
+            _cayley_run(psi0, potential, dx, step, detector, every), *layout
+        )
+        series_f, norm_f, leak_f = _watched_run(
+            _free_run(psi0, dx, step, detector, every), *layout
+        )
+        times.append(_pair_times(series_b, series_f, 2.0 * dt))
+        norm_error = max(norm_error, norm_b, norm_f)
+        leak = max(leak, leak_b, leak_f)
+    fine, coarse = times
+    delay, arrival_barrier, arrival_free = fine + (fine - coarse) / 3.0
     return TdseResult(
         delay=float(delay),
         arrival_with_barrier=float(arrival_barrier),
         arrival_free=float(arrival_free),
-        norm_error=max(norm_b, norm_f),
-        boundary_leak=max(leak_b, leak_f),
+        norm_error=norm_error,
+        boundary_leak=leak,
+        dt_error=float(abs(fine[0] - coarse[0])),
     )

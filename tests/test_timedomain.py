@@ -223,6 +223,55 @@ class TestTdseOracle:
         assert result.norm_error < 1e-8
         assert result.boundary_leak < 1e-10
 
+    def test_anchored_grid_spans_the_barrier_in_whole_cells(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            barrier = quantum.QuantumBarrier(rng.uniform(0.1, 20.0), rng.uniform(0.01, 10.0))
+            dx_max = 1.0 / (20.0 * rng.uniform(0.2, 5.0))
+            x_lo = rng.uniform(-300.0, -1.0)
+            x_hi = barrier.length + rng.uniform(1.0, 300.0)
+            x, potential, dx = timedomain._anchored_grid(barrier, x_lo, x_hi, dx_max)
+            assert dx <= dx_max
+            assert x[0] <= x_lo + 1e-9 * dx and x[-1] >= x_hi - 1e-9 * dx
+            assert np.min(np.abs(x)) == 0.0
+            assert np.sum(potential) * dx == pytest.approx(
+                barrier.v0 * barrier.length, rel=1e-12
+            )
+            # any raw lower end inside the first cell lays out the same grid
+            moved = timedomain._anchored_grid(
+                barrier, x[0] + rng.uniform(0.01, 0.99) * dx, x_hi, dx_max
+            )
+            assert np.array_equal(moved[0], x)
+            assert np.array_equal(moved[1], potential)
+            assert moved[2] == dx
+
+    def test_zero_length_barrier_has_no_potential(self):
+        barrier = quantum.QuantumBarrier(3.0, 0.0)
+        x, potential, dx = timedomain._anchored_grid(barrier, -5.0, 5.0, 0.1)
+        assert dx == 0.1
+        assert not potential.any()
+
+    def small_packet(self):
+        # k0 = 1 against a kappa L = 5 barrier (kappa = 2), delta_k = 0.05 kappa;
+        # dx = 0.1 keeps each oracle call well under a second
+        barrier = quantum.QuantumBarrier(2.5, 2.5)
+        return barrier, timedomain.GaussianPacket(k0=1.0, delta_k=0.1, x0=-40.0)
+
+    def test_richardson_pair_converges_at_second_order(self):
+        barrier, packet = self.small_packet()
+        fine = timedomain.tdse_oracle(barrier, packet, dx=0.1, dt=0.08)
+        coarse = timedomain.tdse_oracle(barrier, packet, dx=0.1, dt=0.16)
+        assert coarse.dt_error / fine.dt_error == pytest.approx(4.0, abs=0.2)
+        # unextrapolated delays would differ by about fine.dt_error itself
+        assert abs(fine.delay - coarse.delay) <= 0.1 * fine.dt_error
+
+    def test_detector_window_is_converged(self, monkeypatch):
+        barrier, packet = self.small_packet()
+        base = timedomain.tdse_oracle(barrier, packet, dx=0.1)
+        monkeypatch.setattr(timedomain, "_WINDOW_WIDTHS", 10.0)
+        wider = timedomain.tdse_oracle(barrier, packet, dx=0.1)
+        assert abs(wider.delay - base.delay) < 1e-5 * abs(base.delay)
+
     # a small box: 1700 cells, 3200 steps of dt = dx^2, records every 7th
     # step (so the last stretch is partial), a k0 = 3 packet at x0 = -12
     # and a V0 = 6, L = 0.5 barrier with a detector at x = 6
