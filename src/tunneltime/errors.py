@@ -74,6 +74,10 @@ class BoundaryContaminationError(TunnelTimeError):
     """Probability reached the simulation-domain edges above tolerance."""
 
 
+class RecordTruncatedError(TunnelTimeError):
+    """A detector record has not decayed by its last sample; the window is too short."""
+
+
 class BandTooNarrowError(TunnelTimeError):
     """Synthesis band cannot cover the required multiple of the stopband."""
 

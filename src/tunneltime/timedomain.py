@@ -19,6 +19,10 @@ through the barrier steps the Cayley form with one tridiagonal solve per
 step (scipy's LAPACK wrappers, imported only when the oracle runs); the
 free reference run is the same discrete dynamics evaluated exactly in the
 sine basis that diagonalises the Dirichlet Laplacian, so it takes no steps.
+It sums only the packet's occupied band of sine modes, and between its first
+and last step it forms only the grid rows that the boundary-leak check
+reads.  A detector record that has not decayed by the end of its window
+raises instead of yielding a delay.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import (
     BandTooNarrowError,
     BoundaryContaminationError,
     NormDriftError,
+    RecordTruncatedError,
     WraparoundDetectedError,
 )
 from .photonic import LayeredStack
@@ -46,6 +51,10 @@ _WINDOW_WIDTHS = 8.0
 # oracle default step in units of dx^2: the coarsest whose Richardson pair
 # stays within 1/10 of criterion 9's 5 % gate on its packet
 _DEFAULT_DT_PER_DX2 = 32.0
+# sine modes outside the free run's band hold at most this share of psi0's power
+_BAND_TAIL_SHARE = 1e-26
+# oracle detector records must fall below this share of peak power by t_end
+_RECORD_END_POWER = 1e-3
 
 
 @dataclass(frozen=True)
@@ -417,7 +426,67 @@ def _cayley_run(psi0, potential, dx, dt, detector, record_every):
     return advance
 
 
-def _free_run(psi0, dx, dt, detector, record_every):
+def _sine_band(psi0: np.ndarray):
+    """First mode index and `_dst1` coefficients of ``psi0``'s occupied band.
+
+    The band is the smallest contiguous run of coefficients outside which
+    at most `_BAND_TAIL_SHARE` of sum |c_m|^2 lies.  Each tail is summed
+    from its own end, since that share is below the roundoff of the total.
+    """
+    coeffs = _dst1(psi0)
+    power = np.abs(coeffs) ** 2
+    share = _BAND_TAIL_SHARE * float(np.sum(power))
+    below = np.concatenate(([0.0], np.cumsum(power)))  # below[lo] = sum over m < lo
+    above = np.concatenate((np.cumsum(power[::-1])[::-1], [0.0]))  # above[hi] = over m >= hi
+    lo = np.nonzero(below <= share)[0]
+    # for each lower cut, the first upper cut whose tail fits the rest of the share
+    hi = np.searchsorted(-above, below[lo] - share)
+    best = int(np.argmin(hi - lo))
+    return int(lo[best]), coeffs[lo[best] : hi[best]].copy()
+
+
+def _sines(trig, n: int, rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """trig(pi p m / (n+1)) for row numbers p and mode numbers m, reduced exactly mod 2 pi."""
+    return trig(np.pi / (n + 1) * (np.multiply.outer(rows, modes) % (2 * (n + 1))))
+
+
+def _edge_rows(n: int, modes: np.ndarray, edge_cells: int):
+    """psi's first and last ``edge_cells`` rows from its amplitudes on sine ``modes``.
+
+    Row j = R b + r of phi_m is sqrt(2/(n+1)) sin(a (R b + r + 1) m) with
+    a = pi/(n+1), and by angle addition that is
+    cos(a R b m) sin(a (r+1) m) + sin(a R b m) cos(a (r+1) m), so four
+    tables of about sqrt(edge_cells) rows stand in for the edge_cells-row
+    one.  The right edge mirrors the left: phi_m[n-1-j] = (-1)^(m+1) phi_m[j].
+    Returns a function of the amplitudes giving the left rows followed by
+    the right rows, in grid order.
+    """
+    block = math.isqrt(edge_cells - 1) + 1
+    starts = np.arange(0, edge_cells, block)
+    offsets = np.arange(1, block + 1)
+    scale = np.sqrt(2.0 / (n + 1))
+    outer_cos = scale * _sines(np.cos, n, starts, modes)
+    outer_sin = scale * _sines(np.sin, n, starts, modes)
+    inner_sin = _sines(np.sin, n, modes, offsets)
+    inner_cos = _sines(np.cos, n, modes, offsets)
+    parity = np.where(modes % 2 == 1, 1.0, -1.0)
+
+    def rows(amps: np.ndarray) -> np.ndarray:
+        # real and imaginary parts of the left and mirrored right amplitudes,
+        # one at a time, so no temporary is larger than a table
+        parts = (amps.real, amps.imag, parity * amps.real, parity * amps.imag)
+        vals = np.empty((4, starts.size, block))
+        for part, out in zip(parts, vals):
+            np.matmul(part * outer_cos, inner_sin, out=out)
+            out += (part * outer_sin) @ inner_cos
+        left = (vals[0] + 1j * vals[1]).ravel()[:edge_cells]
+        right = (vals[2] + 1j * vals[3]).ravel()[:edge_cells]
+        return np.concatenate([left, right[::-1]])
+
+    return rows
+
+
+def _free_run(psi0, dx, dt, detector, record_every, edge_cells=None, band=None):
     """Free (V = 0) Crank-Nicolson run, exact in the sine basis, as an ``advance``.
 
     The Dirichlet H0 has the `_dst1` basis as eigenvectors and eigenvalues
@@ -425,16 +494,22 @@ def _free_run(psi0, dx, dt, detector, record_every):
     multiplies mode m by (1 - i dt lambda_m / 2) / (1 + i dt lambda_m / 2)
     = e^{-i theta_m}, theta_m = 2 arctan(dt lambda_m / 2).  Step s is then
     psi_s = DST(e^{-i theta s} c) with c = DST(psi0), and no step is taken.
+
+    Only psi0's occupied band of modes enters (``band``, from `_sine_band`
+    if not given): each record is a sum over the band.  Given
+    ``edge_cells``, a stop hands back only psi's edge rows (`_edge_rows`);
+    the full psi, one `_dst1`, comes from ``advance(stop, stop)``, and at
+    every stop without ``edge_cells``.
     """
     n = psi0.size
+    lo, modes = _sine_band(psi0) if band is None else band
+    m = np.arange(lo + 1, lo + modes.size + 1)
     # 2 sin^2(a/2) is 1 - cos(a) without cancellation at the packet's long wavelengths
-    lam = 2.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2 / dx ** 2
+    lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / dx ** 2
     theta = 2.0 * np.arctan(0.5 * dt * lam)
-    modes = _dst1(psi0)
-    unit = np.zeros(n)
-    unit[detector] = 1.0
-    at_detector = _dst1(unit).real * modes  # phi_m[detector] c_m
+    at_detector = np.sqrt(2.0 / (n + 1)) * _sines(np.sin, n, detector + 1, m) * modes
     turn = np.exp(-1j * theta * record_every)
+    edges = _edge_rows(n, m, edge_cells) if edge_cells else None
 
     def advance(done: int, stop: int):
         # exact phases at the stretch's first record, then one turn per
@@ -446,7 +521,12 @@ def _free_run(psi0, dx, dt, detector, record_every):
         for _ in range(first, stop + 1, record_every):
             samples.append(phased.sum())
             phased *= turn
-        return samples, _dst1(np.exp(-1j * theta * stop) * modes)
+        amps = np.exp(-1j * theta * stop) * modes
+        if edges is not None and done < stop:
+            return samples, edges(amps)
+        full = np.zeros(n, dtype=complex)
+        full[lo : lo + modes.size] = amps
+        return samples, _dst1(full)
 
     return advance
 
@@ -456,9 +536,12 @@ def _watched_run(advance, psi0, detector, steps, record_every, edge_cells, dx):
 
     ``advance(done, stop)`` carries the run from step ``done`` to ``stop``
     and returns psi[detector] at each multiple of ``record_every`` in
-    (done, stop] together with psi at ``stop``.  At every ``steps // 64``-th
-    step and the last one, no more than 1e-10 of probability may sit in the
-    ``edge_cells`` at either end; the final norm must hold to 1e-8.
+    (done, stop] together with psi at ``stop``, or with any array whose
+    first and last ``edge_cells`` entries are psi's; ``advance(steps,
+    steps)`` takes no step and returns the full psi.  At every
+    ``steps // 64``-th step and the last one, no more than 1e-10 of
+    probability may sit in the ``edge_cells`` at either end; the final norm
+    must hold to 1e-8.
     """
     check_every = max(1, steps // 64)
     stops = list(range(check_every, steps, check_every)) + [steps]
@@ -476,6 +559,7 @@ def _watched_run(advance, psi0, detector, steps, record_every, edge_cells, dx):
                 f"{worst_leak:.3e} of the norm reached the domain edges"
             )
         done = stop
+    psi = advance(steps, steps)[1]
     norm_err = abs(float(np.sum(np.abs(psi) ** 2) * dx) - 1.0)
     if norm_err > 1e-8:
         raise NormDriftError(f"norm drifted by {norm_err:.3e}")
@@ -502,7 +586,17 @@ def _anchored_grid(barrier: QuantumBarrier, x_lo: float, x_hi: float, dx_max: fl
 
 
 def _pair_times(series_b: np.ndarray, series_f: np.ndarray, dt_rec: float) -> np.ndarray:
-    """Delay, barrier arrival and free arrival from one pair of detector records."""
+    """Delay, barrier arrival and free arrival from one pair of detector records.
+
+    Each record must have decayed below `_RECORD_END_POWER` of its peak
+    power by its last sample, or the window cut the packet short.
+    """
+    for name, series in (("barrier", series_b), ("free", series_f)):
+        power = np.abs(series) ** 2
+        if power[-1] > _RECORD_END_POWER * np.max(power):
+            raise RecordTruncatedError(
+                f"{name} record ends at {power[-1] / np.max(power):.3e} of its peak power"
+            )
     t_axis = np.arange(series_b.size) * dt_rec
     # arrival difference as the complex cross-correlation lag; numpy
     # conjugates the second argument
@@ -535,11 +629,16 @@ def tdse_oracle(
 
     Both runs follow the same discrete Crank-Nicolson map on the same grid:
     the barrier run steps it (`_cayley_run`), the free run evaluates it
-    exactly through a discrete sine transform (`_free_run`), and one loop
+    exactly on the packet's occupied sine modes (`_free_run`, one
+    `_sine_band` shared by the pair), and one loop
     (`_watched_run`) keeps both records and applies both checks.  The pair
     runs at steps dt and 2 dt, both recorded every 2 dt of physical time;
     the phase error of Crank-Nicolson is second order in dt, so the delay
     d(dt) + (d(dt) - d(2 dt)) / 3 cancels its leading term.
+
+    Both records of each pair must have fallen below 1e-3 of their peak
+    power by the last sample (`RecordTruncatedError` otherwise), so a
+    window that cuts a dispersive packet short cannot pass as a delay.
 
     The grid has nodes on both barrier faces (`_anchored_grid`).  Quasi-static
     precondition: delta_k <= 0.05 * kappa in the tunneling regime.  Defaults
@@ -583,6 +682,7 @@ def tdse_oracle(
     detector = int(round((x_det - x[0]) / dx))
     edge_cells = max(4, int(round(2.0 * sigma_end / dx)))
 
+    band = _sine_band(psi0)  # the free runs' modes, shared by the pair
     times, norm_error, leak = [], 0.0, 0.0
     for every in (2, 1):  # step dt recorded every 2nd step, then step 2 dt every step
         step = 2.0 * dt / every
@@ -591,7 +691,7 @@ def tdse_oracle(
             _cayley_run(psi0, potential, dx, step, detector, every), *layout
         )
         series_f, norm_f, leak_f = _watched_run(
-            _free_run(psi0, dx, step, detector, every), *layout
+            _free_run(psi0, dx, step, detector, every, edge_cells, band), *layout
         )
         times.append(_pair_times(series_b, series_f, 2.0 * dt))
         norm_error = max(norm_error, norm_b, norm_f)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import OMEGA0
 from tunneltime import photonic, quantum, spectral, timedomain
-from tunneltime.errors import BandTooNarrowError, WraparoundDetectedError
+from tunneltime.errors import BandTooNarrowError, RecordTruncatedError, WraparoundDetectedError
 
 
 def stencil_run(psi0, potential, dx, dt, detector, record_every):
@@ -39,6 +41,28 @@ def stencil_run(psi0, potential, dx, dt, detector, record_every):
             if step % record_every == 0:
                 samples.append(psi[detector])
         return samples, psi
+
+    return advance
+
+
+def all_mode_run(psi0, dx, dt, detector, record_every):
+    """Free Crank-Nicolson run over every sine mode, one full inverse DST per sample.
+
+    Same ``advance(done, stop)`` contract as the oracle's runs: psi at step
+    s is DST(e^{-i theta s} DST(psi0)) with theta_m = 2 arctan(dt lambda_m / 2).
+    """
+    n = psi0.size
+    modes = timedomain._dst1(psi0)
+    lam = 2.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2 / dx ** 2
+    theta = 2.0 * np.arctan(0.5 * dt * lam)
+
+    def psi_at(step):
+        return timedomain._dst1(np.exp(-1j * theta * step) * modes)
+
+    def advance(done, stop):
+        first = (done // record_every + 1) * record_every
+        samples = [psi_at(step)[detector] for step in range(first, stop + 1, record_every)]
+        return samples, psi_at(stop)
 
     return advance
 
@@ -272,6 +296,17 @@ class TestTdseOracle:
         wider = timedomain.tdse_oracle(barrier, packet, dx=0.1)
         assert abs(wider.delay - base.delay) < 1e-5 * abs(base.delay)
 
+    def test_record_cut_short_raises(self):
+        # small_packet's records end near 1e-5 of their peak power and pass;
+        # a strongly dispersive packet (sigma_x k0 = 2, inside the quasi-static
+        # precondition) keeps sending slow components past the detector, and
+        # its free record ends at 8.7e-3 of peak power
+        barrier, packet = self.small_packet()
+        timedomain.tdse_oracle(barrier, packet, dx=0.1)
+        dispersive = timedomain.GaussianPacket(k0=1.0, delta_k=0.25, x0=-16.0)
+        with pytest.raises(RecordTruncatedError, match="free record"):
+            timedomain.tdse_oracle(quantum.QuantumBarrier(13.0, 0.4), dispersive)
+
     # a small box: 1700 cells, 3200 steps of dt = dx^2, records every 7th
     # step (so the last stretch is partial), a k0 = 3 packet at x0 = -12
     # and a V0 = 6, L = 0.5 barrier with a detector at x = 6
@@ -309,6 +344,81 @@ class TestTdseOracle:
             detector,
             tol=1e-11,
         )
+
+    def test_band_limited_free_run_equals_all_modes(self):
+        psi0, detector, _ = self.small_box()
+        assert timedomain._sine_band(psi0)[1].size < psi0.size // 8
+        self.assert_runs_agree(
+            timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE),
+            all_mode_run(psi0, self.DX, self.DT, detector, self.EVERY),
+            psi0,
+            detector,
+            tol=1e-12,
+        )
+
+    def test_broadband_state_keeps_every_mode(self):
+        _, detector, _ = self.small_box()
+        rng = np.random.default_rng(3)
+        psi0 = rng.standard_normal(1700) + 1j * rng.standard_normal(1700)
+        lo, modes = timedomain._sine_band(psi0)
+        assert (lo, modes.size) == (0, psi0.size)
+        # a broadband state reaches the edges at once, so compare the runs
+        # stop by stop instead of through the leak check
+        banded = timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE)
+        reference = all_mode_run(psi0, self.DX, self.DT, detector, self.EVERY)
+        for done, stop in ((0, 30), (30, 100), (100, 100)):
+            rec, rows = banded(done, stop)
+            rec_ref, psi_ref = reference(done, stop)
+            if done < stop:
+                psi_ref = np.concatenate([psi_ref[: self.EDGE], psi_ref[-self.EDGE :]])
+            scale = np.max(np.abs(psi_ref))
+            assert len(rec) == len(rec_ref)
+            assert np.max(np.abs(np.subtract(rec, rec_ref)), initial=0.0) <= 1e-12 * scale
+            assert rows.shape == psi_ref.shape
+            assert np.max(np.abs(rows - psi_ref)) <= 1e-12 * scale
+
+    def free_pair(self, psi0, detector, meter=lambda advance: advance):
+        """One free-run pair as the oracle runs it: steps dt and 2 dt over the
+        same time, sharing one band."""
+        band = timedomain._sine_band(psi0)
+        for step, steps in ((self.DT, self.STEPS), (2 * self.DT, self.STEPS // 2)):
+            advance = timedomain._free_run(
+                psi0, self.DX, step, detector, self.EVERY, self.EDGE, band
+            )
+            timedomain._watched_run(
+                meter(advance), psi0, detector, steps, self.EVERY, self.EDGE, self.DX
+            )
+
+    def test_free_pair_stops_allocate_no_grid_transform(self):
+        # a full-length transform at a check stop allocates at least 4 grid
+        # vectors (the odd extension and its FFT); each stop must stay under
+        # 2 of them, and the whole pair under 10
+        psi0, detector, _ = self.small_box()
+        grid_vector = psi0.nbytes
+        timedomain._dst1(psi0)  # numpy caches the FFT plan outside the count
+        stop_peaks = []
+
+        def meter(advance):
+            def metered(done, stop):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = advance(done, stop)
+                if done < stop:
+                    stop_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+                return out
+
+            return metered
+
+        tracemalloc.start()
+        try:
+            self.free_pair(psi0, detector)
+            pair_peak = tracemalloc.get_traced_memory()[1]
+            self.free_pair(psi0, detector, meter)
+        finally:
+            tracemalloc.stop()
+        assert len(stop_peaks) == 2 * 64
+        assert max(stop_peaks) < 2 * grid_vector
+        assert pair_peak < 10 * grid_vector
 
     def test_cayley_step_equals_stencil_step(self):
         psi0, detector, barrier = self.small_box()
