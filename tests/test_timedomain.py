@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,32 @@ def all_mode_run(psi0, dx, dt, detector, record_every):
         return samples, psi_at(stop)
 
     return advance
+
+
+def closed_form_lag(barrier, packet):
+    """Correlation lag the closed form predicts for a Gaussian packet.
+
+    The detector records' cross-correlation is
+    C(tau) = integral |phi(k)|^2 t(k) e^{-ikL} e^{-iE tau} dk / k, with
+    |phi(k)|^2 = exp(-(k - k0)^2 / (2 delta_k^2)), E = k^2 / 2 and t the
+    exit-anchored amplitude; the lag is the tau that maximises |C|, where
+    d|C|^2/dtau = 2 Re(conj(C) dC/dtau) changes sign.
+    """
+    from scipy.optimize import brentq
+
+    k0, delta_k = packet.k0, packet.delta_k
+    k = np.linspace(max(k0 - 12.0 * delta_k, 1e-3 * k0), k0 + 12.0 * delta_k, 20001)
+    energy = 0.5 * k ** 2
+    t = quantum._closed_form(barrier, energy)[0]
+    weight = np.exp(-0.5 * ((k - k0) / delta_k) ** 2) * t * np.exp(-1j * k * barrier.length) / k
+
+    def slope(tau):
+        phased = weight * np.exp(-1j * energy * tau)
+        return float(np.real(np.conj(phased.sum()) * np.sum(-1j * energy * phased)))
+
+    # the monochromatic delay tau_g - L/v brackets the packet's lag
+    guess = quantum.analytic_group_delay(barrier, 0.5 * k0 ** 2) - barrier.length / k0
+    return brentq(slope, guess - 0.1, guess + 0.1, xtol=1e-14)
 
 
 def unity_response(grid):
@@ -281,13 +308,37 @@ class TestTdseOracle:
         barrier = quantum.QuantumBarrier(2.5, 2.5)
         return barrier, timedomain.GaussianPacket(k0=1.0, delta_k=0.1, x0=-40.0)
 
-    def test_richardson_pair_converges_at_second_order(self):
+    def test_richardson_ladder_converges_at_fourth_order(self):
         barrier, packet = self.small_packet()
         fine = timedomain.tdse_oracle(barrier, packet, dx=0.1, dt=0.08)
         coarse = timedomain.tdse_oracle(barrier, packet, dx=0.1, dt=0.16)
-        assert coarse.dt_error / fine.dt_error == pytest.approx(4.0, abs=0.2)
-        # unextrapolated delays would differ by about fine.dt_error itself
-        assert abs(fine.delay - coarse.delay) <= 0.1 * fine.dt_error
+        # dt_error compares two second-order extrapolations, so it shrinks as
+        # dt^4 (measured ratio 15.66)
+        assert coarse.dt_error / fine.dt_error == pytest.approx(16.0, abs=0.8)
+        # the two calls record on different clocks, so their delays need not
+        # agree to fine.dt_error; second-order delays would differ by about
+        # coarse.dt_error, and the ladder's differ by 0.055 of it (measured
+        # 1.04e-6), so 0.15 leaves a 2.7x margin
+        assert abs(fine.delay - coarse.delay) <= 0.15 * coarse.dt_error
+
+    def test_dx_extrapolation_matches_closed_form_lag(self):
+        # the bench tdse packet (v0 = 8, E = 1, kappa L = 5, delta_k = 0.049
+        # kappa): the oracle at dx and dx/2, extrapolated in dx, against the
+        # lag the closed form predicts for the whole packet (measured gap
+        # 1.2e-5, so 1e-4 leaves an 8x margin)
+        kappa = np.sqrt(14.0)
+        barrier = quantum.QuantumBarrier(8.0, 5.0 / kappa)
+        delta_k = 0.049 * kappa
+        packet = timedomain.GaussianPacket(
+            k0=np.sqrt(2.0), delta_k=delta_k, x0=-8.0 / (2.0 * delta_k)
+        )
+        dx = 1.0 / (20.0 * packet.k0)
+        # the barrier spans twice as many whole cells at dx/2, so the grid halves
+        assert math.ceil(barrier.length / (0.5 * dx)) == 2 * math.ceil(barrier.length / dx)
+        coarse = timedomain.tdse_oracle(barrier, packet).delay
+        fine = timedomain.tdse_oracle(barrier, packet, dx=0.5 * dx).delay
+        extrapolated = fine + (fine - coarse) / 3.0
+        assert abs(extrapolated - closed_form_lag(barrier, packet)) < 1e-4
 
     def test_detector_window_is_converged(self, monkeypatch):
         barrier, packet = self.small_packet()
@@ -306,6 +357,23 @@ class TestTdseOracle:
         dispersive = timedomain.GaussianPacket(k0=1.0, delta_k=0.25, x0=-16.0)
         with pytest.raises(RecordTruncatedError, match="free record"):
             timedomain.tdse_oracle(quantum.QuantumBarrier(13.0, 0.4), dispersive)
+
+    @pytest.mark.parametrize("clock", [0.2, 0.35])
+    @pytest.mark.parametrize("shift", [0.123456, 1.7777, -2.6101])
+    def test_band_limited_lag_recovers_a_known_shift(self, clock, shift):
+        # chirped Gaussian records of unit power width on a fast carrier; the
+        # barrier record is the free one delayed by ``shift``, so |corr| peaks
+        # at exactly that lag
+        t = np.arange(-12.0, 12.0 + shift, clock)
+
+        def record(time):
+            return np.exp(-0.25 * time ** 2 * (1.0 - 3.0j) - 40.0j * time)
+
+        corr = np.correlate(record(t - shift), record(t), mode="full")
+        lags = (np.arange(corr.size) - (t.size - 1)) * clock
+        assert abs(timedomain._band_limited_peak(lags, corr) - shift) < 1e-6
+        # the 3-point parabola on the same clock is off by 2.5e-4 or more
+        assert abs(spectral.locate_peak(lags, np.abs(corr)) - shift) > 1e-4
 
     # a small box: 1700 cells, 3200 steps of dt = dx^2, records every 7th
     # step (so the last stretch is partial), a k0 = 3 packet at x0 = -12
