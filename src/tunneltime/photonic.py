@@ -21,11 +21,13 @@ steps the interface fields back by
 
 delta = n d w, with exact power-of-two rescaling against overflow.  t and r
 are read off at the front face, each layer's wave amplitudes at its own.
-cos(delta) and sin(delta) are evaluated once per layer type, a distinct
-(n, d) pair, and held from its first step to its last, so a periodic stack
-costs one trig evaluation per type and frequency.  A type that occurs once is
-never held; the most held at once is half the layers, for a palindrome of
-distinct layers.
+A step's coefficients cos(delta), i sin(delta)/n and i n sin(delta) are
+formed once per layer type, a distinct (n, d) pair, and held from its first
+step to its last, so a periodic stack costs one cos and one sin per type and
+frequency, and each step four products and two differences.  A held type
+keeps one real and two complex arrays, 5 words per frequency.  A type that
+occurs once is never held; the most held at once is half the layers, for a
+palindrome of distinct layers.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, and a vacuum slab yields its length.
 """
@@ -219,34 +221,44 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
 
     The true fields are 2^k (E, H), k an integer per frequency: E and H are
     rescaled by exact powers of two before a step that could take a running
-    bound on their size past _RESCALE_BOUND, and never otherwise.
+    bound on their size past _RESCALE_BOUND, and never otherwise.  A step is
+    (E, H) <- (cos(delta) E - p H, cos(delta) H - q E); a layer type's
+    coefficients come from _step_coefficients at its first step and are held,
+    5 words per frequency, until its last.
     """
     e = np.ones(omegas.shape, dtype=complex)
     h = np.full(omegas.shape, complex(stack.n_out))
     k = np.zeros(omegas.shape, dtype=int)
     bound = max(1.0, stack.n_out)
-    # steps left per layer type, and the cos, sin of types with steps left
-    left, trig = Counter(stack.layers), {}
+    # steps left per layer type, and the step coefficients of types with steps left
+    left, held = Counter(stack.layers), {}
     yield e, h, k
     for layer in reversed(stack.layers):
-        n, d = layer
-        # one step grows max(|E|, |H|) by at most this factor
-        growth = 1.0 + max(n, 1.0 / n)
+        left[layer] -= 1
+        coeffs = held.pop(layer, None)
+        if coeffs is None:
+            coeffs = _step_coefficients(*layer, omegas)
+        if left[layer]:
+            held[layer] = coeffs
+        growth, cos_p, p, q = coeffs
         if bound * growth > _RESCALE_BOUND:
             _, shift = np.frexp(np.maximum(np.abs(e), np.abs(h)))
             scale = np.ldexp(1.0, -shift)
             e, h, k, bound = e * scale, h * scale, k + shift, 1.0
         bound *= growth
-        left[layer] -= 1
-        cos_sin = trig.pop(layer, None)
-        if cos_sin is None:
-            phase = (n * d) * omegas
-            cos_sin = np.cos(phase), np.sin(phase)
-        if left[layer]:
-            trig[layer] = cos_sin
-        cos_p, sin_p = cos_sin
-        e, h = cos_p * e - 1j * (sin_p / n) * h, cos_p * h - 1j * (n * sin_p) * e
+        e, h = cos_p * e - p * h, cos_p * h - q * e
         yield e, h, k
+
+
+def _step_coefficients(n: float, d: float, omegas: np.ndarray):
+    """growth, cos(delta), p = i sin(delta)/n and q = i n sin(delta) of one layer step.
+
+    growth bounds the factor by which one step can grow max(|E|, |H|).  The
+    phase and sin(delta) die here, so the march holds only what a step reads.
+    """
+    phase = (n * d) * omegas
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    return 1.0 + max(n, 1.0 / n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p)
 
 
 def _split_waves(e, h, n):
@@ -495,14 +507,18 @@ def find_stopband(
     round samples both edge brackets at once and keeps, in each, the crossing
     nearest the band, so an edge bounds the below-0.5 run that holds
     omega_ref.  An edge on the scan boundary stays there.  Raises
-    NotInStopbandError when |t(omega_ref)|^2 >= 0.5.
+    NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is read from
+    the scan's own march, so a passband omega_ref costs the full scan first.
     """
-    if float(_transmittance(stack, [omega_ref])[0]) >= 0.5:
-        raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5; not inside a stopband")
     lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
     hi = omega_ref * (1.0 + scan_factor)
     omegas = np.linspace(lo, hi, scan_points)
-    below = _transmittance(stack, omegas) < 0.5
+    # omega_ref rides along as the last frequency of the scan's march; an
+    # elementwise march gives it the same bits as a march of its own
+    power = _transmittance(stack, np.append(omegas, omega_ref))
+    if power[-1] >= 0.5:
+        raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5; not inside a stopband")
+    below = power[:-1] < 0.5
     j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
 
     j_lo = j_hi = j_ref

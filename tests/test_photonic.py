@@ -179,11 +179,28 @@ class TestStackResponse:
 
 
 class TestMarchCache:
-    @pytest.mark.parametrize("case", ["front", "grating", "random", "rescaled"])
+    @pytest.mark.parametrize(
+        "case", ["front", "grating", "random", "rescaled", "single", "recurring", "palindrome"]
+    )
     def test_bit_identical_to_uncached_march(self, case, front_stack):
         if case == "front":
             stack = front_stack
             omegas = np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 8192)
+        elif case == "single":
+            # the one-frequency march behind the layer wave amplitudes
+            stack = front_stack
+            omegas = np.array([OMEGA0])
+        elif case == "recurring":
+            # A B C A B C ...: each type is held across the others, then released
+            cell = ((2.3, 0.11), (1.4, 0.37), (3.1, 0.05))
+            stack = photonic.LayeredStack(cell * 40, n_in=1.2, n_out=1.5)
+            omegas = np.linspace(4.0, 9.0, 129)
+        elif case == "palindrome":
+            # distinct layers mirrored: half the layers are held at the middle
+            rng = np.random.default_rng(17)
+            half = tuple(zip(rng.uniform(1.05, 3.2, 60), rng.uniform(0.02, 0.6, 60)))
+            stack = photonic.LayeredStack(half + half[::-1])
+            omegas = np.linspace(4.0, 9.0, 129)
         elif case == "grating":
             grating = photonic.UniformGrating(0.3, 20.0, 1.4, 2.0 * np.pi)
             stack = grating.as_layered_stack()
@@ -202,8 +219,22 @@ class TestMarchCache:
         _, _, k = got
         if case == "rescaled":
             assert np.all(k > 0)
-        if case == "grating":
+        if case in ("grating", "recurring", "palindrome"):
             assert len(set(stack.layers)) < len(stack.layers)
+
+    def test_trig_once_per_layer_type(self, front_stack, monkeypatch):
+        calls = {"cos": 0, "sin": 0}
+        for name in calls:
+            def counted(x, _name=name, _f=getattr(np, name)):
+                calls[_name] += 1
+                return _f(x)
+            monkeypatch.setattr(np, name, counted)
+        omegas = np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 257)
+        for _ in photonic._backward_march(front_stack, omegas):
+            pass
+        types = len(set(front_stack.layers))
+        assert types == 2
+        assert calls == {"cos": types, "sin": types}
 
     def test_distinct_layers_allocate_no_table(self):
         rng = np.random.default_rng(41)
