@@ -197,12 +197,10 @@ def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
 
 def delay_report(barrier: QuantumBarrier, energy: float) -> DelayReport:
     """Assemble tau_g, tau_d, tau_i = tau_g - tau_d and the speed diagnostics."""
-    if energy <= 0.0:
-        raise NonPositiveEnergyError("energy must be positive")
+    tau_g = group_delay(barrier, energy)  # rejects E <= 0 before k is formed
+    tau_d = dwell_time(barrier, energy)
     k = float(np.sqrt(2.0 * energy))
     length = barrier.length
-    tau_g = group_delay(barrier, energy)
-    tau_d = dwell_time(barrier, energy)
     apparent = length / tau_g if tau_g > 0.0 else None
     return DelayReport(
         tau_g=tau_g,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class PulseEnvelope:
     def bandwidth(self) -> float:
         """FWHM of the power spectrum |A~(W)|^2 (half-max crossings interpolated)."""
         power = np.abs(np.fft.fftshift(np.fft.ifft(self.a))) ** 2
-        detunings = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.count, self.dt))
+        detunings = self.fft_grid().detunings
         half = 0.5 * float(np.max(power))
         above = np.nonzero(power >= half)[0]
         lo, hi = int(above[0]), int(above[-1])
@@ -239,20 +239,6 @@ class TdseResult:
     dt_error: float = 0.0
 
 
-def _response_on_fft_grid(resp: spectral.ComplexResponse, pulse: PulseEnvelope):
-    """Response samples reordered onto the FFT bins of ``pulse.fft_grid()``, its only grid."""
-    grid = resp.grid
-    if abs(grid.omega0 - pulse.omega0) > 1e-9 * max(1.0, abs(pulse.omega0)):
-        raise ValueError("response carrier differs from the pulse carrier")
-
-    fft_detunings = pulse.fft_grid().detunings
-    if grid.count != pulse.count or (
-        np.max(np.abs(grid.detunings - fft_detunings)) > 1e-6 * grid.spacing
-    ):
-        raise ValueError("response must be sampled on the pulse's FFT grid (pulse.fft_grid())")
-    return np.fft.ifftshift(resp.t), np.fft.ifftshift(resp.r)
-
-
 def _rms_width(times: np.ndarray, envelope: np.ndarray) -> float:
     power = np.abs(envelope) ** 2
     total = float(np.sum(power))
@@ -260,19 +246,25 @@ def _rms_width(times: np.ndarray, envelope: np.ndarray) -> float:
     return float(np.sqrt(np.sum((times - mean) ** 2 * power) / total))
 
 
-def propagate_spectral(resp: spectral.ComplexResponse, pulse: PulseEnvelope) -> PropagationResult:
-    """Send a narrowband envelope through a sampled complex response.
+def propagate_spectral(
+    response: Callable[[spectral.FrequencyGrid], spectral.ComplexResponse],
+    pulse: PulseEnvelope,
+) -> PropagationResult:
+    """Send a narrowband envelope through a complex response.
 
-    The output is the inverse transform of t(omega0 + W) times the input
-    spectrum.  The quasi-static deviation compares the output against
-    T0 * A(0, t - tau_g) (the lumped-element prediction), with T0 the carrier
-    transmission and tau_g the phase-derivative group delay; the reference
-    delayed envelope is evaluated by the exact spectral shift.
+    ``response`` maps a grid to its complex response, as for
+    `spectral.group_delay`; it is sampled once, on ``pulse.fft_grid()``, so
+    each FFT bin meets its own frequency.  The output is the inverse
+    transform of t(omega0 + W) times the input spectrum.  The quasi-static
+    deviation compares the output against T0 * A(0, t - tau_g) (the
+    lumped-element prediction), with T0 the carrier transmission and tau_g
+    the phase-derivative group delay; the reference delayed envelope is
+    evaluated by the exact spectral shift.
     """
-    t_fft, r_fft = _response_on_fft_grid(resp, pulse)
-    n = pulse.count
+    resp = response(pulse.fft_grid())
+    t_fft, r_fft = np.fft.ifftshift(resp.t), np.fft.ifftshift(resp.r)
+    omega_fft = np.fft.ifftshift(resp.grid.detunings)
     dt = pulse.dt
-    omega_fft = 2.0 * np.pi * np.fft.fftfreq(n, dt)
 
     spec_in = np.fft.ifft(pulse.a)
     a_out = np.fft.fft(spec_in * t_fft)
@@ -361,10 +353,7 @@ def front_causality(
     times = np.arange(n) * dt
 
     env_in = _ramp_envelope(times, t_on, rise, hold)
-    omega_fft = 2.0 * np.pi * np.fft.fftfreq(n, dt)
-    omegas = omega_mid + omega_fft
-    if np.any(omegas <= 0.0):
-        raise BandTooNarrowError("synthesis band reaches nonpositive frequencies")
+    omegas = omega_mid + 2.0 * np.pi * np.fft.fftfreq(n, dt)
     t_fft, _ = photonic.stack_t_r_samples(stack, omegas)
 
     env_out = np.fft.fft(np.fft.ifft(env_in) * t_fft)
@@ -495,7 +484,7 @@ def _edge_rows(n: int, modes: np.ndarray, edge_cells: int):
     return rows
 
 
-def _free_run(psi0, dx, dt, detector, record_every, edge_cells=None, band=None):
+def _free_run(psi0, dx, dt, detector, record_every, edge_cells, band):
     """Free (V = 0) Crank-Nicolson run, exact in the sine basis, as an ``advance``.
 
     The Dirichlet H0 has the `_dst1` basis as eigenvectors and eigenvalues
@@ -504,21 +493,21 @@ def _free_run(psi0, dx, dt, detector, record_every, edge_cells=None, band=None):
     = e^{-i theta_m}, theta_m = 2 arctan(dt lambda_m / 2).  Step s is then
     psi_s = DST(e^{-i theta s} c) with c = DST(psi0), and no step is taken.
 
-    Only psi0's occupied band of modes enters (``band``, from `_sine_band`
-    if not given): each record is a sum over the band.  Given
-    ``edge_cells``, a stop hands back only psi's edge rows (`_edge_rows`);
-    the full psi, one `_dst1`, comes from ``advance(stop, stop)``, and at
-    every stop without ``edge_cells``.
+    Only psi0's occupied band of modes enters (``band``, from `_sine_band`,
+    shared by every run of one psi0): each record is a sum over the band.
+    A stop hands back only psi's first and last ``edge_cells`` rows
+    (`_edge_rows`); ``advance(stop, stop)`` hands back the full psi, one
+    `_dst1`.
     """
     n = psi0.size
-    lo, modes = _sine_band(psi0) if band is None else band
+    lo, modes = band
     m = np.arange(lo + 1, lo + modes.size + 1)
     # 2 sin^2(a/2) is 1 - cos(a) without cancellation at the packet's long wavelengths
     lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / dx ** 2
     theta = 2.0 * np.arctan(0.5 * dt * lam)
     at_detector = np.sqrt(2.0 / (n + 1)) * _sines(np.sin, n, detector + 1, m) * modes
     turn = np.exp(-1j * theta * record_every)
-    edges = _edge_rows(n, m, edge_cells) if edge_cells else None
+    edges = _edge_rows(n, m, edge_cells)
 
     def advance(done: int, stop: int):
         # exact phases at the stretch's first record, then one turn per
@@ -531,7 +520,7 @@ def _free_run(psi0, dx, dt, detector, record_every, edge_cells=None, band=None):
             samples.append(phased.sum())
             phased *= turn
         amps = np.exp(-1j * theta * stop) * modes
-        if edges is not None and done < stop:
+        if done < stop:
             return samples, edges(amps)
         full = np.zeros(n, dtype=complex)
         full[lo : lo + modes.size] = amps
@@ -546,11 +535,12 @@ def _watched_run(advance, psi0, detector, steps, record_every, edge_cells, dx):
     ``advance(done, stop)`` carries the run from step ``done`` to ``stop``
     and returns psi[detector] at each multiple of ``record_every`` in
     (done, stop] together with psi at ``stop``, or with any array whose
-    first and last ``edge_cells`` entries are psi's; ``advance(steps,
-    steps)`` takes no step and returns the full psi.  At every
-    ``steps // 64``-th step and the last one, no more than 1e-10 of
-    probability may sit in the ``edge_cells`` at either end; the final norm
-    must hold to 1e-8.
+    first and last ``edge_cells`` entries are psi's (`_free_run` returns
+    just those rows); ``advance(steps, steps)`` takes no step and returns
+    the full psi.  At every ``steps // 64``-th step and the last one, no
+    more than 1e-10 of probability may sit in the ``edge_cells`` at either
+    end (`BoundaryContaminationError`); the final norm must hold to 1e-8
+    (`NormDriftError`).
     """
     check_every = max(1, steps // 64)
     stops = list(range(check_every, steps, check_every)) + [steps]

@@ -87,8 +87,9 @@ def test_criterion_05_quasistatic_law(skc_stack):
     pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
         OMEGA0, 0.01 * band.width, samples=1024
     )
-    resp = photonic.stack_response(skc_stack, pulse.fft_grid())
-    result = timedomain.propagate_spectral(resp, pulse)
+    result = timedomain.propagate_spectral(
+        lambda grid: photonic.stack_response(skc_stack, grid), pulse
+    )
     tau_g = photonic.group_delay(skc_stack, OMEGA0)
     peak_rel = abs(result.peak_delay - tau_g) / tau_g
     ok = (
@@ -201,8 +202,9 @@ def test_criterion_10_conservation_suites(skc_stack):
     pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
         OMEGA0, 0.02 * band.width, samples=1024
     )
-    resp = photonic.stack_response(skc_stack, pulse.fft_grid())
-    run = timedomain.propagate_spectral(resp, pulse)
+    run = timedomain.propagate_spectral(
+        lambda grid: photonic.stack_response(skc_stack, grid), pulse
+    )
     energy_err = abs(
         (run.energy_transmitted + run.energy_reflected) / run.energy_in - 1.0
     )

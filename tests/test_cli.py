@@ -59,6 +59,8 @@ HARTMAN_CONFIG = {
     "lengths": [5.0, 10.0, 20.0, 30.0, 50.0, 70.0, 100.0],
 }
 
+QUANTUM_CONFIG = {"kind": "quantum", "v0": 2.0, "length": 3.0, "energy": 1.0}
+
 
 class TestListExperiments:
     def test_contains_all_seven_kinds(self):
@@ -215,6 +217,34 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert cli.run(cfg, output_dir=str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, options, message",
+        [
+            ({"kind": "quantum", "v0": 0, "length": 1.0, "energy": 1.0}, {},
+             "'v0' must be positive"),
+            ({"kind": "stack", "stack": {"layers": [[1.5]]}, "omega_min": 1.0, "omega_max": 2.0},
+             {}, "'stack.layers' must be"),
+            ({"kind": "stack", "stack": {"layers": [[1.5, 0.1]]}, "omega_min": 2.0,
+              "omega_max": 2.0}, {}, "omega_max > omega_min"),
+            ({"kind": "stack", "stack": {"layers": [[1.5, 0.1]]}, "omega_min": 1.0,
+              "omega_max": 2.0, "points": 3}, {}, "points >= 5"),
+            ({"kind": "grating", "grating": {"kappa": 0.3, "length": 10.0, "omega_b": 6.0},
+              "delta_min": 0.1, "delta_max": -0.1}, {}, "delta_max > delta_min"),
+            (QUANTUM_CONFIG, {"threads": 0}, "threads must be >= 1"),
+            (QUANTUM_CONFIG, {"out_format": "xml"}, "format must be"),
+        ],
+        ids=["zero-v0", "one-number-layer", "empty-omega-range", "three-points",
+             "reversed-delta-range", "zero-threads", "xml-format"],
+    )
+    def test_out_of_range_input_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, payload, options, message
+    ):
+        cfg = write_config(tmp_path / "bad.json", payload)
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out), **options) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_boolean_layer_entry_exits_2(self, tmp_path):
         payload = {

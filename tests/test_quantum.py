@@ -25,6 +25,13 @@ class TestValidation:
         with pytest.raises(NonPositiveEnergyError):
             quantum.scatter(quantum.QuantumBarrier(2.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("energy", [0.0, -0.5])
+    @pytest.mark.parametrize("route", ["group_delay", "dwell_time", "delay_report"])
+    def test_delay_routes_reject_nonpositive_energy(self, route, energy):
+        # raised before sqrt(2E) is formed, or a RuntimeWarning would come first
+        with pytest.raises(NonPositiveEnergyError):
+            getattr(quantum, route)(quantum.QuantumBarrier(2.0, 1.0), energy)
+
     def test_scatter_rejects_above_barrier(self):
         with pytest.raises(AboveBarrierError):
             quantum.scatter(quantum.QuantumBarrier(2.0, 1.0), 2.0)

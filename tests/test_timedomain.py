@@ -10,7 +10,13 @@ import pytest
 
 from conftest import OMEGA0
 from tunneltime import photonic, quantum, spectral, timedomain
-from tunneltime.errors import BandTooNarrowError, RecordTruncatedError, WraparoundDetectedError
+from tunneltime.errors import (
+    BandTooNarrowError,
+    BoundaryContaminationError,
+    NormDriftError,
+    RecordTruncatedError,
+    WraparoundDetectedError,
+)
 
 
 def stencil_run(psi0, potential, dx, dt, detector, record_every):
@@ -127,7 +133,7 @@ class TestPulseEnvelope:
 class TestPropagateSpectral:
     def test_identity_response(self):
         pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=2048)
-        result = timedomain.propagate_spectral(unity_response(pulse.fft_grid()), pulse)
+        result = timedomain.propagate_spectral(unity_response, pulse)
         np.testing.assert_allclose(result.a_out, pulse.a, atol=1e-14)
         assert result.peak_delay == pytest.approx(0.0, abs=1e-9)
         assert result.width_ratio == pytest.approx(1.0, abs=1e-12)
@@ -135,12 +141,14 @@ class TestPropagateSpectral:
 
     def test_pure_delay_line(self):
         pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=8192)
-        grid = pulse.fft_grid()
         tau = 3.7
-        resp = spectral.ComplexResponse(
-            grid, np.exp(1j * grid.detunings * tau), np.zeros(grid.count)
-        )
-        result = timedomain.propagate_spectral(resp, pulse)
+
+        def delay_line(grid):
+            return spectral.ComplexResponse(
+                grid, np.exp(1j * grid.detunings * tau), np.zeros(grid.count)
+            )
+
+        result = timedomain.propagate_spectral(delay_line, pulse)
         assert result.peak_delay == pytest.approx(tau, abs=1e-6)
         assert result.quasistatic_deviation < 1e-10
         assert result.width_ratio == pytest.approx(1.0, abs=1e-9)
@@ -150,8 +158,9 @@ class TestPropagateSpectral:
         pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
             OMEGA0, 0.01 * band.width, samples=1024
         )
-        resp = photonic.stack_response(skc_stack, pulse.fft_grid())
-        result = timedomain.propagate_spectral(resp, pulse)
+        result = timedomain.propagate_spectral(
+            lambda grid: photonic.stack_response(skc_stack, grid), pulse
+        )
         tau_g = photonic.group_delay(skc_stack, OMEGA0)
         assert result.peak_delay == pytest.approx(tau_g, rel=0.01)
         assert abs(result.width_ratio - 1.0) < 0.01
@@ -164,8 +173,9 @@ class TestPropagateSpectral:
         pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
             OMEGA0, 0.02 * band.width, samples=1024
         )
-        resp = photonic.stack_response(skc_stack, pulse.fft_grid())
-        result = timedomain.propagate_spectral(resp, pulse)
+        result = timedomain.propagate_spectral(
+            lambda grid: photonic.stack_response(skc_stack, grid), pulse
+        )
         balance = (result.energy_transmitted + result.energy_reflected) / result.energy_in
         assert balance == pytest.approx(1.0, abs=1e-8)
 
@@ -176,40 +186,24 @@ class TestPropagateSpectral:
             pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
                 OMEGA0, fraction * band.width, samples=1024
             )
-            resp = photonic.stack_response(skc_stack, pulse.fft_grid())
             deviations.append(
-                timedomain.propagate_spectral(resp, pulse).quasistatic_deviation
+                timedomain.propagate_spectral(
+                    lambda grid: photonic.stack_response(skc_stack, grid), pulse
+                ).quasistatic_deviation
             )
         assert all(a >= b for a, b in zip(deviations, deviations[1:]))
 
-    def test_response_off_fft_grid_rejected(self, skc_stack):
-        band = photonic.find_stopband(skc_stack, OMEGA0)
-        pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
-            OMEGA0, 0.01 * band.width, samples=1024
-        )
-        # a uniform grid that covers the spectrum but is not the FFT grid
-        half = 8.0 * pulse.bandwidth()
-        grid = spectral.FrequencyGrid.centered(OMEGA0, half, 1201)
-        resp = photonic.stack_response(skc_stack, grid)
-        with pytest.raises(ValueError, match="FFT grid"):
-            timedomain.propagate_spectral(resp, pulse)
-
-    def test_spectrum_exceeding_grid_rejected(self, skc_stack):
-        pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=10.0, samples=1024)
-        narrow = spectral.FrequencyGrid.centered(OMEGA0, 0.05 / 10.0, 64)
-        resp = photonic.stack_response(skc_stack, narrow)
-        with pytest.raises(ValueError, match="FFT grid"):
-            timedomain.propagate_spectral(resp, pulse)
-
     def test_wraparound_detected(self):
         pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=10.0, samples=1024)
-        grid = pulse.fft_grid()
         span = pulse.times[-1] - pulse.times[0]
-        resp = spectral.ComplexResponse(
-            grid, np.exp(1j * grid.detunings * 0.45 * span), np.zeros(grid.count)
-        )
+
+        def long_delay_line(grid):
+            return spectral.ComplexResponse(
+                grid, np.exp(1j * grid.detunings * 0.45 * span), np.zeros(grid.count)
+            )
+
         with pytest.raises(WraparoundDetectedError):
-            timedomain.propagate_spectral(resp, pulse)
+            timedomain.propagate_spectral(long_delay_line, pulse)
 
 
 class TestFrontCausality:
@@ -321,14 +315,23 @@ class TestTdseOracle:
         # 1.04e-6), so 0.15 leaves a 2.7x margin
         assert abs(fine.delay - coarse.delay) <= 0.15 * coarse.dt_error
 
-    def test_dx_extrapolation_matches_closed_form_lag(self):
-        # the bench tdse packet (v0 = 8, E = 1, kappa L = 5, delta_k = 0.049
-        # kappa): the oracle at dx and dx/2, extrapolated in dx, against the
-        # lag the closed form predicts for the whole packet (measured gap
-        # 1.2e-5, so 1e-4 leaves an 8x margin)
-        kappa = np.sqrt(14.0)
-        barrier = quantum.QuantumBarrier(8.0, 5.0 / kappa)
-        delta_k = 0.049 * kappa
+    @pytest.mark.parametrize(
+        "v0, width, bound",
+        [
+            # the bench tdse packet: measured gap 1.2e-5, so 1e-4 leaves an 8x margin
+            pytest.param(8.0, 0.049, 1e-4, id="bench"),
+            # criterion 9's packet: measured gap 1.8e-7, so 1e-6 leaves a 5x
+            # margin; its dx/2 run takes about 4 s
+            pytest.param(2.0, 0.02, 1e-6, id="criterion-9", marks=pytest.mark.slow),
+        ],
+    )
+    def test_dx_extrapolation_matches_closed_form_lag(self, v0, width, bound):
+        # an E = 1, kappa L = 5 barrier and a packet of delta_k = width * kappa:
+        # the oracle at dx and dx/2, extrapolated in dx, against the lag the
+        # closed form predicts for the whole packet
+        kappa = np.sqrt(2.0 * (v0 - 1.0))
+        barrier = quantum.QuantumBarrier(v0, 5.0 / kappa)
+        delta_k = width * kappa
         packet = timedomain.GaussianPacket(
             k0=np.sqrt(2.0), delta_k=delta_k, x0=-8.0 / (2.0 * delta_k)
         )
@@ -338,7 +341,7 @@ class TestTdseOracle:
         coarse = timedomain.tdse_oracle(barrier, packet).delay
         fine = timedomain.tdse_oracle(barrier, packet, dx=0.5 * dx).delay
         extrapolated = fine + (fine - coarse) / 3.0
-        assert abs(extrapolated - closed_form_lag(barrier, packet)) < 1e-4
+        assert abs(extrapolated - closed_form_lag(barrier, packet)) < bound
 
     def test_detector_window_is_converged(self, monkeypatch):
         barrier, packet = self.small_packet()
@@ -406,7 +409,10 @@ class TestTdseOracle:
         psi0, detector, _ = self.small_box()
         free = np.zeros(psi0.size)
         self.assert_runs_agree(
-            timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY),
+            timedomain._free_run(
+                psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE,
+                timedomain._sine_band(psi0),
+            ),
             stencil_run(psi0, free, self.DX, self.DT, detector, self.EVERY),
             psi0,
             detector,
@@ -415,9 +421,10 @@ class TestTdseOracle:
 
     def test_band_limited_free_run_equals_all_modes(self):
         psi0, detector, _ = self.small_box()
-        assert timedomain._sine_band(psi0)[1].size < psi0.size // 8
+        band = timedomain._sine_band(psi0)
+        assert band[1].size < psi0.size // 8
         self.assert_runs_agree(
-            timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE),
+            timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE, band),
             all_mode_run(psi0, self.DX, self.DT, detector, self.EVERY),
             psi0,
             detector,
@@ -432,7 +439,9 @@ class TestTdseOracle:
         assert (lo, modes.size) == (0, psi0.size)
         # a broadband state reaches the edges at once, so compare the runs
         # stop by stop instead of through the leak check
-        banded = timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE)
+        banded = timedomain._free_run(
+            psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE, (lo, modes)
+        )
         reference = all_mode_run(psi0, self.DX, self.DT, detector, self.EVERY)
         for done, stop in ((0, 30), (30, 100), (100, 100)):
             rec, rows = banded(done, stop)
@@ -444,6 +453,43 @@ class TestTdseOracle:
             assert np.max(np.abs(np.subtract(rec, rec_ref)), initial=0.0) <= 1e-12 * scale
             assert rows.shape == psi_ref.shape
             assert np.max(np.abs(rows - psi_ref)) <= 1e-12 * scale
+
+    def still_run(self, psi0, detector, leak_stop=None, final_scale=1.0):
+        """An ``advance`` that holds psi0 still, but puts 1e-9 of probability
+        in the last cell at the stop ``leak_stop`` and scales the final psi
+        by ``final_scale``."""
+
+        def advance(done, stop):
+            psi = psi0.copy()
+            if stop == leak_stop and done < stop:
+                psi[-1] = math.sqrt(1e-9 / self.DX)
+            if done == stop:
+                psi *= final_scale
+            return [psi0[detector]] * (stop // self.EVERY - done // self.EVERY), psi
+
+        return advance
+
+    def test_edge_probability_at_one_stop_is_contamination(self):
+        psi0, detector, _ = self.small_box()
+        layout = (psi0, detector, self.STEPS, self.EVERY, self.EDGE, self.DX)
+        rec, _, leak = timedomain._watched_run(self.still_run(psi0, detector), *layout)
+        assert rec.size == self.STEPS // self.EVERY + 1 and leak < 1e-20
+        # the stops fall every 50 steps; one of them, mid-run, leaks
+        with pytest.raises(BoundaryContaminationError, match="domain edges"):
+            timedomain._watched_run(self.still_run(psi0, detector, leak_stop=1600), *layout)
+
+    def test_final_norm_off_by_more_than_1e_8_is_drift(self):
+        psi0, detector, _ = self.small_box()
+        layout = (psi0, detector, self.STEPS, self.EVERY, self.EDGE, self.DX)
+        # a scale of 1 + e changes the norm by about 2 e
+        _, norm, _ = timedomain._watched_run(
+            self.still_run(psi0, detector, final_scale=1.0 + 2e-9), *layout
+        )
+        assert norm == pytest.approx(4e-9, rel=1e-3)
+        with pytest.raises(NormDriftError, match="norm drifted"):
+            timedomain._watched_run(
+                self.still_run(psi0, detector, final_scale=1.0 + 1e-8), *layout
+            )
 
     def free_pair(self, psi0, detector, meter=lambda advance: advance):
         """One free-run pair as the oracle runs it: steps dt and 2 dt over the
