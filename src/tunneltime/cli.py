@@ -202,7 +202,7 @@ def _run_quantum(v: dict):
 # abs rounds differently in the last bit, which would move the CSV bytes
 def _response_columns(omegas, resp) -> dict:
     return {"omega": omegas, "t_re": resp.t.real, "t_im": resp.t.imag, "r_re": resp.r.real,
-            "r_im": resp.r.imag, "transmission": [abs(t) ** 2 for t in resp.t]}
+            "r_im": resp.r.imag, "transmission": [abs(t) ** 2 for t in resp.t.tolist()]}
 
 
 def _run_stack(v: dict):
@@ -251,8 +251,8 @@ def _run_pulse(v: dict):
         v["omega_mid"], v["bandwidth_fraction"] * band.width, samples=v["samples"]
     )
     result = timedomain.propagate_spectral(lambda grid: photonic.stack_response(stack, grid), pulse)
-    columns = {"time": pulse.times, "abs_a_in": [abs(a) for a in pulse.a],
-               "abs_a_out": [abs(a) for a in result.a_out]}
+    columns = {"time": pulse.times, "abs_a_in": [abs(a) for a in pulse.a.tolist()],
+               "abs_a_out": [abs(a) for a in result.a_out.tolist()]}
     summary = {
         "peak_delay": result.peak_delay,
         "tau_g": result.tau_g,
@@ -358,14 +358,19 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def _cell(value) -> str:
-    return "" if value is None else format(float(value), ".17g")
-
-
 def _csv_text(columns: Dict[str, Sequence]) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(map(_cell, row)) for row in zip(*columns.values())]
-    return "\n".join(lines) + "\n"
+    """Header and one line per row: ``%.17g`` of each value's float, None an empty cell."""
+    cells, specs = [], []
+    for values in columns.values():
+        floats = np.asarray(values, dtype=float)  # None converts to nan
+        if np.isnan(floats).any():
+            cells.append(["" if v is None else "%.17g" % float(v) for v in values])
+            specs.append("%s")
+        else:
+            cells.append(floats.tolist())
+            specs.append("%.17g")
+    line = ",".join(specs)
+    return "\n".join([",".join(columns), *(line % row for row in zip(*cells))]) + "\n"
 
 
 def _write(output_dir: str, name: str, text: str):

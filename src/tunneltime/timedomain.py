@@ -24,7 +24,8 @@ and last step it forms only the grid rows that the boundary-leak check
 reads.  A detector record that has not decayed by the end of its window
 raises instead of yielding a delay.  A ladder of three time steps, all
 recorded on the coarsest step's clock, cancels the step's error to fourth
-order.
+order; a worker thread runs the two coarser rungs while the calling thread
+runs the finest, and the result is the serial one bit for bit.
 """
 
 from __future__ import annotations
@@ -537,9 +538,10 @@ def _watched_run(advance, psi0, detector, steps, record_every, edge_cells, dx):
     (done, stop] together with psi at ``stop``, or with any array whose
     first and last ``edge_cells`` entries are psi's (`_free_run` returns
     just those rows); ``advance(steps, steps)`` takes no step and returns
-    the full psi.  At every ``steps // 64``-th step and the last one, no
-    more than 1e-10 of probability may sit in the ``edge_cells`` at either
-    end (`BoundaryContaminationError`); the final norm must hold to 1e-8
+    the full psi.  At every ``max(1, steps // 64)``-th step (so at every
+    step of a run under 128 steps) and at the last one, no more than 1e-10
+    of probability may sit in the ``edge_cells`` at either end
+    (`BoundaryContaminationError`); the final norm must hold to 1e-8
     (`NormDriftError`).
     """
     check_every = max(1, steps // 64)
@@ -662,6 +664,14 @@ def tdse_oracle(
     the band-limited peak of the correlation (`_band_limited_peak`), which
     a coarse clock biases far less than a 3-point parabola.
 
+    The rungs share no written state, so one worker thread runs the 4 dt
+    and 2 dt pairs while the calling thread runs the dt pair, about the same
+    work (scipy's tridiagonal solve releases the GIL).  Each run's
+    arithmetic and the order in which the rungs combine are the serial
+    ones, so the result is identical to a serial ladder's, and so is the
+    error: that of the coarsest failing rung.  The worker is joined before
+    the call returns or raises.
+
     Both records of each pair must have fallen below 1e-3 of their peak
     power by the last sample (`RecordTruncatedError` otherwise), so a
     window that cuts a dispersive packet short cannot pass as a delay.
@@ -716,8 +726,9 @@ def tdse_oracle(
     edge_cells = max(4, int(round(2.0 * sigma_end / dx)))
 
     band = _sine_band(psi0)  # the free runs' modes, shared by the ladder
-    times, norm_error, leak = [], 0.0, 0.0
-    for every in (1, 2, 4):  # steps 4 dt, 2 dt and dt, recorded every 4 dt
+
+    def rung(every: int):
+        """Times, norm error and leak of the pair at step clock / every."""
         step = clock / every
         layout = (psi0, detector, records * every, every, edge_cells, dx)
         series_b, norm_b, leak_b = _watched_run(
@@ -726,10 +737,24 @@ def tdse_oracle(
         series_f, norm_f, leak_f = _watched_run(
             _free_run(psi0, dx, step, detector, every, edge_cells, band), *layout
         )
-        times.append(_pair_times(series_b, series_f, clock))
-        norm_error = max(norm_error, norm_b, norm_f)
-        leak = max(leak, leak_b, leak_f)
-    coarsest, coarse, fine = times
+        return _pair_times(series_b, series_f, clock), max(norm_b, norm_f), max(leak_b, leak_f)
+
+    # imported here, as `_cayley_run` imports LAPACK: no CLI experiment runs the oracle
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker:
+        coarser = worker.submit(lambda: [rung(1), rung(2)])
+        try:
+            finest, error = rung(4), None
+        except Exception as exc:
+            error = exc
+        # outside the handler, so that a coarser rung's error comes first, as
+        # in a serial ladder, and carries no trace of the dt rung's
+        rungs = coarser.result()
+    if error is not None:
+        raise error
+    (coarsest, coarse, fine), norms, leaks = zip(*rungs, finest)
+    norm_error, leak = max(norms), max(leaks)
     pair_fine = fine + (fine - coarse) / 3.0  # R2(dt, 2 dt)
     pair_coarse = coarse + (coarse - coarsest) / 3.0  # R2(2 dt, 4 dt)
     delay, arrival_barrier, arrival_free = pair_fine + (pair_fine - pair_coarse) / 15.0

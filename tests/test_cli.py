@@ -368,6 +368,17 @@ class TestQuantumExperiment:
         assert values[1] == report.tau_d
         assert values[4] == report.apparent_speed
 
+    def test_zero_length_barrier_leaves_apparent_speed_empty(self, tmp_path):
+        # with no delay the apparent speed is undefined: None in the report,
+        # null in the JSON and an empty cell in the CSV
+        cfg = write_config(
+            tmp_path / "q.json", {"kind": "quantum", "v0": 2.0, "length": 0.0, "energy": 1.0}
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        assert (tmp_path / "out" / "q.csv").read_text().splitlines()[1] == "0,0,0,0,"
+        summary = json.loads((tmp_path / "out" / "q.json").read_text())
+        assert summary["results"]["apparent_speed"] is None
+
 
 class TestGratingExperiment:
     @pytest.mark.parametrize("length", [10.0, 1000.0, 2500.0])  # kappa L = 3, 300, 750
@@ -418,17 +429,45 @@ class TestStackExperiment:
         assert summary["results"]["unitarity_defect"] < 1e-12
 
 
-def test_import_does_not_load_scipy_integrate():
-    # the field integrals are closed forms, pulse responses are sampled on
-    # the FFT grid and only the wave-packet oracle imports scipy's tridiagonal
-    # solver, when it runs; every CLI call pays for what the package imports
+def modules_loaded_by_cli_import(package):
+    """Modules of ``package`` that a fresh ``import tunneltime, tunneltime.cli`` loads."""
     src = str(Path(tunneltime.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, tunneltime, tunneltime.cli; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        f"print([m for m in sys.modules if m == {package!r} or m.startswith({package!r} + '.')])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_does_not_load_scipy_integrate():
+    # the field integrals are closed forms, pulse responses are sampled on
+    # the FFT grid and only the wave-packet oracle imports scipy's tridiagonal
+    # solver, when it runs; every CLI call pays for what the package imports
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_import_does_not_load_concurrent_futures():
+    # only the wave-packet oracle runs a worker thread, and it imports the
+    # executor when it runs (about 8 ms that no CLI experiment needs)
+    assert modules_loaded_by_cli_import("concurrent") == "[]"
+
+
+def test_csv_text_matches_per_cell_rendering():
+    # the CSV bytes of every config rest on this rendering: each value
+    # through float() and format(..., ".17g"), None as an empty cell, one
+    # row per line
+    columns = {
+        "list": [-0.0, 5e-324, 1e300, 1, 0.1],
+        "array": np.array([1.0 / 3.0, -2.5e-308, 123456789012345678.0, 7.0, -1e-17]),
+        "scalars": [np.float64(0.2), np.float64(-0.0), 2**60, np.float64(5e-324), 3.0],
+        "with_none": [None, 2.5, -0.0, None, 1e-300],
+    }
+    expected = ",".join(columns) + "\n" + "".join(
+        ",".join("" if value is None else format(float(value), ".17g") for value in row) + "\n"
+        for row in zip(*columns.values())
+    )
+    assert cli._csv_text(columns) == expected

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,40 @@ from tunneltime.errors import (
     RecordTruncatedError,
     WraparoundDetectedError,
 )
+
+
+def ladder_packet(v0, width):
+    """An E = 1, kappa L = 5 barrier and a packet of delta_k = width * kappa, k0 = sqrt(2).
+
+    The packet starts 8 widths before the barrier; (8, 0.049) is the bench
+    ``tdse`` packet and (2, 0.02) criterion 9's.
+    """
+    kappa = np.sqrt(2.0 * (v0 - 1.0))
+    barrier = quantum.QuantumBarrier(v0, 5.0 / kappa)
+    delta_k = width * kappa
+    packet = timedomain.GaussianPacket(k0=np.sqrt(2.0), delta_k=delta_k, x0=-8.0 / (2.0 * delta_k))
+    return barrier, packet
+
+
+class SerialExecutor:
+    """`ThreadPoolExecutor` stand-in whose ``submit`` runs the call at once, on the caller."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn())
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def stencil_run(psi0, potential, dx, dt, detector, record_every):
@@ -326,15 +363,9 @@ class TestTdseOracle:
         ],
     )
     def test_dx_extrapolation_matches_closed_form_lag(self, v0, width, bound):
-        # an E = 1, kappa L = 5 barrier and a packet of delta_k = width * kappa:
         # the oracle at dx and dx/2, extrapolated in dx, against the lag the
         # closed form predicts for the whole packet
-        kappa = np.sqrt(2.0 * (v0 - 1.0))
-        barrier = quantum.QuantumBarrier(v0, 5.0 / kappa)
-        delta_k = width * kappa
-        packet = timedomain.GaussianPacket(
-            k0=np.sqrt(2.0), delta_k=delta_k, x0=-8.0 / (2.0 * delta_k)
-        )
+        barrier, packet = ladder_packet(v0, width)
         dx = 1.0 / (20.0 * packet.k0)
         # the barrier spans twice as many whole cells at dx/2, so the grid halves
         assert math.ceil(barrier.length / (0.5 * dx)) == 2 * math.ceil(barrier.length / dx)
@@ -360,6 +391,55 @@ class TestTdseOracle:
         dispersive = timedomain.GaussianPacket(k0=1.0, delta_k=0.25, x0=-16.0)
         with pytest.raises(RecordTruncatedError, match="free record"):
             timedomain.tdse_oracle(quantum.QuantumBarrier(13.0, 0.4), dispersive)
+
+    @pytest.mark.parametrize("case", ["small", "bench"])
+    def test_two_threads_give_the_serial_result(self, monkeypatch, case):
+        barrier, packet = self.small_packet() if case == "small" else ladder_packet(8.0, 0.049)
+        dx = 0.1 if case == "small" else None
+        threaded = timedomain.tdse_oracle(barrier, packet, dx=dx)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
+        serial = timedomain.tdse_oracle(barrier, packet, dx=dx)
+        assert dataclasses.asdict(threaded) == dataclasses.asdict(serial)
+
+    @pytest.mark.parametrize(
+        "failing, raised, finished",
+        [
+            pytest.param({4, 2, 1}, 4, set(), id="all"),
+            pytest.param({1}, 1, {4, 2}, id="dt-only"),
+            pytest.param({2, 1}, 2, {4}, id="2dt-and-dt"),
+            pytest.param({2}, 2, {4, 1}, id="2dt-only"),
+        ],
+    )
+    def test_failing_rungs_raise_the_serial_error(self, monkeypatch, failing, raised, finished):
+        # rungs named by their step in units of dt; each failing rung's pair
+        # raises with that step in its message.  The worker runs 4 dt, then
+        # 2 dt, and stops at its first error, as a serial ladder would; the
+        # caller runs dt, and a thread's rung is the one whose barrier run it
+        # started last
+        on_thread = threading.local()
+        done = set()
+        cayley_run, pair_times = timedomain._cayley_run, timedomain._pair_times
+
+        def tagged_cayley_run(psi0, potential, dx, dt, detector, record_every):
+            on_thread.step = 4 // record_every
+            return cayley_run(psi0, potential, dx, dt, detector, record_every)
+
+        def failing_pair_times(*args):
+            if on_thread.step in failing:
+                raise RecordTruncatedError(f"rung at step {on_thread.step} dt")
+            times = pair_times(*args)
+            done.add(on_thread.step)
+            return times
+
+        monkeypatch.setattr(timedomain, "_cayley_run", tagged_cayley_run)
+        monkeypatch.setattr(timedomain, "_pair_times", failing_pair_times)
+        barrier, packet = self.small_packet()
+        threads = threading.active_count()
+        with pytest.raises(RecordTruncatedError, match=f"step {raised} dt$") as error:
+            timedomain.tdse_oracle(barrier, packet, dx=0.1)
+        assert error.value.__context__ is None  # no other rung's error in its traceback
+        assert done == finished
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("clock", [0.2, 0.35])
     @pytest.mark.parametrize("shift", [0.123456, 1.7777, -2.6101])
