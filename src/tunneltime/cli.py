@@ -393,8 +393,14 @@ def _fs_conversions(summary: dict, scale_m: float) -> dict:
 
 
 def _check_finite(columns: dict, summary: dict):
-    """NonFiniteResultError naming the first NaN or infinite output value."""
-    for key, values in [*columns.items(), *((k, [v]) for k, v in summary.items())]:
+    """NonFiniteResultError naming the first NaN or infinite output value.
+
+    A column is checked whole; only one holding a NaN or infinity, as a None
+    also reads, is walked value by value, so None stays exempt.
+    """
+    suspect = [(key, values) for key, values in columns.items()
+               if not np.isfinite(np.asarray(values, dtype=float)).all()]
+    for key, values in [*suspect, *((k, [v]) for k, v in summary.items())]:
         for value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 raise NonFiniteResultError(f"result '{key}' is {value}")

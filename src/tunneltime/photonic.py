@@ -24,10 +24,10 @@ are read off at the front face, each layer's wave amplitudes at its own.
 A step's coefficients cos(delta), i sin(delta)/n and i n sin(delta) are
 formed once per layer type, a distinct (n, d) pair, and held from its first
 step to its last, so a periodic stack costs one cos and one sin per type and
-frequency, and each step four products and two differences.  A held type
-keeps one real and two complex arrays, 5 words per frequency.  A type that
-occurs once is never held; the most held at once is half the layers, for a
-palindrome of distinct layers.
+frequency, and each step four products and two differences, written into
+two reused arrays beside E and H.  A held type keeps three complex arrays,
+6 words per frequency.  A type that occurs once is never held; the most
+held at once is half the layers, for a palindrome of distinct layers.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, and a vacuum slab yields its length.
 """
@@ -61,6 +61,11 @@ _RESCALE_BOUND = 1e150
 # sections each k-section round cuts a stopband-edge bracket into, so one
 # march per round samples 63 interior points of every bracket
 _SECTIONS = 64
+
+# scan points marched on each side of omega_ref before the stopband walk;
+# a band that runs past them widens the window 4x at a time, so a narrow band
+# costs one march of 129 scan points, not the whole scan
+_SCAN_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -224,10 +229,12 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
     bound on their size past _RESCALE_BOUND, and never otherwise.  A step is
     (E, H) <- (cos(delta) E - p H, cos(delta) H - q E); a layer type's
     coefficients come from _step_coefficients at its first step and are held,
-    5 words per frequency, until its last.
+    6 words per frequency, until its last.  Steps write into reused arrays,
+    so a yielded (E, H, k) is valid only until the next step.
     """
     e = np.ones(omegas.shape, dtype=complex)
     h = np.full(omegas.shape, complex(stack.n_out))
+    e2, h2 = np.empty_like(e), np.empty_like(h)
     k = np.zeros(omegas.shape, dtype=int)
     bound = max(1.0, stack.n_out)
     # steps left per layer type, and the step coefficients of types with steps left
@@ -246,18 +253,34 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
             scale = np.ldexp(1.0, -shift)
             e, h, k, bound = e * scale, h * scale, k + shift, 1.0
         bound *= growth
-        e, h = cos_p * e - p * h, cos_p * h - q * e
+        # e2 = cos_p e - p h, then h2 = cos_p h - q e, with e's array free for
+        # cos_p h once q e is formed
+        np.multiply(p, h, out=h2)
+        np.multiply(cos_p, e, out=e2)
+        np.subtract(e2, h2, out=e2)
+        np.multiply(q, e, out=h2)
+        np.multiply(cos_p, h, out=e)
+        np.subtract(e, h2, out=h2)
+        # a type with no steps left frees its coefficients before the next
+        # type's are formed
+        del cos_p, p, q
+        e, e2, h, h2 = e2, e, h2, h
         yield e, h, k
 
 
 def _step_coefficients(n: float, d: float, omegas: np.ndarray):
     """growth, cos(delta), p = i sin(delta)/n and q = i n sin(delta) of one layer step.
 
-    growth bounds the factor by which one step can grow max(|E|, |H|).  The
-    phase and sin(delta) die here, so the march holds only what a step reads.
+    growth bounds the factor by which one step can grow max(|E|, |H|).
+    cos(delta) is held complex, cos(delta) + 0i, the value numpy casts a real
+    factor to in a product with a complex array, so each product keeps its
+    bits.  The phase and sin(delta) die here, so the march holds only what a
+    step reads.
     """
     phase = (n * d) * omegas
-    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    cos_p = np.zeros(omegas.shape, dtype=complex)
+    cos_p.real = np.cos(phase)
+    sin_p = np.sin(phase)
     return 1.0 + max(n, 1.0 / n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p)
 
 
@@ -400,8 +423,10 @@ def _layer_wave_coefficients(stack: LayeredStack, omega: float) -> np.ndarray:
     so opaque barriers stay accurate and too deep layers underflow to zero.
     """
     march = _backward_march(stack, np.asarray([float(omega)]))
-    # index 0 is the stack's front face, index N its exit face
-    e, h, k = (np.concatenate(col)[::-1] for col in zip(*march))
+    # a yield is rewritten by the next step, so each is copied; index 0 is
+    # the stack's front face, index N its exit face
+    faces = [(e.copy(), h.copy(), k.copy()) for e, h, k in march]
+    e, h, k = (np.concatenate(col)[::-1] for col in zip(*faces))
     incident, _ = _split_waves(e[0], h[0], stack.n_in)
     # unit input power: P_in = n_in |E0|^2 / 2
     scale = np.sqrt(2.0 / stack.n_in) * np.ldexp(1.0, k[:-1] - k[0]) / incident
@@ -506,26 +531,41 @@ def find_stopband(
     contiguous region below 0.5 around omega_ref is refined by k-section: every
     round samples both edge brackets at once and keeps, in each, the crossing
     nearest the band, so an edge bounds the below-0.5 run that holds
-    omega_ref.  An edge on the scan boundary stays there.  Raises
-    NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is read from
-    the scan's own march, so a passband omega_ref costs the full scan first.
+    omega_ref.  An edge on the scan boundary stays there.  The scan is marched
+    only in a window around omega_ref, _SCAN_WINDOW points a side, widened 4x
+    while the run below 0.5 reaches a window edge that is not a scan end.
+    Raises NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is
+    read from the first window's march, so a passband omega_ref costs one
+    window.
     """
     lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
     hi = omega_ref * (1.0 + scan_factor)
     omegas = np.linspace(lo, hi, scan_points)
-    # omega_ref rides along as the last frequency of the scan's march; an
-    # elementwise march gives it the same bits as a march of its own
-    power = _transmittance(stack, np.append(omegas, omega_ref))
+    j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
+    # the march is elementwise, so a frequency gets the same bits whichever
+    # frequencies ride with it: omega_ref rides along as the last frequency
+    # of the first window, and a widened window marches only its new points
+    half = _SCAN_WINDOW
+    a, b = max(j_ref - half, 0), min(j_ref + half + 1, scan_points)
+    power = _transmittance(stack, np.append(omegas[a:b], omega_ref))
     if power[-1] >= 0.5:
         raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5; not inside a stopband")
-    below = power[:-1] < 0.5
-    j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
+    below = np.zeros(scan_points, dtype=bool)  # known on omegas[a:b]
+    below[a:b] = power[:-1] < 0.5
 
     j_lo = j_hi = j_ref
-    while j_lo > 0 and below[j_lo - 1]:
-        j_lo -= 1
-    while j_hi < scan_points - 1 and below[j_hi + 1]:
-        j_hi += 1
+    while True:
+        while j_lo > a and below[j_lo - 1]:
+            j_lo -= 1
+        while j_hi < b - 1 and below[j_hi + 1]:
+            j_hi += 1
+        if not (j_lo == a > 0 or j_hi == b - 1 < scan_points - 1):
+            break
+        half *= 4
+        wide_a, wide_b = max(j_ref - half, 0), min(j_ref + half + 1, scan_points)
+        fresh = np.r_[wide_a:a, b:wide_b]
+        below[fresh] = _transmittance(stack, omegas[fresh]) < 0.5
+        a, b = wide_a, wide_b
     # an edge on the scan boundary gets an empty bracket and keeps its sample
     inside = omegas[[j_lo, j_hi]]
     outside = omegas[[max(j_lo - 1, 0), min(j_hi + 1, scan_points - 1)]]

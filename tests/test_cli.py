@@ -15,6 +15,7 @@ import pytest
 from conftest import LAMBDA0, OMEGA0
 import tunneltime
 from tunneltime import analysis, cli, quantum
+from tunneltime.errors import NonFiniteResultError
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -471,3 +472,17 @@ def test_csv_text_matches_per_cell_rendering():
         for row in zip(*columns.values())
     )
     assert cli._csv_text(columns) == expected
+
+
+def test_check_finite_names_the_first_non_finite_value():
+    good = [0.5, -0.0, 1e300]
+    with pytest.raises(NonFiniteResultError, match="result 'b' is nan"):
+        cli._check_finite({"a": good, "b": [1.0, float("nan"), 2.0], "c": [float("inf")] * 3}, {})
+    with pytest.raises(NonFiniteResultError, match="result 'array' is -inf"):
+        cli._check_finite({"a": good, "array": np.array([1.0, 2.0, -np.inf])}, {})
+    with pytest.raises(NonFiniteResultError, match="result 'mixed' is nan"):
+        cli._check_finite({"mixed": [None, float("nan"), 1.0]}, {})
+    with pytest.raises(NonFiniteResultError, match="result 'tau_g' is nan"):
+        cli._check_finite({"a": good}, {"kind": "skc", "tau_g": float("nan")})
+    # None is an empty cell, not a failure, in a column and in the summary alike
+    cli._check_finite({"a": good, "speed": [None, 2.0, None]}, {"speed": None, "ok": True})

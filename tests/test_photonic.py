@@ -33,7 +33,34 @@ def uncached_march(stack, omegas):
         yield e, h, k
 
 
-def bisection_stopband(stack, omega_ref, scan_factor=0.7, scan_points=4001):
+def full_scan_brackets(stack, omega_ref, scan_factor=0.7, scan_points=4001):
+    """find_stopband's scan and walk, marching the whole scan at once.
+
+    Returns the (outside, inside) brackets of the lower and upper edge; an
+    edge on the scan boundary gets the empty bracket of its scan end.
+    """
+    lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
+    omegas = np.linspace(lo, omega_ref * (1.0 + scan_factor), scan_points)
+    power = photonic._transmittance(stack, np.append(omegas, omega_ref))
+    if power[-1] >= 0.5:
+        raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5")
+    below = power[:-1] < 0.5
+    j_lo = j_hi = int(np.argmin(np.abs(omegas - omega_ref)))
+    while j_lo > 0 and below[j_lo - 1]:
+        j_lo -= 1
+    while j_hi < scan_points - 1 and below[j_hi + 1]:
+        j_hi += 1
+    outside = omegas[[max(j_lo - 1, 0), min(j_hi + 1, scan_points - 1)]]
+    return outside, omegas[[j_lo, j_hi]]
+
+
+def full_scan_stopband(stack, omega_ref, **scan):
+    """find_stopband with the whole scan marched before the walk."""
+    lower, upper = photonic._k_section(stack, *full_scan_brackets(stack, omega_ref, **scan))
+    return photonic.Stopband(lower=float(lower), upper=float(upper))
+
+
+def bisection_stopband(stack, omega_ref, **scan):
     """find_stopband's scan and walk with each edge bisected on its own."""
 
     def bisect(outside, inside):
@@ -47,20 +74,7 @@ def bisection_stopband(stack, omega_ref, scan_factor=0.7, scan_points=4001):
                 break
         return 0.5 * (outside + inside)
 
-    lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
-    omegas = np.linspace(lo, omega_ref * (1.0 + scan_factor), scan_points)
-    t, _ = photonic.stack_t_r_samples(stack, omegas)
-    below = np.abs(t) ** 2 < 0.5
-    j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
-    j = j_ref
-    while j > 0 and below[j - 1]:
-        j -= 1
-    lower = omegas[j] if j == 0 else bisect(omegas[j - 1], omegas[j])
-    j = j_ref
-    while j < scan_points - 1 and below[j + 1]:
-        j += 1
-    upper = omegas[j] if j == scan_points - 1 else bisect(omegas[j + 1], omegas[j])
-    return lower, upper
+    return tuple(map(bisect, *full_scan_brackets(stack, omega_ref, **scan)))
 
 
 class TestTypes:
@@ -221,6 +235,23 @@ class TestMarchCache:
             assert np.all(k > 0)
         if case in ("grating", "recurring", "palindrome"):
             assert len(set(stack.layers)) < len(stack.layers)
+
+    @pytest.mark.parametrize("case", ["rescaled", "recurring"])
+    def test_wave_coefficients_match_uncached_march(self, case, monkeypatch):
+        # the march rewrites its arrays at every step, so the amplitudes of
+        # each layer must come from a copy of the face they are read off
+        if case == "rescaled":
+            stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 601, LAMBDA0, n_in=1.3, n_out=1.7)
+            omega = OMEGA0
+        else:
+            cell = ((2.3, 0.11), (1.4, 0.37), (3.1, 0.05))
+            stack = photonic.LayeredStack(cell * 40, n_in=1.2, n_out=1.5)
+            omega = 6.0
+        got = photonic._layer_wave_coefficients(stack, omega)
+        monkeypatch.setattr(photonic, "_backward_march", uncached_march)
+        want = photonic._layer_wave_coefficients(stack, omega)
+        assert got.shape == (len(stack.layers), 2)
+        assert np.array_equal(got, want)
 
     def test_trig_once_per_layer_type(self, front_stack, monkeypatch):
         calls = {"cos": 0, "sin": 0}
@@ -553,6 +584,50 @@ class TestStopbandAndPhaseEnergy:
         monkeypatch.setattr(photonic, "_stack_t_r", counted)
         photonic.find_stopband(front_stack, OMEGA0)
         assert len(marches) <= 10
+
+    @pytest.mark.parametrize("case", ["front", "skc-and-pulse", "rescaled", "scan-boundary"])
+    def test_windowed_scan_matches_the_full_scan(self, case, skc_stack, front_stack):
+        # the skc and pulse configs share one stack and carrier; the 3.0/1.0
+        # stack rescales in its march and widens the window twice, and the
+        # short scan puts the lower edge on the scan's end
+        scan = {}
+        if case == "front":
+            stack, omega = front_stack, OMEGA0
+        elif case == "skc-and-pulse":
+            stack, omega = skc_stack, OMEGA0
+        elif case == "rescaled":
+            stack, omega = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0), 2.0 * np.pi
+        else:
+            stack, omega, scan = skc_stack, 1.1 * OMEGA0, {"scan_factor": 0.05}
+        band = photonic.find_stopband(stack, omega, **scan)
+        assert band == full_scan_stopband(stack, omega, **scan)
+        if case == "scan-boundary":
+            assert band.lower == omega * 0.95
+
+    def test_narrow_band_marches_one_window(self, front_stack, monkeypatch):
+        # a march of the whole scan would take 4002 frequencies
+        sizes = []
+        transmittance = photonic._transmittance
+
+        def recorded(stack, omegas):
+            sizes.append(np.size(omegas))
+            return transmittance(stack, omegas)
+
+        monkeypatch.setattr(photonic, "_transmittance", recorded)
+        photonic.find_stopband(front_stack, OMEGA0)
+        assert sizes[0] == 130
+        assert sum(sizes) <= 130 + 6 * 126
+        sizes.clear()
+        with pytest.raises(NotInStopbandError):
+            photonic.find_stopband(photonic.LayeredStack.vacuum_slab(1.0), 5.0)
+        assert sizes == [130]
+
+    def test_passband_reference_raises_like_the_full_scan(self, skc_stack):
+        omega = 1.5 * OMEGA0
+        with pytest.raises(NotInStopbandError):
+            full_scan_stopband(skc_stack, omega)
+        with pytest.raises(NotInStopbandError):
+            photonic.find_stopband(skc_stack, omega)
 
     def test_not_in_stopband_for_transparent_structure(self):
         with pytest.raises(NotInStopbandError):
