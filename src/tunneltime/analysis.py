@@ -20,6 +20,9 @@ from .errors import FitFailureError, NotInStopbandError
 from .photonic import LayeredStack, UniformGrating
 from .quantum import QuantumBarrier
 
+# slices per grating period of the stack behind a grating family's field depth
+_SLICES_PER_PERIOD = 30
+
 
 @dataclass(frozen=True)
 class QuantumBarrierFamily:
@@ -59,13 +62,14 @@ class GratingFamily:
     def stored(self, length: float) -> float:
         return photonic.grating_stored_energy(self._grating(length), self.omega_b)
 
-    def field_penetration_depth(self, length: float, slices_per_period: int = 30) -> Optional[float]:
+    def field_penetration_depth(self, length: float) -> Optional[float]:
         """Field 1/e depth measured on the sliced-stack energy-density profile.
 
-        This is an independent estimate (backward-march fields of the
-        discretized index profile) of the coupled-mode prediction 1/kappa.
+        This is an independent estimate (backward-march fields of the index
+        profile cut into _SLICES_PER_PERIOD slices a period) of the
+        coupled-mode prediction 1/kappa.
         """
-        stack = self._grating(length).as_layered_stack(slices_per_period)
+        stack = self._grating(length).as_layered_stack(_SLICES_PER_PERIOD)
         return photonic.stored_energy(stack, self.omega_b).penetration_depth
 
 

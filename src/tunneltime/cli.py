@@ -358,11 +358,13 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def _csv_text(columns: Dict[str, Sequence]) -> str:
-    """Header and one line per row: ``%.17g`` of each value's float, None an empty cell."""
+def _csv_text(columns: Dict[str, Sequence], arrays: Dict[str, np.ndarray]) -> str:
+    """Header and one line per row: ``%.17g`` of each value's float, None an empty cell.
+
+    ``arrays`` holds each column as a float array, a None as nan.
+    """
     cells, specs = [], []
-    for values in columns.values():
-        floats = np.asarray(values, dtype=float)  # None converts to nan
+    for values, floats in zip(columns.values(), arrays.values()):
         if np.isnan(floats).any():
             cells.append(["" if v is None else "%.17g" % float(v) for v in values])
             specs.append("%s")
@@ -392,14 +394,15 @@ def _fs_conversions(summary: dict, scale_m: float) -> dict:
     }
 
 
-def _check_finite(columns: dict, summary: dict):
+def _check_finite(columns: dict, arrays: Dict[str, np.ndarray], summary: dict):
     """NonFiniteResultError naming the first NaN or infinite output value.
 
-    A column is checked whole; only one holding a NaN or infinity, as a None
-    also reads, is walked value by value, so None stays exempt.
+    A column is checked whole, on its float array in ``arrays``; only one
+    holding a NaN or infinity, as a None also reads, is walked value by
+    value, so None stays exempt.
     """
     suspect = [(key, values) for key, values in columns.items()
-               if not np.isfinite(np.asarray(values, dtype=float)).all()]
+               if not np.isfinite(arrays[key]).all()]
     for key, values in [*suspect, *((k, [v]) for k, v in summary.items())]:
         for value in values:
             if isinstance(value, float) and not math.isfinite(value):
@@ -437,14 +440,15 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
             return 2
         if units is not None:
             summary.update(_fs_conversions(summary, units["length_scale_m"]))
-        _check_finite(columns, summary)
+        arrays = {key: np.asarray(values, dtype=float) for key, values in columns.items()}
+        _check_finite(columns, arrays, summary)
     except (TunnelTimeError, ValueError) as exc:
         failure = report(status="numerical failure", error=type(exc).__name__, message=str(exc))
         _write(output_dir, f"{basename}.json", failure)
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if out_format in ("csv", "both"):
-        _write(output_dir, f"{basename}.csv", _csv_text(columns))
+        _write(output_dir, f"{basename}.csv", _csv_text(columns, arrays))
     if out_format in ("json", "both"):
         _write(output_dir, f"{basename}.json", report(results=summary))
     return 0

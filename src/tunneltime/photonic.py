@@ -21,6 +21,8 @@ steps the interface fields back by
 
 delta = n d w, with exact power-of-two rescaling against overflow.  t and r
 are read off at the front face, each layer's wave amplitudes at its own.
+The same march can carry dE/dw and dH/dw beside E and H, which gives the
+group delay exactly, with no sampled phase.
 A step's coefficients cos(delta), i sin(delta)/n and i n sin(delta) are
 formed once per layer type, a distinct (n, d) pair, and held from its first
 step to its last, so a periodic stack costs one cos and one sin per type and
@@ -47,12 +49,8 @@ from .errors import DetuningOutOfRangeError, NotInStopbandError
 # is trusted
 _GRATING_VALIDITY = 0.2
 
-# relative half-width of the frequency grid used for group-delay stencils;
-# small enough that the stencil truncation stays below the 1e-6 convergence
-# gate even for sharp resonances, while staying well above roundoff
-_DELAY_GRID_REL_HALFWIDTH = 1e-6
-
-_MIN_FIELD_POINTS_PER_LAYER = 32
+# samples per layer of a reconstructed field profile
+_FIELD_POINTS_PER_LAYER = 32
 
 # growth bound at which the backward march rescales: far below overflow, and
 # out of reach of short or weakly modulated stacks
@@ -221,7 +219,7 @@ class PhaseEnergyReport:
     max_residual: float
 
 
-def _backward_march(stack: LayeredStack, omegas: np.ndarray):
+def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
     """(E, H, k) at the exit face, then at each layer's front face, last layer first.
 
     The true fields are 2^k (E, H), k an integer per frequency: E and H are
@@ -231,9 +229,18 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
     coefficients come from _step_coefficients at its first step and are held,
     6 words per frequency, until its last.  Steps write into reused arrays,
     so a yielded (E, H, k) is valid only until the next step.
+
+    With ``slope``, E and H are (2, F) arrays whose row 1 is dE/dw and dH/dw.
+    The step matrix is M = exp(w d G) with G = -i [[0, 1], [n^2, 0]], so
+    dM/dw = d G M: both rows take the same step, and row 1 then gains
+    d G (E, H) = -i d (H, n^2 E) of the stepped row 0.  The rescale shift
+    takes the larger of both rows; the 2^k scale cancels in any ratio of a
+    derivative to its value.
     """
     e = np.ones(omegas.shape, dtype=complex)
     h = np.full(omegas.shape, complex(stack.n_out))
+    if slope:  # the exit fields do not depend on w
+        e, h = np.stack((e, np.zeros_like(e))), np.stack((h, np.zeros_like(h)))
     e2, h2 = np.empty_like(e), np.empty_like(h)
     k = np.zeros(omegas.shape, dtype=int)
     bound = max(1.0, stack.n_out)
@@ -249,7 +256,8 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
             held[layer] = coeffs
         growth, cos_p, p, q = coeffs
         if bound * growth > _RESCALE_BOUND:
-            _, shift = np.frexp(np.maximum(np.abs(e), np.abs(h)))
+            size = np.maximum(np.abs(e), np.abs(h))
+            _, shift = np.frexp(size.max(axis=0) if slope else size)
             scale = np.ldexp(1.0, -shift)
             e, h, k, bound = e * scale, h * scale, k + shift, 1.0
         bound *= growth
@@ -265,6 +273,12 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray):
         # type's are formed
         del cos_p, p, q
         e, e2, h, h2 = e2, e, h2, h
+        if slope:
+            # row 1 outgrows the bound by a factor of order the stack's
+            # optical thickness, far inside the margin below overflow
+            n, d = layer
+            e[1] -= (1j * d) * h[0]
+            h[1] -= (1j * d * n * n) * e[0]
         yield e, h, k
 
 
@@ -289,16 +303,22 @@ def _split_waves(e, h, n):
     return 0.5 * (e + h / n), 0.5 * (e - h / n)
 
 
-def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
-    """t and r at positive frequencies, read off the backward march's front face.
+def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
+    """Incident and reflected amplitudes a, b and the exponent k at the front face.
 
-    With incident and reflected amplitudes a, b there, t = 2^(-k)/a and r = b/a.
+    Each amplitude is 2^(-k) times the true one; with ``slope`` each is a
+    (2, F) array whose row 1 is its w-derivative.
     """
     if np.any(omegas <= 0.0):
         raise ValueError("frequencies must be positive")
-    for e, h, k in _backward_march(stack, omegas):
+    for e, h, k in _backward_march(stack, omegas, slope):
         pass  # only the front face is needed
-    incident, reflected = _split_waves(e, h, stack.n_in)
+    return (*_split_waves(e, h, stack.n_in), k)
+
+
+def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
+    """t and r at positive frequencies: t = 2^(-k)/a and r = b/a at the front face."""
+    incident, reflected, k = _front_face(stack, omegas)
     return np.ldexp(1.0, -k) / incident, reflected / incident
 
 
@@ -376,7 +396,7 @@ def grating_envelopes(grating: UniformGrating, omega: float, z: np.ndarray):
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     """Stored energy per unit input power, U/P_in = n_bar * int(|R|^2 + |S|^2) dz.
 
-    A field integral, independent of the phase-derivative route of
+    A field integral, independent of the exact phase derivative of
     :func:`grating_group_delay`.  Exact with gamma = sqrt(kappa^2 - delta^2)
     complex, inside, at the edge of and outside the stopband alike:
     U/P_in = n_bar |t|^2 L [1 + 4 kappa^2 L^2 h(2 gamma L)], h(z) = (sinh z - z)/z^3.
@@ -386,22 +406,18 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     return float(grating.n_bar * integral)
 
 
-def reconstruct_fields(
-    stack: LayeredStack,
-    omega: float,
-    points_per_layer: int = _MIN_FIELD_POINTS_PER_LAYER,
-) -> FieldProfile:
+def reconstruct_fields(stack: LayeredStack, omega: float) -> FieldProfile:
     """E and H through the stack, unit input power normalization.
 
+    Sampled at _FIELD_POINTS_PER_LAYER points per layer, both faces included.
     Inside layer j, at distance s from its front face,
     E = a_j e^{i n w s} + b_j e^{-i n w s} and H = n (a_j e^{i n w s} - b_j e^{-i n w s})
     with the wave amplitudes of :func:`_layer_wave_coefficients`.
     """
-    points_per_layer = max(points_per_layer, _MIN_FIELD_POINTS_PER_LAYER)
     coeffs = _layer_wave_coefficients(stack, omega)
     index, thickness = (np.asarray(col) for col in zip(*stack.layers))
     edges = np.concatenate(([0.0], np.cumsum(thickness)))
-    s = np.linspace(0.0, thickness, points_per_layer, axis=1)
+    s = np.linspace(0.0, thickness, _FIELD_POINTS_PER_LAYER, axis=1)
     phase = (index * omega)[:, None] * s
     forward = coeffs[:, :1] * np.exp(1j * phase)
     backward = coeffs[:, 1:] * np.exp(-1j * phase)
@@ -409,7 +425,7 @@ def reconstruct_fields(
         z=(edges[:-1, None] + s).ravel(),
         e=(forward + backward).ravel(),
         h=(index[:, None] * (forward - backward)).ravel(),
-        index=np.repeat(index, points_per_layer),
+        index=np.repeat(index, _FIELD_POINTS_PER_LAYER),
         layer_edges=edges,
     )
 
@@ -503,15 +519,29 @@ def _fit_penetration_depth(stack, omega, densities) -> Optional[float]:
 
 
 def group_delay(stack: LayeredStack, omega: float) -> float:
-    """Group delay d(arg t)/dw of a stack via the shared phase stencil."""
-    half = _DELAY_GRID_REL_HALFWIDTH * omega
-    return spectral.group_delay(lambda grid: stack_response(stack, grid), omega, half).value
+    """Exact group delay d(arg t)/dw = -Im(a'/a) of a stack at ``omega`` > 0.
+
+    t = 2^(-k)/a, and a and a' = da/dw come from one slope march
+    (:func:`_backward_march`), so the delay stays finite on a stack so opaque
+    that t itself underflows to zero.
+    """
+    incident, _, _ = _front_face(stack, np.asarray([float(omega)]), slope=True)
+    # 0.0 - x rather than -x, so an empty stack's zero delay is +0.0
+    return float(0.0 - (incident[1] / incident[0]).imag[0])
 
 
 def grating_group_delay(grating: UniformGrating, omega: float) -> float:
-    """Group delay of a uniform grating from the coupled-mode phase."""
-    half = _DELAY_GRID_REL_HALFWIDTH * omega
-    return spectral.group_delay(lambda grid: grating_response(grating, grid), omega, half).value
+    """Exact group delay d(arg t)/dw of a uniform grating, coupled-mode theory.
+
+    The two-wave delay of :func:`spectral._two_wave_delay` with rate
+    gamma = sqrt(kappa^2 - delta^2), a = -delta, da/dw = -n_bar and
+    d(gamma^2)/dw = -2 delta n_bar; finite on gratings too opaque for t.
+    """
+    *_, gamma = _grating_closed_form(grating, omega)
+    delta = float(grating.detuning(omega))
+    n_bar = grating.n_bar
+    return spectral._two_wave_delay(complex(gamma), -delta, -n_bar, -2.0 * delta * n_bar,
+                                    grating.length)
 
 
 def _transmittance(stack: LayeredStack, omegas) -> np.ndarray:

@@ -7,13 +7,16 @@ Phase convention: the incident wave is exp(ikx) for x <= 0 and the
 transmitted wave is t * exp(ik(x - L)) for x >= L, i.e. the transmission
 phase is anchored at the barrier exit.  A vanishing barrier then gives
 t -> exp(ikL) and a zero-length barrier gives t = 1 exactly.  With this
-anchoring the group delay is simply d(arg t)/dE.  t and r come from the
-scaled two-wave closed form of :mod:`spectral` with kappa taken complex: one
-expression below, at and above the barrier top, finite on opaque barriers.
+anchoring the group delay is simply d(arg t)/dE.  t, r and that delay come
+from the scaled two-wave closed form of :mod:`spectral` with kappa taken
+complex: one expression below, at and above the barrier top, finite on
+opaque barriers.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,10 +24,6 @@ import numpy as np
 
 from . import spectral
 from .errors import AboveBarrierError, NonPositiveEnergyError
-
-# half-width of the energy grid used for phase differentiation, as a
-# fraction of E
-_ENERGY_GRID_REL_HALFWIDTH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -164,23 +163,21 @@ def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
     )
 
 
-def _response(barrier: QuantumBarrier, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
-    t, r, _, _ = _closed_form(barrier, grid.omegas)
-    return spectral.ComplexResponse(grid, t, r)
-
-
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:
-    """Group delay tau_g = d(arg t)/dE at the exit-anchored convention.
+    """Exact group delay tau_g = d(arg t)/dE at the exit-anchored convention.
 
-    Differentiation runs on a 9-point energy grid of half-width 1e-4*E
-    through the shared spectral stencil.  The closed form continues
-    analytically above the barrier, so the free-propagation limit
-    v0 -> 0 reproduces tau_g -> L/k.
+    The two-wave delay of :func:`spectral._two_wave_delay` with rate
+    kappa = sqrt(2 (v0 - E)) taken complex, a = (v0 - 2E)/k,
+    da/dE = -2/k - a/k^2 and d(kappa^2)/dE = -2: one expression below, at
+    and above the barrier top, finite on barriers too opaque for t.  The
+    free-propagation limit v0 -> 0 reproduces tau_g -> L/k.
     """
     if energy <= 0.0:
         raise NonPositiveEnergyError("energy must be positive")
-    half = _ENERGY_GRID_REL_HALFWIDTH * energy
-    return spectral.group_delay(lambda grid: _response(barrier, grid), energy, half).value
+    k = math.sqrt(2.0 * energy)
+    kappa = cmath.sqrt(2.0 * (barrier.v0 - energy))
+    a = (barrier.v0 - 2.0 * energy) / k
+    return spectral._two_wave_delay(kappa, a, -2.0 / k - a / k ** 2, -2.0, barrier.length)
 
 
 def dwell_time(barrier: QuantumBarrier, energy: float) -> float:

@@ -1,6 +1,6 @@
 """Shared spectral substrate: frequency grids, complex responses, phase tools,
 and the two-wave barrier of the quantum rectangle and the uniform grating
-(scaled closed-form t and r, exact field integral).
+(scaled closed-form t and r, exact group delay, exact field integral).
 
 Conventions
 -----------
@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +39,6 @@ _AMPLITUDE_FLOOR = 1e-300
 
 # fractional non-uniformity tolerated in "uniform" grids
 _UNIFORMITY_TOL = 1e-9
-
-# samples of a group-delay grid: 4 on each side of the centre, as the
-# h / 2h stencil pair of phase_derivative needs
-_DELAY_STENCIL_POINTS = 9
 
 # Taylor coefficients 1/13!, 1/11!, ..., 1/3! of h(z) = (sinh z - z)/z^3 in z^2;
 # below the cutoff they reach roundoff and avoid the cancellation in sinh z - z
@@ -217,20 +213,6 @@ def phase_derivative(phase: UnwrappedPhase, at: float) -> DerivativeEstimate:
     return DerivativeEstimate(value=float(value), error=float(disagreement / 15.0))
 
 
-def group_delay(
-    response: Callable[[FrequencyGrid], ComplexResponse], at: float, half_width: float
-) -> DerivativeEstimate:
-    """d(arg t)/d(omega) at ``at``: the one phase-derivative delay route.
-
-    ``response`` maps a grid to its complex response.  It is sampled on
-    9 points spanning ``at +/- half_width`` -- exactly the samples the
-    Richardson stencil pair needs -- and the unwrapped phase is
-    differentiated at the centre.
-    """
-    grid = FrequencyGrid.centered(at, half_width, _DELAY_STENCIL_POINTS)
-    return phase_derivative(unwrap_phase(response(grid)), at)
-
-
 def _h_series(z):
     """h(z) = (sinh z - z)/z^3 by its Taylor series; accurate below the cutoff."""
     h = 0.0
@@ -262,6 +244,40 @@ def _two_wave(rate, a, b, length):
     sinh_over_rate = length * np.where(small, series, 0.5 * (turn - far) / np.where(small, 1.0, z))
     scaled_t = 1.0 / (0.5 * (turn + far) + 1j * a * sinh_over_rate)
     return decay * scaled_t, 1j * b * sinh_over_rate * scaled_t, scaled_t
+
+
+def _two_wave_delay(rate, a, da, ds, length: float) -> float:
+    """Exact group delay -Im(D'/D) of a two-wave barrier (see :func:`_two_wave`).
+
+    t = 1/D with D = cosh z + i a sinh(z)/rate and z = rate L, so
+    d(arg t)/dx = -Im(D'/D) for the variable x that ``da`` = da/dx and
+    ``ds`` = ds/dx differentiate by, s = rate^2.  In s,
+
+        d cosh z = (L/2) sinh(z)/rate,  d(sinh(z)/rate) = (L^3/2) g(z),
+
+    with g(z) = (z cosh z - sinh z)/z^3, entire and even; below the cutoff
+    g(z) = (1 + z^2 h(z/2)/4)^2/2 - h(z), from cosh z = 1 + 2 sinh^2(z/2).
+    D and D' are carried times e^{-Re z}, which cancels in the ratio, so
+    the delay stays finite where t underflows; rate = 0 needs no branch.
+    """
+    rate = complex(rate)
+    z = rate * length
+    decay = math.exp(-z.real)
+    turn, far = cmath.exp(1j * z.imag), cmath.exp(-z - z.real)
+    cosh_z = 0.5 * (turn + far)
+    if abs(z) < _H_SERIES_CUTOFF:
+        h = _h_series(z)
+        sinh_over_rate = length * (1.0 + z * z * h) * decay
+        g = (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
+    else:
+        sinh_z = 0.5 * (turn - far)
+        sinh_over_rate = length * sinh_z / z
+        g = (z * cosh_z - sinh_z) / z ** 3
+    d = cosh_z + 1j * a * sinh_over_rate
+    d_slope = (ds * 0.5 * length * (sinh_over_rate + 1j * a * length ** 2 * g)
+               + 1j * da * sinh_over_rate)
+    # 0.0 - x rather than -x, so a zero delay (L = 0) is +0.0, never -0.0
+    return 0.0 - (d_slope / d).imag
 
 
 def _two_wave_integral(scaled_t, rate, coupling: float, length: float) -> float:

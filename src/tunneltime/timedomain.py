@@ -49,6 +49,7 @@ from .quantum import QuantumBarrier
 
 _EDGE_DECAY = 1e-12          # envelope floor at record ends, relative to peak
 _WRAPAROUND_LIMIT = 1e-9     # synthesized records must stay below this at ends
+_DURATION_FACTOR = 16.0       # a Gaussian record spans this many intensity FWHMs
 # oracle detector window past the peak arrival, in packet widths at arrival
 _WINDOW_WIDTHS = 8.0
 # oracle default finest step in units of the default cell squared, (1/(20 k0))^2:
@@ -118,21 +119,15 @@ class PulseEnvelope:
         return right - left
 
     @classmethod
-    def gaussian(
-        cls,
-        omega0: float,
-        sigma_t: float,
-        samples: int = 4096,
-        duration_factor: float = 16.0,
-    ) -> "PulseEnvelope":
+    def gaussian(cls, omega0: float, sigma_t: float, samples: int = 4096) -> "PulseEnvelope":
         """Gaussian envelope exp(-t^2 / (2 sigma_t^2)) on a centered record.
 
-        The record spans ``duration_factor`` times the intensity FWHM
+        The record spans _DURATION_FACTOR = 16 times the intensity FWHM
         (2 sqrt(ln 2) sigma_t), which keeps the ends far below the 1e-12
-        decay floor for any factor >= 16.
+        decay floor.
         """
         fwhm = 2.0 * np.sqrt(np.log(2.0)) * sigma_t  # FWHM of |A|^2
-        span = duration_factor * fwhm
+        span = _DURATION_FACTOR * fwhm
         dt = span / samples
         times = (np.arange(samples) - samples // 2) * dt
         a = np.exp(-(times ** 2) / (2.0 * sigma_t ** 2)).astype(complex)
@@ -140,15 +135,11 @@ class PulseEnvelope:
 
     @classmethod
     def gaussian_with_bandwidth(
-        cls,
-        omega0: float,
-        bandwidth: float,
-        samples: int = 4096,
-        duration_factor: float = 16.0,
+        cls, omega0: float, bandwidth: float, samples: int = 4096
     ) -> "PulseEnvelope":
         """Gaussian whose power-spectrum FWHM equals ``bandwidth``."""
         sigma_t = 2.0 * np.sqrt(np.log(2.0)) / bandwidth
-        return cls.gaussian(omega0, sigma_t, samples, duration_factor)
+        return cls.gaussian(omega0, sigma_t, samples)
 
 
 @dataclass(frozen=True)
@@ -253,14 +244,16 @@ def propagate_spectral(
 ) -> PropagationResult:
     """Send a narrowband envelope through a complex response.
 
-    ``response`` maps a grid to its complex response, as for
-    `spectral.group_delay`; it is sampled once, on ``pulse.fft_grid()``, so
-    each FFT bin meets its own frequency.  The output is the inverse
-    transform of t(omega0 + W) times the input spectrum.  The quasi-static
-    deviation compares the output against T0 * A(0, t - tau_g) (the
-    lumped-element prediction), with T0 the carrier transmission and tau_g
-    the phase-derivative group delay; the reference delayed envelope is
-    evaluated by the exact spectral shift.
+    ``response`` maps a grid to its complex response, as
+    `photonic.stack_response` does; it is sampled once, on
+    ``pulse.fft_grid()``, so each FFT bin meets its own frequency.  The
+    output is the inverse transform of t(omega0 + W) times the input
+    spectrum.  The quasi-static deviation compares the output against
+    T0 * A(0, t - tau_g) (the lumped-element prediction), with T0 the
+    carrier transmission and tau_g the Richardson-stencil slope
+    (`spectral.phase_derivative`) of the unwrapped phase on that same FFT
+    grid at the carrier; the reference delayed envelope is evaluated by the
+    exact spectral shift.
     """
     resp = response(pulse.fft_grid())
     t_fft, r_fft = np.fft.ifftshift(resp.t), np.fft.ifftshift(resp.r)

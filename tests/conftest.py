@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tunneltime import photonic
+from tunneltime import photonic, spectral
 
 # design wavelength used by the photonic fixtures (length units are microns
 # when reporting physical equivalents; the core never cares)
@@ -158,3 +158,17 @@ def random_stack(rng: np.random.Generator) -> photonic.LayeredStack:
         for _ in range(count)
     )
     return photonic.LayeredStack(layers)
+
+
+def sampled_phase_slope(values_of, at: float, half_width: float) -> float:
+    """d(arg f)/d(omega) at ``at`` from 9 samples spanning ``at +/- half_width``.
+
+    ``values_of`` maps an array of frequencies to complex values f.  Their
+    unwrapped phase is differentiated by the Richardson stencil pair of
+    :func:`spectral.phase_derivative`: a sampled-phase slope, independent of
+    the exact group delays it checks.
+    """
+    grid = spectral.FrequencyGrid.centered(at, half_width, 9)
+    values = values_of(grid.omegas)
+    response = spectral.ComplexResponse(grid, values, np.zeros_like(values))
+    return spectral.phase_derivative(spectral.unwrap_phase(response), at).value

@@ -292,17 +292,6 @@ class TestNumericalFailure:
         assert summary["error"] == "DetuningOutOfRangeError"
         assert not (out / "gr.csv").exists()
 
-    def test_opaque_quantum_barrier_names_zero_amplitude(self, tmp_path):
-        # kappa L = 1414: tau_d is exact, but |t| underflows, so tau_g has no phase
-        cfg = write_config(
-            tmp_path / "q.json", {"kind": "quantum", "v0": 2, "length": 1000, "energy": 1}
-        )
-        out = tmp_path / "out"
-        assert cli.run(cfg, output_dir=str(out)) == 3
-        summary = json.loads((out / "q.json").read_text(), parse_constant=pytest.fail)
-        assert summary["error"] == "ZeroAmplitudeError"
-        assert not (out / "q.csv").exists()
-
     def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
         real = quantum.delay_report
 
@@ -379,6 +368,48 @@ class TestQuantumExperiment:
         assert (tmp_path / "out" / "q.csv").read_text().splitlines()[1] == "0,0,0,0,"
         summary = json.loads((tmp_path / "out" / "q.json").read_text())
         assert summary["results"]["apparent_speed"] is None
+
+
+    def test_opaque_barrier_gives_the_saturated_delay(self, tmp_path):
+        # kappa L = 1414: |t| underflows, yet tau_g is the opaque limit
+        # 2/(k kappa) = 1 and tau_d = 1/(k kappa) = 0.5
+        cfg = write_config(
+            tmp_path / "q.json", {"kind": "quantum", "v0": 2, "length": 1000, "energy": 1}
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        results = json.loads((tmp_path / "out" / "q.json").read_text())["results"]
+        assert results["tau_g"] == pytest.approx(1.0, rel=1e-12)
+        assert results["tau_d"] == pytest.approx(0.5, rel=1e-12)
+
+
+class TestHartmanLimit:
+    """The paper's opaque limit through the CLI: finite delays where |t| underflows."""
+
+    @pytest.mark.parametrize(
+        "config, saturated",
+        [
+            ({"kind": "quantum", "v0": 2, "length": 1000, "energy": 1}, 1.0),
+            ({"kind": "hartman", "family": "quantum", "v0": 2, "energy": 1,
+              "lengths": [10, 100, 300, 1000]}, 1.0),
+            ({"kind": "hartman", "family": "grating", "kappa": 0.2,
+              "lengths": [50, 500, 5000]}, 5.0),
+        ],
+        ids=["quantum", "hartman-quantum", "hartman-grating"],
+    )
+    def test_delay_saturates_and_apparent_speed_grows_with_length(
+        self, tmp_path, config, saturated
+    ):
+        cfg = write_config(tmp_path / "opaque.json", config)
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        lines = (tmp_path / "opaque.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        lengths = rows[:, 0] if "length" in header else np.array([config["length"]])
+        tau_g = rows[:, header.index("tau_g")]
+        speed = rows[:, header.index("apparent_speed")]
+        # every length has kappa L >= 10, so each delay sits at the limit
+        np.testing.assert_allclose(tau_g, saturated, rtol=1e-8)
+        np.testing.assert_allclose(speed, lengths / saturated, rtol=1e-8)
 
 
 class TestGratingExperiment:
@@ -471,18 +502,27 @@ def test_csv_text_matches_per_cell_rendering():
         ",".join("" if value is None else format(float(value), ".17g") for value in row) + "\n"
         for row in zip(*columns.values())
     )
-    assert cli._csv_text(columns) == expected
+    assert cli._csv_text(columns, float_arrays(columns)) == expected
+
+
+def float_arrays(columns):
+    """Each column as the float array `cli.run` converts it to once."""
+    return {key: np.asarray(values, dtype=float) for key, values in columns.items()}
+
+
+def check_finite(columns, summary):
+    cli._check_finite(columns, float_arrays(columns), summary)
 
 
 def test_check_finite_names_the_first_non_finite_value():
     good = [0.5, -0.0, 1e300]
     with pytest.raises(NonFiniteResultError, match="result 'b' is nan"):
-        cli._check_finite({"a": good, "b": [1.0, float("nan"), 2.0], "c": [float("inf")] * 3}, {})
+        check_finite({"a": good, "b": [1.0, float("nan"), 2.0], "c": [float("inf")] * 3}, {})
     with pytest.raises(NonFiniteResultError, match="result 'array' is -inf"):
-        cli._check_finite({"a": good, "array": np.array([1.0, 2.0, -np.inf])}, {})
+        check_finite({"a": good, "array": np.array([1.0, 2.0, -np.inf])}, {})
     with pytest.raises(NonFiniteResultError, match="result 'mixed' is nan"):
-        cli._check_finite({"mixed": [None, float("nan"), 1.0]}, {})
+        check_finite({"mixed": [None, float("nan"), 1.0]}, {})
     with pytest.raises(NonFiniteResultError, match="result 'tau_g' is nan"):
-        cli._check_finite({"a": good}, {"kind": "skc", "tau_g": float("nan")})
+        check_finite({"a": good}, {"kind": "skc", "tau_g": float("nan")})
     # None is an empty cell, not a failure, in a column and in the summary alike
-    cli._check_finite({"a": good, "speed": [None, 2.0, None]}, {"speed": None, "ok": True})
+    check_finite({"a": good, "speed": [None, 2.0, None]}, {"speed": None, "ok": True})

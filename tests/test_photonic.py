@@ -8,9 +8,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import LAMBDA0, OMEGA0, random_stack, random_symmetric_stack, stack_matching_oracle
+from conftest import (
+    LAMBDA0,
+    OMEGA0,
+    random_stack,
+    random_symmetric_stack,
+    sampled_phase_slope,
+    stack_matching_oracle,
+)
 from tunneltime import photonic, spectral
-from tunneltime.errors import DetuningOutOfRangeError, NotInStopbandError, ZeroAmplitudeError
+from tunneltime.errors import DetuningOutOfRangeError, NotInStopbandError
 
 
 def uncached_march(stack, omegas):
@@ -171,6 +178,8 @@ class TestStackResponse:
             photonic.stack_t_r(skc_stack, omega)
         with pytest.raises(ValueError):
             photonic.stack_t_r_samples(skc_stack, [1.0, omega])
+        with pytest.raises(ValueError):
+            photonic.group_delay(skc_stack, omega)
         grid = spectral.FrequencyGrid(1.0, np.linspace(omega - 1.0, 0.0, 5))
         with pytest.raises(ValueError):
             photonic.stack_response(skc_stack, grid)
@@ -317,8 +326,10 @@ class TestGratingResponse:
         grid = spectral.FrequencyGrid.centered(grating.omega_b, 0.5 * grating.omega_b, 9)
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_response(grating, grid)
-        # the field quantities share the window
+        # the field quantities and the group delay share the window
         omega = 1.5 * grating.omega_b
+        with pytest.raises(DetuningOutOfRangeError):
+            photonic.grating_group_delay(grating, omega)
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_stored_energy(grating, omega)
         with pytest.raises(DetuningOutOfRangeError):
@@ -328,6 +339,28 @@ class TestGratingResponse:
         grating = photonic.UniformGrating(0.2, 25.0, 1.3, 2.0 * np.pi)
         tau = photonic.grating_group_delay(grating, grating.omega_b)
         assert tau == pytest.approx(1.3 * np.tanh(5.0) / 0.2, rel=1e-9)
+
+    @pytest.mark.parametrize("kappa_l", [0.5, 5.0, 30.0, 300.0, 1e4])
+    def test_bragg_delay_up_to_the_opaque_limit(self, kappa_l):
+        # |t| underflows past kappa L ~ 690; the delay tends to n_bar/kappa
+        grating = photonic.UniformGrating(0.2, kappa_l / 0.2, 1.3, 2.0 * np.pi)
+        tau = photonic.grating_group_delay(grating, grating.omega_b)
+        assert tau == pytest.approx(1.3 * np.tanh(kappa_l) / 0.2, rel=1e-13)
+
+    def test_zero_coupling_is_the_transit_time(self):
+        grating = photonic.UniformGrating(0.0, 7.0, 1.3, 2.0 * np.pi)
+        for omega in (grating.omega_b, 1.1 * grating.omega_b):
+            assert photonic.grating_group_delay(grating, omega) == pytest.approx(1.3 * 7.0, rel=1e-14)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.25, 0.3, -0.4])
+    def test_off_bragg_matches_sampled_phase_slope(self, delta):
+        # inside, at the edge of (delta = kappa) and outside the stopband
+        grating = photonic.UniformGrating(0.25, 20.0, 1.0, 4.0)
+        omega = grating.omega_b + delta
+        sampled = sampled_phase_slope(
+            lambda omegas: photonic._grating_closed_form(grating, omegas)[0], omega, 1e-6 * omega
+        )
+        assert photonic.grating_group_delay(grating, omega) == pytest.approx(sampled, rel=2e-9)
 
     def test_vanishing_coupling_recovers_vacuum_slab_delay(self):
         length = 5.0
@@ -403,7 +436,8 @@ class TestStoredEnergy:
 
     def test_stack_too_opaque_for_floating_point(self):
         # |t| ~ 1e-477 at midgap of the 2001-layer stack: the stored energy
-        # saturates at the 401-layer value, while the phase of t is lost
+        # saturates at the 401-layer value, and the exact group delay,
+        # though t itself is 0, is that same lifetime
         shallow = photonic.LayeredStack.quarter_wave(3.0, 1.0, 401, LAMBDA0)
         deep = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, LAMBDA0)
         report = photonic.stored_energy(deep, OMEGA0)
@@ -413,8 +447,7 @@ class TestStoredEnergy:
         t, r = photonic.stack_t_r(deep, OMEGA0)
         assert t == 0.0
         assert abs(r) == pytest.approx(1.0, rel=1e-15)
-        with pytest.raises(ZeroAmplitudeError):
-            photonic.group_delay(deep, OMEGA0)
+        assert photonic.group_delay(deep, OMEGA0) == pytest.approx(report.u_per_pin, rel=1e-12)
 
     def test_middle_bin_on_half_length_is_not_a_coin_toss(self):
         # the first stack from default_rng(5) has 21 layers, and at 2 pi its
@@ -469,20 +502,69 @@ class TestStoredEnergy:
             assert tau == pytest.approx(u, rel=1e-6)
 
     def test_weighted_identity_for_arbitrary_stacks(self):
-        # general lossless identity: |t|^2 tau_t + |r|^2 tau_r = U / P_in
+        # general lossless identity: |t|^2 tau_t + |r|^2 tau_r = U / P_in, one
+        # field integral against two exact phase derivatives
         rng = np.random.default_rng(57)
         for _ in range(20):
             stack = random_stack(rng)
             omega = float(rng.uniform(4.0, 9.0))
-            grid = spectral.FrequencyGrid.centered(omega, 1e-6 * omega, 9)
-            resp = photonic.stack_response(stack, grid)
-            tau_t = spectral.phase_derivative(spectral.unwrap_phase(resp), omega).value
-            phi_r = spectral.UnwrappedPhase(grid, np.unwrap(np.angle(resp.r)))
-            tau_r = spectral.phase_derivative(phi_r, omega).value
+            tau_t, tau_r = exact_delays(stack, omega)
             t, r = photonic.stack_t_r(stack, omega)
             weighted = abs(t) ** 2 * tau_t + abs(r) ** 2 * tau_r
             u = photonic.stored_energy(stack, omega).u_per_pin
-            assert weighted == pytest.approx(u, rel=1e-6, abs=1e-9)
+            assert weighted == pytest.approx(u, rel=1e-12)
+
+    def test_weighted_identity_between_unequal_media(self):
+        # with n_in != n_out the transmitted power is (n_out/n_in) |t|^2
+        rng = np.random.default_rng(58)
+        for _ in range(20):
+            n_in, n_out = rng.uniform(1.0, 3.0, 2)
+            stack = photonic.LayeredStack(random_stack(rng).layers, n_in=n_in, n_out=n_out)
+            omega = float(rng.uniform(4.0, 9.0))
+            tau_t, tau_r = exact_delays(stack, omega)
+            t, r = photonic.stack_t_r(stack, omega)
+            weighted = n_out / n_in * abs(t) ** 2 * tau_t + abs(r) ** 2 * tau_r
+            u = photonic.stored_energy(stack, omega).u_per_pin
+            assert weighted == pytest.approx(u, rel=1e-12)
+
+
+def exact_delays(stack, omega):
+    """tau_t = -Im(a'/a) and tau_r = Im(b'/b - a'/a) from one slope march."""
+    a, b, _ = photonic._front_face(stack, np.asarray([omega]), slope=True)
+    return float(-(a[1] / a[0]).imag[0]), float((b[1] / b[0] - a[1] / a[0]).imag[0])
+
+
+class TestExactGroupDelay:
+    @pytest.mark.parametrize("case", ["front", "skc", "random"])
+    def test_matches_sampled_phase_slope(self, case, front_stack, skc_stack):
+        if case == "random":
+            rng = np.random.default_rng(31)
+            cases = [(random_stack(rng), float(rng.uniform(0.5, 10.0))) for _ in range(50)]
+        else:
+            cases = [(front_stack if case == "front" else skc_stack, OMEGA0)]
+        for stack, omega in cases:
+            sampled = sampled_phase_slope(
+                lambda omegas: photonic.stack_t_r_samples(stack, omegas)[0], omega, 1e-6 * omega
+            )
+            assert photonic.group_delay(stack, omega) == pytest.approx(sampled, rel=2e-9)
+
+    def test_value_row_is_the_plain_march(self):
+        # the 2001-layer stack rescales many times; the slope march may pick
+        # other shifts, but 2^k (E, H) of its row 0 is the plain march's, bit
+        # for bit, at every face
+        stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, LAMBDA0)
+        omegas = np.array([0.9, 1.0, 1.1]) * OMEGA0
+        plain = photonic._backward_march(stack, omegas)
+        sloped = photonic._backward_march(stack, omegas, slope=True)
+        for (e, h, k), (e2, h2, k2) in zip(plain, sloped):
+            assert np.array_equal(np.ldexp(1.0, k - k2) * e, e2[0])
+            assert np.array_equal(np.ldexp(1.0, k - k2) * h, h2[0])
+
+    def test_vacuum_slab_and_empty_stack(self):
+        assert photonic.group_delay(photonic.LayeredStack.vacuum_slab(2.5), 3.0) == pytest.approx(
+            2.5, rel=1e-15
+        )
+        assert repr(photonic.group_delay(photonic.LayeredStack(()), 3.0)) == "0.0"
 
 
 class TestGratingStoredEnergy:

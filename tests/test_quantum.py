@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import quantum_matching_oracle
+from conftest import quantum_matching_oracle, sampled_phase_slope
 from tunneltime import quantum
 from tunneltime.errors import AboveBarrierError, NonPositiveEnergyError
 
 KAPPA = np.sqrt(2.0)  # kappa for v0 = 2, E = 1
+EPS = np.finfo(float).eps
 
 
 class TestValidation:
@@ -97,10 +98,15 @@ class TestGroupDelay:
         assert tau_20 == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_symbolic_oracle(self):
-        for kappa_l in (2.0, 5.0, 10.0):
-            barrier = quantum.QuantumBarrier(2.0, kappa_l / KAPPA)
-            assert quantum.group_delay(barrier, 1.0) == pytest.approx(
-                quantum.analytic_group_delay(barrier, 1.0), rel=1e-8
+        cases = [(2.0, kappa_l / KAPPA, 1.0) for kappa_l in (2.0, 5.0, 10.0)]
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            v0 = rng.uniform(0.1, 10.0)
+            cases.append((v0, rng.uniform(0.01, 20.0), v0 * rng.uniform(0.02, 0.98)))
+        for v0, length, energy in cases:
+            barrier = quantum.QuantumBarrier(v0, length)
+            assert quantum.group_delay(barrier, energy) == pytest.approx(
+                quantum.analytic_group_delay(barrier, energy), rel=1e-13
             )
 
     def test_free_propagation_limit(self):
@@ -108,6 +114,36 @@ class TestGroupDelay:
         barrier = quantum.QuantumBarrier(1e-9, 2.0)
         k = np.sqrt(2.0 * 0.5)
         assert quantum.group_delay(barrier, 0.5) == pytest.approx(2.0 / k, rel=1e-6)
+
+    @pytest.mark.parametrize("energy", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("kappa_l", [100.0, 1e3, 1e4])
+    def test_opaque_limit(self, energy, kappa_l):
+        # |t| underflows past kappa L ~ 345; tau_g tends to 2/(k kappa).
+        # Terms of order kappa L cancel in D'/D, so roundoff grows with kappa L
+        k, kappa = np.sqrt(2.0 * energy), np.sqrt(2.0 * (2.0 - energy))
+        tau = quantum.group_delay(quantum.QuantumBarrier(2.0, kappa_l / kappa), energy)
+        assert tau == pytest.approx(2.0 / (k * kappa), rel=8 * EPS * kappa_l)
+
+    @pytest.mark.parametrize("energy", [2.0 - 1e-6, 2.0, 2.0 + 1e-6, 1e-3, 1.0, 3.0])
+    @pytest.mark.parametrize("length", [1e-4, 0.1, 3.0])
+    def test_matches_sampled_phase_slope(self, energy, length):
+        # below, at and above the barrier top, and at kappa L far below the
+        # series cutoff of the closed form
+        barrier = quantum.QuantumBarrier(2.0, length)
+        sampled = sampled_phase_slope(
+            lambda energies: quantum._closed_form(barrier, energies)[0], energy, 1e-4 * energy
+        )
+        assert quantum.group_delay(barrier, energy) == pytest.approx(sampled, rel=1e-10)
+
+    @pytest.mark.parametrize("energy", [1.0, 2.5])
+    def test_continuous_across_the_series_cutoff(self, energy):
+        # |kappa L| = 0.5 switches from the series to the closed quotients
+        kappa = abs(np.sqrt(complex(2.0 * (2.0 - energy))))
+        below, above = (
+            quantum.group_delay(quantum.QuantumBarrier(2.0, np.nextafter(0.5, side) / kappa), energy)
+            for side in (0.0, 1.0)
+        )
+        assert below == pytest.approx(above, rel=1e-14)
 
 
 class TestDwellTime:
@@ -187,3 +223,16 @@ class TestDelayReport:
             state = quantum.scatter(barrier, 1.0)
             expected = -state.r.imag / (2.0 * 1.0)  # k^2 = 2E
             assert report.tau_i == pytest.approx(expected, abs=5e-9)
+
+    @pytest.mark.parametrize("energy", [0.3, 1.0, 1.7, 2.5])
+    @pytest.mark.parametrize("length", [3.0, 1000.0, 1e6])
+    def test_winful_split_from_opaque_to_above_barrier(self, energy, length):
+        # tau_g - tau_d = -Im(r)/k^2 (Winful, PRL 91, 260401 (2003)), also
+        # where |t| underflows and above the barrier top.  At a != 0 terms of
+        # order kappa L cancel in tau_g, so the tolerance grows with kappa L
+        barrier = quantum.QuantumBarrier(2.0, length)
+        report = quantum.delay_report(barrier, energy)
+        r = complex(quantum._closed_form(barrier, energy)[1])
+        kappa = abs(np.sqrt(complex(2.0 * (2.0 - energy))))
+        tol = 4 * EPS * (kappa * length + abs(report.tau_g))
+        assert report.tau_i == pytest.approx(-r.imag / (2.0 * energy), abs=tol)
