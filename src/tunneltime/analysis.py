@@ -105,13 +105,14 @@ class SkcReport:
     the barrier is the lifetime of the energy stored in it, most of which
     escapes backward through reflection; the vacuum path needs longer
     because transport out of the region must precede fresh energy entering.
+    ``apparent_speed`` is None when the delay is not positive (an empty stack).
     """
 
     barrier_delay: float
     vacuum_delay: float
     advance: float
     mirror_shift: float
-    apparent_speed: float
+    apparent_speed: Optional[float]
     u_barrier: float
     u_free: float
     backward_escape_fraction: float
@@ -208,8 +209,8 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
     attenuating stack (|t|^2 >= 0.5); a fully transparent structure such as
     a vacuum slab is a valid reference and reports zero advance.  The
     advance is also expressible as the stored-energy difference
-    u_free - u_barrier; both sides come from independent routes (phase
-    derivative versus field integral).
+    u_free - u_barrier; both sides come from independent routes (exact
+    phase slope versus field integral).
     """
     t_mid, refl = photonic.stack_t_r(stack, omega_mid)
     trans_power = abs(t_mid) ** 2
@@ -224,7 +225,7 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
         vacuum_delay=length,
         advance=advance,
         mirror_shift=advance,
-        apparent_speed=length / tau,
+        apparent_speed=length / tau if tau > 0.0 else None,
         u_barrier=report.u_per_pin,
         u_free=report.free_space_u_per_pin,
         backward_escape_fraction=float(abs(refl) ** 2),

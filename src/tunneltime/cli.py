@@ -250,7 +250,7 @@ def _run_pulse(v: dict):
     pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
         v["omega_mid"], v["bandwidth_fraction"] * band.width, samples=v["samples"]
     )
-    result = timedomain.propagate_spectral(lambda grid: photonic.stack_response(stack, grid), pulse)
+    result = timedomain.propagate_spectral(stack, pulse)
     columns = {"time": pulse.times, "abs_a_in": [abs(a) for a in pulse.a.tolist()],
                "abs_a_out": [abs(a) for a in result.a_out.tolist()]}
     summary = {

@@ -25,7 +25,7 @@ class EdgeOfGridError(TunnelTimeError):
 
 
 class NonConvergentError(TunnelTimeError):
-    """The two Richardson stencils disagree beyond the convergence tolerance."""
+    """The sampled-phase oracle's two Richardson stencils disagree beyond tolerance."""
 
 
 class PeakAtBoundaryError(TunnelTimeError):
@@ -79,7 +79,8 @@ class RecordTruncatedError(TunnelTimeError):
 
 
 class BandTooNarrowError(TunnelTimeError):
-    """Synthesis band cannot cover the required multiple of the stopband."""
+    """A synthesis band cannot cover the required multiple of the stopband,
+    or a front or pulse band reaches nonpositive frequencies."""
 
 
 # -- command line ----------------------------------------------------------

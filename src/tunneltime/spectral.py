@@ -1,6 +1,9 @@
-"""Shared spectral substrate: frequency grids, complex responses, phase tools,
-and the two-wave barrier of the quantum rectangle and the uniform grating
-(scaled closed-form t and r, exact group delay, exact field integral).
+"""Shared spectral substrate: frequency grids, complex responses, the
+sampled-phase oracle, and the two-wave barrier of the quantum rectangle and
+the uniform grating (scaled closed-form t and r, exact group delay, exact
+field integral).  No reported delay reads a sampled phase; the oracle
+(`unwrap_phase`, `phase_derivative`) is what the exact delays are tested
+against, and `photonic.phase_energy_check` fits its unwrapped phase.
 
 Conventions
 -----------
@@ -63,7 +66,7 @@ class FrequencyGrid:
     """Uniform grid of angular frequencies around a carrier ``omega0``.
 
     ``detunings`` must be strictly increasing with constant spacing and hold
-    at least 5 samples (the derivative stencil needs them).
+    at least 5 samples (the sampled-phase oracle's stencil needs them).
     """
 
     omega0: float
@@ -132,15 +135,10 @@ class ComplexResponse:
         """max_k | |t_k|^2 + |r_k|^2 - 1 |  (zero for lossless systems)."""
         return float(np.max(np.abs(np.abs(self.t) ** 2 + np.abs(self.r) ** 2 - 1.0)))
 
-    @property
-    def t_at_carrier(self) -> complex:
-        """Transmission at the sample closest to the carrier."""
-        return complex(self.t[self.grid.index_of(self.grid.omega0)])
-
 
 @dataclass(frozen=True)
 class UnwrappedPhase:
-    """Continuous transmission phase on a frequency grid (no 2*pi jumps)."""
+    """Continuous phase on a grid (no 2*pi jumps), kept for the sampled-phase oracle."""
 
     grid: FrequencyGrid
     phi: np.ndarray
@@ -154,7 +152,7 @@ class UnwrappedPhase:
 
 
 class DerivativeEstimate(NamedTuple):
-    """Value of d(phi)/d(omega) plus the Richardson error estimate."""
+    """d(phi)/d(omega) and its Richardson error estimate, from the sampled-phase oracle."""
 
     value: float
     error: float
@@ -163,6 +161,8 @@ class DerivativeEstimate(NamedTuple):
 def unwrap_phase(resp: ComplexResponse) -> UnwrappedPhase:
     """Unwrap arg(t) over the response grid.
 
+    Kept for the sampled-phase oracle and `photonic.phase_energy_check`;
+    the benchmark traces this name.
     A |t| that is non-finite or below 1e-300 has no phase: ZeroAmplitudeError.
     Each step is corrected by the nearest multiple of 2*pi.  If a corrected
     step still reaches pi the direction of the jump is ambiguous and the grid
@@ -188,6 +188,8 @@ def unwrap_phase(resp: ComplexResponse) -> UnwrappedPhase:
 def phase_derivative(phase: UnwrappedPhase, at: float) -> DerivativeEstimate:
     """d(phi)/d(omega) at a grid point via 5-point stencils at h and 2h.
 
+    Kept as the sampled-phase oracle that the tests check every exact delay
+    against; the benchmark traces this name.
     The Richardson pair reuses grid samples (spacings h and 2h), so the
     evaluation point must sit at least 4 samples from each grid edge.  The
     extrapolated value comes with |D(h) - D(2h)|/15 as its error estimate;

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -97,15 +97,10 @@ class PulseEnvelope:
     def count(self) -> int:
         return self.times.size
 
-    def fft_grid(self) -> spectral.FrequencyGrid:
-        """The frequency grid on which this record's FFT lives (ascending)."""
-        detunings = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.count, self.dt))
-        return spectral.FrequencyGrid(self.omega0, detunings)
-
     def bandwidth(self) -> float:
         """FWHM of the power spectrum |A~(W)|^2 (half-max crossings interpolated)."""
         power = np.abs(np.fft.fftshift(np.fft.ifft(self.a))) ** 2
-        detunings = self.fft_grid().detunings
+        detunings = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.count, self.dt))
         half = 0.5 * float(np.max(power))
         above = np.nonzero(power >= half)[0]
         lo, hi = int(above[0]), int(above[-1])
@@ -238,27 +233,27 @@ def _rms_width(times: np.ndarray, envelope: np.ndarray) -> float:
     return float(np.sqrt(np.sum((times - mean) ** 2 * power) / total))
 
 
-def propagate_spectral(
-    response: Callable[[spectral.FrequencyGrid], spectral.ComplexResponse],
-    pulse: PulseEnvelope,
-) -> PropagationResult:
-    """Send a narrowband envelope through a complex response.
+def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> PropagationResult:
+    """Send a narrowband envelope through a layered stack.
 
-    ``response`` maps a grid to its complex response, as
-    `photonic.stack_response` does; it is sampled once, on
-    ``pulse.fft_grid()``, so each FFT bin meets its own frequency.  The
-    output is the inverse transform of t(omega0 + W) times the input
-    spectrum.  The quasi-static deviation compares the output against
-    T0 * A(0, t - tau_g) (the lumped-element prediction), with T0 the
-    carrier transmission and tau_g the Richardson-stencil slope
-    (`spectral.phase_derivative`) of the unwrapped phase on that same FFT
-    grid at the carrier; the reference delayed envelope is evaluated by the
-    exact spectral shift.
+    The stack is sampled once, at omega0 + W for each FFT bin's detuning W
+    in FFT order, so each bin meets its own frequency; a band that reaches
+    omega <= 0 raises BandTooNarrowError.  The output is the inverse
+    transform of t(omega0 + W) times the input spectrum.  The quasi-static
+    deviation compares the output against T0 * A(0, t - tau_g) (the
+    lumped-element prediction), with T0 = t(omega0) from the zero-detuning
+    bin and tau_g the exact `photonic.group_delay` at the carrier; the
+    reference delayed envelope is evaluated by the exact spectral shift.
     """
-    resp = response(pulse.fft_grid())
-    t_fft, r_fft = np.fft.ifftshift(resp.t), np.fft.ifftshift(resp.r)
-    omega_fft = np.fft.ifftshift(resp.grid.detunings)
     dt = pulse.dt
+    omega_fft = 2.0 * np.pi * np.fft.fftfreq(pulse.count, dt)
+    omegas = pulse.omega0 + omega_fft
+    lowest = float(np.min(omegas))
+    if lowest <= 0.0:
+        raise BandTooNarrowError(
+            f"pulse band reaches omega = {lowest:.6g} <= 0; use fewer samples or less bandwidth"
+        )
+    t_fft, r_fft = photonic.stack_t_r_samples(stack, omegas)
 
     spec_in = np.fft.ifft(pulse.a)
     a_out = np.fft.fft(spec_in * t_fft)
@@ -268,9 +263,8 @@ def propagate_spectral(
     if peak_out > 0 and max(abs(a_out[0]), abs(a_out[-1])) > _WRAPAROUND_LIMIT * peak_out:
         raise WraparoundDetectedError("transmitted envelope does not decay at record ends")
 
-    phase = spectral.unwrap_phase(resp)
-    tau_g = spectral.phase_derivative(phase, pulse.omega0).value
-    t0 = resp.t_at_carrier
+    tau_g = photonic.group_delay(stack, pulse.omega0)
+    t0 = complex(t_fft[0])
     a_ref = np.fft.fft(spec_in * t0 * np.exp(1j * omega_fft * tau_g))
     deviation = float(np.max(np.abs(a_out - a_ref)) / peak_out) if peak_out > 0 else 0.0
 

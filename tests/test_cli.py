@@ -14,11 +14,12 @@ import pytest
 
 from conftest import LAMBDA0, OMEGA0
 import tunneltime
-from tunneltime import analysis, cli, quantum
+from tunneltime import analysis, cli, photonic, quantum, spectral
 from tunneltime.errors import NonFiniteResultError
 
 
-CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def write_config(path, payload):
@@ -87,6 +88,29 @@ class TestListExperiments:
         assert "config keys:" in line
         listed = set(re.findall(r"\w+", line))
         assert {path[-1] for path in key_paths(cfg)} <= listed
+
+
+class TestNoSampledPhaseDelay:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_configs_never_reach_the_sampled_phase_tools(
+        self, tmp_path, config, monkeypatch
+    ):
+        # every reported delay has an exact route; the sampled-phase oracle
+        # is for tests and the phase-energy check only
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a shipped config reached the sampled-phase oracle")
+
+        monkeypatch.setattr(spectral, "phase_derivative", unreachable)
+        monkeypatch.setattr(spectral, "unwrap_phase", unreachable)
+        assert cli.run(str(config), output_dir=str(tmp_path)) == 0
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        if cfg["kind"] == "pulse":
+            qw = cfg["stack"]["quarter_wave"]
+            stack = photonic.LayeredStack.quarter_wave(
+                qw["n_hi"], qw["n_lo"], qw["layer_count"], qw["lambda0"]
+            )
+            results = json.loads((tmp_path / f"{config.stem}.json").read_text())["results"]
+            assert results["tau_g"] == photonic.group_delay(stack, cfg["omega_mid"])
 
 
 class TestRunHartman:
@@ -292,6 +316,16 @@ class TestNumericalFailure:
         assert summary["error"] == "DetuningOutOfRangeError"
         assert not (out / "gr.csv").exists()
 
+    def test_pulse_band_reaching_nonpositive_frequencies_exits_3(self, tmp_path):
+        # 8192 samples widen the shipped pulse's FFT band past omega = 0
+        cfg = json.loads((CONFIG_DIR / "pulse.json").read_text(encoding="utf-8"))
+        path = write_config(tmp_path / "pulse.json", {**cfg, "samples": 8192})
+        out = tmp_path / "out"
+        assert cli.run(path, output_dir=str(out)) == 3
+        summary = json.loads((out / "pulse.json").read_text())
+        assert summary["error"] == "BandTooNarrowError"
+        assert not (out / "pulse.csv").exists()
+
     def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
         real = quantum.delay_report
 
@@ -334,6 +368,18 @@ class TestSkcExperiment:
             results["barrier_delay"] * 1e-6 / 299792458.0 * 1e15, rel=1e-12
         )
         assert "interpretation" in results
+
+    def test_empty_stack_leaves_apparent_speed_empty(self, tmp_path):
+        # no layers, no delay: the apparent speed is undefined, as for a
+        # zero-length quantum barrier
+        cfg = write_config(
+            tmp_path / "skc.json", {"kind": "skc", "stack": {"layers": []}, "omega_mid": 6}
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        assert (tmp_path / "out" / "skc.csv").read_text().splitlines()[1] == "0,0,0,0,"
+        results = json.loads((tmp_path / "out" / "skc.json").read_text())["results"]
+        assert results["apparent_speed"] is None
+        assert results["advance"] == 0.0
 
     def test_csv_format_option(self, tmp_path):
         cfg = write_config(tmp_path / "skc.json", SKC_CONFIG)

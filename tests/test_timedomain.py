@@ -137,12 +137,6 @@ def closed_form_lag(barrier, packet):
     return brentq(slope, guess - 0.1, guess + 0.1, xtol=1e-14)
 
 
-def unity_response(grid):
-    return spectral.ComplexResponse(
-        grid, np.ones(grid.count, dtype=complex), np.zeros(grid.count, dtype=complex)
-    )
-
-
 class TestPulseEnvelope:
     def test_rejects_nonuniform_times(self):
         times = np.concatenate([np.linspace(0, 1, 50), [1.5]])
@@ -167,38 +161,42 @@ class TestPulseEnvelope:
         assert pulse.bandwidth() == pytest.approx(0.05, rel=0.02)
 
 
+# carrier of the vacuum-slab delay lines: at OMEGA0 the FFT bands of their
+# records (8192 samples at sigma_t = 40, 1024 at sigma_t = 10) reach omega <= 0
+DELAY_LINE_CARRIER = 30.0
+
+
 class TestPropagateSpectral:
     def test_identity_response(self):
         pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=2048)
-        result = timedomain.propagate_spectral(unity_response, pulse)
+        result = timedomain.propagate_spectral(photonic.LayeredStack(()), pulse)
         np.testing.assert_allclose(result.a_out, pulse.a, atol=1e-14)
         assert result.peak_delay == pytest.approx(0.0, abs=1e-9)
         assert result.width_ratio == pytest.approx(1.0, abs=1e-12)
         assert result.quasistatic_deviation == pytest.approx(0.0, abs=1e-13)
 
     def test_pure_delay_line(self):
-        pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=8192)
+        pulse = timedomain.PulseEnvelope.gaussian(DELAY_LINE_CARRIER, sigma_t=40.0, samples=8192)
         tau = 3.7
-
-        def delay_line(grid):
-            return spectral.ComplexResponse(
-                grid, np.exp(1j * grid.detunings * tau), np.zeros(grid.count)
-            )
-
-        result = timedomain.propagate_spectral(delay_line, pulse)
+        result = timedomain.propagate_spectral(photonic.LayeredStack.vacuum_slab(tau), pulse)
         assert result.peak_delay == pytest.approx(tau, abs=1e-6)
         assert result.quasistatic_deviation < 1e-10
         assert result.width_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_band_reaching_nonpositive_frequencies_rejected(self):
+        # at OMEGA0 the 8192-sample record's band reaches past omega = 0
+        pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=8192)
+        with pytest.raises(BandTooNarrowError):
+            timedomain.propagate_spectral(photonic.LayeredStack.vacuum_slab(3.7), pulse)
 
     def test_quasistatic_transit_of_opaque_stack(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)
         pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
             OMEGA0, 0.01 * band.width, samples=1024
         )
-        result = timedomain.propagate_spectral(
-            lambda grid: photonic.stack_response(skc_stack, grid), pulse
-        )
+        result = timedomain.propagate_spectral(skc_stack, pulse)
         tau_g = photonic.group_delay(skc_stack, OMEGA0)
+        assert result.tau_g == tau_g
         assert result.peak_delay == pytest.approx(tau_g, rel=0.01)
         assert abs(result.width_ratio - 1.0) < 0.01
         assert result.quasistatic_deviation < 0.01
@@ -210,9 +208,7 @@ class TestPropagateSpectral:
         pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
             OMEGA0, 0.02 * band.width, samples=1024
         )
-        result = timedomain.propagate_spectral(
-            lambda grid: photonic.stack_response(skc_stack, grid), pulse
-        )
+        result = timedomain.propagate_spectral(skc_stack, pulse)
         balance = (result.energy_transmitted + result.energy_reflected) / result.energy_in
         assert balance == pytest.approx(1.0, abs=1e-8)
 
@@ -224,23 +220,17 @@ class TestPropagateSpectral:
                 OMEGA0, fraction * band.width, samples=1024
             )
             deviations.append(
-                timedomain.propagate_spectral(
-                    lambda grid: photonic.stack_response(skc_stack, grid), pulse
-                ).quasistatic_deviation
+                timedomain.propagate_spectral(skc_stack, pulse).quasistatic_deviation
             )
         assert all(a >= b for a, b in zip(deviations, deviations[1:]))
 
     def test_wraparound_detected(self):
-        pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=10.0, samples=1024)
+        pulse = timedomain.PulseEnvelope.gaussian(DELAY_LINE_CARRIER, sigma_t=10.0, samples=1024)
         span = pulse.times[-1] - pulse.times[0]
-
-        def long_delay_line(grid):
-            return spectral.ComplexResponse(
-                grid, np.exp(1j * grid.detunings * 0.45 * span), np.zeros(grid.count)
-            )
-
         with pytest.raises(WraparoundDetectedError):
-            timedomain.propagate_spectral(long_delay_line, pulse)
+            timedomain.propagate_spectral(
+                photonic.LayeredStack.vacuum_slab(0.45 * span), pulse
+            )
 
 
 class TestFrontCausality:
