@@ -200,9 +200,13 @@ def _run_quantum(v: dict):
 
 # |t|, |a| are taken per element, as Python scalars: numpy's vectorised complex
 # abs rounds differently in the last bit, which would move the CSV bytes
-def _response_columns(omegas, resp) -> dict:
-    return {"omega": omegas, "t_re": resp.t.real, "t_im": resp.t.imag, "r_re": resp.r.real,
-            "r_im": resp.r.imag, "transmission": [abs(t) ** 2 for t in resp.t.tolist()]}
+def _response_columns(omegas, t, r) -> dict:
+    return {"omega": omegas, "t_re": t.real, "t_im": t.imag, "r_re": r.real, "r_im": r.imag,
+            "transmission": [abs(x) ** 2 for x in t.tolist()]}
+
+
+def _unitarity_defect(t, r) -> float:
+    return float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)))
 
 
 def _run_stack(v: dict):
@@ -210,10 +214,9 @@ def _run_stack(v: dict):
     if hi <= lo or v["points"] < 5:
         raise ConfigError("need omega_max > omega_min and points >= 5")
     omegas = np.linspace(lo, hi, v["points"])
-    center = 0.5 * (lo + hi)
-    resp = photonic.stack_response(stack, spectral.FrequencyGrid(center, omegas - center))
-    summary = {"total_length": stack.total_length, "unitarity_defect": resp.unitarity_defect()}
-    return _response_columns(omegas, resp), summary
+    t, r = photonic.stack_t_r_samples(stack, omegas)
+    summary = {"total_length": stack.total_length, "unitarity_defect": _unitarity_defect(t, r)}
+    return _response_columns(omegas, t, r), summary
 
 
 def _run_grating(v: dict):
@@ -221,13 +224,14 @@ def _run_grating(v: dict):
     lo, hi = v["delta_min"], v["delta_max"]
     if hi <= lo or v["points"] < 5:
         raise ConfigError("need delta_max > delta_min and points >= 5")
-    omegas = grating.omega_b + np.linspace(lo, hi, v["points"]) / grating.n_bar
-    center = float(np.median(omegas))
-    resp = photonic.grating_response(grating, spectral.FrequencyGrid(center, omegas - center))
+    # detunings from omega_b, so the grid's omegas are the printed column bit for bit
+    detunings = np.linspace(lo, hi, v["points"]) / grating.n_bar
+    grid = spectral.FrequencyGrid(grating.omega_b, detunings)
+    resp = photonic.grating_response(grating, grid)
     t_midgap = photonic._grating_closed_form(grating, grating.omega_b)[0]
     summary = {"midgap_transmission": float(abs(t_midgap) ** 2),
                "unitarity_defect": resp.unitarity_defect()}
-    return _response_columns(omegas, resp), summary
+    return _response_columns(grid.omegas, resp.t, resp.r), summary
 
 
 def _run_hartman(v: dict):

@@ -60,6 +60,10 @@ _RESCALE_BOUND = 1e150
 # march per round samples 63 interior points of every bracket
 _SECTIONS = 64
 
+# the stopband scan: _SCAN_POINTS frequencies over omega_ref * (1 +/- _SCAN_FACTOR)
+_SCAN_FACTOR = 0.7
+_SCAN_POINTS = 4001
+
 # scan points marched on each side of omega_ref before the stopband walk;
 # a band that runs past them widens the window 4x at a time, so a narrow band
 # costs one march of 129 scan points, not the whole scan
@@ -549,38 +553,34 @@ def _transmittance(stack: LayeredStack, omegas) -> np.ndarray:
     return np.abs(t) ** 2
 
 
-def find_stopband(
-    stack: LayeredStack,
-    omega_ref: float,
-    scan_factor: float = 0.7,
-    scan_points: int = 4001,
-) -> Stopband:
+def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
     """Locate the half-transmission stopband containing ``omega_ref``.
 
-    |t|^2 is scanned over omega_ref * (1 +/- scan_factor), and each end of the
-    contiguous region below 0.5 around omega_ref is refined by k-section: every
-    round samples both edge brackets at once and keeps, in each, the crossing
-    nearest the band, so an edge bounds the below-0.5 run that holds
-    omega_ref.  An edge on the scan boundary stays there.  The scan is marched
-    only in a window around omega_ref, _SCAN_WINDOW points a side, widened 4x
-    while the run below 0.5 reaches a window edge that is not a scan end.
+    |t|^2 is scanned at _SCAN_POINTS frequencies over
+    omega_ref * (1 +/- _SCAN_FACTOR), and each end of the contiguous region
+    below 0.5 around omega_ref is refined by k-section: every round samples
+    both edge brackets at once and keeps, in each, the crossing nearest the
+    band, so an edge bounds the below-0.5 run that holds omega_ref.  An edge
+    on the scan boundary stays there.  The scan is marched only in a window
+    around omega_ref, _SCAN_WINDOW points a side, widened 4x while the run
+    below 0.5 reaches a window edge that is not a scan end.
     Raises NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is
     read from the first window's march, so a passband omega_ref costs one
     window.
     """
-    lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
-    hi = omega_ref * (1.0 + scan_factor)
-    omegas = np.linspace(lo, hi, scan_points)
+    lo = max(omega_ref * (1.0 - _SCAN_FACTOR), 1e-12 * omega_ref)
+    hi = omega_ref * (1.0 + _SCAN_FACTOR)
+    omegas = np.linspace(lo, hi, _SCAN_POINTS)
     j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
     # the march is elementwise, so a frequency gets the same bits whichever
     # frequencies ride with it: omega_ref rides along as the last frequency
     # of the first window, and a widened window marches only its new points
     half = _SCAN_WINDOW
-    a, b = max(j_ref - half, 0), min(j_ref + half + 1, scan_points)
+    a, b = max(j_ref - half, 0), min(j_ref + half + 1, _SCAN_POINTS)
     power = _transmittance(stack, np.append(omegas[a:b], omega_ref))
     if power[-1] >= 0.5:
         raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5; not inside a stopband")
-    below = np.zeros(scan_points, dtype=bool)  # known on omegas[a:b]
+    below = np.zeros(_SCAN_POINTS, dtype=bool)  # known on omegas[a:b]
     below[a:b] = power[:-1] < 0.5
 
     j_lo = j_hi = j_ref
@@ -589,16 +589,16 @@ def find_stopband(
             j_lo -= 1
         while j_hi < b - 1 and below[j_hi + 1]:
             j_hi += 1
-        if not (j_lo == a > 0 or j_hi == b - 1 < scan_points - 1):
+        if not (j_lo == a > 0 or j_hi == b - 1 < _SCAN_POINTS - 1):
             break
         half *= 4
-        wide_a, wide_b = max(j_ref - half, 0), min(j_ref + half + 1, scan_points)
+        wide_a, wide_b = max(j_ref - half, 0), min(j_ref + half + 1, _SCAN_POINTS)
         fresh = np.r_[wide_a:a, b:wide_b]
         below[fresh] = _transmittance(stack, omegas[fresh]) < 0.5
         a, b = wide_a, wide_b
     # an edge on the scan boundary gets an empty bracket and keeps its sample
     inside = omegas[[j_lo, j_hi]]
-    outside = omegas[[max(j_lo - 1, 0), min(j_hi + 1, scan_points - 1)]]
+    outside = omegas[[max(j_lo - 1, 0), min(j_hi + 1, _SCAN_POINTS - 1)]]
     lower, upper = _k_section(stack, outside, inside)
     return Stopband(lower=float(lower), upper=float(upper))
 

@@ -261,6 +261,8 @@ def _two_wave_delay(rate, a, da, ds, length: float) -> float:
     g(z) = (1 + z^2 h(z/2)/4)^2/2 - h(z), from cosh z = 1 + 2 sinh^2(z/2).
     D and D' are carried times e^{-Re z}, which cancels in the ratio, so
     the delay stays finite where t underflows; rate = 0 needs no branch.
+    Above the cutoff L^2 g is (cosh z - sinh(z)/z)/rate^2, which forms
+    neither z^3 nor L^2, so no barrier is too long.
     """
     rate = complex(rate)
     z = rate * length
@@ -270,14 +272,13 @@ def _two_wave_delay(rate, a, da, ds, length: float) -> float:
     if abs(z) < _H_SERIES_CUTOFF:
         h = _h_series(z)
         sinh_over_rate = length * (1.0 + z * z * h) * decay
-        g = (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
+        l2g = length ** 2 * (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
     else:
         sinh_z = 0.5 * (turn - far)
         sinh_over_rate = length * sinh_z / z
-        g = (z * cosh_z - sinh_z) / z ** 3
+        l2g = (cosh_z - sinh_z / z) / rate ** 2
     d = cosh_z + 1j * a * sinh_over_rate
-    d_slope = (ds * 0.5 * length * (sinh_over_rate + 1j * a * length ** 2 * g)
-               + 1j * da * sinh_over_rate)
+    d_slope = ds * 0.5 * length * (sinh_over_rate + 1j * a * l2g) + 1j * da * sinh_over_rate
     # 0.0 - x rather than -x, so a zero delay (L = 0) is +0.0, never -0.0
     return 0.0 - (d_slope / d).imag
 
@@ -289,15 +290,18 @@ def _two_wave_integral(scaled_t, rate, coupling: float, length: float) -> float:
     (see :func:`_two_wave`), given its scaled exit amplitude
     ``scaled_t`` = t e^{Re(rate) L}.  h is entire and even, h(0) = 1/6; both
     terms in the bracket are evaluated times e^{-2 Re(rate) L}, so the product
-    stays exact on opaque barriers where |t|^2 alone underflows.
+    stays exact on opaque barriers where |t|^2 alone underflows.  Above the
+    cutoff 4 L^2 h is (sinh z - z)/(z rate^2), which forms neither z^3 nor
+    L^2, so no barrier is too long.
     """
     z = 2.0 * complex(rate) * length
     decay = math.exp(-z.real)
     if abs(z) < _H_SERIES_CUTOFF:
-        h = _h_series(z) * decay
+        l2h = 4.0 * length ** 2 * _h_series(z) * decay
     else:  # sinh(z) e^{-Re z} = (e^{i Im z} - e^{-z - Re z}) / 2
-        h = (0.5 * (cmath.exp(1j * z.imag) - cmath.exp(-z - z.real)) - z * decay) / z ** 3
-    return float(length * abs(scaled_t) ** 2 * (decay + 4.0 * coupling * length ** 2 * h.real))
+        sinh_z = 0.5 * (cmath.exp(1j * z.imag) - cmath.exp(-z - z.real))
+        l2h = (sinh_z - z * decay) / (z * complex(rate) ** 2)
+    return float(length * abs(scaled_t) ** 2 * (decay + coupling * l2h.real))
 
 
 def locate_peak(times, samples) -> float:

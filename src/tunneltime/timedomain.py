@@ -19,13 +19,15 @@ through the barrier steps the Cayley form with one tridiagonal solve per
 step (scipy's LAPACK wrappers, imported only when the oracle runs); the
 free reference run is the same discrete dynamics evaluated exactly in the
 sine basis that diagonalises the Dirichlet Laplacian, so it takes no steps.
-It sums only the packet's occupied band of sine modes, and between its first
-and last step it forms only the grid rows that the boundary-leak check
-reads.  A detector record that has not decayed by the end of its window
-raises instead of yielding a delay.  A ladder of three time steps, all
-recorded on the coarsest step's clock, cancels the step's error to fourth
-order; a worker thread runs the two coarser rungs while the calling thread
-runs the finest, and the result is the serial one bit for bit.
+It sums only the packet's occupied band of sine modes, each record at its
+own exact phase, and at each leak check it forms only the grid rows that
+the check reads.  Each run is one plain function returning its detector
+record, final state and worst edge leak.  A detector record that has not
+decayed by the end of its window raises instead of yielding a delay.  A
+ladder of three time steps, all recorded on the coarsest step's clock,
+cancels the step's error to fourth order; a worker thread runs the two
+coarser rungs while the calling thread runs the finest, and the result is
+the serial one bit for bit.
 """
 
 from __future__ import annotations
@@ -378,12 +380,30 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return (0.5j * np.sqrt(2.0 / (n + 1))) * np.fft.fft(odd)[1 : n + 1]
 
 
-def _cayley_run(psi0, potential, dx, dt, detector, record_every):
-    """Stepped Crank-Nicolson run as an ``advance(done, stop)`` for `_watched_run`.
+def _stops(steps: int) -> list:
+    """Leak-check steps of a run: every ``max(1, steps // 64)``-th and the last."""
+    every = max(1, steps // 64)
+    return list(range(every, steps, every)) + [steps]
+
+
+def _edge_leak(psi: np.ndarray, edge_cells: int, dx: float, worst: float) -> float:
+    """The larger of ``worst`` and the probability in psi's first and last
+    ``edge_cells`` entries; over 1e-10 it is `BoundaryContaminationError`."""
+    leak = (np.sum(np.abs(psi[:edge_cells]) ** 2) + np.sum(np.abs(psi[-edge_cells:]) ** 2)) * dx
+    worst = max(worst, float(leak))
+    if worst > 1e-10:
+        raise BoundaryContaminationError(f"{worst:.3e} of the norm reached the domain edges")
+    return worst
+
+
+def _cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
+    """Stepped Crank-Nicolson run: records, final psi and worst edge leak.
 
     The Cayley form A psi' = B psi has A = I + i dt H / 2 and B = 2I - A, so
     psi' = 2 A^-1 psi - psi: A is LU-factored once (gttrf) and each step is
-    one tridiagonal solve (gttrs).
+    one tridiagonal solve (gttrs).  psi[detector] is recorded at step 0 and
+    at every ``every``-th step, and the edge leak is checked at each of
+    `_stops` (`_edge_leak`).
     """
     from scipy.linalg import lapack
 
@@ -393,23 +413,20 @@ def _cayley_run(psi0, potential, dx, dt, detector, record_every):
     dl, d, du, du2, ipiv, info = gttrf(a_off, a_main, a_off)
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-    psi = psi0
-
-    def advance(done: int, stop: int):
-        nonlocal psi
-        samples = []
-        for step in range(done + 1, stop + 1):
-            chi, info = gttrs(dl, d, du, du2, ipiv, psi)
-            if info != 0:
-                raise RuntimeError(f"tridiagonal solve failed (info={info})")
-            chi *= 2.0
-            chi -= psi
-            psi = chi
-            if step % record_every == 0:
-                samples.append(psi[detector])
-        return samples, psi
-
-    return advance
+    stops = set(_stops(steps))
+    psi, records, worst = psi0, [psi0[detector]], 0.0
+    for step in range(1, steps + 1):
+        chi, info = gttrs(dl, d, du, du2, ipiv, psi)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        chi *= 2.0
+        chi -= psi
+        psi = chi
+        if step % every == 0:
+            records.append(psi[detector])
+        if step in stops:
+            worst = _edge_leak(psi, edge_cells, dx, worst)
+    return np.asarray(records), psi, worst
 
 
 def _sine_band(psi0: np.ndarray):
@@ -472,8 +489,9 @@ def _edge_rows(n: int, modes: np.ndarray, edge_cells: int):
     return rows
 
 
-def _free_run(psi0, dx, dt, detector, record_every, edge_cells, band):
-    """Free (V = 0) Crank-Nicolson run, exact in the sine basis, as an ``advance``.
+def _free_run(psi0, dx, dt, detector, every, steps, edge_cells, band):
+    """Free (V = 0) Crank-Nicolson run, exact in the sine basis: records,
+    final psi and worst edge leak, as `_cayley_run` returns them.
 
     The Dirichlet H0 has the `_dst1` basis as eigenvectors and eigenvalues
     lambda_m = (1 - cos(pi m / (n+1))) / dx^2, so a Crank-Nicolson step
@@ -482,10 +500,10 @@ def _free_run(psi0, dx, dt, detector, record_every, edge_cells, band):
     psi_s = DST(e^{-i theta s} c) with c = DST(psi0), and no step is taken.
 
     Only psi0's occupied band of modes enters (``band``, from `_sine_band`,
-    shared by every run of one psi0): each record is a sum over the band.
-    A stop hands back only psi's first and last ``edge_cells`` rows
-    (`_edge_rows`); ``advance(stop, stop)`` hands back the full psi, one
-    `_dst1`.
+    shared by every run of one psi0).  Each record is one sum over the band
+    at its own phase e^{-i theta s}; each of `_stops` forms only psi's first
+    and last ``edge_cells`` rows (`_edge_rows`) for `_edge_leak`, and the
+    final psi is one `_dst1`.
     """
     n = psi0.size
     lo, modes = band
@@ -494,64 +512,14 @@ def _free_run(psi0, dx, dt, detector, record_every, edge_cells, band):
     lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / dx ** 2
     theta = 2.0 * np.arctan(0.5 * dt * lam)
     at_detector = np.sqrt(2.0 / (n + 1)) * _sines(np.sin, n, detector + 1, m) * modes
-    turn = np.exp(-1j * theta * record_every)
-    edges = _edge_rows(n, m, edge_cells)
-
-    def advance(done: int, stop: int):
-        # exact phases at the stretch's first record, then one turn per
-        # record; re-anchoring every stretch keeps the phase roundoff from
-        # piling up over the whole run
-        first = (done // record_every + 1) * record_every
-        phased = at_detector * np.exp(-1j * theta * first)
-        samples = []
-        for _ in range(first, stop + 1, record_every):
-            samples.append(phased.sum())
-            phased *= turn
-        amps = np.exp(-1j * theta * stop) * modes
-        if done < stop:
-            return samples, edges(amps)
-        full = np.zeros(n, dtype=complex)
-        full[lo : lo + modes.size] = amps
-        return samples, _dst1(full)
-
-    return advance
-
-
-def _watched_run(advance, psi0, detector, steps, record_every, edge_cells, dx):
-    """Detector record of one run, with its boundary-leak and norm checks.
-
-    ``advance(done, stop)`` carries the run from step ``done`` to ``stop``
-    and returns psi[detector] at each multiple of ``record_every`` in
-    (done, stop] together with psi at ``stop``, or with any array whose
-    first and last ``edge_cells`` entries are psi's (`_free_run` returns
-    just those rows); ``advance(steps, steps)`` takes no step and returns
-    the full psi.  At every ``max(1, steps // 64)``-th step (so at every
-    step of a run under 128 steps) and at the last one, no more than 1e-10
-    of probability may sit in the ``edge_cells`` at either end
-    (`BoundaryContaminationError`); the final norm must hold to 1e-8
-    (`NormDriftError`).
-    """
-    check_every = max(1, steps // 64)
-    stops = list(range(check_every, steps, check_every)) + [steps]
-    recorded = [psi0[detector]]
-    worst_leak, done = 0.0, 0
-    for stop in stops:
-        samples, psi = advance(done, stop)
-        recorded.extend(samples)
-        leak = (
-            np.sum(np.abs(psi[:edge_cells]) ** 2) + np.sum(np.abs(psi[-edge_cells:]) ** 2)
-        ) * dx
-        worst_leak = max(worst_leak, float(leak))
-        if worst_leak > 1e-10:
-            raise BoundaryContaminationError(
-                f"{worst_leak:.3e} of the norm reached the domain edges"
-            )
-        done = stop
-    psi = advance(steps, steps)[1]
-    norm_err = abs(float(np.sum(np.abs(psi) ** 2) * dx) - 1.0)
-    if norm_err > 1e-8:
-        raise NormDriftError(f"norm drifted by {norm_err:.3e}")
-    return np.asarray(recorded), norm_err, worst_leak
+    edges, worst = _edge_rows(n, m, edge_cells), 0.0
+    for stop in _stops(steps):
+        worst = _edge_leak(edges(np.exp(-1j * theta * stop) * modes), edge_cells, dx, worst)
+    del edges  # its tables would otherwise sit beside the final transform's buffers
+    records = [np.sum(at_detector * np.exp(-1j * theta * s)) for s in range(0, steps + 1, every)]
+    full = np.zeros(n, dtype=complex)
+    full[lo : lo + modes.size] = np.exp(-1j * theta * steps) * modes
+    return np.asarray(records), _dst1(full), worst
 
 
 def _anchored_grid(barrier: QuantumBarrier, x_lo: float, x_hi: float, dx_max: float):
@@ -642,14 +610,15 @@ def tdse_oracle(
     Both runs follow the same discrete Crank-Nicolson map on the same grid:
     the barrier run steps it (`_cayley_run`), the free run evaluates it
     exactly on the packet's occupied sine modes (`_free_run`, one
-    `_sine_band` shared by every free run), and one loop
-    (`_watched_run`) keeps both records and applies both checks.  The
-    barrier/free pair runs at steps dt, 2 dt and 4 dt, and all six runs
-    record on one clock of 4 dt.  Crank-Nicolson turns a mode by
-    2 arctan(dt lambda / 2), whose error is even in dt, so the ladder of
-    `TdseResult` cancels the dt^2 and dt^4 terms of the delay.  The lag is
-    the band-limited peak of the correlation (`_band_limited_peak`), which
-    a coarse clock biases far less than a 3-point parabola.
+    `_sine_band` shared by every free run).  Each run returns its record,
+    final psi and worst leak, checking the leak at each of `_stops`
+    (`_edge_leak`); the rung checks both final norms.  The barrier/free
+    pair runs at steps dt, 2 dt and 4 dt, and all six runs record on one
+    clock of 4 dt.  Crank-Nicolson turns a mode by 2 arctan(dt lambda / 2),
+    whose error is even in dt, so the ladder of `TdseResult` cancels the
+    dt^2 and dt^4 terms of the delay.  The lag is the band-limited peak of
+    the correlation (`_band_limited_peak`), which a coarse clock biases far
+    less than a 3-point parabola.
 
     The rungs share no written state, so one worker thread runs the 4 dt
     and 2 dt pairs while the calling thread runs the dt pair, about the same
@@ -716,15 +685,15 @@ def tdse_oracle(
 
     def rung(every: int):
         """Times, norm error and leak of the pair at step clock / every."""
-        step = clock / every
-        layout = (psi0, detector, records * every, every, edge_cells, dx)
-        series_b, norm_b, leak_b = _watched_run(
-            _cayley_run(psi0, potential, dx, step, detector, every), *layout
-        )
-        series_f, norm_f, leak_f = _watched_run(
-            _free_run(psi0, dx, step, detector, every, edge_cells, band), *layout
-        )
-        return _pair_times(series_b, series_f, clock), max(norm_b, norm_f), max(leak_b, leak_f)
+        layout = (dx, clock / every, detector, every, records * every, edge_cells)
+        series_b, psi, leak_b = _cayley_run(psi0, potential, *layout)
+        norm_b = abs(float(np.sum(np.abs(psi) ** 2) * dx) - 1.0)
+        del psi  # one final state is held at a time
+        series_f, psi, leak_f = _free_run(psi0, *layout, band)
+        norm = max(norm_b, abs(float(np.sum(np.abs(psi) ** 2) * dx) - 1.0))
+        if norm > 1e-8:
+            raise NormDriftError(f"norm drifted by {norm:.3e}")
+        return _pair_times(series_b, series_f, clock), norm, max(leak_b, leak_f)
 
     # imported here, as `_cayley_run` imports LAPACK: no CLI experiment runs the oracle
     from concurrent.futures import ThreadPoolExecutor

@@ -27,6 +27,12 @@ def write_config(path, payload):
     return str(path)
 
 
+def csv_rows(path):
+    """The numeric rows of a written CSV, one array row per line after the header."""
+    lines = Path(path).read_text().splitlines()[1:]
+    return np.array([[float(x) for x in line.split(",")] for line in lines])
+
+
 def key_paths(cfg, prefix=()):
     """Every key path of a config, nested objects included."""
     for key, value in cfg.items():
@@ -482,6 +488,21 @@ class TestGratingExperiment:
         )
 
 
+    def test_t_is_evaluated_at_each_printed_omega(self, tmp_path):
+        grating = {"kappa": 0.3, "length": 10.0, "omega_b": 6.0, "n_bar": 1.3}
+        cfg = write_config(
+            tmp_path / "gr.json",
+            {"kind": "grating", "grating": grating, "delta_min": -0.5, "delta_max": 0.5,
+             "points": 501},
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        rows = csv_rows(tmp_path / "out" / "gr.csv")
+        omegas = 6.0 + np.linspace(-0.5, 0.5, 501) / 1.3
+        assert np.array_equal(rows[:, 0], omegas)
+        t, r = photonic._grating_closed_form(photonic.UniformGrating(**grating), omegas)[:2]
+        assert np.array_equal(rows[:, 1:5], np.column_stack([t.real, t.imag, r.real, r.imag]))
+
+
 class TestStackExperiment:
     def test_response_sweep(self, tmp_path):
         cfg = write_config(
@@ -505,6 +526,24 @@ class TestStackExperiment:
         assert len(lines) == 102
         summary = json.loads((out / "stack.json").read_text())
         assert summary["results"]["unitarity_defect"] < 1e-12
+
+    def test_t_is_evaluated_at_each_printed_omega(self, tmp_path):
+        # on 1..10 at 501 points, 26 of the midpoint-relative frequencies
+        # center + (omega - center) are one ulp off omega; every row's t and
+        # r must be those at its own printed omega
+        qw = {"n_hi": 2.0, "n_lo": 1.5, "layer_count": 11, "lambda0": LAMBDA0}
+        cfg = write_config(
+            tmp_path / "stack.json",
+            {"kind": "stack", "stack": {"quarter_wave": qw}, "omega_min": 1.0,
+             "omega_max": 10.0, "points": 501},
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        rows = csv_rows(tmp_path / "out" / "stack.csv")
+        omegas = np.linspace(1.0, 10.0, 501)
+        assert np.array_equal(rows[:, 0], omegas)
+        stack = photonic.LayeredStack.quarter_wave(2.0, 1.5, 11, LAMBDA0)
+        t, r = photonic.stack_t_r_samples(stack, omegas)
+        assert np.array_equal(rows[:, 1:5], np.column_stack([t.real, t.imag, r.real, r.imag]))
 
 
 def modules_loaded_by_cli_import(package):

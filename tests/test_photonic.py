@@ -40,14 +40,15 @@ def uncached_march(stack, omegas):
         yield e, h, k
 
 
-def full_scan_brackets(stack, omega_ref, scan_factor=0.7, scan_points=4001):
+def full_scan_brackets(stack, omega_ref):
     """find_stopband's scan and walk, marching the whole scan at once.
 
     Returns the (outside, inside) brackets of the lower and upper edge; an
     edge on the scan boundary gets the empty bracket of its scan end.
     """
-    lo = max(omega_ref * (1.0 - scan_factor), 1e-12 * omega_ref)
-    omegas = np.linspace(lo, omega_ref * (1.0 + scan_factor), scan_points)
+    factor, scan_points = photonic._SCAN_FACTOR, photonic._SCAN_POINTS
+    lo = max(omega_ref * (1.0 - factor), 1e-12 * omega_ref)
+    omegas = np.linspace(lo, omega_ref * (1.0 + factor), scan_points)
     power = photonic._transmittance(stack, np.append(omegas, omega_ref))
     if power[-1] >= 0.5:
         raise NotInStopbandError(f"|t({omega_ref})|^2 >= 0.5")
@@ -61,13 +62,13 @@ def full_scan_brackets(stack, omega_ref, scan_factor=0.7, scan_points=4001):
     return outside, omegas[[j_lo, j_hi]]
 
 
-def full_scan_stopband(stack, omega_ref, **scan):
+def full_scan_stopband(stack, omega_ref):
     """find_stopband with the whole scan marched before the walk."""
-    lower, upper = photonic._k_section(stack, *full_scan_brackets(stack, omega_ref, **scan))
+    lower, upper = photonic._k_section(stack, *full_scan_brackets(stack, omega_ref))
     return photonic.Stopband(lower=float(lower), upper=float(upper))
 
 
-def bisection_stopband(stack, omega_ref, **scan):
+def bisection_stopband(stack, omega_ref):
     """find_stopband's scan and walk with each edge bisected on its own."""
 
     def bisect(outside, inside):
@@ -81,7 +82,7 @@ def bisection_stopband(stack, omega_ref, **scan):
                 break
         return 0.5 * (outside + inside)
 
-    return tuple(map(bisect, *full_scan_brackets(stack, omega_ref, **scan)))
+    return tuple(map(bisect, *full_scan_brackets(stack, omega_ref)))
 
 
 class TestTypes:
@@ -346,6 +347,17 @@ class TestGratingResponse:
         grating = photonic.UniformGrating(0.2, kappa_l / 0.2, 1.3, 2.0 * np.pi)
         tau = photonic.grating_group_delay(grating, grating.omega_b)
         assert tau == pytest.approx(1.3 * np.tanh(kappa_l) / 0.2, rel=1e-13)
+
+    @pytest.mark.parametrize("length", [1e103, 1e200, 1e300])
+    def test_grating_too_long_to_cube_kappa_l_keeps_the_opaque_values(self, length):
+        # (kappa L)^3 and L^2 overflow past kappa L ~ 5.6e102; the delay and
+        # the stored energy per input power are those at L = 1e102: n_bar/kappa
+        for size in (length, 1e102):
+            grating = photonic.UniformGrating(0.2, size, 1.0, 2.0 * np.pi)
+            tau = photonic.grating_group_delay(grating, grating.omega_b)
+            stored = photonic.grating_stored_energy(grating, grating.omega_b)
+            assert tau == pytest.approx(5.0, rel=1e-15)
+            assert stored == pytest.approx(5.0, rel=1e-15)
 
     def test_zero_coupling_is_the_transit_time(self):
         grating = photonic.UniformGrating(0.0, 7.0, 1.3, 2.0 * np.pi)
@@ -641,17 +653,19 @@ class TestStopbandAndPhaseEnergy:
             checked += 1
         assert checked >= 10
 
-    def test_edge_on_scan_boundary_keeps_the_scan_end(self, front_stack):
-        # the scan is centred near the upper edge and half a band wide, so
-        # the band runs past the scan's lower end but not past its upper one
-        band = photonic.find_stopband(front_stack, OMEGA0)
-        omega = band.upper - 0.2 * band.width
-        factor = 0.5 * band.width / omega
-        near = photonic.find_stopband(front_stack, omega, scan_factor=factor)
-        lower, upper = bisection_stopband(front_stack, omega, scan_factor=factor)
-        assert near.lower == lower == omega * (1.0 - factor)
-        assert near.upper == pytest.approx(upper, rel=1e-14, abs=0.0)
-        assert near.upper == pytest.approx(band.upper, rel=1e-14, abs=0.0)
+    def test_edge_on_scan_boundary_keeps_the_scan_end(self):
+        # the 10/1 stack's band spans 2.42..10.14 around its design frequency
+        # 2 pi: from omega_ref = pi it runs past the scan's upper end,
+        # 1.7 omega_ref, and from omega_ref = 9 past its lower end, 0.3 omega_ref
+        stack = photonic.LayeredStack.quarter_wave(10.0, 1.0, 21, 1.0)
+        for omega, end in ((np.pi, 1), (9.0, 0)):
+            found = photonic.find_stopband(stack, omega)
+            band = (found.lower, found.upper)
+            bisected = bisection_stopband(stack, omega)
+            scan_end = omega * (1.0 + (2 * end - 1) * photonic._SCAN_FACTOR)
+            assert band[end] == bisected[end] == scan_end
+            assert band[1 - end] == pytest.approx(bisected[1 - end], rel=1e-14, abs=0.0)
+            assert omega * 0.3 < band[1 - end] < omega * 1.7
 
     def test_edges_refined_in_few_marches(self, front_stack, monkeypatch):
         # one march for omega_ref, one for the scan and one per k-section
@@ -671,8 +685,8 @@ class TestStopbandAndPhaseEnergy:
     def test_windowed_scan_matches_the_full_scan(self, case, skc_stack, front_stack):
         # the skc and pulse configs share one stack and carrier; the 3.0/1.0
         # stack rescales in its march and widens the window twice, and the
-        # short scan puts the lower edge on the scan's end
-        scan = {}
+        # 10/1 stack's band at half its design frequency runs past the
+        # scan's upper end
         if case == "front":
             stack, omega = front_stack, OMEGA0
         elif case == "skc-and-pulse":
@@ -680,11 +694,11 @@ class TestStopbandAndPhaseEnergy:
         elif case == "rescaled":
             stack, omega = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0), 2.0 * np.pi
         else:
-            stack, omega, scan = skc_stack, 1.1 * OMEGA0, {"scan_factor": 0.05}
-        band = photonic.find_stopband(stack, omega, **scan)
-        assert band == full_scan_stopband(stack, omega, **scan)
+            stack, omega = photonic.LayeredStack.quarter_wave(10.0, 1.0, 21, 1.0), np.pi
+        band = photonic.find_stopband(stack, omega)
+        assert band == full_scan_stopband(stack, omega)
         if case == "scan-boundary":
-            assert band.lower == omega * 0.95
+            assert band.upper == omega * 1.7
 
     def test_narrow_band_marches_one_window(self, front_stack, monkeypatch):
         # a march of the whole scan would take 4002 frequencies

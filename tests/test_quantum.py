@@ -203,6 +203,17 @@ class TestDelayReport:
         assert report.apparent_speed is None
         assert not report.apparent_superluminal
 
+    @pytest.mark.parametrize("length", [1e103, 1e200, 1e300])
+    def test_barrier_too_long_to_cube_kappa_l_keeps_the_opaque_values(self, length):
+        # (kappa L)^3 and L^2 overflow past kappa L ~ 5.6e102; the delays are
+        # those at L = 1e102, the opaque limits tau_g = 1 and tau_d = 0.5
+        report = quantum.delay_report(quantum.QuantumBarrier(2.0, length), 1.0)
+        shorter = quantum.delay_report(quantum.QuantumBarrier(2.0, 1e102), 1.0)
+        assert report.tau_g == pytest.approx(1.0, rel=4 * EPS)
+        assert report.tau_d == pytest.approx(0.5, rel=4 * EPS)
+        assert report.tau_g == pytest.approx(shorter.tau_g, rel=4 * EPS)
+        assert report.tau_d == pytest.approx(shorter.tau_d, rel=4 * EPS)
+
     def test_identity_is_exact_by_construction(self):
         report = quantum.delay_report(quantum.QuantumBarrier(2.0, 3.0), 1.0)
         assert report.tau_g == report.tau_d + report.tau_i

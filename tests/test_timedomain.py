@@ -56,12 +56,18 @@ class SerialExecutor:
         return future
 
 
-def stencil_run(psi0, potential, dx, dt, detector, record_every):
+def edge_probability(psi, edge_cells, dx):
+    """Probability in psi's first and last ``edge_cells`` entries."""
+    return (np.sum(np.abs(psi[:edge_cells]) ** 2) + np.sum(np.abs(psi[-edge_cells:]) ** 2)) * dx
+
+
+def stencil_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
     """Crank-Nicolson reference with the right side B psi applied as a stencil.
 
-    Same ``advance(done, stop)`` contract as the oracle's runs: A psi' = B psi
-    with A = I + i dt H / 2 solved by gttrs and B = I - i dt H / 2 built
-    cell by cell.
+    Returns what the oracle's runs return: psi[detector] at step 0 and at
+    every ``every``-th step, the final psi and the largest edge probability
+    at the leak-check stops.  A psi' = B psi with A = I + i dt H / 2 solved
+    by gttrs and B = I - i dt H / 2 built cell by cell.
     """
     from scipy.linalg import lapack
 
@@ -71,29 +77,26 @@ def stencil_run(psi0, potential, dx, dt, detector, record_every):
     b_off = 0.25j * dt / dx ** 2
     gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (a_main, psi0))
     dl, d, du, du2, ipiv, _ = gttrf(a_off, a_main, a_off)
-    psi = psi0
-
-    def advance(done, stop):
-        nonlocal psi
-        samples = []
-        for step in range(done + 1, stop + 1):
-            rhs = b_main * psi
-            rhs[1:-1] += b_off * (psi[2:] + psi[:-2])
-            rhs[0] += b_off * psi[1]
-            rhs[-1] += b_off * psi[-2]
-            psi, _ = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-            if step % record_every == 0:
-                samples.append(psi[detector])
-        return samples, psi
-
-    return advance
+    stops = timedomain._stops(steps)
+    psi, records, leak = psi0, [psi0[detector]], 0.0
+    for step in range(1, steps + 1):
+        rhs = b_main * psi
+        rhs[1:-1] += b_off * (psi[2:] + psi[:-2])
+        rhs[0] += b_off * psi[1]
+        rhs[-1] += b_off * psi[-2]
+        psi, _ = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        if step % every == 0:
+            records.append(psi[detector])
+        if step in stops:
+            leak = max(leak, edge_probability(psi, edge_cells, dx))
+    return np.asarray(records), psi, leak
 
 
-def all_mode_run(psi0, dx, dt, detector, record_every):
-    """Free Crank-Nicolson run over every sine mode, one full inverse DST per sample.
+def all_mode_run(psi0, dx, dt, detector, every, steps, edge_cells):
+    """Free Crank-Nicolson run over every sine mode, one full inverse DST per state.
 
-    Same ``advance(done, stop)`` contract as the oracle's runs: psi at step
-    s is DST(e^{-i theta s} DST(psi0)) with theta_m = 2 arctan(dt lambda_m / 2).
+    Returns what the oracle's runs return; psi at step s is
+    DST(e^{-i theta s} DST(psi0)) with theta_m = 2 arctan(dt lambda_m / 2).
     """
     n = psi0.size
     modes = timedomain._dst1(psi0)
@@ -103,12 +106,9 @@ def all_mode_run(psi0, dx, dt, detector, record_every):
     def psi_at(step):
         return timedomain._dst1(np.exp(-1j * theta * step) * modes)
 
-    def advance(done, stop):
-        first = (done // record_every + 1) * record_every
-        samples = [psi_at(step)[detector] for step in range(first, stop + 1, record_every)]
-        return samples, psi_at(stop)
-
-    return advance
+    records = [psi_at(step)[detector] for step in range(0, steps + 1, every)]
+    leak = max(edge_probability(psi_at(stop), edge_cells, dx) for stop in timedomain._stops(steps))
+    return np.asarray(records), psi_at(steps), leak
 
 
 def closed_form_lag(barrier, packet):
@@ -410,9 +410,9 @@ class TestTdseOracle:
         done = set()
         cayley_run, pair_times = timedomain._cayley_run, timedomain._pair_times
 
-        def tagged_cayley_run(psi0, potential, dx, dt, detector, record_every):
-            on_thread.step = 4 // record_every
-            return cayley_run(psi0, potential, dx, dt, detector, record_every)
+        def tagged_cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
+            on_thread.step = 4 // every
+            return cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells)
 
         def failing_pair_times(*args):
             if on_thread.step in failing:
@@ -448,44 +448,68 @@ class TestTdseOracle:
         # the 3-point parabola on the same clock is off by 2.5e-4 or more
         assert abs(spectral.locate_peak(lags, np.abs(corr)) - shift) > 1e-4
 
+    def test_final_norm_off_by_more_than_1e_8_is_drift(self, monkeypatch):
+        # the rung checks both runs' final norms; scale one run's final psi
+        # by 1 + e, which changes its norm by about 2 e
+        def scaled(run, scale):
+            def scaled_run(*args):
+                records, psi, leak = run(*args)
+                return records, scale * psi, leak
+
+            return scaled_run
+
+        barrier, packet = self.small_packet()
+        for name in ("_cayley_run", "_free_run"):
+            run = getattr(timedomain, name)
+            monkeypatch.setattr(timedomain, name, scaled(run, 1.0 + 2e-9))
+            result = timedomain.tdse_oracle(barrier, packet, dx=0.1)
+            assert result.norm_error == pytest.approx(4e-9, rel=1e-3)
+            monkeypatch.setattr(timedomain, name, scaled(run, 1.0 + 1e-8))
+            with pytest.raises(NormDriftError, match="norm drifted"):
+                timedomain.tdse_oracle(barrier, packet, dx=0.1)
+            monkeypatch.setattr(timedomain, name, run)
+
+    def test_leak_checks_stop_64_times_and_at_the_end(self):
+        assert timedomain._stops(90) == list(range(1, 91))  # every step under 128 steps
+        assert timedomain._stops(360) == list(range(5, 361, 5))  # 72 stops
+
     # a small box: 1700 cells, 3200 steps of dt = dx^2, records every 7th
-    # step (so the last stretch is partial), a k0 = 3 packet at x0 = -12
-    # and a V0 = 6, L = 0.5 barrier with a detector at x = 6
+    # step (so the last record falls before the last step), a k0 = 3 packet
+    # at x0 = -12 and a V0 = 6, L = 0.5 barrier with a detector at x = 6
     DX, DT, STEPS, EVERY, EDGE = 0.05, 0.0025, 3200, 7, 40
 
-    def small_box(self):
+    def small_box(self, x0=-12.0):
         x = np.arange(-45.0, 40.0, self.DX)
-        psi0 = np.exp(-((x + 12.0) ** 2) / 16.0 + 3j * x)
+        psi0 = np.exp(-((x - x0) ** 2) / 16.0 + 3j * x)
         psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * self.DX)
         detector = int(np.argmin(np.abs(x - 6.0)))
         barrier = np.where((x >= 0.0) & (x <= 0.5), 6.0, 0.0)
         return psi0, detector, barrier
 
-    def assert_runs_agree(self, advance, reference, psi0, detector, tol):
-        layout = (psi0, detector, self.STEPS, self.EVERY, self.EDGE, self.DX)
-        rec, norm, leak = timedomain._watched_run(advance, *layout)
-        rec_ref, norm_ref, leak_ref = timedomain._watched_run(reference, *layout)
-        # advancing from the last step to itself hands back the final psi
-        psi = advance(self.STEPS, self.STEPS)[1]
-        psi_ref = reference(self.STEPS, self.STEPS)[1]
+    def layout(self, detector, steps=None):
+        """The runs' arguments after psi0 (and the potential), before the band."""
+        steps = self.STEPS if steps is None else steps
+        return self.DX, self.DT, detector, self.EVERY, steps, self.EDGE
+
+    def assert_runs_agree(self, run, reference, tol):
+        (rec, psi, leak), (rec_ref, psi_ref, leak_ref) = run, reference
         assert rec.size == rec_ref.size == self.STEPS // self.EVERY + 1
         assert np.max(np.abs(rec - rec_ref)) <= tol * np.max(np.abs(rec_ref))
         assert np.max(np.abs(psi - psi_ref)) <= tol * np.max(np.abs(psi_ref))
-        assert norm == pytest.approx(norm_ref, abs=1e-12)
+
+        def norm_error(psi):
+            return abs(float(np.sum(np.abs(psi) ** 2) * self.DX) - 1.0)
+
+        assert norm_error(psi) == pytest.approx(norm_error(psi_ref), abs=1e-12)
         # leaks far below the 1e-10 gate sit at roundoff, hence the floor
         assert leak == pytest.approx(leak_ref, rel=1e-6, abs=1e-18)
 
     def test_spectral_free_run_equals_stepping(self):
         psi0, detector, _ = self.small_box()
-        free = np.zeros(psi0.size)
+        layout = self.layout(detector)
         self.assert_runs_agree(
-            timedomain._free_run(
-                psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE,
-                timedomain._sine_band(psi0),
-            ),
-            stencil_run(psi0, free, self.DX, self.DT, detector, self.EVERY),
-            psi0,
-            detector,
+            timedomain._free_run(psi0, *layout, timedomain._sine_band(psi0)),
+            stencil_run(psi0, np.zeros(psi0.size), *layout),
             tol=1e-11,
         )
 
@@ -493,102 +517,79 @@ class TestTdseOracle:
         psi0, detector, _ = self.small_box()
         band = timedomain._sine_band(psi0)
         assert band[1].size < psi0.size // 8
+        layout = self.layout(detector)
         self.assert_runs_agree(
-            timedomain._free_run(psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE, band),
-            all_mode_run(psi0, self.DX, self.DT, detector, self.EVERY),
-            psi0,
-            detector,
-            tol=1e-12,
+            timedomain._free_run(psi0, *layout, band), all_mode_run(psi0, *layout), tol=1e-12
         )
 
     def test_broadband_state_keeps_every_mode(self):
         _, detector, _ = self.small_box()
         rng = np.random.default_rng(3)
         psi0 = rng.standard_normal(1700) + 1j * rng.standard_normal(1700)
+        n = psi0.size
         lo, modes = timedomain._sine_band(psi0)
-        assert (lo, modes.size) == (0, psi0.size)
-        # a broadband state reaches the edges at once, so compare the runs
-        # stop by stop instead of through the leak check
-        banded = timedomain._free_run(
-            psi0, self.DX, self.DT, detector, self.EVERY, self.EDGE, (lo, modes)
-        )
-        reference = all_mode_run(psi0, self.DX, self.DT, detector, self.EVERY)
-        for done, stop in ((0, 30), (30, 100), (100, 100)):
-            rec, rows = banded(done, stop)
-            rec_ref, psi_ref = reference(done, stop)
-            if done < stop:
-                psi_ref = np.concatenate([psi_ref[: self.EDGE], psi_ref[-self.EDGE :]])
-            scale = np.max(np.abs(psi_ref))
-            assert len(rec) == len(rec_ref)
-            assert np.max(np.abs(np.subtract(rec, rec_ref)), initial=0.0) <= 1e-12 * scale
-            assert rows.shape == psi_ref.shape
-            assert np.max(np.abs(rows - psi_ref)) <= 1e-12 * scale
-
-    def still_run(self, psi0, detector, leak_stop=None, final_scale=1.0):
-        """An ``advance`` that holds psi0 still, but puts 1e-9 of probability
-        in the last cell at the stop ``leak_stop`` and scales the final psi
-        by ``final_scale``."""
-
-        def advance(done, stop):
-            psi = psi0.copy()
-            if stop == leak_stop and done < stop:
-                psi[-1] = math.sqrt(1e-9 / self.DX)
-            if done == stop:
-                psi *= final_scale
-            return [psi0[detector]] * (stop // self.EVERY - done // self.EVERY), psi
-
-        return advance
+        assert (lo, modes.size) == (0, n)
+        # a broadband state reaches the edges at once, so its free run stops
+        # at the first leak check; compare the edge rows and the detector's
+        # band sum, the free run's two partial transforms, with full ones
+        m = np.arange(1, n + 1)
+        lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / self.DX ** 2
+        theta = 2.0 * np.arctan(0.5 * self.DT * lam)
+        edges = timedomain._edge_rows(n, m, self.EDGE)
+        at_detector = np.sqrt(2.0 / (n + 1)) * timedomain._sines(np.sin, n, detector + 1, m)
+        for step in (0, 30, 100):
+            amps = np.exp(-1j * theta * step) * modes
+            psi = timedomain._dst1(amps)
+            scale = np.max(np.abs(psi))
+            rows = np.concatenate([psi[: self.EDGE], psi[-self.EDGE :]])
+            assert np.max(np.abs(edges(amps) - rows)) <= 1e-12 * scale
+            assert abs(np.sum(at_detector * amps) - psi[detector]) <= 1e-12 * scale
 
     def test_edge_probability_at_one_stop_is_contamination(self):
-        psi0, detector, _ = self.small_box()
-        layout = (psi0, detector, self.STEPS, self.EVERY, self.EDGE, self.DX)
-        rec, _, leak = timedomain._watched_run(self.still_run(psi0, detector), *layout)
-        assert rec.size == self.STEPS // self.EVERY + 1 and leak < 1e-20
-        # the stops fall every 50 steps; one of them, mid-run, leaks
-        with pytest.raises(BoundaryContaminationError, match="domain edges"):
-            timedomain._watched_run(self.still_run(psi0, detector, leak_stop=1600), *layout)
-
-    def test_final_norm_off_by_more_than_1e_8_is_drift(self):
-        psi0, detector, _ = self.small_box()
-        layout = (psi0, detector, self.STEPS, self.EVERY, self.EDGE, self.DX)
-        # a scale of 1 + e changes the norm by about 2 e
-        _, norm, _ = timedomain._watched_run(
-            self.still_run(psi0, detector, final_scale=1.0 + 2e-9), *layout
+        # launched at x = 8 and run free (the barrier would scatter the tail
+        # it overlaps there), the packet puts 1e-10 of its probability in the
+        # right edge cells near step 2050: each run of half the steps passes,
+        # and each full run raises at its first stop over the gate
+        psi0, detector, _ = self.small_box(x0=8.0)
+        free, band = np.zeros(psi0.size), timedomain._sine_band(psi0)
+        runs = (
+            lambda steps: timedomain._cayley_run(psi0, free, *self.layout(detector, steps)),
+            lambda steps: timedomain._free_run(psi0, *self.layout(detector, steps), band),
         )
-        assert norm == pytest.approx(4e-9, rel=1e-3)
-        with pytest.raises(NormDriftError, match="norm drifted"):
-            timedomain._watched_run(
-                self.still_run(psi0, detector, final_scale=1.0 + 1e-8), *layout
-            )
+        for run in runs:
+            assert run(self.STEPS // 2)[2] < 1e-10
+            with pytest.raises(BoundaryContaminationError, match="domain edges") as error:
+                run(self.STEPS)
+            # the reported leak is the first one over 1e-10, far below the end's
+            assert float(str(error.value).split()[0]) < 1e-9
 
-    def free_pair(self, psi0, detector, meter=lambda advance: advance):
+    def free_pair(self, psi0, detector):
         """One free-run pair as the oracle runs it: steps dt and 2 dt over the
         same time, sharing one band."""
         band = timedomain._sine_band(psi0)
         for step, steps in ((self.DT, self.STEPS), (2 * self.DT, self.STEPS // 2)):
-            advance = timedomain._free_run(
-                psi0, self.DX, step, detector, self.EVERY, self.EDGE, band
-            )
-            timedomain._watched_run(
-                meter(advance), psi0, detector, steps, self.EVERY, self.EDGE, self.DX
+            timedomain._free_run(
+                psi0, self.DX, step, detector, self.EVERY, steps, self.EDGE, band
             )
 
-    def test_free_pair_stops_allocate_no_grid_transform(self):
+    def test_free_pair_stops_allocate_no_grid_transform(self, monkeypatch):
         # a full-length transform at a check stop allocates at least 4 grid
-        # vectors (the odd extension and its FFT); each stop must stay under
-        # 2 of them, and the whole pair under 10
+        # vectors (the odd extension and its FFT); forming the edge rows at
+        # each stop must stay under 2 of them, and the whole pair under 10
         psi0, detector, _ = self.small_box()
         grid_vector = psi0.nbytes
         timedomain._dst1(psi0)  # numpy caches the FFT plan outside the count
         stop_peaks = []
+        edge_rows = timedomain._edge_rows
 
-        def meter(advance):
-            def metered(done, stop):
+        def metered_edge_rows(*args):
+            rows = edge_rows(*args)
+
+            def metered(amps):
                 held = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                out = advance(done, stop)
-                if done < stop:
-                    stop_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+                out = rows(amps)
+                stop_peaks.append(tracemalloc.get_traced_memory()[1] - held)
                 return out
 
             return metered
@@ -597,7 +598,8 @@ class TestTdseOracle:
         try:
             self.free_pair(psi0, detector)
             pair_peak = tracemalloc.get_traced_memory()[1]
-            self.free_pair(psi0, detector, meter)
+            monkeypatch.setattr(timedomain, "_edge_rows", metered_edge_rows)
+            self.free_pair(psi0, detector)
         finally:
             tracemalloc.stop()
         assert len(stop_peaks) == 2 * 64
@@ -606,10 +608,9 @@ class TestTdseOracle:
 
     def test_cayley_step_equals_stencil_step(self):
         psi0, detector, barrier = self.small_box()
+        layout = self.layout(detector)
         self.assert_runs_agree(
-            timedomain._cayley_run(psi0, barrier, self.DX, self.DT, detector, self.EVERY),
-            stencil_run(psi0, barrier, self.DX, self.DT, detector, self.EVERY),
-            psi0,
-            detector,
+            timedomain._cayley_run(psi0, barrier, *layout),
+            stencil_run(psi0, barrier, *layout),
             tol=1e-12,
         )
