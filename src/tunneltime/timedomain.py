@@ -20,14 +20,15 @@ step (scipy's LAPACK wrappers, imported only when the oracle runs); the
 free reference run is the same discrete dynamics evaluated exactly in the
 sine basis that diagonalises the Dirichlet Laplacian, so it takes no steps.
 It sums only the packet's occupied band of sine modes, each record at its
-own exact phase, and at each leak check it forms only the grid rows that
-the check reads.  Each run is one plain function returning its detector
-record, final state and worst edge leak.  A detector record that has not
-decayed by the end of its window raises instead of yielding a delay.  A
-ladder of three time steps, all recorded on the coarsest step's clock,
-cancels the step's error to fourth order; a worker thread runs the two
-coarser rungs while the calling thread runs the finest, and the result is
-the serial one bit for bit.
+own exact phase, and it checks its edge leak a batch of stops at a time,
+forming only the grid rows that the checks read.  Each run is one plain
+function returning its detector record, final state and worst edge leak.
+A detector record that has not decayed by the end of its window raises
+instead of yielding a delay.  A ladder of three time steps, all recorded
+on the coarsest step's clock, cancels the step's error to fourth order; a
+worker thread runs the two coarser rungs while the calling thread runs the
+finest, whose stepped run is the longest path, and the result is the
+serial one bit for bit.
 """
 
 from __future__ import annotations
@@ -386,10 +387,8 @@ def _stops(steps: int) -> list:
     return list(range(every, steps, every)) + [steps]
 
 
-def _edge_leak(psi: np.ndarray, edge_cells: int, dx: float, worst: float) -> float:
-    """The larger of ``worst`` and the probability in psi's first and last
-    ``edge_cells`` entries; over 1e-10 it is `BoundaryContaminationError`."""
-    leak = (np.sum(np.abs(psi[:edge_cells]) ** 2) + np.sum(np.abs(psi[-edge_cells:]) ** 2)) * dx
+def _worse_leak(worst: float, leak: float) -> float:
+    """The larger of two edge leaks; over 1e-10 it is `BoundaryContaminationError`."""
     worst = max(worst, float(leak))
     if worst > 1e-10:
         raise BoundaryContaminationError(f"{worst:.3e} of the norm reached the domain edges")
@@ -402,8 +401,8 @@ def _cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
     The Cayley form A psi' = B psi has A = I + i dt H / 2 and B = 2I - A, so
     psi' = 2 A^-1 psi - psi: A is LU-factored once (gttrf) and each step is
     one tridiagonal solve (gttrs).  psi[detector] is recorded at step 0 and
-    at every ``every``-th step, and the edge leak is checked at each of
-    `_stops` (`_edge_leak`).
+    at every ``every``-th step, and the probability in psi's first and last
+    ``edge_cells`` entries is checked at each of `_stops` (`_worse_leak`).
     """
     from scipy.linalg import lapack
 
@@ -425,7 +424,8 @@ def _cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
         if step % every == 0:
             records.append(psi[detector])
         if step in stops:
-            worst = _edge_leak(psi, edge_cells, dx, worst)
+            edges = np.sum(np.abs(psi[:edge_cells]) ** 2) + np.sum(np.abs(psi[-edge_cells:]) ** 2)
+            worst = _worse_leak(worst, edges * dx)
     return np.asarray(records), psi, worst
 
 
@@ -453,40 +453,54 @@ def _sines(trig, n: int, rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return trig(np.pi / (n + 1) * (np.multiply.outer(rows, modes) % (2 * (n + 1))))
 
 
-def _edge_rows(n: int, modes: np.ndarray, edge_cells: int):
-    """psi's first and last ``edge_cells`` rows from its amplitudes on sine ``modes``.
+def _edge_leaks(n, m, modes, theta, stops, edge_cells, dx) -> np.ndarray:
+    """Probability in psi's first and last ``edge_cells`` entries at each of
+    ``stops``, psi at step s having amplitudes e^{-i theta s} ``modes`` on
+    the sine modes numbered ``m``.
 
     Row j = R b + r of phi_m is sqrt(2/(n+1)) sin(a (R b + r + 1) m) with
     a = pi/(n+1), and by angle addition that is
-    cos(a R b m) sin(a (r+1) m) + sin(a R b m) cos(a (r+1) m), so four
-    tables of about sqrt(edge_cells) rows stand in for the edge_cells-row
-    one.  The right edge mirrors the left: phi_m[n-1-j] = (-1)^(m+1) phi_m[j].
-    Returns a function of the amplitudes giving the left rows followed by
-    the right rows, in grid order.
+    cos(a R b m) sin(a (r+1) m) + sin(a R b m) cos(a (r+1) m), so each block
+    of R rows is built in turn from four tables of about sqrt(edge_cells)
+    rows, and no edge_cells-row table is held.  The right edge mirrors the
+    left, phi_m[n-1-j] = (-1)^(m+1) phi_m[j]: with u and v a block's rows
+    summed over the even and the odd modes, the left rows are u + v and the
+    mirrored right rows v - u, so the two edges hold 2 (|u|^2 + |v|^2).
+    The stops go in batches of max(1, n // modes.size), so one batch's
+    amplitudes fill at most one grid vector.
     """
     block = math.isqrt(edge_cells - 1) + 1
     starts = np.arange(0, edge_cells, block)
     offsets = np.arange(1, block + 1)
     scale = np.sqrt(2.0 / (n + 1))
-    outer_cos = scale * _sines(np.cos, n, starts, modes)
-    outer_sin = scale * _sines(np.sin, n, starts, modes)
-    inner_sin = _sines(np.sin, n, modes, offsets)
-    inner_cos = _sines(np.cos, n, modes, offsets)
-    parity = np.where(modes % 2 == 1, 1.0, -1.0)
-
-    def rows(amps: np.ndarray) -> np.ndarray:
-        # real and imaginary parts of the left and mirrored right amplitudes,
-        # one at a time, so no temporary is larger than a table
-        parts = (amps.real, amps.imag, parity * amps.real, parity * amps.imag)
-        vals = np.empty((4, starts.size, block))
-        for part, out in zip(parts, vals):
-            np.matmul(part * outer_cos, inner_sin, out=out)
-            out += (part * outer_sin) @ inner_cos
-        left = (vals[0] + 1j * vals[1]).ravel()[:edge_cells]
-        right = (vals[2] + 1j * vals[3]).ravel()[:edge_cells]
-        return np.concatenate([left, right[::-1]])
-
-    return rows
+    # alternate modes have alternate parities: one class first, then the other
+    order = np.r_[0 : m.size : 2, 1 : m.size : 2]
+    m, modes, theta, split = m[order], modes[order], theta[order], (m.size + 1) // 2
+    # every table has one column per mode
+    outer_cos = scale * _sines(np.cos, n, starts, m)
+    outer_sin = scale * _sines(np.sin, n, starts, m)
+    inner_sin = _sines(np.sin, n, offsets, m)
+    inner_cos = _sines(np.cos, n, offsets, m)
+    stops = np.asarray(stops)
+    batch = max(1, n // m.size)
+    leaks = np.empty(stops.size)
+    for i in range(0, stops.size, batch):
+        amps = -1j * theta * stops[i : i + batch, None]
+        np.exp(amps, out=amps)
+        amps *= modes
+        # real parts over imaginary parts, so one real product serves both
+        parts = np.concatenate((amps.real, amps.imag))
+        del amps
+        power = np.zeros(parts.shape[0])
+        for start, cos_b, sin_b in zip(starts, outer_cos, outer_sin):
+            width = min(block, edge_cells - start)
+            table = inner_sin[:width] * cos_b
+            table += inner_cos[:width] * sin_b
+            for cls in (slice(None, split), slice(split, None)):
+                rows = parts[:, cls] @ table[:, cls].T
+                power += np.einsum("ij,ij->i", rows, rows)
+        leaks[i : i + batch] = power[: power.size // 2] + power[power.size // 2 :]
+    return 2.0 * dx * leaks
 
 
 def _free_run(psi0, dx, dt, detector, every, steps, edge_cells, band):
@@ -501,9 +515,11 @@ def _free_run(psi0, dx, dt, detector, every, steps, edge_cells, band):
 
     Only psi0's occupied band of modes enters (``band``, from `_sine_band`,
     shared by every run of one psi0).  Each record is one sum over the band
-    at its own phase e^{-i theta s}; each of `_stops` forms only psi's first
-    and last ``edge_cells`` rows (`_edge_rows`) for `_edge_leak`, and the
-    final psi is one `_dst1`.
+    at its own phase e^{-i theta s}.  The leaks at all of `_stops` come from
+    psi's first and last ``edge_cells`` rows, a batch of stops at a time
+    (`_edge_leaks`), and are scanned in stop order, so the run raises at the
+    first stop over the gate (`_worse_leak`) as a stepped run would.  The
+    final psi is the run's one `_dst1`.
     """
     n = psi0.size
     lo, modes = band
@@ -512,10 +528,9 @@ def _free_run(psi0, dx, dt, detector, every, steps, edge_cells, band):
     lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / dx ** 2
     theta = 2.0 * np.arctan(0.5 * dt * lam)
     at_detector = np.sqrt(2.0 / (n + 1)) * _sines(np.sin, n, detector + 1, m) * modes
-    edges, worst = _edge_rows(n, m, edge_cells), 0.0
-    for stop in _stops(steps):
-        worst = _edge_leak(edges(np.exp(-1j * theta * stop) * modes), edge_cells, dx, worst)
-    del edges  # its tables would otherwise sit beside the final transform's buffers
+    worst = 0.0
+    for leak in _edge_leaks(n, m, modes, theta, _stops(steps), edge_cells, dx):
+        worst = _worse_leak(worst, leak)
     records = [np.sum(at_detector * np.exp(-1j * theta * s)) for s in range(0, steps + 1, every)]
     full = np.zeros(n, dtype=complex)
     full[lo : lo + modes.size] = np.exp(-1j * theta * steps) * modes
@@ -612,21 +627,23 @@ def tdse_oracle(
     exactly on the packet's occupied sine modes (`_free_run`, one
     `_sine_band` shared by every free run).  Each run returns its record,
     final psi and worst leak, checking the leak at each of `_stops`
-    (`_edge_leak`); the rung checks both final norms.  The barrier/free
-    pair runs at steps dt, 2 dt and 4 dt, and all six runs record on one
-    clock of 4 dt.  Crank-Nicolson turns a mode by 2 arctan(dt lambda / 2),
+    against one gate (`_worse_leak`); the rung checks both final norms.
+    The barrier/free pair runs at steps dt, 2 dt and 4 dt, and all six runs
+    record on one clock of 4 dt.  Crank-Nicolson turns a mode by 2 arctan(dt lambda / 2),
     whose error is even in dt, so the ladder of `TdseResult` cancels the
     dt^2 and dt^4 terms of the delay.  The lag is the band-limited peak of
     the correlation (`_band_limited_peak`), which a coarse clock biases far
     less than a 3-point parabola.
 
     The rungs share no written state, so one worker thread runs the 4 dt
-    and 2 dt pairs while the calling thread runs the dt pair, about the same
-    work (scipy's tridiagonal solve releases the GIL).  Each run's
-    arithmetic and the order in which the rungs combine are the serial
-    ones, so the result is identical to a serial ladder's, and so is the
-    error: that of the coarsest failing rung.  The worker is joined before
-    the call returns or raises.
+    and 2 dt pairs while the calling thread runs the dt pair (scipy's
+    tridiagonal solve releases the GIL).  With the free runs' leaks checked
+    in batches the two threads carry about equal work, and the dt pair's
+    Cayley steps, 4/3 as many as the other two rungs' together, are the
+    critical path.  Each run's arithmetic and the order in which the rungs
+    combine are the serial ones, so the result is identical to a serial
+    ladder's, and so is the error: that of the coarsest failing rung.  The
+    worker is joined before the call returns or raises.
 
     Both records of each pair must have fallen below 1e-3 of their peak
     power by the last sample (`RecordTruncatedError` otherwise), so a

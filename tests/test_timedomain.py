@@ -522,28 +522,54 @@ class TestTdseOracle:
             timedomain._free_run(psi0, *layout, band), all_mode_run(psi0, *layout), tol=1e-12
         )
 
+    def band_phases(self, psi0):
+        """The free run's band (first index, coefficients), its mode numbers
+        and their Crank-Nicolson phases per step of DT."""
+        n = psi0.size
+        lo, modes = timedomain._sine_band(psi0)
+        m = np.arange(lo + 1, lo + modes.size + 1)
+        lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / self.DX ** 2
+        return lo, modes, m, 2.0 * np.arctan(0.5 * self.DT * lam)
+
+    def full_state(self, psi0, step):
+        """psi at ``step`` from one full inverse transform of the band's amplitudes."""
+        lo, modes, _, theta = self.band_phases(psi0)
+        amps = np.zeros(psi0.size, dtype=complex)
+        amps[lo : lo + modes.size] = np.exp(-1j * theta * step) * modes
+        return timedomain._dst1(amps)
+
     def test_broadband_state_keeps_every_mode(self):
         _, detector, _ = self.small_box()
         rng = np.random.default_rng(3)
         psi0 = rng.standard_normal(1700) + 1j * rng.standard_normal(1700)
         n = psi0.size
-        lo, modes = timedomain._sine_band(psi0)
-        assert (lo, modes.size) == (0, n)
+        lo, modes, m, theta = self.band_phases(psi0)
+        assert (lo, modes.size) == (0, n)  # so the leaks go one stop per batch
         # a broadband state reaches the edges at once, so its free run stops
-        # at the first leak check; compare the edge rows and the detector's
+        # at the first leak check; compare the edge leaks and the detector's
         # band sum, the free run's two partial transforms, with full ones
-        m = np.arange(1, n + 1)
-        lam = 2.0 * np.sin(0.5 * np.pi * m / (n + 1)) ** 2 / self.DX ** 2
-        theta = 2.0 * np.arctan(0.5 * self.DT * lam)
-        edges = timedomain._edge_rows(n, m, self.EDGE)
+        steps = [0, 30, 100]
+        leaks = timedomain._edge_leaks(n, m, modes, theta, steps, self.EDGE, self.DX)
         at_detector = np.sqrt(2.0 / (n + 1)) * timedomain._sines(np.sin, n, detector + 1, m)
-        for step in (0, 30, 100):
+        for step, leak in zip(steps, leaks):
+            psi = self.full_state(psi0, step)
+            assert leak == pytest.approx(edge_probability(psi, self.EDGE, self.DX), rel=1e-12)
             amps = np.exp(-1j * theta * step) * modes
-            psi = timedomain._dst1(amps)
-            scale = np.max(np.abs(psi))
-            rows = np.concatenate([psi[: self.EDGE], psi[-self.EDGE :]])
-            assert np.max(np.abs(edges(amps) - rows)) <= 1e-12 * scale
-            assert abs(np.sum(at_detector * amps) - psi[detector]) <= 1e-12 * scale
+            assert abs(np.sum(at_detector * amps) - psi[detector]) <= 1e-12 * np.max(np.abs(psi))
+
+    def test_batched_leaks_equal_full_transforms_at_every_stop(self):
+        # launched at x = 8 the packet's edge probability climbs from
+        # roundoff to 1.5e-2 over the run (at x = -12 every stop is under
+        # the floor); 64 stops in batches of 11 leave a ragged last batch
+        psi0, _, _ = self.small_box(x0=8.0)
+        lo, modes, m, theta = self.band_phases(psi0)
+        stops = timedomain._stops(self.STEPS)
+        assert len(stops) % (psi0.size // modes.size) != 0
+        leaks = timedomain._edge_leaks(psi0.size, m, modes, theta, stops, self.EDGE, self.DX)
+        assert leaks.size == len(stops) and np.max(leaks) > 1e-3
+        for stop, leak in zip(stops, leaks):
+            full = edge_probability(self.full_state(psi0, stop), self.EDGE, self.DX)
+            assert leak == pytest.approx(full, rel=1e-6, abs=1e-18)
 
     def test_edge_probability_at_one_stop_is_contamination(self):
         # launched at x = 8 and run free (the barrier would scatter the tail
@@ -573,37 +599,33 @@ class TestTdseOracle:
             )
 
     def test_free_pair_stops_allocate_no_grid_transform(self, monkeypatch):
-        # a full-length transform at a check stop allocates at least 4 grid
-        # vectors (the odd extension and its FFT); forming the edge rows at
-        # each stop must stay under 2 of them, and the whole pair under 10
+        # a full-length transform allocates at least 4 grid vectors (the odd
+        # extension and its FFT): the pair takes one for its shared band, and
+        # each run one for its final psi after its 64 leak checks, which take
+        # none; the whole pair stays under 10 grid vectors
         psi0, detector, _ = self.small_box()
         grid_vector = psi0.nbytes
         timedomain._dst1(psi0)  # numpy caches the FFT plan outside the count
-        stop_peaks = []
-        edge_rows = timedomain._edge_rows
+        dst1, edge_leaks, calls = timedomain._dst1, timedomain._edge_leaks, []
 
-        def metered_edge_rows(*args):
-            rows = edge_rows(*args)
+        def counted_dst1(x):
+            calls.append("transform")
+            return dst1(x)
 
-            def metered(amps):
-                held = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                out = rows(amps)
-                stop_peaks.append(tracemalloc.get_traced_memory()[1] - held)
-                return out
+        def counted_edge_leaks(*args):
+            leaks = edge_leaks(*args)
+            calls.append(leaks.size)
+            return leaks
 
-            return metered
-
+        monkeypatch.setattr(timedomain, "_dst1", counted_dst1)
+        monkeypatch.setattr(timedomain, "_edge_leaks", counted_edge_leaks)
         tracemalloc.start()
         try:
             self.free_pair(psi0, detector)
             pair_peak = tracemalloc.get_traced_memory()[1]
-            monkeypatch.setattr(timedomain, "_edge_rows", metered_edge_rows)
-            self.free_pair(psi0, detector)
         finally:
             tracemalloc.stop()
-        assert len(stop_peaks) == 2 * 64
-        assert max(stop_peaks) < 2 * grid_vector
+        assert calls == ["transform"] + [64, "transform"] * 2
         assert pair_peak < 10 * grid_vector
 
     def test_cayley_step_equals_stencil_step(self):
