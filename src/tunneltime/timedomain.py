@@ -82,7 +82,7 @@ class PulseEnvelope:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "a", a)
         if times.ndim != 1 or times.size < 8 or a.shape != times.shape:
-            raise ValueError("times and a must be equal-length 1-D arrays")
+            raise ValueError("times and a must be equal-length 1-D arrays of >= 8 samples")
         steps = np.diff(times)
         if steps[0] <= 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise ValueError("time grid must be uniform and increasing")
@@ -142,19 +142,19 @@ class PulseEnvelope:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Transmitted envelope with its quasi-static diagnostics."""
+    """Transmitted envelope with its quasi-static diagnostics.
 
-    times: np.ndarray
+    ``a_out`` lives on the input pulse's time grid.  ``energy_balance`` is
+    the transmitted plus reflected envelope energy over the input's, 1 for
+    a lossless stack.
+    """
+
     a_out: np.ndarray
-    a_reflected: np.ndarray
     peak_delay: float
     width_ratio: float
     quasistatic_deviation: float
-    t0: complex
     tau_g: float
-    energy_in: float
-    energy_transmitted: float
-    energy_reflected: float
+    energy_balance: float
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,18 @@ class TurnOnRamp:
 
 @dataclass(frozen=True)
 class FrontTestResult:
-    """Energy fraction of the transmitted signal arriving before the front."""
+    """Energy fraction of the transmitted signal arriving before the front.
+
+    ``pre_front_fraction`` is the stack's; ``vacuum_floor`` is the same
+    fraction for the equal-length vacuum slab on the same synthesis, the
+    floor that band-limiting alone leaves.  ``front_time`` is the vacuum
+    transit of the stack's length and ``band`` the synthesis band.
+    """
 
     front_time: float
     pre_front_fraction: float
-    carrier: float
+    vacuum_floor: float
     band: float
-    record_length: float
 
 
 @dataclass(frozen=True)
@@ -267,8 +272,7 @@ def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> Propagation
         raise WraparoundDetectedError("transmitted envelope does not decay at record ends")
 
     tau_g = photonic.group_delay(stack, pulse.omega0)
-    t0 = complex(t_fft[0])
-    a_ref = np.fft.fft(spec_in * t0 * np.exp(1j * omega_fft * tau_g))
+    a_ref = np.fft.fft(spec_in * complex(t_fft[0]) * np.exp(1j * omega_fft * tau_g))
     deviation = float(np.max(np.abs(a_out - a_ref)) / peak_out) if peak_out > 0 else 0.0
 
     peak_delay = spectral.locate_peak(pulse.times, np.abs(a_out) ** 2) - spectral.locate_peak(
@@ -276,18 +280,16 @@ def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> Propagation
     )
     width_ratio = _rms_width(pulse.times, a_out) / _rms_width(pulse.times, pulse.a)
 
+    energy_in, energy_out, energy_refl = (
+        float(np.sum(np.abs(a) ** 2) * dt) for a in (pulse.a, a_out, a_refl)
+    )
     return PropagationResult(
-        times=pulse.times,
         a_out=a_out,
-        a_reflected=a_refl,
         peak_delay=float(peak_delay),
         width_ratio=float(width_ratio),
         quasistatic_deviation=deviation,
-        t0=t0,
         tau_g=float(tau_g),
-        energy_in=float(np.sum(np.abs(pulse.a) ** 2) * dt),
-        energy_transmitted=float(np.sum(np.abs(a_out) ** 2) * dt),
-        energy_reflected=float(np.sum(np.abs(a_refl) ** 2) * dt),
+        energy_balance=(energy_out + energy_refl) / energy_in,
     )
 
 
@@ -308,20 +310,21 @@ def front_causality(
     omega_mid: float,
     ramp: TurnOnRamp = TurnOnRamp(),
     band_factor: float = 50.0,
-    stopband_width: Optional[float] = None,
 ) -> FrontTestResult:
-    """Fraction of transmitted energy arriving before the light front.
+    """Fraction of transmitted energy arriving before the light front, with its control.
 
     A smoothly switched-on carrier at ``omega_mid`` is synthesized over a
-    band of ``band_factor`` times the stopband width (the front is broadband)
-    and sent through the stack; the front cannot arrive before the vacuum
-    transit of the total length.  ``stopband_width`` may be passed explicitly
-    so a vacuum-slab control run uses the identical synthesis.
+    band of ``band_factor`` times the width of the stack's stopband at
+    ``omega_mid`` (the front is broadband); a passband ``omega_mid`` raises
+    NotInStopbandError before any synthesis.  The ramp's spectrum is formed
+    once and sent through the stack and through the equal-length vacuum
+    slab; neither output can arrive before the vacuum transit of the total
+    length, and the slab's pre-front fraction is the floor band-limiting
+    alone leaves.
     """
     if band_factor < 50.0:
         raise BandTooNarrowError("synthesis band must cover at least 50x the stopband")
-    if stopband_width is None:
-        stopband_width = photonic.find_stopband(stack, omega_mid).width
+    stopband_width = photonic.find_stopband(stack, omega_mid).width
     band = band_factor * stopband_width
     if band >= 1.9 * omega_mid:
         raise BandTooNarrowError(
@@ -343,28 +346,24 @@ def front_causality(
     n = max(4096, 1 << int(np.ceil(np.log2(duration / dt))))
     times = np.arange(n) * dt
 
-    env_in = _ramp_envelope(times, t_on, rise, hold)
+    spec_in = np.fft.ifft(_ramp_envelope(times, t_on, rise, hold))
     omegas = omega_mid + 2.0 * np.pi * np.fft.fftfreq(n, dt)
-    t_fft, _ = photonic.stack_t_r_samples(stack, omegas)
+    before_front = times < t_on + length
 
-    env_out = np.fft.fft(np.fft.ifft(env_in) * t_fft)
-    power = np.abs(env_out) ** 2
-    peak = float(np.max(power))
-    # the record-end samples sit at the synthesis floor (the quantity this
-    # test measures); only gross wraparound of the physical ring is an error
-    tail = power[int(0.98 * n):]
-    if np.max(tail) > 1e-6 * peak:
-        raise WraparoundDetectedError("transmitted record does not ring out; enlarge it")
+    def pre_front_fraction(medium: LayeredStack) -> float:
+        t_fft, _ = photonic.stack_t_r_samples(medium, omegas)
+        power = np.abs(np.fft.fft(spec_in * t_fft)) ** 2
+        # the record-end samples sit at the synthesis floor (the quantity this
+        # test measures); only gross wraparound of the physical ring is an error
+        if np.max(power[int(0.98 * n):]) > 1e-6 * float(np.max(power)):
+            raise WraparoundDetectedError("transmitted record does not ring out; enlarge it")
+        return float(np.sum(power[before_front])) / float(np.sum(power))
 
-    front_abs = t_on + length
-    pre = float(np.sum(power[times < front_abs]))
-    tot = float(np.sum(power))
     return FrontTestResult(
         front_time=length,
-        pre_front_fraction=pre / tot,
-        carrier=omega_mid,
+        pre_front_fraction=pre_front_fraction(stack),
+        vacuum_floor=pre_front_fraction(LayeredStack.vacuum_slab(length)),
         band=band,
-        record_length=float(n * dt),
     )
 
 

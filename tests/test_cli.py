@@ -235,12 +235,14 @@ class TestConfigErrors:
                 "omega_max": 2.0,
             },
             {"kind": "hartman", "family": "grating", "kappa": -0.1, "lengths": [5.0, 10.0]},
+            {"kind": "pulse", "stack": SKC_CONFIG["stack"], "omega_mid": OMEGA0, "samples": 7},
         ],
         ids=[
             "quantum-negative-length",
             "grating-negative-kappa",
             "zero-thickness-layer",
             "hartman-negative-kappa",
+            "pulse-too-few-samples",
         ],
     )
     def test_library_constructor_error_exits_2_and_writes_nothing(self, tmp_path, payload):
@@ -331,6 +333,15 @@ class TestNumericalFailure:
         summary = json.loads((out / "pulse.json").read_text())
         assert summary["error"] == "BandTooNarrowError"
         assert not (out / "pulse.csv").exists()
+
+    def test_front_at_a_passband_carrier_exits_3(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "front.json").read_text(encoding="utf-8"))
+        path = write_config(tmp_path / "front.json", {**cfg, "omega_mid": 0.95 * OMEGA0})
+        out = tmp_path / "out"
+        assert cli.run(path, output_dir=str(out)) == 3
+        summary = json.loads((out / "front.json").read_text())
+        assert summary["error"] == "NotInStopbandError"
+        assert not (out / "front.csv").exists()
 
     def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
         real = quantum.delay_report

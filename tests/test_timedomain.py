@@ -17,6 +17,7 @@ from tunneltime.errors import (
     BandTooNarrowError,
     BoundaryContaminationError,
     NormDriftError,
+    NotInStopbandError,
     RecordTruncatedError,
     WraparoundDetectedError,
 )
@@ -209,8 +210,7 @@ class TestPropagateSpectral:
             OMEGA0, 0.02 * band.width, samples=1024
         )
         result = timedomain.propagate_spectral(skc_stack, pulse)
-        balance = (result.energy_transmitted + result.energy_reflected) / result.energy_in
-        assert balance == pytest.approx(1.0, abs=1e-8)
+        assert result.energy_balance == pytest.approx(1.0, abs=1e-8)
 
     def test_deviation_shrinks_with_bandwidth(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)
@@ -242,13 +242,15 @@ class TestFrontCausality:
         assert tau_g < front_stack.total_length
 
     def test_vacuum_control_floor(self, front_stack):
-        width = photonic.find_stopband(front_stack, OMEGA0).width
-        control = timedomain.front_causality(
-            photonic.LayeredStack.vacuum_slab(front_stack.total_length),
-            OMEGA0,
-            stopband_width=width,
-        )
-        assert control.pre_front_fraction < 1e-8
+        assert timedomain.front_causality(front_stack, OMEGA0).vacuum_floor < 1e-8
+
+    def test_passband_carrier_raises_before_any_synthesis(self, front_stack, monkeypatch):
+        def no_synthesis(stack, omegas):
+            raise AssertionError("a passband carrier reached the front synthesis")
+
+        monkeypatch.setattr(photonic, "stack_t_r_samples", no_synthesis)
+        with pytest.raises(NotInStopbandError):
+            timedomain.front_causality(front_stack, 0.95 * OMEGA0)
 
     def test_doubling_band_does_not_increase_fraction(self, front_stack):
         base = timedomain.front_causality(front_stack, OMEGA0, band_factor=50.0)
