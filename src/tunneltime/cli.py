@@ -15,8 +15,10 @@ Exit codes: 0 success, 2 config error (a missing, unknown or wrongly typed
 key -- a JSON boolean is not a number --, a NaN or infinite number, or a
 value a library constructor rejects; nothing is written), 3 numerical
 failure (the failing error class is named in the JSON summary; a NaN or
-infinite result is one).  Outputs are deterministic: identical configs
-produce byte-identical CSVs, with floats printed at 17 significant digits.
+infinite result is one, and so is a Python ``ArithmeticError`` such as an
+overflowing float power, reported as ``NonFiniteResultError``).  Outputs
+are deterministic: identical configs produce byte-identical CSVs, with
+floats printed at 17 significant digits.
 ``threads`` is validated but sweeps run serially, so every thread count
 gives the same bytes.
 """
@@ -250,6 +252,10 @@ def _run_hartman(v: dict):
 
 def _run_pulse(v: dict):
     stack = _stack(v["stack"])
+    # the envelope's shape does not depend on its bandwidth, so a bad sample
+    # count is a config error before any stack is marched
+    _build(timedomain.PulseEnvelope.gaussian_with_bandwidth, v["omega_mid"], 1.0,
+           samples=v["samples"])
     band = photonic.find_stopband(stack, v["omega_mid"])
     pulse = _build(timedomain.PulseEnvelope.gaussian_with_bandwidth,
                    v["omega_mid"], v["bandwidth_fraction"] * band.width, samples=v["samples"])
@@ -434,6 +440,10 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        except ArithmeticError as exc:
+            # a Python float or complex operation overflowed or divided by
+            # zero: the non-finite result numpy would have given, named
+            raise NonFiniteResultError(f"{type(exc).__name__}: {exc}") from exc
         if units is not None:
             summary.update(_fs_conversions(summary, units["length_scale_m"]))
         arrays = {key: np.asarray(values, dtype=float) for key, values in columns.items()}

@@ -23,19 +23,26 @@ delta = n d w, with exact power-of-two rescaling against overflow.  t and r
 are read off at the front face, each layer's wave amplitudes at its own.
 The same march can carry dE/dw and dH/dw beside E and H, which gives the
 group delay exactly, with no sampled phase.
-A step's coefficients cos(delta), i sin(delta)/n and i n sin(delta) are
+Every step has the form (E, H) <- (A E - P H, D H - Q E): four products and
+two differences, written into two reused arrays beside E and H.  A layer's
+step has A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta),
 formed once per layer type, a distinct (n, d) pair, and held from its first
-step to its last, so a periodic stack costs one cos and one sin per type and
-frequency, and each step four products and two differences, written into
-two reused arrays beside E and H.  A held type keeps three complex arrays,
-6 words per frequency.  A type that occurs once is never held; the most
-held at once is half the layers, for a palindrome of distinct layers.
+use to its last, so each type costs one cos and one sin per frequency.  For
+t, r and the group delay, a stack that repeats a cell of p layers at least
+twice is marched a whole cell per step, the Bloch-wave treatment of
+periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)): the cell's step is
+composed once per frequency from its layers' steps, and the N mod p layers
+left at the front face are stepped singly.  The layer amplitudes behind
+stored energy and field profiles need every layer face and are marched
+layer by layer.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, and a vacuum slab yields its length.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -223,83 +230,175 @@ class PhaseEnergyReport:
     max_residual: float
 
 
-def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
-    """(E, H, k) at the exit face, then at each layer's front face, last layer first.
+def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False,
+                    cells: bool = False):
+    """(E, H, k) at the exit face, then at the front face of each step, last step first.
 
-    The true fields are 2^k (E, H), k an integer per frequency: E and H are
-    rescaled by exact powers of two before a step that could take a running
-    bound on their size past _RESCALE_BOUND, and never otherwise.  A step is
-    (E, H) <- (cos(delta) E - p H, cos(delta) H - q E); a layer type's
-    coefficients come from _step_coefficients at its first step and are held,
-    6 words per frequency, until its last.  Steps write into reused arrays,
-    so a yielded (E, H, k) is valid only until the next step.
+    A step is one layer.  With ``cells``, a stack that holds at least two
+    whole copies of its repeating cell of p layers (see :func:`_period`)
+    steps a whole cell at a time from the exit face, then the N mod p layers
+    left at the front face one at a time, so the faces between are cell
+    faces; a cell whose growth bound exceeds _RESCALE_BOUND is stepped layer
+    by layer.  The true fields are 2^k (E, H), k an integer per frequency:
+    E and H are rescaled by exact powers of two before a step that could
+    take a running bound on their size past _RESCALE_BOUND, and never
+    otherwise.  A step (E, H) <- (A E - P H, D H - Q E) takes its
+    coefficients (growth, A, P, Q, D) from :func:`_step_coefficients` or
+    :func:`_cell_matrix` and writes into reused arrays, so a yielded
+    (E, H, k) is valid only until the next step.
 
-    With ``slope``, E and H are (2, F) arrays whose row 1 is dE/dw and dH/dw.
-    The step matrix is M = exp(w d G) with G = -i [[0, 1], [n^2, 0]], so
-    dM/dw = d G M: both rows take the same step, and row 1 then gains
-    d G (E, H) = -i d (H, n^2 E) of the stepped row 0.  The rescale shift
-    takes the larger of both rows; the 2^k scale cancels in any ratio of a
-    derivative to its value.
+    With ``slope``, E and H are (2, F) arrays whose row 1 is dE/dw and dH/dw,
+    stepped by the product rule, (E, H)' <- M (E, H)' + dM/dw (E, H), with
+    dM/dw = [[dA, -dP], [-dQ, dD]] appended to the coefficients.  Row 1
+    outgrows the bound by a factor of order the stack's optical thickness,
+    far inside the margin below overflow.  The rescale shift takes the
+    larger of both rows; the 2^k scale cancels in any ratio of a derivative
+    to its value.
     """
+    layers = stack.layers
+    period = _period(layers) if cells else 1
+    count, rest = divmod(len(layers), period)
+    cell = layers[rest:rest + period]
+    growth = math.prod(_growth(n) for n, _ in cell)
+    if period < 2 or count < 2 or growth > _RESCALE_BOUND:
+        steps = _layer_steps(layers[::-1], omegas, slope)
+    else:
+        steps = _layer_steps(cell[::-1] + layers[:rest][::-1], omegas, slope)
+        whole = (growth, *_cell_matrix(itertools.islice(steps, period), slope))
+        steps = itertools.chain(itertools.repeat(whole, count), steps)
+        del whole
     e = np.ones(omegas.shape, dtype=complex)
     h = np.full(omegas.shape, complex(stack.n_out))
     if slope:  # the exit fields do not depend on w
         e, h = np.stack((e, np.zeros_like(e))), np.stack((h, np.zeros_like(h)))
     e2, h2 = np.empty_like(e), np.empty_like(h)
+    if slope:
+        de, dh, spare = (np.empty(omegas.shape, dtype=complex) for _ in range(3))
     k = np.zeros(omegas.shape, dtype=int)
     bound = max(1.0, stack.n_out)
-    # steps left per layer type, and the step coefficients of types with steps left
-    left, held = Counter(stack.layers), {}
     yield e, h, k
-    for layer in reversed(stack.layers):
-        left[layer] -= 1
-        coeffs = held.pop(layer, None)
-        if coeffs is None:
-            coeffs = _step_coefficients(*layer, omegas)
-        if left[layer]:
-            held[layer] = coeffs
-        growth, cos_p, p, q = coeffs
-        if bound * growth > _RESCALE_BOUND:
+    for coeffs in steps:
+        if bound * coeffs[0] > _RESCALE_BOUND:
             size = np.maximum(np.abs(e), np.abs(h))
             _, shift = np.frexp(size.max(axis=0) if slope else size)
             scale = np.ldexp(1.0, -shift)
             e, h, k, bound = e * scale, h * scale, k + shift, 1.0
-        bound *= growth
-        # e2 = cos_p e - p h, then h2 = cos_p h - q e, with e's array free for
-        # cos_p h once q e is formed
+        bound *= coeffs[0]
+        _, a, p, q, d, *slopes = coeffs
+        if slope:  # dM (E, H) of row 0 before the step
+            da, dp, dq, dd = slopes
+            e0, h0 = e[0], h[0]
+            np.multiply(da, e0, out=de)
+            np.multiply(dp, h0, out=spare)
+            np.subtract(de, spare, out=de)
+            np.multiply(dd, h0, out=dh)
+            np.multiply(dq, e0, out=spare)
+            np.subtract(dh, spare, out=dh)
+            del da, dp, dq, dd
+        # e2 = a e - p h, then h2 = d h - q e, with e's array free for d h
+        # once q e is formed
         np.multiply(p, h, out=h2)
-        np.multiply(cos_p, e, out=e2)
+        np.multiply(a, e, out=e2)
         np.subtract(e2, h2, out=e2)
         np.multiply(q, e, out=h2)
-        np.multiply(cos_p, h, out=e)
+        np.multiply(d, h, out=e)
         np.subtract(e, h2, out=h2)
-        # a type with no steps left frees its coefficients before the next
-        # type's are formed
-        del cos_p, p, q
-        e, e2, h, h2 = e2, e, h2, h
         if slope:
-            # row 1 outgrows the bound by a factor of order the stack's
-            # optical thickness, far inside the margin below overflow
-            n, d = layer
-            e[1] -= (1j * d) * h[0]
-            h[1] -= (1j * d * n * n) * e[0]
+            e2[1] += de
+            h2[1] += dh
+        # a layer type with no steps left frees its coefficients before the
+        # next type's are formed
+        del coeffs, a, p, q, d, slopes
+        e, e2, h, h2 = e2, e, h2, h
         yield e, h, k
 
 
-def _step_coefficients(n: float, d: float, omegas: np.ndarray):
-    """growth, cos(delta), p = i sin(delta)/n and q = i n sin(delta) of one layer step.
+def _period(layers) -> int:
+    """Smallest p >= 1 with layers[i] == layers[i + p] for every i.
 
-    growth bounds the factor by which one step can grow max(|E|, |H|).
+    N less the longest proper prefix of the sequence that is also a suffix,
+    read off the prefix function (the Knuth-Morris-Pratt failure function)
+    in O(N) comparisons; 1 for no layers.  A stack of N = m p + r layers is
+    then m whole cells behind its first r layers, each cell the layers
+    r .. r + p - 1.
+    """
+    fail, k = [0], 0  # fail[i]: longest proper border of layers[:i + 1]
+    for layer in layers[1:]:
+        while k and layer != layers[k]:
+            k = fail[k - 1]
+        if layer == layers[k]:
+            k += 1
+        fail.append(k)
+    return max(len(layers) - k, 1)
+
+
+def _growth(n: float) -> float:
+    """Bound on the factor by which one step of a layer of index n grows max(|E|, |H|)."""
+    return 1.0 + max(n, 1.0 / n)
+
+
+def _layer_steps(layers, omegas: np.ndarray, slope: bool):
+    """The step coefficients of each of ``layers`` in turn.
+
+    A layer type, a distinct (n, d) pair, has its coefficients formed at its
+    first step and held until its last, so a periodic stack costs one cos and
+    one sin per type and frequency.  A held type keeps three complex arrays,
+    6 words per frequency (five more with ``slope``).  A type that occurs once
+    is never held; the most held at once is half the layers, for a palindrome
+    of distinct layers.
+    """
+    left, held = Counter(layers), {}
+    for layer in layers:
+        left[layer] -= 1
+        if layer not in held:
+            held[layer] = _step_coefficients(*layer, omegas, slope)
+        # no local keeps a reference while suspended, so a type with no
+        # steps left is freed once the march has taken its last step
+        yield held[layer] if left[layer] else held.pop(layer)
+
+
+def _step_coefficients(n: float, d: float, omegas: np.ndarray, slope: bool = False):
+    """growth, A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta) of one layer.
+
     cos(delta) is held complex, cos(delta) + 0i, the value numpy casts a real
     factor to in a product with a complex array, so each product keeps its
-    bits.  The phase and sin(delta) die here, so the march holds only what a
-    step reads.
+    bits; A and D are the same array.  The phase and sin(delta) die here, so
+    the march holds only what a step reads.  With ``slope`` the w-derivatives
+    follow: dM/dw = n d [[-sin(delta), -i cos(delta)/n], [-i n cos(delta), -sin(delta)]].
     """
     phase = (n * d) * omegas
     cos_p = np.zeros(omegas.shape, dtype=complex)
     cos_p.real = np.cos(phase)
     sin_p = np.sin(phase)
-    return 1.0 + max(n, 1.0 / n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p)
+    coeffs = (_growth(n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p), cos_p)
+    if slope:
+        da = (-n * d) * sin_p
+        coeffs += (da, (1j * d) * cos_p, (1j * n * n * d) * cos_p, da)
+    return coeffs
+
+
+def _cell_matrix(steps, slope: bool):
+    """(A, P, Q, D) of a cell's step from its layers' step coefficients, exit side first.
+
+    The cell's step is the product M = M_1 ... M_p of its layers' steps,
+    built up from the exit side as M <- M_j M; with ``slope``, (dA, dP, dQ,
+    dD) follow by the product rule, dM <- M_j dM + dM_j M.
+    """
+    _, *cell = next(steps)
+    for _, *layer in steps:
+        product = _product(layer[:4], cell[:4])
+        if slope:
+            product += [x + y for x, y in zip(_product(layer[:4], cell[4:]),
+                                              _product(layer[4:], cell[:4]))]
+        cell = product
+    return cell
+
+
+def _product(x, y):
+    """(A, P, Q, D) of the step x y, each step given as (A, P, Q, D) of [[A, -P], [-Q, D]]."""
+    xa, xp, xq, xd = x
+    ya, yp, yq, yd = y
+    return [xa * ya + xp * yq, xa * yp + xp * yd, xq * ya + xd * yq, xq * yp + xd * yd]
 
 
 def _split_waves(e, h, n):
@@ -315,7 +414,7 @@ def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
     """
     if np.any(omegas <= 0.0):
         raise ValueError("frequencies must be positive")
-    for e, h, k in _backward_march(stack, omegas, slope):
+    for e, h, k in _backward_march(stack, omegas, slope, cells=True):
         pass  # only the front face is needed
     return (*_split_waves(e, h, stack.n_in), k)
 

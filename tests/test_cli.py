@@ -70,6 +70,55 @@ HARTMAN_CONFIG = {
 QUANTUM_CONFIG = {"kind": "quantum", "v0": 2.0, "length": 3.0, "energy": 1.0}
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def assert_matches_golden_json(got, want, path="results"):
+    """Floats agree to relative 1e-10 or absolute 1e-15; every other value exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-10, abs=1e-15), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_golden_json(got[key], want[key], f"{path}.{key}")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+def csv_columns(path):
+    """Header and the cells of a written CSV, one list of strings per column."""
+    header, *rows = Path(path).read_text().splitlines()
+    return header.split(","), list(zip(*(row.split(",") for row in rows)))
+
+
+class TestGoldenOutputs:
+    """Every shipped config against its pinned JSON results and CSV columns.
+
+    A CSV column agrees to relative 1e-10 or absolute 1e-13 of its largest
+    magnitude: the absolute floor covers tail samples, such as the pulse
+    envelope's, that are FFT roundoff of the peak.  Empty cells match exactly.
+    """
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_outputs_match_the_pinned_copies(self, tmp_path, config):
+        assert cli.run(str(config), output_dir=str(tmp_path)) == 0
+        got = json.loads((tmp_path / f"{config.stem}.json").read_text())["results"]
+        want = json.loads((GOLDEN_DIR / f"{config.stem}.json").read_text())
+        assert_matches_golden_json(got, want)
+
+        header, columns = csv_columns(tmp_path / f"{config.stem}.csv")
+        want_header, want_columns = csv_columns(GOLDEN_DIR / f"{config.stem}.csv")
+        assert header == want_header
+        assert len(columns) == len(want_columns)
+        for name, cells, want_cells in zip(header, columns, want_columns):
+            assert len(cells) == len(want_cells), name
+            assert [c == "" for c in cells] == [c == "" for c in want_cells], name
+            values = np.array([float(c) for c in cells if c])
+            expected = np.array([float(c) for c in want_cells if c])
+            floor = 1e-13 * np.max(np.abs(expected), initial=0.0)
+            np.testing.assert_allclose(values, expected, rtol=1e-10, atol=floor, err_msg=name)
+
+
 class TestListExperiments:
     def test_contains_all_seven_kinds(self):
         text = cli.list_experiments()
@@ -236,6 +285,8 @@ class TestConfigErrors:
             },
             {"kind": "hartman", "family": "grating", "kappa": -0.1, "lengths": [5.0, 10.0]},
             {"kind": "pulse", "stack": SKC_CONFIG["stack"], "omega_mid": OMEGA0, "samples": 7},
+            # a passband carrier: the sample count is checked before the stopband search
+            {"kind": "pulse", "stack": SKC_CONFIG["stack"], "omega_mid": 4.0, "samples": 4},
         ],
         ids=[
             "quantum-negative-length",
@@ -243,6 +294,7 @@ class TestConfigErrors:
             "zero-thickness-layer",
             "hartman-negative-kappa",
             "pulse-too-few-samples",
+            "pulse-too-few-samples-at-a-passband-carrier",
         ],
     )
     def test_library_constructor_error_exits_2_and_writes_nothing(self, tmp_path, payload):
@@ -342,6 +394,27 @@ class TestNumericalFailure:
         summary = json.loads((out / "front.json").read_text())
         assert summary["error"] == "NotInStopbandError"
         assert not (out / "front.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "hartman", "family": "grating", "kappa": 2e171, "lengths": [5.0, 10.0]},
+            {"kind": "grating", "grating": {"kappa": 1e200, "length": 10.0, "omega_b": 6.0},
+             "delta_min": -0.1, "delta_max": 0.1},
+            {"kind": "hartman", "family": "grating", "kappa": 1e200, "omega_b": 1e250,
+             "lengths": [5.0, 10.0]},
+        ],
+        ids=["hartman-grating", "grating", "hartman-grating-huge-omega_b"],
+    )
+    def test_coupling_too_large_to_square_exits_3_named(self, tmp_path, payload):
+        # kappa^2 overflows a Python float; the failure is named, not a traceback
+        cfg = write_config(tmp_path / "k.json", payload)
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 3
+        summary = json.loads((out / "k.json").read_text(), parse_constant=pytest.fail)
+        assert summary["error"] == "NonFiniteResultError"
+        assert "OverflowError" in summary["message"]
+        assert not (out / "k.csv").exists()
 
     def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
         real = quantum.delay_report

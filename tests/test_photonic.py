@@ -202,39 +202,50 @@ class TestStackResponse:
             np.testing.assert_allclose(np.abs(fwd.t), np.abs(rev.t), atol=1e-12)
 
 
+RECURRING_CELL = ((2.3, 0.11), (1.4, 0.37), (3.1, 0.05))
+MARCH_CASES = ["front", "grating", "random", "rescaled", "single", "recurring", "palindrome"]
+
+
+def march_case(case, front_stack):
+    """A stack and frequencies that exercise one path of the backward march."""
+    if case == "front":
+        return front_stack, np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 8192)
+    if case == "single":
+        # the one-frequency march behind the layer wave amplitudes
+        return front_stack, np.array([OMEGA0])
+    if case == "recurring":
+        # A B C A B C ...: each type is held across the others, then released
+        stack = photonic.LayeredStack(RECURRING_CELL * 40, n_in=1.2, n_out=1.5)
+        return stack, np.linspace(4.0, 9.0, 129)
+    if case == "palindrome":
+        # distinct layers mirrored: half the layers are held at the middle
+        rng = np.random.default_rng(17)
+        half = tuple(zip(rng.uniform(1.05, 3.2, 60), rng.uniform(0.02, 0.6, 60)))
+        return photonic.LayeredStack(half + half[::-1]), np.linspace(4.0, 9.0, 129)
+    if case == "grating":
+        grating = photonic.UniformGrating(0.3, 20.0, 1.4, 2.0 * np.pi)
+        return grating.as_layered_stack(), grating.omega_b * np.linspace(0.9, 1.1, 257)
+    if case == "random":
+        return random_stack(np.random.default_rng(13)), np.linspace(4.0, 9.0, 513)
+    if case == "opaque":
+        # rescales about 1578 bits by the front face
+        stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, LAMBDA0)
+        return stack, np.linspace(0.9 * OMEGA0, 1.1 * OMEGA0, 65)
+    stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 601, LAMBDA0, n_in=1.3, n_out=1.7)
+    return stack, np.linspace(0.8 * OMEGA0, 1.2 * OMEGA0, 513)
+
+
+def layer_march_front_face(stack, omegas, slope=False):
+    """a, b and k at the front face from the march that steps every layer."""
+    for e, h, k in photonic._backward_march(stack, omegas, slope):
+        pass
+    return (*photonic._split_waves(e, h, stack.n_in), k)
+
+
 class TestMarchCache:
-    @pytest.mark.parametrize(
-        "case", ["front", "grating", "random", "rescaled", "single", "recurring", "palindrome"]
-    )
+    @pytest.mark.parametrize("case", MARCH_CASES)
     def test_bit_identical_to_uncached_march(self, case, front_stack):
-        if case == "front":
-            stack = front_stack
-            omegas = np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 8192)
-        elif case == "single":
-            # the one-frequency march behind the layer wave amplitudes
-            stack = front_stack
-            omegas = np.array([OMEGA0])
-        elif case == "recurring":
-            # A B C A B C ...: each type is held across the others, then released
-            cell = ((2.3, 0.11), (1.4, 0.37), (3.1, 0.05))
-            stack = photonic.LayeredStack(cell * 40, n_in=1.2, n_out=1.5)
-            omegas = np.linspace(4.0, 9.0, 129)
-        elif case == "palindrome":
-            # distinct layers mirrored: half the layers are held at the middle
-            rng = np.random.default_rng(17)
-            half = tuple(zip(rng.uniform(1.05, 3.2, 60), rng.uniform(0.02, 0.6, 60)))
-            stack = photonic.LayeredStack(half + half[::-1])
-            omegas = np.linspace(4.0, 9.0, 129)
-        elif case == "grating":
-            grating = photonic.UniformGrating(0.3, 20.0, 1.4, 2.0 * np.pi)
-            stack = grating.as_layered_stack()
-            omegas = grating.omega_b * np.linspace(0.9, 1.1, 257)
-        elif case == "random":
-            stack = random_stack(np.random.default_rng(13))
-            omegas = np.linspace(4.0, 9.0, 513)
-        else:
-            stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 601, LAMBDA0, n_in=1.3, n_out=1.7)
-            omegas = np.linspace(0.8 * OMEGA0, 1.2 * OMEGA0, 513)
+        stack, omegas = march_case(case, front_stack)
         steps = 0
         for got, want in zip(photonic._backward_march(stack, omegas), uncached_march(stack, omegas)):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -254,8 +265,7 @@ class TestMarchCache:
             stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 601, LAMBDA0, n_in=1.3, n_out=1.7)
             omega = OMEGA0
         else:
-            cell = ((2.3, 0.11), (1.4, 0.37), (3.1, 0.05))
-            stack = photonic.LayeredStack(cell * 40, n_in=1.2, n_out=1.5)
+            stack = photonic.LayeredStack(RECURRING_CELL * 40, n_in=1.2, n_out=1.5)
             omega = 6.0
         got = photonic._layer_wave_coefficients(stack, omega)
         monkeypatch.setattr(photonic, "_backward_march", uncached_march)
@@ -293,6 +303,106 @@ class TestMarchCache:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0]
+
+
+class TestCellMarch:
+    def test_period_of_the_march_cases(self, front_stack):
+        periods = {}
+        for case in ("front", "recurring", "random", "palindrome"):
+            stack, _ = march_case(case, front_stack)
+            periods[case] = photonic._period(stack.layers), len(stack.layers)
+        assert periods["front"] == (2, 373)
+        assert periods["recurring"] == (3, 120)
+        assert periods["random"][0] == periods["random"][1]
+        # a palindrome's first layer is its last, so it repeats after N - 1 layers
+        assert periods["palindrome"] == (119, 120)
+
+    def test_period_of_short_sequences(self):
+        assert photonic._period(()) == 1
+        assert photonic._period(((2.0, 0.1),)) == 1
+        assert photonic._period(((2.0, 0.1),) * 5) == 1
+        assert photonic._period(((2.0, 0.1), (1.5, 0.2), (2.0, 0.1))) == 2
+        assert photonic._period(((2.0, 0.1), (2.0, 0.1), (1.5, 0.2))) == 3
+
+    @pytest.mark.parametrize("case", MARCH_CASES + ["opaque"])
+    def test_front_face_matches_the_layer_march(self, case, front_stack):
+        stack, omegas = march_case(case, front_stack)
+        a, b, k = photonic._front_face(stack, omegas)
+        a_ref, b_ref, k_ref = layer_march_front_face(stack, omegas)
+        # the two marches rescale at different steps: compare 2^k a
+        scaled = a * np.ldexp(1.0, k - k_ref)
+        np.testing.assert_array_less(np.abs(scaled - a_ref), 1e-12 * np.abs(a_ref))
+        np.testing.assert_array_less(np.abs(b / a - b_ref / a_ref), 1e-12)
+        if case == "opaque":
+            assert np.all(k_ref > 1500)
+        # the slope march by cells gives the layer march's delay
+        omega = omegas[len(omegas) // 2 : len(omegas) // 2 + 1]
+        (a, da), _, _ = photonic._front_face(stack, omega, slope=True)
+        (a_ref, da_ref), _, _ = layer_march_front_face(stack, omega, slope=True)
+        assert (da / a).imag[0] == pytest.approx((da_ref / a_ref).imag[0], rel=1e-12)
+
+    def test_cell_march_takes_a_step_per_cell(self, front_stack):
+        omegas = np.linspace(0.9 * OMEGA0, 1.1 * OMEGA0, 5)
+        faces = sum(1 for _ in photonic._backward_march(front_stack, omegas, cells=True))
+        # 373 layers: 186 whole cells behind one leftover layer, plus the exit face
+        assert faces == 186 + 1 + 1
+
+    def test_cell_past_the_rescale_bound_is_stepped_by_layers(self):
+        # each layer's growth bound is about 1e80, the cell's about 1e160
+        cell = ((1e80, 1e-81), (1e-80, 1e79))
+        stack = photonic.LayeredStack(cell * 3)
+        assert photonic._period(stack.layers) == 2
+        assert photonic._growth(1e80) * photonic._growth(1e-80) > photonic._RESCALE_BOUND
+        omegas = np.linspace(1.0, 2.0, 17)
+        by_cells = photonic._backward_march(stack, omegas, cells=True)
+        steps = 0
+        for got, want in zip(by_cells, uncached_march(stack, omegas)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            steps += 1
+        assert steps == len(stack.layers) + 1
+
+    def test_cell_march_holds_no_more_than_the_layer_march(self, front_stack):
+        # a layer type with no steps left is freed while the cells are stepped
+        omegas = np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 4096)
+        peaks = []
+        for cells in (False, True):
+            tracemalloc.start()
+            try:
+                for _ in photonic._backward_march(front_stack, omegas, cells=cells):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("slope", [False, True])
+    @pytest.mark.parametrize("leftover", [1, 2])
+    def test_trig_once_per_layer_type(self, monkeypatch, slope, leftover):
+        # the leftover layers at the front face reuse the cell's coefficients
+        layers = (RECURRING_CELL * 41)[3 - leftover:]
+        stack = photonic.LayeredStack(layers)
+        assert len(layers) % 3 == leftover
+        calls = {"cos": 0, "sin": 0}
+        for name in calls:
+            def counted(x, _name=name, _f=getattr(np, name)):
+                calls[_name] += 1
+                return _f(x)
+            monkeypatch.setattr(np, name, counted)
+        photonic._front_face(stack, np.linspace(4.0, 9.0, 33), slope=slope)
+        assert calls == {"cos": 3, "sin": 3}
+
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_a_frequency_gets_the_same_bits_in_any_company(self, front_stack, slope):
+        # find_stopband marches a window and then only its new points
+        omegas = np.linspace(0.9 * OMEGA0, 1.1 * OMEGA0, 131)
+        whole = photonic._front_face(front_stack, omegas, slope)
+        for part in (omegas[:1], omegas[57:60], omegas[::-7], np.append(omegas[3:40], OMEGA0)):
+            got = photonic._front_face(front_stack, part, slope)
+            for g, w in zip(got, whole):
+                for j, omega in enumerate(part):
+                    hit = np.flatnonzero(omegas == omega)
+                    if hit.size:
+                        assert np.array_equal(g[..., j], w[..., hit[0]])
 
 
 class TestGratingResponse:
