@@ -28,19 +28,23 @@ two differences, written into two reused arrays beside E and H.  A layer's
 step has A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta),
 formed once per layer type, a distinct (n, d) pair, and held from its first
 use to its last, so each type costs one cos and one sin per frequency.  For
-t, r and the group delay, a stack that repeats a cell of p layers at least
-twice is marched a whole cell per step, the Bloch-wave treatment of
-periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)): the cell's step is
-composed once per frequency from its layers' steps, and the N mod p layers
-left at the front face are stepped singly.  The layer amplitudes behind
-stored energy and field profiles need every layer face and are marched
-layer by layer.
+t, r and the group delay, a stack that repeats a cell of p layers m >= 2
+times is marched by powers of its cell, the Bloch-wave treatment of
+periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)) with binary
+powering (Knuth, TAOCP vol. 2, sec. 4.6.3): the cell's step M is composed
+once per frequency from its layers' steps, the N mod p layers left at the
+exit face are stepped singly, and then one step of M^(2^j) is taken for
+each set bit j of m, M squared in place between steps.  The 373-layer
+`front` stack, 186 cells and one layer, takes 6 steps and 7 squarings, not
+373 steps.  The layer amplitudes behind stored energy and field profiles
+need every layer face and are marched layer by layer.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, and a vacuum slab yields its length.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -50,7 +54,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import spectral
-from .errors import DetuningOutOfRangeError, NotInStopbandError
+from .errors import DetuningOutOfRangeError, NonFiniteResultError, NotInStopbandError
 
 # fraction of the Bragg frequency within which the coupled-mode closed form
 # is trusted
@@ -93,6 +97,11 @@ class LayeredStack:
                 raise ValueError("layer indices and thicknesses must be positive")
         if not all(n > 0.0 and np.isfinite(n) for n in (self.n_in, self.n_out)):
             raise ValueError("surrounding indices must be positive and finite")
+
+    @functools.cached_property
+    def _layer_period(self) -> int:
+        """:func:`_period` of the layers, found at the first march by cells."""
+        return _period(self.layers)
 
     @property
     def total_length(self) -> float:
@@ -234,12 +243,16 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
                     cells: bool = False):
     """(E, H, k) at the exit face, then at the front face of each step, last step first.
 
-    A step is one layer.  With ``cells``, a stack that holds at least two
-    whole copies of its repeating cell of p layers (see :func:`_period`)
-    steps a whole cell at a time from the exit face, then the N mod p layers
-    left at the front face one at a time, so the faces between are cell
-    faces; a cell whose growth bound exceeds _RESCALE_BOUND is stepped layer
-    by layer.  The true fields are 2^k (E, H), k an integer per frequency:
+    A step is one layer.  With ``cells``, a stack of N = m p + r layers that
+    holds m >= 2 whole copies of its repeating cell of p layers (see
+    :func:`_period`) steps the r layers left at the exit face one at a time,
+    then the m cells by binary powers of the cell's step M: one step of
+    M^(2^j) for each set bit j of m, lowest first, with M squared in place
+    between steps (:func:`_square`).  So the faces after the leftover layers
+    are those of the power steps.  A power whose squared growth bound would
+    pass _RESCALE_BOUND is repeated for the remaining cells instead, and a
+    cell whose own growth bound does is stepped layer by layer.  The
+    true fields are 2^k (E, H), k an integer per frequency:
     E and H are rescaled by exact powers of two before a step that could
     take a running bound on their size past _RESCALE_BOUND, and never
     otherwise.  A step (E, H) <- (A E - P H, D H - Q E) takes its
@@ -256,17 +269,33 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
     to its value.
     """
     layers = stack.layers
-    period = _period(layers) if cells else 1
+    period = stack._layer_period if cells else 1
     count, rest = divmod(len(layers), period)
-    cell = layers[rest:rest + period]
+    cell = layers[:period]
     growth = math.prod(_growth(n) for n, _ in cell)
+
+    def powers(power, m):
+        # M^(2^j) for each set bit j of m; M is squared in place between
+        # steps, into the spare arrays e2 and h2, which neither a step nor a
+        # yielded face holds then.  A power whose square could pass
+        # _RESCALE_BOUND is repeated for the rest of the cells instead
+        while m:
+            if power[0] ** 2 > _RESCALE_BOUND:
+                yield from itertools.repeat(power, m)
+                return
+            if m & 1:
+                yield power
+            m >>= 1
+            if m:
+                _square(power, [*e2, *h2] if slope else [e2, h2])
+
     if period < 2 or count < 2 or growth > _RESCALE_BOUND:
         steps = _layer_steps(layers[::-1], omegas, slope)
     else:
-        steps = _layer_steps(cell[::-1] + layers[:rest][::-1], omegas, slope)
-        whole = (growth, *_cell_matrix(itertools.islice(steps, period), slope))
-        steps = itertools.chain(itertools.repeat(whole, count), steps)
-        del whole
+        steps = _layer_steps(cell[::-1] + layers[len(layers) - rest:][::-1], omegas, slope)
+        power = [growth, *_cell_matrix(itertools.islice(steps, period), slope)]
+        steps = itertools.chain(steps, powers(power, count))
+        del power
     e = np.ones(omegas.shape, dtype=complex)
     h = np.full(omegas.shape, complex(stack.n_out))
     if slope:  # the exit fields do not depend on w
@@ -319,8 +348,8 @@ def _period(layers) -> int:
     N less the longest proper prefix of the sequence that is also a suffix,
     read off the prefix function (the Knuth-Morris-Pratt failure function)
     in O(N) comparisons; 1 for no layers.  A stack of N = m p + r layers is
-    then m whole cells behind its first r layers, each cell the layers
-    r .. r + p - 1.
+    then m whole copies of its first p layers, the cell, before its last r
+    layers, which repeat the cell's first r.
     """
     fail, k = [0], 0  # fail[i]: longest proper border of layers[:i + 1]
     for layer in layers[1:]:
@@ -394,6 +423,42 @@ def _cell_matrix(steps, slope: bool):
     return cell
 
 
+def _square(power, spares):
+    """Square in place a step [growth, A, P, Q, D, *slopes] that owns its arrays.
+
+    M^2 = [[A A + P Q, -P t], [-Q t, D D + P Q]] with t = A + D; with
+    ``slopes`` (dA, dP, dQ, dD) follow by the product rule,
+    dM^2 = [[2 A dA + s, -(dP t + P dt)], [-(dQ t + Q dt), 2 D dD + s]] with
+    s = dP Q + P dQ and dt = dA + dD.  ``spares`` are arrays of the steps'
+    shape whose contents are dead, two of them, four with ``slopes``.
+    """
+    power[0] **= 2
+    _, a, p, q, d, *slopes = power
+    trace, pq, *scratch = spares
+    np.add(a, d, out=trace)
+    if slopes:
+        da, dp, dq, dd = slopes
+        s, dtrace = scratch
+        np.multiply(dp, q, out=s)
+        np.multiply(p, dq, out=pq)
+        np.add(s, pq, out=s)
+        np.add(da, dd, out=dtrace)
+        for x, dx in ((a, da), (d, dd)):
+            np.multiply(dx, x, out=dx)
+            np.multiply(dx, 2.0, out=dx)
+            np.add(dx, s, out=dx)
+        for x, dx in ((p, dp), (q, dq)):
+            np.multiply(dx, trace, out=dx)
+            np.multiply(x, dtrace, out=pq)
+            np.add(dx, pq, out=dx)
+    np.multiply(p, q, out=pq)
+    for x in (a, d):
+        np.multiply(x, x, out=x)
+        np.add(x, pq, out=x)
+    np.multiply(p, trace, out=p)
+    np.multiply(q, trace, out=q)
+
+
 def _product(x, y):
     """(A, P, Q, D) of the step x y, each step given as (A, P, Q, D) of [[A, -P], [-Q, D]]."""
     xa, xp, xq, xd = x
@@ -453,14 +518,21 @@ def _grating_closed_form(grating: UniformGrating, omega, length=None):
 
     The two-wave barrier of :func:`spectral._two_wave` with a = -delta, b = kappa
     and gamma = sqrt(kappa^2 - delta^2) taken complex; ``length`` defaults to
-    the grating's.  The validity window is enforced here for every grating quantity.
+    the grating's.  The validity window is enforced here for every grating
+    quantity, and a kappa whose square overflows raises NonFiniteResultError.
     """
     delta = grating.detuning(omega)
     if np.any(np.abs(delta) >= _GRATING_VALIDITY * grating.omega_b):
         raise DetuningOutOfRangeError(
             "detuning outside coupled-mode validity |delta| < 0.2 * omega_b"
         )
-    gamma = np.sqrt((grating.kappa ** 2 - delta ** 2).astype(complex))
+    try:
+        kappa_squared = float(grating.kappa) ** 2
+    except OverflowError as exc:
+        raise NonFiniteResultError(
+            f"kappa = {grating.kappa!r} squared: {type(exc).__name__}: {exc}"
+        ) from exc
+    gamma = np.sqrt((kappa_squared - delta ** 2).astype(complex))
     if length is None:
         length = grating.length
     return (*spectral._two_wave(gamma, -delta, grating.kappa, length), gamma)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -628,6 +629,28 @@ class TestStackExperiment:
         stack = photonic.LayeredStack.quarter_wave(2.0, 1.5, 11, LAMBDA0)
         t, r = photonic.stack_t_r_samples(stack, omegas)
         assert np.array_equal(rows[:, 1:5], np.column_stack([t.real, t.imag, r.real, r.imag]))
+
+
+def test_front_run_marches_its_stack_by_powers_of_the_cell(tmp_path, monkeypatch):
+    # a march by cells takes a step per set bit of the cell count and at most
+    # one squaring between, not a step per cell
+    march, faces = photonic._backward_march, []
+
+    def counted(stack, omegas, slope=False, cells=False):
+        yielded = 0
+        for face in march(stack, omegas, slope, cells):
+            yielded += 1
+            yield face
+        if cells and len(stack.layers) == 373:
+            faces.append((yielded, stack))
+
+    monkeypatch.setattr(photonic, "_backward_march", counted)
+    assert cli.run(str(CONFIG_DIR / "front.json"), output_dir=str(tmp_path)) == 0
+    assert faces
+    for yielded, stack in faces:
+        count, rest = divmod(len(stack.layers), photonic._period(stack.layers))
+        assert count == 186
+        assert yielded <= 2 * math.ceil(math.log2(count)) + rest + 1
 
 
 def modules_loaded_by_cli_import(package):

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     LAMBDA0,
@@ -17,7 +19,7 @@ from conftest import (
     stack_matching_oracle,
 )
 from tunneltime import photonic, spectral
-from tunneltime.errors import DetuningOutOfRangeError, NotInStopbandError
+from tunneltime.errors import DetuningOutOfRangeError, NonFiniteResultError, NotInStopbandError
 
 
 def uncached_march(stack, omegas):
@@ -341,11 +343,28 @@ class TestCellMarch:
         (a_ref, da_ref), _, _ = layer_march_front_face(stack, omega, slope=True)
         assert (da / a).imag[0] == pytest.approx((da_ref / a_ref).imag[0], rel=1e-12)
 
-    def test_cell_march_takes_a_step_per_cell(self, front_stack):
+    def test_cell_march_steps_by_binary_powers_of_the_cell(self, front_stack):
         omegas = np.linspace(0.9 * OMEGA0, 1.1 * OMEGA0, 5)
         faces = sum(1 for _ in photonic._backward_march(front_stack, omegas, cells=True))
-        # 373 layers: 186 whole cells behind one leftover layer, plus the exit face
-        assert faces == 186 + 1 + 1
+        # 373 layers: the exit face, one leftover layer, then five power steps
+        # for the 186 = 128 + 32 + 16 + 8 + 2 whole cells
+        assert faces == 1 + 1 + 5
+
+    def test_cell_whose_square_passes_the_rescale_bound_is_repeated(self):
+        # each layer's growth bound is about 1e40, the cell's about 1e80 and
+        # its square's about 1e160
+        cell = ((1e40, 1e-41), (1e-40, 1e39))
+        stack = photonic.LayeredStack(cell * 6 + cell[:1])
+        growth = photonic._growth(1e40) * photonic._growth(1e-40)
+        assert growth <= photonic._RESCALE_BOUND < growth ** 2
+        omegas = np.linspace(1.0, 2.0, 17)
+        faces = sum(1 for _ in photonic._backward_march(stack, omegas, cells=True))
+        assert faces == 1 + 1 + 6
+        a, b, k = photonic._front_face(stack, omegas)
+        a_ref, b_ref, k_ref = layer_march_front_face(stack, omegas)
+        scaled = a * np.ldexp(1.0, k - k_ref)
+        np.testing.assert_array_less(np.abs(scaled - a_ref), 1e-12 * np.abs(a_ref))
+        np.testing.assert_array_less(np.abs(b / a - b_ref / a_ref), 1e-12)
 
     def test_cell_past_the_rescale_bound_is_stepped_by_layers(self):
         # each layer's growth bound is about 1e80, the cell's about 1e160
@@ -374,6 +393,56 @@ class TestCellMarch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+    def test_opaque_powered_march_holds_no_more_than_the_layer_march(self, front_stack):
+        # 1000 cells: M^128's square could pass the rescale bound, so the
+        # march steps M^8, M^32 and M^64, then repeats M^128 seven times,
+        # rescaling before most steps; the leftover layer's type is freed
+        # before the powers are stepped
+        stack, _ = march_case("opaque", front_stack)
+        omegas = np.linspace(0.9 * OMEGA0, 1.1 * OMEGA0, 4096)
+        assert sum(1 for _ in photonic._backward_march(stack, omegas, cells=True)) == 1 + 1 + 3 + 7
+        peaks = []
+        for cells in (False, True):
+            tracemalloc.start()
+            try:
+                for _ in photonic._backward_march(stack, omegas, cells=cells):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        cell=st.lists(st.tuples(st.floats(1.0, 3.5), st.floats(0.02, 0.6)), min_size=1, max_size=4),
+        count=st.one_of(
+            st.integers(2, 600),
+            st.integers(1, 9).flatmap(lambda j: st.sampled_from([2 ** j - 1, 2 ** j + 1])),
+        ),
+        leftover=st.integers(0, 3),
+    )
+    def test_powered_front_face_matches_the_layer_march(self, cell, count, leftover):
+        # The composed cell's rounding recurs in every cell, so on random
+        # stacks the march by cells, powered or one cell per step, departs
+        # from the layer march by up to about 3e-12 over 1000 random stacks,
+        # past the 1e-12 that the fixed cases above hold.  A delay near zero
+        # has no relative accuracy: its error is taken against the optical
+        # length
+        layers = (tuple(cell) * (count + 1))[: count * len(cell) + leftover]
+        stack = photonic.LayeredStack(layers, n_in=1.2, n_out=1.5)
+        omegas = np.linspace(4.0, 9.0, 33)
+        a, b, k = photonic._front_face(stack, omegas)
+        a_ref, b_ref, k_ref = layer_march_front_face(stack, omegas)
+        scaled = a * np.ldexp(1.0, k - k_ref)
+        np.testing.assert_array_less(np.abs(scaled - a_ref), 1e-11 * np.abs(a_ref))
+        np.testing.assert_array_less(np.abs(b / a - b_ref / a_ref), 1e-11)
+        (a, da), _, _ = photonic._front_face(stack, omegas, slope=True)
+        (a_ref, da_ref), _, _ = layer_march_front_face(stack, omegas, slope=True)
+        delay, delay_ref = (da / a).imag, (da_ref / a_ref).imag
+        optical = sum(n * d for n, d in layers)
+        np.testing.assert_array_less(np.abs(delay - delay_ref),
+                                     1e-11 * np.maximum(np.abs(delay_ref), optical))
 
     @pytest.mark.parametrize("slope", [False, True])
     @pytest.mark.parametrize("leftover", [1, 2])
@@ -490,6 +559,14 @@ class TestGratingResponse:
         tau = photonic.grating_group_delay(grating, grating.omega_b)
         slab_tau = photonic.group_delay(photonic.LayeredStack.vacuum_slab(length), 2.0 * np.pi)
         assert tau == pytest.approx(slab_tau, rel=1e-8)
+
+    @pytest.mark.parametrize("quantity", [photonic.grating_group_delay, photonic.grating_stored_energy],
+                             ids=lambda f: f.__name__)
+    def test_coupling_too_large_to_square_raises_named(self, quantity):
+        # kappa^2 overflows a Python float: a named failure, not an OverflowError
+        grating = photonic.UniformGrating(2e171, 5.0, 1.0, 2.0 * np.pi)
+        with pytest.raises(NonFiniteResultError, match="OverflowError"):
+            quantity(grating, grating.omega_b)
 
 
 class TestFields:
