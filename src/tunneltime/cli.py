@@ -288,6 +288,7 @@ def _run_front(v: dict):
         "tau_g": tau_g,
         "tau_g_below_front_time": bool(tau_g < result.front_time),
         "synthesis_band": result.band,
+        "synthesis_samples": result.samples,
     }
     return columns, summary
 

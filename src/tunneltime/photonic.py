@@ -93,9 +93,9 @@ class LayeredStack:
         norm = tuple((float(n), float(d)) for n, d in self.layers)
         object.__setattr__(self, "layers", norm)
         for n, d in norm:
-            if not (n > 0.0 and np.isfinite(n) and d > 0.0 and np.isfinite(d)):
+            if not (n > 0.0 and math.isfinite(n) and d > 0.0 and math.isfinite(d)):
                 raise ValueError("layer indices and thicknesses must be positive")
-        if not all(n > 0.0 and np.isfinite(n) for n in (self.n_in, self.n_out)):
+        if not all(n > 0.0 and math.isfinite(n) for n in (self.n_in, self.n_out)):
             raise ValueError("surrounding indices must be positive and finite")
 
     @functools.cached_property

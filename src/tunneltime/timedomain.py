@@ -33,6 +33,8 @@ serial one bit for bit.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -64,6 +66,34 @@ _LAG_PAD = 64
 _BAND_TAIL_SHARE = 1e-26
 # oracle detector records must fall below this share of peak power by t_end
 _RECORD_END_POWER = 1e-3
+# front synthesis: largest phase step of t_stack conj(t_vacuum) between
+# frequency-neighbouring bins (on quarter-wave stacks, records with steps
+# of 0.30-0.36 rad still wrapped 1e-3..1e-2 of the pre-front fraction in
+# from ring-out; none at or under pi/16 did), and the longest record grown
+# to try (a run at the cap peaks at about 0.33 GB)
+_PHASE_STEP_BOUND = np.pi / 16
+_RECORD_CAP = 1 << 20
+
+
+def _smooth_lengths(limit: int) -> list:
+    """Every 2^a 3^b 5^c <= limit in ascending order, the lengths FFTs take fast."""
+    lengths = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            lengths.extend(p35 << a for a in range((limit // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return sorted(lengths)
+
+
+_FFT_LENGTHS = _smooth_lengths(_RECORD_CAP)
+
+
+def _fft_length(count: int) -> int:
+    """Smallest 2^a 3^b 5^c >= count, for counts up to the record cap."""
+    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, count)]
 
 
 @dataclass(frozen=True)
@@ -176,13 +206,15 @@ class FrontTestResult:
     ``pre_front_fraction`` is the stack's; ``vacuum_floor`` is the same
     fraction for the equal-length vacuum slab on the same synthesis, the
     floor that band-limiting alone leaves.  ``front_time`` is the vacuum
-    transit of the stack's length and ``band`` the synthesis band.
+    transit of the stack's length, ``band`` the synthesis band and
+    ``samples`` the length of the accepted synthesis record.
     """
 
     front_time: float
     pre_front_fraction: float
     vacuum_floor: float
     band: float
+    samples: int
 
 
 @dataclass(frozen=True)
@@ -321,6 +353,20 @@ def front_causality(
     slab; neither output can arrive before the vacuum transit of the total
     length, and the slab's pre-front fraction is the floor band-limiting
     alone leaves.
+
+    The band fixes the sample step, and the record starts at the smallest
+    2^a 3^b 5^c length that holds the ramp, the transit and a ring-out
+    allowance (4096 samples at least).  The FFT record is periodic, so
+    energy that band-edge resonances store past its end wraps into the
+    pre-front window; the record resolves them when the phase of
+    t_stack conj(t_vacuum) turns by at most pi/16 between
+    frequency-neighbouring bins.  Until it does, the record grows to the
+    next such length of at least twice its size, or more if the measured
+    step asks for it, but not past 2^20 samples, and the stack is marched
+    again; the vacuum is marched once, on the accepted record, whose
+    length is ``FrontTestResult.samples``.  A stack still unresolved at
+    2^20 samples raises WraparoundDetectedError, as does transmitted power
+    above 1e-6 of its peak in the accepted record's last 2 %.
     """
     if band_factor < 50.0:
         raise BandTooNarrowError("synthesis band must cover at least 50x the stopband")
@@ -340,18 +386,38 @@ def front_causality(
     t_on = 8.0 * rise
     duration = t_on + 2.0 * rise + hold + length + ring
 
-    # fix dt from the band exactly; padding the record up to a power of two
-    # only adds ring-out room and keeps every synthesis frequency positive
+    # the band fixes dt exactly, so every synthesis frequency stays positive
     dt = 2.0 * np.pi / band
-    n = max(4096, 1 << int(np.ceil(np.log2(duration / dt))))
-    times = np.arange(n) * dt
+    count = max(4096, math.ceil(duration / dt))
+    if count > _RECORD_CAP:
+        raise WraparoundDetectedError(
+            f"the front synthesis needs {count} samples, past the cap of {_RECORD_CAP}"
+        )
+    while True:
+        n = _fft_length(count)
+        omegas = omega_mid + 2.0 * np.pi * np.fft.fftfreq(n, dt)
+        t_stack, _ = photonic.stack_t_r_samples(stack, omegas)
+        # t_stack conj(t_vacuum) from bin to bin in frequency order: the vacuum
+        # factor e^{i omega L} turns every step by the same e^{i d_omega L}, so
+        # the vacuum is marched once, on the accepted record
+        ordered = np.fft.fftshift(t_stack)
+        turns = ordered[1:] * ordered[:-1].conj() * cmath.exp(-2j * np.pi * length / (n * dt))
+        step = float(np.max(np.abs(np.angle(turns))))
+        if step <= _PHASE_STEP_BOUND:
+            break
+        if n >= _RECORD_CAP:
+            raise WraparoundDetectedError(
+                f"the stack's response still steps {step:.3g} rad between bins "
+                f"at the cap of {_RECORD_CAP} samples"
+            )
+        count = min(_RECORD_CAP, max(2 * n, math.ceil(n * step / _PHASE_STEP_BOUND)))
+    t_vacuum, _ = photonic.stack_t_r_samples(LayeredStack.vacuum_slab(length), omegas)
 
+    times = np.arange(n) * dt
     spec_in = np.fft.ifft(_ramp_envelope(times, t_on, rise, hold))
-    omegas = omega_mid + 2.0 * np.pi * np.fft.fftfreq(n, dt)
     before_front = times < t_on + length
 
-    def pre_front_fraction(medium: LayeredStack) -> float:
-        t_fft, _ = photonic.stack_t_r_samples(medium, omegas)
+    def pre_front_fraction(t_fft: np.ndarray) -> float:
         power = np.abs(np.fft.fft(spec_in * t_fft)) ** 2
         # the record-end samples sit at the synthesis floor (the quantity this
         # test measures); only gross wraparound of the physical ring is an error
@@ -361,9 +427,10 @@ def front_causality(
 
     return FrontTestResult(
         front_time=length,
-        pre_front_fraction=pre_front_fraction(stack),
-        vacuum_floor=pre_front_fraction(LayeredStack.vacuum_slab(length)),
+        pre_front_fraction=pre_front_fraction(t_stack),
+        vacuum_floor=pre_front_fraction(t_vacuum),
         band=band,
+        samples=n,
     )
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import LAMBDA0, OMEGA0
 import tunneltime
-from tunneltime import analysis, cli, photonic, quantum, spectral
+from tunneltime import analysis, cli, photonic, quantum, spectral, timedomain
 from tunneltime.errors import NonFiniteResultError
 
 
@@ -394,6 +394,19 @@ class TestNumericalFailure:
         assert cli.run(path, output_dir=str(out)) == 3
         summary = json.loads((out / "front.json").read_text())
         assert summary["error"] == "NotInStopbandError"
+        assert not (out / "front.csv").exists()
+
+    def test_front_record_past_the_cap_exits_3(self, tmp_path, monkeypatch):
+        # 1.05/1.0 x 373 resolves its band-edge ring-out only past 8192 samples
+        monkeypatch.setattr(timedomain, "_RECORD_CAP", 8192)
+        cfg = json.loads((CONFIG_DIR / "front.json").read_text(encoding="utf-8"))
+        cfg["stack"]["quarter_wave"]["n_hi"] = 1.05
+        path = write_config(tmp_path / "front.json", cfg)
+        out = tmp_path / "out"
+        assert cli.run(path, output_dir=str(out)) == 3
+        summary = json.loads((out / "front.json").read_text())
+        assert summary["error"] == "WraparoundDetectedError"
+        assert "at the cap of 8192 samples" in summary["message"]
         assert not (out / "front.csv").exists()
 
     @pytest.mark.parametrize(

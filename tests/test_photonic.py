@@ -94,6 +94,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             photonic.LayeredStack(((0.0, 0.1),))
 
+    @pytest.mark.parametrize("make", [float, np.float64, np.float32], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -0.5])
+    def test_every_nonpositive_or_non_finite_value_rejected(self, bad, make):
+        bad = make(bad)
+        for layers in (((bad, 0.1),), ((1.5, bad),), ((1.5, 0.1), (bad, bad))):
+            with pytest.raises(ValueError):
+                photonic.LayeredStack(layers)
+        for side in ("n_in", "n_out"):
+            with pytest.raises(ValueError):
+                photonic.LayeredStack(((1.5, 0.1),), **{side: bad})
+
     def test_total_length(self):
         stack = photonic.LayeredStack(((2.0, 0.25), (1.5, 0.5)))
         assert stack.total_length == pytest.approx(0.75)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import OMEGA0
+from conftest import LAMBDA0, OMEGA0
 from tunneltime import photonic, quantum, spectral, timedomain
 from tunneltime.errors import (
     BandTooNarrowError,
@@ -265,6 +265,74 @@ class TestFrontCausality:
         # the SKC-regime stopband is ~27% of the carrier; 50x does not fit
         with pytest.raises(BandTooNarrowError):
             timedomain.front_causality(skc_stack, OMEGA0)
+
+
+def five_smooth_at_least(counts: np.ndarray) -> np.ndarray:
+    """Smallest 2^a 3^b 5^c >= each count, by dividing out 2, 3 and 5 from every integer."""
+    rest = np.arange(2 * int(np.max(counts)) + 1)
+    for p in (2, 3, 5):
+        for _ in range(rest.size.bit_length()):
+            rest = np.where(rest % p, rest, rest // p)
+    smooth = np.flatnonzero(rest == 1)
+    return smooth[np.searchsorted(smooth, counts)]
+
+
+class TestFrontRecord:
+    """The synthesis record grows until the stack's response is resolved on it."""
+
+    def test_fft_length_is_the_smallest_five_smooth_length(self):
+        counts = np.arange(1, 20001)
+        expected = five_smooth_at_least(counts).tolist()
+        assert [timedomain._fft_length(int(c)) for c in counts] == expected
+
+    def test_shipped_stack_takes_one_record(self, front_stack, monkeypatch):
+        marched, sample = [], photonic.stack_t_r_samples
+
+        def counted(stack, omegas):
+            marched.append((len(stack.layers), len(omegas)))
+            return sample(stack, omegas)
+
+        monkeypatch.setattr(photonic, "stack_t_r_samples", counted)
+        result = timedomain.front_causality(front_stack, OMEGA0)
+        assert result.samples == 4320
+        # one march of the stack and one of its vacuum control
+        assert marched == [(373, 4320), (1, 4320)]
+
+    def test_odd_record_is_stepped_in_frequency_order(self, front_stack, monkeypatch):
+        # at 64 stopband widths the first record is 5625 = 3^2 5^4 samples, and
+        # its bins pass the bound only when compared with their neighbours in
+        # frequency, not across the highest-to-lowest wrap of FFT order
+        odd = timedomain.front_causality(front_stack, OMEGA0, band_factor=64.0)
+        assert odd.samples == 5625
+        shortest = timedomain._fft_length
+        monkeypatch.setattr(timedomain, "_fft_length", lambda count: shortest(4 * count))
+        longer = timedomain.front_causality(front_stack, OMEGA0, band_factor=64.0)
+        assert longer.samples >= 4 * odd.samples
+        assert odd.pre_front_fraction == pytest.approx(longer.pre_front_fraction, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "n_hi, layers, expected",
+        [(1.05, 373, 2.1635e-11), (1.01, 2001, 1.1483e-8), (1.02, 1001, 1.0676e-9)],
+    )
+    def test_band_edge_ring_out_is_resolved(self, n_hi, layers, expected):
+        # a first record wraps stored energy into the pre-front window: at
+        # 8192 samples the first two read 1.4e-6 and 2.4e-6 and the third trips
+        # the end-of-record check; the expected fractions are those of far
+        # longer records
+        stack = photonic.LayeredStack.quarter_wave(n_hi, 1.0, layers, LAMBDA0)
+        result = timedomain.front_causality(stack, OMEGA0)
+        assert result.samples > 8192
+        assert result.pre_front_fraction == pytest.approx(expected, rel=1e-4)
+
+    def test_record_past_the_cap_raises(self, front_stack, monkeypatch):
+        monkeypatch.setattr(timedomain, "_RECORD_CAP", 8192)
+        stack = photonic.LayeredStack.quarter_wave(1.05, 1.0, 373, LAMBDA0)
+        with pytest.raises(WraparoundDetectedError, match="at the cap of 8192 samples"):
+            timedomain.front_causality(stack, OMEGA0)
+        # the shipped stack's ramp, transit and ring-out need 4296 samples
+        monkeypatch.setattr(timedomain, "_RECORD_CAP", 4096)
+        with pytest.raises(WraparoundDetectedError, match="past the cap of 4096"):
+            timedomain.front_causality(front_stack, OMEGA0)
 
 
 class TestTdseOracle:
