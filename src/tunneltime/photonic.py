@@ -68,8 +68,15 @@ _FIELD_POINTS_PER_LAYER = 32
 _RESCALE_BOUND = 1e150
 
 # sections each k-section round cuts a stopband-edge bracket into, so one
-# march per round samples 63 interior points of every bracket
+# march per round samples 63 interior points of every bracket; from the
+# second round on the march also samples each bracket's predicted crossing
+# p at p (1 -/+ _STRADDLE), a quarter of the 1e-14 stop width a side, so a
+# prediction good to 2.5e-15 ends its bracket in that round
 _SECTIONS = 64
+_STRADDLE = 2.5e-15
+# section points of a round, nearest its kept sub-bracket, that predict the
+# crossing the next round straddles
+_PREDICTORS = 8
 
 # the stopband scan: _SCAN_POINTS frequencies over omega_ref * (1 +/- _SCAN_FACTOR)
 _SCAN_FACTOR = 0.7
@@ -731,7 +738,9 @@ def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
     omega_ref * (1 +/- _SCAN_FACTOR), and each end of the contiguous region
     below 0.5 around omega_ref is refined by k-section: every round samples
     both edge brackets at once and keeps, in each, the crossing nearest the
-    band, so an edge bounds the below-0.5 run that holds omega_ref.  An edge
+    band, so an edge bounds the below-0.5 run that holds omega_ref.  From the
+    second round on each bracket is also sampled either side of its
+    predicted crossing, which usually ends the search in two rounds.  An edge
     on the scan boundary stays there.  The scan is marched only in a window
     around omega_ref, _SCAN_WINDOW points a side, widened 4x while the run
     below 0.5 reaches a window edge that is not a scan end.
@@ -779,23 +788,65 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
 
     Each bracket runs from a sample inside the band (|t|^2 < 0.5) to one
     outside.  A round marches once over _SECTIONS - 1 interior points of every
-    live bracket; walking out from its inside end, the first point with
-    |t|^2 >= 0.5 becomes the new outside end (the old one if none does) and
-    the point before it the new inside end.  A bracket stops once
+    live bracket and, from the second round on, two more that straddle the
+    crossing predicted by the round before (straddling the bracket's midpoint
+    where the prediction falls outside it); walking out from its inside end,
+    the first point with |t|^2 >= 0.5 becomes the new outside end (the old one
+    if none does) and the point before it the new inside end.  The prediction
+    is inverse interpolation through the _PREDICTORS interior points nearest
+    the kept sub-bracket, so it costs no march.  A bracket stops once
     |inside - outside| <= 1e-14 |inside| and yields its midpoint.
     """
     outside, inside = outside.copy(), inside.copy()
     steps = np.arange(1, _SECTIONS) / _SECTIONS
+    straddle = 1.0 + np.array([-_STRADDLE, _STRADDLE])
+    predicted = None
     live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
     while np.any(live):
         a, b = inside[live], outside[live]
-        points = np.column_stack((a, a[:, None] + (b - a)[:, None] * steps, b))
-        crossed = _transmittance(stack, points[:, 1:-1]) >= 0.5
-        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, _SECTIONS)
+        unit = (b - a) / _SECTIONS  # one section, negative at a lower edge
+        sections = a[:, None] + (b - a)[:, None] * steps
+        marched = sections
+        if predicted is not None:
+            pair = predicted[live][:, None] * straddle
+            held = (np.minimum(a, b)[:, None] <= pair) & (pair <= np.maximum(a, b)[:, None])
+            missed = ~np.all(held, axis=1)
+            pair[missed] = 0.5 * (a + b)[missed, None] * straddle
+            marched = np.column_stack((sections, pair))
+        power = _transmittance(stack, marched)
+        # walk order runs out from the inside end
+        order = np.argsort((marched - a[:, None]) / unit[:, None], axis=1, kind="stable")
+        crossed = np.take_along_axis(power, order, axis=1) >= 0.5
+        walk = np.column_stack((a, np.take_along_axis(marched, order, axis=1), b))
+        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, walk.shape[1] - 1)
         rows = np.arange(first.size)
-        inside[live], outside[live] = points[rows, first - 1], points[rows, first]
+        inside[live], outside[live] = walk[rows, first - 1], walk[rows, first]
+        # interpolate in local coordinates, origin at the new inside end and
+        # unit one section, over sections only: the straddling pair sits too
+        # close to itself to help; a prediction is cut to 64 sections either
+        # way, so a wild one stays finite
+        origin = inside[live]
+        start = np.floor((origin - a) / unit).astype(int) - _PREDICTORS // 2
+        start = np.clip(start, 0, _SECTIONS - 1 - _PREDICTORS)
+        near = (rows[:, None], start[:, None] + np.arange(_PREDICTORS))
+        local = (sections[near] - origin[:, None]) / unit[:, None]
+        offset = np.clip(_inverse_interpolation(local, power[near] - 0.5), -_SECTIONS, _SECTIONS)
+        predicted = np.full(inside.shape, np.nan)
+        predicted[live] = origin + unit * offset
         live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
     return 0.5 * (outside + inside)
+
+
+def _inverse_interpolation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row, the Lagrange interpolant of x over y evaluated at y = 0.
+
+    Equal y values in a row give a non-finite result instead of a warning.
+    """
+    diagonal = np.arange(y.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = -y[:, None, :] / (y[:, :, None] - y[:, None, :])
+        ratios[:, diagonal, diagonal] = 1.0
+        return np.sum(x * np.prod(ratios, axis=2), axis=1)
 
 
 def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> PhaseEnergyReport:

@@ -350,9 +350,9 @@ def front_causality(
     ``omega_mid`` (the front is broadband); a passband ``omega_mid`` raises
     NotInStopbandError before any synthesis.  The ramp's spectrum is formed
     once and sent through the stack and through the equal-length vacuum
-    slab; neither output can arrive before the vacuum transit of the total
-    length, and the slab's pre-front fraction is the floor band-limiting
-    alone leaves.
+    slab, whose response is e^{i omega L} in closed form; neither output can
+    arrive before the vacuum transit of the total length, and the slab's
+    pre-front fraction is the floor band-limiting alone leaves.
 
     The band fixes the sample step, and the record starts at the smallest
     2^a 3^b 5^c length that holds the ramp, the transit and a ring-out
@@ -363,8 +363,8 @@ def front_causality(
     frequency-neighbouring bins.  Until it does, the record grows to the
     next such length of at least twice its size, or more if the measured
     step asks for it, but not past 2^20 samples, and the stack is marched
-    again; the vacuum is marched once, on the accepted record, whose
-    length is ``FrontTestResult.samples``.  A stack still unresolved at
+    again; the accepted record's length is ``FrontTestResult.samples``.
+    The stack is the only thing marched.  A stack still unresolved at
     2^20 samples raises WraparoundDetectedError, as does transmitted power
     above 1e-6 of its peak in the accepted record's last 2 %.
     """
@@ -398,8 +398,7 @@ def front_causality(
         omegas = omega_mid + 2.0 * np.pi * np.fft.fftfreq(n, dt)
         t_stack, _ = photonic.stack_t_r_samples(stack, omegas)
         # t_stack conj(t_vacuum) from bin to bin in frequency order: the vacuum
-        # factor e^{i omega L} turns every step by the same e^{i d_omega L}, so
-        # the vacuum is marched once, on the accepted record
+        # factor e^{i omega L} turns every step by the same e^{i d_omega L}
         ordered = np.fft.fftshift(t_stack)
         turns = ordered[1:] * ordered[:-1].conj() * cmath.exp(-2j * np.pi * length / (n * dt))
         step = float(np.max(np.abs(np.angle(turns))))
@@ -411,7 +410,7 @@ def front_causality(
                 f"at the cap of {_RECORD_CAP} samples"
             )
         count = min(_RECORD_CAP, max(2 * n, math.ceil(n * step / _PHASE_STEP_BOUND)))
-    t_vacuum, _ = photonic.stack_t_r_samples(LayeredStack.vacuum_slab(length), omegas)
+    t_vacuum = np.exp(1j * length * omegas)
 
     times = np.arange(n) * dt
     spec_in = np.fft.ifft(_ramp_envelope(times, t_on, rise, hold))

@@ -87,6 +87,35 @@ def bisection_stopband(stack, omega_ref):
     return tuple(map(bisect, *full_scan_brackets(stack, omega_ref)))
 
 
+def plain_k_section(stack, omega_ref):
+    """find_stopband's scan and walk with plain 64-section rounds, no predicted crossing."""
+    outside, inside = full_scan_brackets(stack, omega_ref)
+    steps = np.arange(1, 64) / 64
+    live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+    while np.any(live):
+        a, b = inside[live], outside[live]
+        points = np.column_stack((a, a[:, None] + (b - a)[:, None] * steps, b))
+        crossed = photonic._transmittance(stack, points[:, 1:-1]) >= 0.5
+        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 64)
+        rows = np.arange(first.size)
+        inside[live], outside[live] = points[rows, first - 1], points[rows, first]
+        live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+    return tuple(0.5 * (outside + inside))
+
+
+def stopband_oracle_cases(skc_stack, front_stack):
+    """The shipped stacks, three quarter-wave depths and 25 random symmetric stacks."""
+    cases = [(skc_stack, OMEGA0), (front_stack, OMEGA0)]
+    cases += [
+        (photonic.LayeredStack.quarter_wave(2.0, 1.5, layers, LAMBDA0), OMEGA0)
+        for layers in (11, 43, 81)
+    ]
+    rng = np.random.default_rng(101)  # the draws of the lifetime-identity test
+    for _ in range(25):
+        cases.append((random_symmetric_stack(rng), 2.0 * np.pi))
+    return cases
+
+
 class TestTypes:
     def test_layer_validation(self):
         with pytest.raises(ValueError):
@@ -831,16 +860,10 @@ class TestStopbandAndPhaseEnergy:
         assert widths[2] == pytest.approx(analytic, rel=0.05)
 
     def test_k_section_finds_the_bisection_edges(self, skc_stack, front_stack):
-        cases = [(skc_stack, OMEGA0), (front_stack, OMEGA0)]
-        cases += [
-            (photonic.LayeredStack.quarter_wave(2.0, 1.5, layers, LAMBDA0), OMEGA0)
-            for layers in (11, 43, 81)
-        ]
-        rng = np.random.default_rng(101)  # the draws of the lifetime-identity test
-        for _ in range(25):
-            cases.append((random_symmetric_stack(rng), 2.0 * np.pi))
+        # bisection is an oracle only where an edge crosses 0.5 once inside its
+        # scan step: it may keep any crossing, the k-section the nearest one
         checked = 0
-        for stack, omega in cases:
+        for stack, omega in stopband_oracle_cases(skc_stack, front_stack):
             try:
                 band = photonic.find_stopband(stack, omega)
             except NotInStopbandError:
@@ -850,6 +873,67 @@ class TestStopbandAndPhaseEnergy:
             assert band.upper == pytest.approx(upper, rel=1e-14, abs=0.0)
             checked += 1
         assert checked >= 10
+
+    def test_predicted_crossings_keep_the_plain_k_section_edges(self, skc_stack, front_stack):
+        # the 3.0/1.0 stack is so opaque that |t|^2 - 0.5 reads close to -0.5
+        # at every inside sample of its first round, and the 10/1 stack's band
+        # runs past a scan end from either side
+        cases = stopband_oracle_cases(skc_stack, front_stack)
+        cases.append((photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0), 2.0 * np.pi))
+        boundary = photonic.LayeredStack.quarter_wave(10.0, 1.0, 21, 1.0)
+        cases += [(boundary, np.pi), (boundary, 9.0)]
+        checked = 0
+        for stack, omega in cases:
+            try:
+                band = photonic.find_stopband(stack, omega)
+            except NotInStopbandError:
+                continue
+            lower, upper = plain_k_section(stack, omega)
+            assert band.lower == pytest.approx(lower, rel=1e-14, abs=0.0)
+            assert band.upper == pytest.approx(upper, rel=1e-14, abs=0.0)
+            checked += 1
+        assert checked >= 13
+
+    def test_edge_is_the_crossing_nearest_the_band(self):
+        # |t|^2 crosses 0.5 three times in the scan step below this band;
+        # bisection keeps the outermost crossing, 2.9e-4 further out
+        cell = ((2.4916070933903036, 0.19824535079232136), (3.3416078916308773, 0.11980862237203016))
+        stack = photonic.LayeredStack(cell * 184)
+        omega = 10.774860416209682
+        lower = photonic.find_stopband(stack, omega).lower
+        assert lower == pytest.approx(10.24636696851287, rel=1e-14, abs=0.0)
+        assert bisection_stopband(stack, omega)[0] == pytest.approx(10.2433970729214, rel=1e-14)
+        _, inside = full_scan_brackets(stack, omega)
+        power = photonic._transmittance(stack, np.linspace(lower, inside[0], 20001))
+        assert power[0] == pytest.approx(0.5, abs=1e-9)
+        assert np.all(power[1:] < 0.5)
+
+    def test_k_section_samples_only_inside_its_brackets(self, monkeypatch):
+        # on the opaque 3.0/1.0 stack the first round's predictors read |t|^2
+        # under 0.1 but at one narrow peak, and the crossings they predict
+        # lie 1e8 sections and more outside the brackets; the second round
+        # straddles each bracket's midpoint instead
+        stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0)
+        outside, inside = full_scan_brackets(stack, 2.0 * np.pi)
+        sampled, transmittance = [], photonic._transmittance
+
+        def recorded(stack, omegas):
+            sampled.append(np.ravel(omegas))
+            return transmittance(stack, omegas)
+
+        monkeypatch.setattr(photonic, "_transmittance", recorded)
+        photonic._k_section(stack, outside, inside)
+        lo, hi = np.minimum(outside, inside), np.maximum(outside, inside)
+        omegas = np.concatenate(sampled)[:, None]
+        assert len(sampled) > 2
+        assert np.all(np.any((lo <= omegas) & (omegas <= hi), axis=1))
+
+    def test_inverse_interpolation_is_exact_for_a_polynomial_inverse(self):
+        y = np.linspace(-0.3, 0.4, 8)[None, :] ** np.array([[1.0], [3.0]])
+        x = 0.25 + y - 2.0 * y**3 + y**7
+        assert photonic._inverse_interpolation(x, y) == pytest.approx([0.25, 0.25], abs=1e-14)
+        flat = photonic._inverse_interpolation(np.arange(8.0)[None, :], np.full((1, 8), -0.5))
+        assert not np.isfinite(flat[0])
 
     def test_edge_on_scan_boundary_keeps_the_scan_end(self):
         # the 10/1 stack's band spans 2.42..10.14 around its design frequency
@@ -866,8 +950,9 @@ class TestStopbandAndPhaseEnergy:
             assert omega * 0.3 < band[1 - end] < omega * 1.7
 
     def test_edges_refined_in_few_marches(self, front_stack, monkeypatch):
-        # one march for omega_ref, one for the scan and one per k-section
-        # round; refining one frequency at a time took 74
+        # one march for the scan window, which omega_ref rides along, and two
+        # k-section rounds, the second ended by the predicted crossings;
+        # refining one frequency at a time took 74 and plain 64-section 7
         marches = []
         stack_t_r = photonic._stack_t_r
 
@@ -877,7 +962,7 @@ class TestStopbandAndPhaseEnergy:
 
         monkeypatch.setattr(photonic, "_stack_t_r", counted)
         photonic.find_stopband(front_stack, OMEGA0)
-        assert len(marches) <= 10
+        assert len(marches) == 3
 
     @pytest.mark.parametrize("case", ["front", "skc-and-pulse", "rescaled", "scan-boundary"])
     def test_windowed_scan_matches_the_full_scan(self, case, skc_stack, front_stack):
@@ -909,8 +994,8 @@ class TestStopbandAndPhaseEnergy:
 
         monkeypatch.setattr(photonic, "_transmittance", recorded)
         photonic.find_stopband(front_stack, OMEGA0)
-        assert sizes[0] == 130
-        assert sum(sizes) <= 130 + 6 * 126
+        # 63 sections of both edges, then 63 sections and a straddling pair
+        assert sizes == [130, 126, 130]
         sizes.clear()
         with pytest.raises(NotInStopbandError):
             photonic.find_stopband(photonic.LayeredStack.vacuum_slab(1.0), 5.0)

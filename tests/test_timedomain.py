@@ -295,8 +295,22 @@ class TestFrontRecord:
         monkeypatch.setattr(photonic, "stack_t_r_samples", counted)
         result = timedomain.front_causality(front_stack, OMEGA0)
         assert result.samples == 4320
-        # one march of the stack and one of its vacuum control
-        assert marched == [(373, 4320), (1, 4320)]
+        # one march of the stack; the vacuum control is e^{i omega L}
+        assert marched == [(373, 4320)]
+
+    def test_vacuum_control_is_the_vacuum_slab_march(self, front_stack, monkeypatch):
+        grids, sample = [], photonic.stack_t_r_samples
+
+        def recorded(stack, omegas):
+            grids.append(omegas)
+            return sample(stack, omegas)
+
+        monkeypatch.setattr(photonic, "stack_t_r_samples", recorded)
+        timedomain.front_causality(front_stack, OMEGA0)
+        (omegas,) = grids
+        length = front_stack.total_length
+        marched, _ = sample(photonic.LayeredStack.vacuum_slab(length), omegas)
+        assert np.max(np.abs(marched - np.exp(1j * length * omegas))) <= 1e-15
 
     def test_odd_record_is_stepped_in_frequency_order(self, front_stack, monkeypatch):
         # at 64 stopband widths the first record is 5625 = 3^2 5^4 samples, and
