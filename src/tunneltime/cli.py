@@ -16,7 +16,8 @@ key -- a JSON boolean is not a number --, a NaN or infinite number, or a
 value a library constructor rejects; nothing is written), 3 numerical
 failure (the failing error class is named in the JSON summary; a NaN or
 infinite result is one, and so is a Python ``ArithmeticError`` such as an
-overflowing float power, reported as ``NonFiniteResultError``).  Outputs
+overflowing float power, or a numpy overflow, invalid operation or division
+by zero anywhere in the run, reported as ``NonFiniteResultError``).  Outputs
 are deterministic: identical configs produce byte-identical CSVs, with
 floats printed at 17 significant digits.
 ``threads`` is validated but sweeps run serially, so every thread count
@@ -228,7 +229,7 @@ def _run_grating(v: dict):
         raise ConfigError("need delta_max > delta_min and points >= 5")
     # detunings from omega_b, so the grid's omegas are the printed column bit for bit
     detunings = np.linspace(lo, hi, v["points"]) / grating.n_bar
-    grid = spectral.FrequencyGrid(grating.omega_b, detunings)
+    grid = _build(spectral.FrequencyGrid, grating.omega_b, detunings)
     resp = photonic.grating_response(grating, grid)
     t_midgap = photonic._grating_closed_form(grating, grating.omega_b)[0]
     summary = {"midgap_transmission": float(abs(t_midgap) ** 2),
@@ -437,13 +438,16 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
 
     try:
         try:
-            columns, summary = _EXPERIMENTS[kind].run(values)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                columns, summary = _EXPERIMENTS[kind].run(values)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except ArithmeticError as exc:
             # a Python float or complex operation overflowed or divided by
-            # zero: the non-finite result numpy would have given, named
+            # zero, or numpy met an overflow, an invalid operation or a
+            # division by zero (FloatingPointError): a non-finite
+            # intermediate, named where it arose
             raise NonFiniteResultError(f"{type(exc).__name__}: {exc}") from exc
         if units is not None:
             summary.update(_fs_conversions(summary, units["length_scale_m"]))

@@ -27,14 +27,19 @@ Every step has the form (E, H) <- (A E - P H, D H - Q E): four products and
 two differences, written into two reused arrays beside E and H.  A layer's
 step has A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta),
 formed once per layer type, a distinct (n, d) pair, and held from its first
-use to its last, so each type costs one cos and one sin per frequency.  For
-t, r and the group delay, a stack that repeats a cell of p layers m >= 2
-times is marched by powers of its cell, the Bloch-wave treatment of
-periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)) with binary
-powering (Knuth, TAOCP vol. 2, sec. 4.6.3): the cell's step M is composed
-once per frequency from its layers' steps, the N mod p layers left at the
-exit face are stepped singly, and then one step of M^(2^j) is taken for
-each set bit j of m, M squared in place between steps.  The 373-layer
+use to its last, so each type costs one cos and one sin per frequency.  The
+slope march, whose one-frequency calls are nearly all per-call overhead,
+holds each pair, (A, D), (P, Q) and their derivatives, stacked as one
+(2, F) array, and (E, H) with their derivatives as one (2, 2, F) array, so
+a step, a cell product or a squaring takes about half the array calls; the
+plain march keeps each pair as two arrays, which keeps its wide arrays
+half the size.  For t, r and the group delay, a stack that repeats a cell
+of p layers m >= 2 times is marched by powers of its cell, the Bloch-wave
+treatment of periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)) with
+binary powering (Knuth, TAOCP vol. 2, sec. 4.6.3): the cell's step M is
+composed once per frequency from its layers' steps, the N mod p layers left
+at the exit face are stepped singly, and then one step of M^(2^j) is taken
+for each set bit j of m, M squared in place between steps.  The 373-layer
 `front` stack, 186 cells and one layer, takes 6 steps and 7 squarings, not
 373 steps.  The layer amplitudes behind stored energy and field profiles
 need every layer face and are marched layer by layer.
@@ -99,7 +104,7 @@ class LayeredStack:
     def __post_init__(self):
         norm = tuple((float(n), float(d)) for n, d in self.layers)
         object.__setattr__(self, "layers", norm)
-        for n, d in norm:
+        for n, d in set(norm):
             if not (n > 0.0 and math.isfinite(n) and d > 0.0 and math.isfinite(d)):
                 raise ValueError("layer indices and thicknesses must be positive")
         if not all(n > 0.0 and math.isfinite(n) for n in (self.n_in, self.n_out)):
@@ -127,14 +132,15 @@ class LayeredStack:
         n_in: float = 1.0,
         n_out: float = 1.0,
     ) -> "LayeredStack":
-        """Alternating quarter-wave layers hi/lo/hi/... at design wavelength."""
+        """Alternating quarter-wave layers hi/lo/hi/... at design wavelength.
+
+        The (hi, lo) pair is formed once and repeated, so every hi layer is
+        the same (n, d) pair of floats, and so is every lo layer.
+        """
         if n_layers < 1:
             raise ValueError("need at least one layer")
-        layers = []
-        for i in range(n_layers):
-            n = n_hi if i % 2 == 0 else n_lo
-            layers.append((n, lambda0 / (4.0 * n)))
-        return cls(tuple(layers), n_in=n_in, n_out=n_out)
+        pair = tuple((n, lambda0 / (4.0 * n)) for n in (n_hi, n_lo))
+        return cls((pair * ((n_layers + 1) // 2))[:n_layers], n_in=n_in, n_out=n_out)
 
     @classmethod
     def vacuum_slab(cls, length: float) -> "LayeredStack":
@@ -263,17 +269,21 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
     E and H are rescaled by exact powers of two before a step that could
     take a running bound on their size past _RESCALE_BOUND, and never
     otherwise.  A step (E, H) <- (A E - P H, D H - Q E) takes its
-    coefficients (growth, A, P, Q, D) from :func:`_step_coefficients` or
-    :func:`_cell_matrix` and writes into reused arrays, so a yielded
-    (E, H, k) is valid only until the next step.
+    coefficients (growth, AD, PQ), the pairs AD = (A, D) and PQ = (P, Q),
+    from :func:`_step_coefficients` or :func:`_cell_matrix` and writes into
+    reused arrays, so a yielded (E, H, k) is valid only until the next step.
 
-    With ``slope``, E and H are (2, F) arrays whose row 1 is dE/dw and dH/dw,
-    stepped by the product rule, (E, H)' <- M (E, H)' + dM/dw (E, H), with
-    dM/dw = [[dA, -dP], [-dQ, dD]] appended to the coefficients.  Row 1
-    outgrows the bound by a factor of order the stack's optical thickness,
-    far inside the margin below overflow.  The rescale shift takes the
-    larger of both rows; the 2^k scale cancels in any ratio of a derivative
-    to its value.
+    With ``slope``, the yielded E and H are (2, F) arrays whose row 1 is
+    dE/dw and dH/dw, stepped by the product rule, (E, H)' <- M (E, H)' +
+    dM/dw (E, H), with dM/dw = [[dA, -dP], [-dQ, dD]] appended to the
+    coefficients as the pairs dAD and dPQ.  Every pair is then stacked, and
+    the march holds the fields as one (2, 2, F) array, row 0 (E, H) and
+    row 1 their derivatives, so that one product by AD and one by PQ step
+    all four: each row takes AD (E, H) minus PQ (H, E), and row 1 then adds
+    dAD (E, H) minus dPQ (H, E) of row 0.  Row 1 outgrows the bound by a
+    factor of order the stack's optical thickness, far inside the margin
+    below overflow.  The rescale shift takes the larger of both rows; the
+    2^k scale cancels in any ratio of a derivative to its value.
     """
     layers = stack.layers
     period = stack._layer_period if cells else 1
@@ -283,9 +293,9 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
 
     def powers(power, m):
         # M^(2^j) for each set bit j of m; M is squared in place between
-        # steps, into the spare arrays e2 and h2, which neither a step nor a
-        # yielded face holds then.  A power whose square could pass
-        # _RESCALE_BOUND is repeated for the rest of the cells instead
+        # steps, into spare arrays that neither a step nor a yielded face
+        # holds then.  A power whose square could pass _RESCALE_BOUND is
+        # repeated for the rest of the cells instead
         while m:
             if power[0] ** 2 > _RESCALE_BOUND:
                 yield from itertools.repeat(power, m)
@@ -294,7 +304,7 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
                 yield power
             m >>= 1
             if m:
-                _square(power, [*e2, *h2] if slope else [e2, h2])
+                _square(power, *(dm if slope else (e2, h2)))
 
     if period < 2 or count < 2 or growth > _RESCALE_BOUND:
         steps = _layer_steps(layers[::-1], omegas, slope)
@@ -303,13 +313,16 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
         power = [growth, *_cell_matrix(itertools.islice(steps, period), slope)]
         steps = itertools.chain(steps, powers(power, count))
         del power
-    e = np.ones(omegas.shape, dtype=complex)
-    h = np.full(omegas.shape, complex(stack.n_out))
     if slope:  # the exit fields do not depend on w
-        e, h = np.stack((e, np.zeros_like(e))), np.stack((h, np.zeros_like(h)))
-    e2, h2 = np.empty_like(e), np.empty_like(h)
-    if slope:
-        de, dh, spare = (np.empty(omegas.shape, dtype=complex) for _ in range(3))
+        fields = np.zeros((2, 2, *omegas.shape), dtype=complex)
+        fields[0, 0], fields[0, 1] = 1.0, stack.n_out
+        spare, cross = np.empty_like(fields), np.empty_like(fields)
+        dm, dm2 = cross
+        e, h = fields[:, 0], fields[:, 1]
+    else:
+        e = np.ones(omegas.shape, dtype=complex)
+        h = np.full(omegas.shape, complex(stack.n_out))
+        e2, h2 = np.empty_like(e), np.empty_like(h)
     k = np.zeros(omegas.shape, dtype=int)
     bound = max(1.0, stack.n_out)
     yield e, h, k
@@ -318,34 +331,42 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
             size = np.maximum(np.abs(e), np.abs(h))
             _, shift = np.frexp(size.max(axis=0) if slope else size)
             scale = np.ldexp(1.0, -shift)
-            e, h, k, bound = e * scale, h * scale, k + shift, 1.0
+            if slope:
+                fields = fields * scale
+            else:
+                e, h = e * scale, h * scale
+            k, bound = k + shift, 1.0
         bound *= coeffs[0]
-        _, a, p, q, d, *slopes = coeffs
-        if slope:  # dM (E, H) of row 0 before the step
-            da, dp, dq, dd = slopes
-            e0, h0 = e[0], h[0]
-            np.multiply(da, e0, out=de)
-            np.multiply(dp, h0, out=spare)
-            np.subtract(de, spare, out=de)
-            np.multiply(dd, h0, out=dh)
-            np.multiply(dq, e0, out=spare)
-            np.subtract(dh, spare, out=dh)
-            del da, dp, dq, dd
-        # e2 = a e - p h, then h2 = d h - q e, with e's array free for d h
-        # once q e is formed
-        np.multiply(p, h, out=h2)
-        np.multiply(a, e, out=e2)
-        np.subtract(e2, h2, out=e2)
-        np.multiply(q, e, out=h2)
-        np.multiply(d, h, out=e)
-        np.subtract(e, h2, out=h2)
+        _, ad, pq, *slopes = coeffs
         if slope:
-            e2[1] += de
-            h2[1] += dh
+            dad, dpq = slopes
+            # both rows <- AD (E, H) - PQ (H, E), then row 1 adds
+            # dAD (E, H) - dPQ (H, E) of row 0
+            np.multiply(ad, fields, out=spare)
+            np.multiply(pq, fields[:, ::-1], out=cross)
+            np.subtract(spare, cross, out=spare)
+            np.multiply(dad, fields[0], out=dm)
+            np.multiply(dpq, fields[0, ::-1], out=dm2)
+            np.subtract(dm, dm2, out=dm)
+            np.add(spare[1], dm, out=spare[1])
+            fields, spare = spare, fields
+            e, h = fields[:, 0], fields[:, 1]
+            del dad, dpq
+        else:
+            # e2 = a e - p h, then h2 = d h - q e, with e's array free for
+            # d h once q e is formed
+            (a, d), (p, q) = ad, pq
+            np.multiply(p, h, out=h2)
+            np.multiply(a, e, out=e2)
+            np.subtract(e2, h2, out=e2)
+            np.multiply(q, e, out=h2)
+            np.multiply(d, h, out=e)
+            np.subtract(e, h2, out=h2)
+            e, e2, h, h2 = e2, e, h2, h
+            del a, p, q, d
         # a layer type with no steps left frees its coefficients before the
         # next type's are formed
-        del coeffs, a, p, q, d, slopes
-        e, e2, h, h2 = e2, e, h2, h
+        del coeffs, ad, pq, slopes
         yield e, h, k
 
 
@@ -379,9 +400,9 @@ def _layer_steps(layers, omegas: np.ndarray, slope: bool):
     A layer type, a distinct (n, d) pair, has its coefficients formed at its
     first step and held until its last, so a periodic stack costs one cos and
     one sin per type and frequency.  A held type keeps three complex arrays,
-    6 words per frequency (five more with ``slope``).  A type that occurs once
-    is never held; the most held at once is half the layers, for a palindrome
-    of distinct layers.
+    6 words per frequency (16 in all with ``slope``, whose four pairs are
+    stacked).  A type that occurs once is never held; the most held at once
+    is half the layers, for a palindrome of distinct layers.
     """
     left, held = Counter(layers), {}
     for layer in layers:
@@ -394,88 +415,98 @@ def _layer_steps(layers, omegas: np.ndarray, slope: bool):
 
 
 def _step_coefficients(n: float, d: float, omegas: np.ndarray, slope: bool = False):
-    """growth, A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta) of one layer.
+    """growth and the pairs AD = (A, D) and PQ = (P, Q) of one layer's step.
 
+    A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta).
     cos(delta) is held complex, cos(delta) + 0i, the value numpy casts a real
     factor to in a product with a complex array, so each product keeps its
-    bits; A and D are the same array.  The phase and sin(delta) die here, so
-    the march holds only what a step reads.  With ``slope`` the w-derivatives
-    follow: dM/dw = n d [[-sin(delta), -i cos(delta)/n], [-i n cos(delta), -sin(delta)]].
+    bits.  The phase and sin(delta) die here, so the march holds only what a
+    step reads.  A plain march holds each pair as two arrays, A and D the
+    same one.  With ``slope`` the w-derivatives follow,
+    dM/dw = n d [[-sin(delta), -i cos(delta)/n], [-i n cos(delta), -sin(delta)]],
+    and every pair, AD, PQ, dAD and dPQ, is stacked as one (2, F) array.
     """
-    phase = (n * d) * omegas
+    phase = np.multiply(n * d, omegas)
     cos_p = np.zeros(omegas.shape, dtype=complex)
     cos_p.real = np.cos(phase)
     sin_p = np.sin(phase)
-    coeffs = (_growth(n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p), cos_p)
-    if slope:
-        da = (-n * d) * sin_p
-        coeffs += (da, (1j * d) * cos_p, (1j * n * n * d) * cos_p, da)
-    return coeffs
+    pq = np.multiply(1j, np.divide(sin_p, n)), np.multiply(1j, np.multiply(n, sin_p))
+    if not slope:
+        return _growth(n), (cos_p, cos_p), pq
+    da = np.multiply(-n * d, sin_p)
+    return (_growth(n), np.array((cos_p, cos_p)), np.array(pq), np.array((da, da), dtype=complex),
+            np.array((np.multiply(1j * d, cos_p), np.multiply(1j * n * n * d, cos_p))))
 
 
 def _cell_matrix(steps, slope: bool):
-    """(A, P, Q, D) of a cell's step from its layers' step coefficients, exit side first.
+    """(AD, PQ) of a cell's step from its layers' step coefficients, exit side first.
 
     The cell's step is the product M = M_1 ... M_p of its layers' steps,
-    built up from the exit side as M <- M_j M; with ``slope``, (dA, dP, dQ,
-    dD) follow by the product rule, dM <- M_j dM + dM_j M.
+    built up from the exit side as M <- M_j M; with ``slope``, (dAD, dPQ)
+    follow by the product rule, dM <- M_j dM + dM_j M.
     """
     _, *cell = next(steps)
     for _, *layer in steps:
-        product = _product(layer[:4], cell[:4])
+        product = _product(layer[:2], cell[:2])
         if slope:
-            product += [x + y for x, y in zip(_product(layer[:4], cell[4:]),
-                                              _product(layer[4:], cell[:4]))]
+            product += [np.add(x, y) for x, y in zip(_product(layer[:2], cell[2:]),
+                                                     _product(layer[2:], cell[:2]))]
         cell = product
     return cell
 
 
-def _square(power, spares):
-    """Square in place a step [growth, A, P, Q, D, *slopes] that owns its arrays.
+def _pairwise(f, *pairs):
+    """f of stacked (2, F) pairs at once, or per row of pairs held as two arrays."""
+    if isinstance(pairs[0], tuple):
+        return tuple(map(f, *pairs))
+    return f(*pairs)
 
-    M^2 = [[A A + P Q, -P t], [-Q t, D D + P Q]] with t = A + D; with
-    ``slopes`` (dA, dP, dQ, dD) follow by the product rule,
-    dM^2 = [[2 A dA + s, -(dP t + P dt)], [-(dQ t + Q dt), 2 D dD + s]] with
-    s = dP Q + P dQ and dt = dA + dD.  ``spares`` are arrays of the steps'
-    shape whose contents are dead, two of them, four with ``slopes``.
+
+def _square(power, trace, pq):
+    """Square in place a step [growth, AD, PQ, *slopes] that owns its arrays.
+
+    M^2 = [[A A + P Q, -P t], [-Q t, D D + P Q]] with t = A + D, so AD <- AD AD
+    + P Q and PQ <- PQ t; with ``slopes``, held stacked, (dAD, dPQ) follow by
+    the product rule, dAD <- 2 AD dAD + s and dPQ <- dPQ t + PQ dt, with
+    s = dP Q + P dQ and dt = dA + dD.  ``trace`` and ``pq`` are arrays of
+    one pair row's shape whose contents are dead.
     """
     power[0] **= 2
-    _, a, p, q, d, *slopes = power
-    trace, pq, *scratch = spares
-    np.add(a, d, out=trace)
+    _, ad, off, *slopes = power
+    np.add(ad[0], ad[1], out=trace)
     if slopes:
-        da, dp, dq, dd = slopes
-        s, dtrace = scratch
-        np.multiply(dp, q, out=s)
-        np.multiply(p, dq, out=pq)
-        np.add(s, pq, out=s)
-        np.add(da, dd, out=dtrace)
-        for x, dx in ((a, da), (d, dd)):
-            np.multiply(dx, x, out=dx)
-            np.multiply(dx, 2.0, out=dx)
-            np.add(dx, s, out=dx)
-        for x, dx in ((p, dp), (q, dq)):
-            np.multiply(dx, trace, out=dx)
-            np.multiply(x, dtrace, out=pq)
-            np.add(dx, pq, out=dx)
-    np.multiply(p, q, out=pq)
-    for x in (a, d):
-        np.multiply(x, x, out=x)
-        np.add(x, pq, out=x)
-    np.multiply(p, trace, out=p)
-    np.multiply(q, trace, out=q)
+        dad, dpq = slopes
+        s = np.add(np.multiply(dpq[0], off[1]), np.multiply(off[0], dpq[1]))
+        dtrace = np.add(dad[0], dad[1])
+        np.multiply(dad, ad, out=dad)
+        np.multiply(dad, 2.0, out=dad)
+        np.add(dad, s, out=dad)
+        np.multiply(dpq, trace, out=dpq)
+        np.add(dpq, np.multiply(off, dtrace), out=dpq)
+    np.multiply(off[0], off[1], out=pq)
+    _pairwise(lambda x: np.add(np.multiply(x, x, out=x), pq, out=x), ad)
+    _pairwise(lambda x: np.multiply(x, trace, out=x), off)
 
 
 def _product(x, y):
-    """(A, P, Q, D) of the step x y, each step given as (A, P, Q, D) of [[A, -P], [-Q, D]]."""
-    xa, xp, xq, xd = x
-    ya, yp, yq, yd = y
-    return [xa * ya + xp * yq, xa * yp + xp * yd, xq * ya + xd * yq, xq * yp + xd * yd]
+    """(AD, PQ) of the step x y, each step given as (AD, PQ) of [[A, -P], [-Q, D]].
+
+    Row by row, A = xA yA + xP yQ and D = xD yD + xQ yP, P = xA yP + xP yD
+    and Q = xD yQ + xQ yA: each pair is the sum of two pairwise products,
+    one with the other factor's pair reversed.
+    """
+    (xad, xpq), (yad, ypq) = x, y
+
+    def dot(a, b, c, d):
+        return np.add(np.multiply(a, b), np.multiply(c, d))
+
+    return [_pairwise(dot, xad, yad, xpq, ypq[::-1]), _pairwise(dot, xad, ypq, xpq, yad[::-1])]
 
 
 def _split_waves(e, h, n):
     """Forward and backward wave amplitudes of the fields (E, H) in index n."""
-    return 0.5 * (e + h / n), 0.5 * (e - h / n)
+    ratio = np.divide(h, n)
+    return np.multiply(0.5, np.add(e, ratio)), np.multiply(0.5, np.subtract(e, ratio))
 
 
 def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
@@ -821,6 +852,9 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
         first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, walk.shape[1] - 1)
         rows = np.arange(first.size)
         inside[live], outside[live] = walk[rows, first - 1], walk[rows, first]
+        still = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+        if not still.any():  # no prediction is read after the last round
+            break
         # interpolate in local coordinates, origin at the new inside end and
         # unit one section, over sections only: the straddling pair sits too
         # close to itself to help; a prediction is cut to 64 sections either
@@ -833,7 +867,7 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
         offset = np.clip(_inverse_interpolation(local, power[near] - 0.5), -_SECTIONS, _SECTIONS)
         predicted = np.full(inside.shape, np.nan)
         predicted[live] = origin + unit * offset
-        live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+        live = still
     return 0.5 * (outside + inside)
 
 

@@ -30,6 +30,7 @@ from .errors import (
     EdgeOfGridError,
     FlatSignalError,
     NonConvergentError,
+    NonFiniteResultError,
     PeakAtBoundaryError,
     UndersampledPhaseError,
     ZeroAmplitudeError,
@@ -248,6 +249,13 @@ def _two_wave(rate, a, b, length):
     return decay * scaled_t, 1j * b * sinh_over_rate * scaled_t, scaled_t
 
 
+def _turn(z: complex) -> complex:
+    """e^{i Im z}; a phase Im z that overflowed has no value and raises NonFiniteResultError."""
+    if not math.isfinite(z.imag):
+        raise NonFiniteResultError(f"phase {z.imag!r} of rate x length is not finite")
+    return cmath.exp(1j * z.imag)
+
+
 def _two_wave_delay(rate, a, da, ds, length: float) -> float:
     """Exact group delay -Im(D'/D) of a two-wave barrier (see :func:`_two_wave`).
 
@@ -267,7 +275,7 @@ def _two_wave_delay(rate, a, da, ds, length: float) -> float:
     rate = complex(rate)
     z = rate * length
     decay = math.exp(-z.real)
-    turn, far = cmath.exp(1j * z.imag), cmath.exp(-z - z.real)
+    turn, far = _turn(z), cmath.exp(-z - z.real)
     cosh_z = 0.5 * (turn + far)
     if abs(z) < _H_SERIES_CUTOFF:
         h = _h_series(z)
@@ -299,7 +307,7 @@ def _two_wave_integral(scaled_t, rate, coupling: float, length: float) -> float:
     if abs(z) < _H_SERIES_CUTOFF:
         l2h = 4.0 * length ** 2 * _h_series(z) * decay
     else:  # sinh(z) e^{-Re z} = (e^{i Im z} - e^{-z - Re z}) / 2
-        sinh_z = 0.5 * (cmath.exp(1j * z.imag) - cmath.exp(-z - z.real))
+        sinh_z = 0.5 * (_turn(z) - cmath.exp(-z - z.real))
         l2h = (sinh_z - z * decay) / (z * complex(rate) ** 2)
     return float(length * abs(scaled_t) ** 2 * (decay + coupling * l2h.real))
 

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LAMBDA0, OMEGA0
 import tunneltime
-from tunneltime import analysis, cli, photonic, quantum, spectral, timedomain
+from tunneltime import analysis, cli, errors, photonic, quantum, spectral, timedomain
 from tunneltime.errors import NonFiniteResultError
 
 
@@ -284,6 +286,15 @@ class TestConfigErrors:
                 "omega_min": 1.0,
                 "omega_max": 2.0,
             },
+            {
+                "kind": "stack",
+                "stack": {"layers": [[2.0, 0.1], [1.5, 0.0]] * 4 + [[2.0, 0.1]]},
+                "omega_min": 1.0,
+                "omega_max": 2.0,
+            },
+            # a detuning range one ulp wide: no grid of positive spacing at omega_b
+            {"kind": "grating", "grating": {"kappa": 6.3, "length": 11.0, "omega_b": 6.8},
+             "delta_min": 0.05, "delta_max": 0.05000000000000001, "points": 39},
             {"kind": "hartman", "family": "grating", "kappa": -0.1, "lengths": [5.0, 10.0]},
             {"kind": "pulse", "stack": SKC_CONFIG["stack"], "omega_mid": OMEGA0, "samples": 7},
             # a passband carrier: the sample count is checked before the stopband search
@@ -293,6 +304,8 @@ class TestConfigErrors:
             "quantum-negative-length",
             "grating-negative-kappa",
             "zero-thickness-layer",
+            "repeated-zero-thickness-layer",
+            "grating-one-ulp-detuning-range",
             "hartman-negative-kappa",
             "pulse-too-few-samples",
             "pulse-too-few-samples-at-a-passband-carrier",
@@ -429,6 +442,34 @@ class TestNumericalFailure:
         assert summary["error"] == "NonFiniteResultError"
         assert "OverflowError" in summary["message"]
         assert not (out / "k.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"kind": "hartman", "family": "quantum", "v0": 1e242, "energy": 0.05,
+              "lengths": [0.05]}, "FloatingPointError: divide by zero"),
+            ({"kind": "quantum", "v0": 9.6e250, "length": 9.6e250, "energy": 2.0},
+             "FloatingPointError: overflow"),
+            ({"kind": "pulse", "omega_mid": 1e-108,
+              "stack": {"layers": [[3.56, 533.1], [4.07e135, 2.66e205]], "n_in": 1e-283}},
+             "FloatingPointError: invalid value encountered in cos"),
+            # above the barrier, k L overflows: the wave's phase has no value
+            ({"kind": "quantum", "v0": 16.0, "length": 8.4e274, "energy": 1.3e255},
+             "of rate x length is not finite"),
+        ],
+        ids=["stored-energy-underflows", "rate-overflows", "layer-phase-overflows",
+             "two-wave-phase-overflows"],
+    )
+    def test_non_finite_intermediate_exits_3_named(self, tmp_path, payload, message):
+        # a numpy overflow, invalid operation or division by zero anywhere in
+        # the run is raised where it arises, not carried on as a warning
+        cfg = write_config(tmp_path / "fp.json", payload)
+        out = tmp_path / "out"
+        assert cli.run(cfg, output_dir=str(out)) == 3
+        summary = json.loads((out / "fp.json").read_text(), parse_constant=pytest.fail)
+        assert summary["error"] == "NonFiniteResultError"
+        assert message in summary["message"]
+        assert not (out / "fp.csv").exists()
 
     def test_non_finite_result_exits_3_without_csv(self, tmp_path, monkeypatch):
         real = quantum.delay_report
@@ -731,3 +772,93 @@ def test_check_finite_names_the_first_non_finite_value():
         check_finite({"a": good}, {"kind": "skc", "tau_g": float("nan")})
     # None is an empty cell, not a failure, in a column and in the summary alike
     check_finite({"a": good, "speed": [None, 2.0, None]}, {"speed": None, "ok": True})
+
+
+# largest value the contract gate draws for an integer key whose cost grows
+# with it; every other integer key draws up to 64
+CONTRACT_SIZES = {"layer_count": 2001, "samples": 8192, "points": 501}
+
+
+def draw_number(data, wild):
+    """A float for a config key: moderate, or with ``wild`` any magnitude or sign, or non-finite."""
+    moderate = st.floats(0.05, 20.0)
+    if not wild:
+        return data.draw(moderate)
+    return data.draw(st.one_of(
+        moderate,
+        st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-300, 300)),
+        st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf")]),
+    ))
+
+
+def draw_value(data, name, key, wild):
+    """A value of the key's type; an integer past 64 only in one draw of four."""
+    kind = key.type
+    if isinstance(kind, (dict, cli._Variants)):
+        return draw_table(data, kind, wild)
+    if kind is float:
+        return draw_number(data, wild)
+    if kind is int:
+        top = CONTRACT_SIZES.get(name, 64)
+        small = st.integers(1, min(top, 64))
+        return data.draw(st.one_of(small, small, small, st.integers(-1 if wild else 1, top)))
+    if kind is str:
+        return data.draw(st.text("abc_-", min_size=1, max_size=6))
+    if kind is cli._layers:
+        count = data.draw(st.integers(0, 8))
+        return [[draw_number(data, wild), draw_number(data, wild)] for _ in range(count)]
+    if kind is cli._lengths:
+        return [draw_number(data, wild) for _ in range(data.draw(st.integers(1, 6)))]
+    raise AssertionError(f"no contract strategy for key '{name}' of type {kind!r}")
+
+
+def draw_table(data, table, wild):
+    """A config object by its key table.
+
+    Each _Variants picks one of its tables, a one-of group gets exactly one
+    of its keys, and each optional key is given or left out.
+    """
+    cfg, keys = {}, {}
+    while isinstance(table, cli._Variants):
+        choice = cfg[table.key] = data.draw(st.sampled_from(list(table.tables)))
+        keys.update(table.shared)
+        table = table.tables[choice]
+    keys.update(table)
+    group = [name for name, key in keys.items() if key.default is cli._ONE_OF]
+    chosen = data.draw(st.sampled_from(group)) if group else None
+    for name, key in keys.items():
+        if key.default is cli._ONE_OF and name != chosen:
+            continue
+        if key.default not in (cli._REQUIRED, cli._ONE_OF) and not data.draw(st.booleans()):
+            continue
+        cfg[name] = draw_value(data, name, key, wild)
+    return cfg
+
+
+class TestCliContract:
+    # every config the key tables admit, well or badly valued, either runs to
+    # finite outputs (exit 0), is a config error that writes nothing (exit 2),
+    # or fails with a named TunnelTimeError in a failure JSON (exit 3)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_codes_and_outputs(self, data, tmp_path_factory):
+        cfg = draw_table(data, cli._CONFIG, wild=data.draw(st.integers(0, 3)) == 0)
+        root = tmp_path_factory.mktemp("contract")
+        out = root / "out"
+        code = cli.run(write_config(root / "cfg.json", cfg), output_dir=str(out))
+        name = cfg.get("basename", "cfg")
+        if code == 2:
+            assert not out.exists()
+            return
+        written = sorted(p.name for p in out.iterdir())
+        summary = json.loads((out / f"{name}.json").read_text(), parse_constant=pytest.fail)
+        if code == 3:
+            assert written == [f"{name}.json"]
+            error = getattr(errors, summary["error"], None)
+            assert isinstance(error, type) and issubclass(error, errors.TunnelTimeError), summary
+            return
+        assert code == 0
+        assert written == sorted([f"{name}.csv", f"{name}.json"])
+        cells = [cell for line in (out / f"{name}.csv").read_text().splitlines()[1:]
+                 for cell in line.split(",") if cell]
+        assert all(math.isfinite(float(cell)) for cell in cells)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -163,6 +164,31 @@ class TestTypes:
         for n, d in stack.layers:
             assert n * d == pytest.approx(LAMBDA0 / 4.0)
 
+    @pytest.mark.parametrize(
+        "n_hi, n_lo, count",
+        [(1.02, 1.0, 373), (2.0, 1.5, 12), (2.0, 1.5, 1), (1.7, 1.7, 9), (3, 1, 6)],
+        ids=["front", "even", "one-layer", "equal-indices", "integer-indices"],
+    )
+    def test_quarter_wave_is_the_per_index_loop(self, n_hi, n_lo, count):
+        stack = photonic.LayeredStack.quarter_wave(n_hi, n_lo, count, LAMBDA0)
+        loop = []
+        for i in range(count):
+            n = n_hi if i % 2 == 0 else n_lo
+            loop.append((float(n), float(LAMBDA0 / (4.0 * n))))
+        assert stack.layers == tuple(loop)
+        assert all(type(x) is float for layer in stack.layers for x in layer)
+        # the march steps a quarter-wave stack by its two-layer cell
+        assert photonic._period(stack.layers) == (1 if n_hi == n_lo or count == 1 else 2)
+
+    @pytest.mark.parametrize(
+        "bad", [(0.0, 0.2), (1.5, -0.1), (float("nan"), 0.2), (2.0, float("inf"))]
+    )
+    def test_a_repeated_invalid_layer_is_rejected(self, bad):
+        good = ((2.0, 0.1), (1.5, 0.2))
+        for layers in (good * 3 + (bad,) * 4, (bad,) + good * 5, good + (bad,) + good + (bad,)):
+            with pytest.raises(ValueError):
+                photonic.LayeredStack(layers)
+
 
 class TestStackResponse:
     def test_empty_stack_is_identity(self):
@@ -284,6 +310,86 @@ def layer_march_front_face(stack, omegas, slope=False):
     return (*photonic._split_waves(e, h, stack.n_in), k)
 
 
+def reference_slope_front_face(stack, omegas):
+    """a, b and k at the front face from the slope march by cells, one array at a time.
+
+    Each step is held as eight arrays (A, P, Q, D, dA, dP, dQ, dD), and each
+    step, cell product and squaring forms them one by one, in the order of
+    operations that the stacked pairs of :func:`photonic._backward_march`
+    keep: the march's powers, rescale rule and leftover layers, with none of
+    its stacking or buffer reuse.
+    """
+
+    def coefficients(n, d):
+        phase = (n * d) * omegas
+        cos_p = np.zeros(omegas.shape, dtype=complex)
+        cos_p.real = np.cos(phase)
+        sin_p = np.sin(phase)
+        da = (-n * d) * sin_p
+        return [1.0 + max(n, 1.0 / n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p), cos_p,
+                da, (1j * d) * cos_p, (1j * n * n * d) * cos_p, da]
+
+    def product(x, y):
+        xa, xp, xq, xd = x
+        ya, yp, yq, yd = y
+        return [xa * ya + xp * yq, xa * yp + xp * yd, xq * ya + xd * yq, xq * yp + xd * yd]
+
+    def square(m):
+        growth, a, p, q, d, da, dp, dq, dd = m
+        t, dt, s, pq = a + d, da + dd, dp * q + p * dq, p * q
+        return [growth ** 2, a * a + pq, p * t, q * t, d * d + pq,
+                (da * a) * 2.0 + s, dp * t + p * dt, dq * t + q * dt, (dd * d) * 2.0 + s]
+
+    zero = np.zeros(omegas.shape, dtype=complex)
+    e = np.stack((np.ones(omegas.shape, dtype=complex), zero))
+    h = np.stack((np.full(omegas.shape, complex(stack.n_out)), zero))
+    k = np.zeros(omegas.shape, dtype=int)
+    bound = max(1.0, stack.n_out)
+
+    def step(m):
+        nonlocal e, h, k, bound
+        if bound * m[0] > photonic._RESCALE_BOUND:
+            _, shift = np.frexp(np.maximum(np.abs(e), np.abs(h)).max(axis=0))
+            scale = np.ldexp(1.0, -shift)
+            e, h, k, bound = e * scale, h * scale, k + shift, 1.0
+        bound *= m[0]
+        _, a, p, q, d, da, dp, dq, dd = m
+        de, dh = da * e[0] - dp * h[0], dd * h[0] - dq * e[0]
+        e, h = a * e - p * h, d * h - q * e
+        e[1] += de
+        h[1] += dh
+
+    layers = stack.layers
+    types = {layer: coefficients(*layer) for layer in set(layers)}
+    period = photonic._period(layers)
+    count, rest = divmod(len(layers), period)
+    growth = math.prod(types[layer][0] for layer in layers[:period])
+    if period < 2 or count < 2 or growth > photonic._RESCALE_BOUND:
+        for layer in layers[::-1]:
+            step(types[layer])
+    else:
+        for layer in layers[len(layers) - rest:][::-1]:
+            step(types[layer])
+        cell = types[layers[period - 1]][1:]
+        for layer in layers[: period - 1][::-1]:
+            x = types[layer][1:]
+            cell = product(x[:4], cell[:4]) + [
+                u + v for u, v in zip(product(x[:4], cell[4:]), product(x[4:], cell[:4]))
+            ]
+        power = [growth, *cell]
+        while count:
+            if power[0] ** 2 > photonic._RESCALE_BOUND:
+                for _ in range(count):
+                    step(power)
+                break
+            if count & 1:
+                step(power)
+            count >>= 1
+            if count:
+                power = square(power)
+    return (*photonic._split_waves(e, h, stack.n_in), k)
+
+
 class TestMarchCache:
     @pytest.mark.parametrize("case", MARCH_CASES)
     def test_bit_identical_to_uncached_march(self, case, front_stack):
@@ -382,6 +488,23 @@ class TestCellMarch:
         (a, da), _, _ = photonic._front_face(stack, omega, slope=True)
         (a_ref, da_ref), _, _ = layer_march_front_face(stack, omega, slope=True)
         assert (da / a).imag[0] == pytest.approx((da_ref / a_ref).imag[0], rel=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 65])
+    @pytest.mark.parametrize("case", MARCH_CASES + ["opaque"])
+    def test_slope_march_is_the_reference_march_bit_for_bit(self, case, width, front_stack):
+        stack, omegas = march_case(case, front_stack)
+        if width == 1:
+            omegas = omegas[len(omegas) // 2 :][:1]
+        elif omegas[-1] > omegas[0]:
+            omegas = np.linspace(omegas[0], omegas[-1], width)
+        else:
+            omegas = omegas[0] * np.linspace(0.9, 1.1, width)
+        (a, da), b, k = photonic._front_face(stack, omegas, slope=True)
+        (a_ref, da_ref), b_ref, k_ref = reference_slope_front_face(stack, omegas)
+        for got, want in ((a, a_ref), (da, da_ref), (b, b_ref), (k, k_ref)):
+            assert np.array_equal(got, want)
+        if case == "opaque":  # the powers are rescaled by over a thousand bits
+            assert np.all(k > 1000)
 
     def test_cell_march_steps_by_binary_powers_of_the_cell(self, front_stack):
         omegas = np.linspace(0.9 * OMEGA0, 1.1 * OMEGA0, 5)
@@ -499,6 +622,22 @@ class TestCellMarch:
             monkeypatch.setattr(np, name, counted)
         photonic._front_face(stack, np.linspace(4.0, 9.0, 33), slope=slope)
         assert calls == {"cos": 3, "sin": 3}
+
+    def test_one_frequency_slope_march_array_call_count(self, front_stack, monkeypatch):
+        # the march and the front-face split are written as explicit ufunc
+        # calls, so this counts every array product, sum and difference of
+        # one exact group delay on the front stack: two layer types, one
+        # cell product, one leftover layer, five power steps and seven
+        # squarings.  Pinned, so that a change that regrows the per-call
+        # cost shows here
+        calls = {"multiply": 0, "add": 0, "subtract": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        photonic.group_delay(front_stack, OMEGA0)
+        assert calls == {"multiply": 115, "add": 57, "subtract": 13}
 
     @pytest.mark.parametrize("slope", [False, True])
     def test_a_frequency_gets_the_same_bits_in_any_company(self, front_stack, slope):
