@@ -27,7 +27,9 @@ Every step has the form (E, H) <- (A E - P H, D H - Q E): four products and
 two differences, written into two reused arrays beside E and H.  A layer's
 step has A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta),
 formed once per layer type, a distinct (n, d) pair, and held from its first
-use to its last, so each type costs one cos and one sin per frequency.  The
+use to its last.  cos(delta) and sin(delta) are formed once per optical
+thickness n d, a float key: the two types of each shipped quarter-wave stack
+share theirs, so its march costs one cos and one sin per frequency.  The
 slope march, whose one-frequency calls are nearly all per-call overhead,
 holds each pair, (A, D), (P, Q) and their derivatives, stacked as one
 (2, F) array, and (E, H) with their derivatives as one (2, 2, F) array, so
@@ -112,7 +114,7 @@ class LayeredStack:
 
     @functools.cached_property
     def _layer_period(self) -> int:
-        """:func:`_period` of the layers, found at the first march by cells."""
+        """:func:`_period` of the layers, set by :meth:`quarter_wave` or found at first use."""
         return _period(self.layers)
 
     @property
@@ -135,12 +137,18 @@ class LayeredStack:
         """Alternating quarter-wave layers hi/lo/hi/... at design wavelength.
 
         The (hi, lo) pair is formed once and repeated, so every hi layer is
-        the same (n, d) pair of floats, and so is every lo layer.
+        the same (n, d) pair of floats, and so is every lo layer; the march
+        shares one phase between the two where their n d are equal floats,
+        as they are for every shipped config.  The stack's period, 2, or 1
+        for one layer or equal layers, is set here, so the march by cells
+        never looks for it.
         """
         if n_layers < 1:
             raise ValueError("need at least one layer")
         pair = tuple((n, lambda0 / (4.0 * n)) for n in (n_hi, n_lo))
-        return cls((pair * ((n_layers + 1) // 2))[:n_layers], n_in=n_in, n_out=n_out)
+        stack = cls((pair * ((n_layers + 1) // 2))[:n_layers], n_in=n_in, n_out=n_out)
+        stack.__dict__["_layer_period"] = len(set(stack.layers[:2]))
+        return stack
 
     @classmethod
     def vacuum_slab(cls, length: float) -> "LayeredStack":
@@ -398,38 +406,62 @@ def _layer_steps(layers, omegas: np.ndarray, slope: bool):
     """The step coefficients of each of ``layers`` in turn.
 
     A layer type, a distinct (n, d) pair, has its coefficients formed at its
-    first step and held until its last, so a periodic stack costs one cos and
-    one sin per type and frequency.  A held type keeps three complex arrays,
-    6 words per frequency (16 in all with ``slope``, whose four pairs are
-    stacked).  A type that occurs once is never held; the most held at once
-    is half the layers, for a palindrome of distinct layers.
+    first step and held until its last.  Its phase delta = n d w is keyed on
+    the float n d, so types of one optical thickness, such as both types of
+    a shipped quarter-wave stack, share bit-equal phases: cos(delta) and sin(delta)
+    are formed once per key and frequency (:func:`_layer_trig`), and held
+    only until the last type with that key has formed its coefficients.  A
+    held type keeps three complex arrays, 6 words per frequency (16 in all
+    with ``slope``, whose four pairs are stacked), or fewer where types share
+    one cos array.  A type that occurs once is never held; the most held at
+    once is half the layers, for a palindrome of distinct layers.
     """
-    left, held = Counter(layers), {}
+    left, held, trig = Counter(layers), {}, {}
+    # types are formed in order of first use, the order of left's keys, so
+    # this is the last type formed at each optical thickness
+    last = {layer[0] * layer[1]: layer for layer in left}
     for layer in layers:
         left[layer] -= 1
         if layer not in held:
-            held[layer] = _step_coefficients(*layer, omegas, slope)
-        # no local keeps a reference while suspended, so a type with no
-        # steps left is freed once the march has taken its last step
+            n, d = layer
+            key = n * d
+            if key not in trig:
+                trig[key] = _layer_trig(key, omegas)
+            held[layer] = _step_coefficients(
+                n, d, *(trig.pop(key) if last[key] == layer else trig[key]), slope)
+        # no local keeps an array while suspended, so a type with no steps
+        # left is freed once the march has taken its last step
         yield held[layer] if left[layer] else held.pop(layer)
 
 
-def _step_coefficients(n: float, d: float, omegas: np.ndarray, slope: bool = False):
+def _layer_trig(thickness: float, omegas: np.ndarray):
+    """cos(delta) + 0i and sin(delta) of the phase delta = thickness * w.
+
+    cos(delta) is held complex, the value numpy casts a real factor to in a
+    product with a complex array, so each product keeps its bits.  The only
+    place a layer's trig is evaluated; the phase dies here.
+    """
+    phase = np.multiply(thickness, omegas)
+    cos_p = np.zeros(omegas.shape, dtype=complex)
+    cos_p.real = np.cos(phase)
+    return cos_p, np.sin(phase)
+
+
+def _step_coefficients(n: float, d: float, cos_p: np.ndarray, sin_p: np.ndarray,
+                       slope: bool = False):
     """growth and the pairs AD = (A, D) and PQ = (P, Q) of one layer's step.
 
-    A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta).
-    cos(delta) is held complex, cos(delta) + 0i, the value numpy casts a real
-    factor to in a product with a complex array, so each product keeps its
-    bits.  The phase and sin(delta) die here, so the march holds only what a
-    step reads.  A plain march holds each pair as two arrays, A and D the
-    same one.  With ``slope`` the w-derivatives follow,
+    A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta), from the
+    :func:`_layer_trig` of the layer's phase delta = n d w.  sin(delta) dies
+    with the last type that reads it, so the march holds only what a step
+    reads.  A plain march holds each pair as two arrays, A and D the same
+    one, which other types of the same n d may share as their A and D: a
+    step and :func:`_cell_matrix` only read coefficients, and
+    :func:`_square` writes only into a power it owns.  With ``slope`` the
+    w-derivatives follow,
     dM/dw = n d [[-sin(delta), -i cos(delta)/n], [-i n cos(delta), -sin(delta)]],
     and every pair, AD, PQ, dAD and dPQ, is stacked as one (2, F) array.
     """
-    phase = np.multiply(n * d, omegas)
-    cos_p = np.zeros(omegas.shape, dtype=complex)
-    cos_p.real = np.cos(phase)
-    sin_p = np.sin(phase)
     pq = np.multiply(1j, np.divide(sin_p, n)), np.multiply(1j, np.multiply(n, sin_p))
     if not slope:
         return _growth(n), (cos_p, cos_p), pq
@@ -525,7 +557,8 @@ def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
 def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
     """t and r at positive frequencies: t = 2^(-k)/a and r = b/a at the front face."""
     incident, reflected, k = _front_face(stack, omegas)
-    return np.ldexp(1.0, -k) / incident, reflected / incident
+    # 1.0 and 2^0 are both cast to 1 + 0i in the division
+    return (np.ldexp(1.0, -k) if k.any() else 1.0) / incident, reflected / incident
 
 
 # The three public forms below differ only in how frequencies come in and
@@ -845,12 +878,15 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
             pair[missed] = 0.5 * (a + b)[missed, None] * straddle
             marched = np.column_stack((sections, pair))
         power = _transmittance(stack, marched)
-        # walk order runs out from the inside end
-        order = np.argsort((marched - a[:, None]) / unit[:, None], axis=1, kind="stable")
-        crossed = np.take_along_axis(power, order, axis=1) >= 0.5
-        walk = np.column_stack((a, np.take_along_axis(marched, order, axis=1), b))
+        rows, crossed = np.arange(a.size), power >= 0.5
+        # walk order runs out from the inside end: the stable argsort of the
+        # key (x - a) / unit, which the sections alone already follow
+        if predicted is not None:
+            order = rows[:, None], np.argsort((marched - a[:, None]) / unit[:, None], axis=1,
+                                              kind="stable")
+            marched, crossed = marched[order], crossed[order]
+        walk = np.column_stack((a, marched, b))
         first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, walk.shape[1] - 1)
-        rows = np.arange(first.size)
         inside[live], outside[live] = walk[rows, first - 1], walk[rows, first]
         still = np.abs(inside - outside) > 1e-14 * np.abs(inside)
         if not still.any():  # no prediction is read after the last round

@@ -414,7 +414,8 @@ def front_causality(
 
     times = np.arange(n) * dt
     spec_in = np.fft.ifft(_ramp_envelope(times, t_on, rise, hold))
-    before_front = times < t_on + length
+    # the samples before the front are a prefix of the ascending times
+    front_sample = int(np.searchsorted(times, t_on + length))
 
     def pre_front_fraction(t_fft: np.ndarray) -> float:
         power = np.abs(np.fft.fft(spec_in * t_fft)) ** 2
@@ -422,7 +423,7 @@ def front_causality(
         # test measures); only gross wraparound of the physical ring is an error
         if np.max(power[int(0.98 * n):]) > 1e-6 * float(np.max(power)):
             raise WraparoundDetectedError("transmitted record does not ring out; enlarge it")
-        return float(np.sum(power[before_front])) / float(np.sum(power))
+        return float(np.sum(power[:front_sample])) / float(np.sum(power))
 
     return FrontTestResult(
         front_time=length,

@@ -707,6 +707,23 @@ def test_front_run_marches_its_stack_by_powers_of_the_cell(tmp_path, monkeypatch
         assert yielded <= 2 * math.ceil(math.log2(count)) + rest + 1
 
 
+def test_shipped_quarter_wave_stacks_share_one_phase():
+    # the march forms one cos and one sin for both layer types of a
+    # quarter-wave stack only while their n d are equal floats, so a change
+    # to quarter_wave's float formula that loses the sharing fails here
+    built = 0
+    for path in CONFIGS:
+        config = json.loads(path.read_text())
+        if "quarter_wave" not in config.get("stack", {}):
+            continue
+        stack = cli._stack(cli._read(config["stack"], cli._STACK, "stack"))
+        (n_hi, d_hi), (n_lo, d_lo) = stack.layers[:2]
+        assert n_hi != n_lo
+        assert n_hi * d_hi == n_lo * d_lo
+        built += 1
+    assert built == 4
+
+
 def modules_loaded_by_cli_import(package):
     """Modules of ``package`` that a fresh ``import tunneltime, tunneltime.cli`` loads."""
     src = str(Path(tunneltime.__file__).parents[1])

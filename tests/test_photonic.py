@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -104,6 +105,53 @@ def plain_k_section(stack, omega_ref):
     return tuple(0.5 * (outside + inside))
 
 
+def argsort_k_section(stack, outside, inside):
+    """photonic._k_section with each round's walk order taken by a stable argsort.
+
+    Every round, the first included, sorts its marched points by the key
+    (x - inside) / section and gathers |t|^2 and the points by
+    take_along_axis; the rest is the k-section as it is.
+    """
+    outside, inside = outside.copy(), inside.copy()
+    steps = np.arange(1, photonic._SECTIONS) / photonic._SECTIONS
+    straddle = 1.0 + np.array([-photonic._STRADDLE, photonic._STRADDLE])
+    predictors = photonic._PREDICTORS
+    predicted = None
+    live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+    while np.any(live):
+        a, b = inside[live], outside[live]
+        unit = (b - a) / photonic._SECTIONS
+        sections = a[:, None] + (b - a)[:, None] * steps
+        marched = sections
+        if predicted is not None:
+            pair = predicted[live][:, None] * straddle
+            held = (np.minimum(a, b)[:, None] <= pair) & (pair <= np.maximum(a, b)[:, None])
+            missed = ~np.all(held, axis=1)
+            pair[missed] = 0.5 * (a + b)[missed, None] * straddle
+            marched = np.column_stack((sections, pair))
+        power = photonic._transmittance(stack, marched)
+        order = np.argsort((marched - a[:, None]) / unit[:, None], axis=1, kind="stable")
+        crossed = np.take_along_axis(power, order, axis=1) >= 0.5
+        walk = np.column_stack((a, np.take_along_axis(marched, order, axis=1), b))
+        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, walk.shape[1] - 1)
+        rows = np.arange(first.size)
+        inside[live], outside[live] = walk[rows, first - 1], walk[rows, first]
+        still = np.abs(inside - outside) > 1e-14 * np.abs(inside)
+        if not still.any():
+            break
+        origin = inside[live]
+        start = np.floor((origin - a) / unit).astype(int) - predictors // 2
+        start = np.clip(start, 0, photonic._SECTIONS - 1 - predictors)
+        near = (rows[:, None], start[:, None] + np.arange(predictors))
+        local = (sections[near] - origin[:, None]) / unit[:, None]
+        offset = photonic._inverse_interpolation(local, power[near] - 0.5)
+        offset = np.clip(offset, -photonic._SECTIONS, photonic._SECTIONS)
+        predicted = np.full(inside.shape, np.nan)
+        predicted[live] = origin + unit * offset
+        live = still
+    return 0.5 * (outside + inside)
+
+
 def stopband_oracle_cases(skc_stack, front_stack):
     """The shipped stacks, three quarter-wave depths and 25 random symmetric stacks."""
     cases = [(skc_stack, OMEGA0), (front_stack, OMEGA0)]
@@ -179,6 +227,27 @@ class TestTypes:
         assert all(type(x) is float for layer in stack.layers for x in layer)
         # the march steps a quarter-wave stack by its two-layer cell
         assert photonic._period(stack.layers) == (1 if n_hi == n_lo or count == 1 else 2)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 373])
+    @pytest.mark.parametrize(
+        "n_hi, n_lo", [(1.02, 1.0), (1.7, 1.7), (3, 1)],
+        ids=["front", "equal-indices", "integer-indices"],
+    )
+    def test_quarter_wave_sets_the_period_it_would_find(self, n_hi, n_lo, count):
+        stack = photonic.LayeredStack.quarter_wave(n_hi, n_lo, count, LAMBDA0)
+        assert "_layer_period" in vars(stack)
+        assert stack._layer_period == photonic._period(stack.layers)
+
+    def test_stacks_derived_from_a_quarter_wave_find_their_own_period(self):
+        stack = photonic.LayeredStack.quarter_wave(2.0, 1.5, 12, LAMBDA0)
+        derived = {
+            "reversed": (stack.reversed(), 2),
+            "sides": (dataclasses.replace(stack, n_in=1.3), 2),
+            "layers": (dataclasses.replace(stack, layers=stack.layers[:1] * 4), 1),
+        }
+        for other, period in derived.values():
+            assert "_layer_period" not in vars(other)
+            assert other._layer_period == photonic._period(other.layers) == period
 
     @pytest.mark.parametrize(
         "bad", [(0.0, 0.2), (1.5, -0.1), (float("nan"), 0.2), (2.0, float("inf"))]
@@ -272,6 +341,27 @@ class TestStackResponse:
 
 RECURRING_CELL = ((2.3, 0.11), (1.4, 0.37), (3.1, 0.05))
 MARCH_CASES = ["front", "grating", "random", "rescaled", "single", "recurring", "palindrome"]
+
+# an optical thickness n d that layers of several indices share exactly, and
+# a layer of another thickness to set between them
+SHARED_THICKNESS = 0.21
+SPACER = (1.7, 0.37)
+
+
+def shared_thickness_stack(periodic):
+    """Layers of three indices and one optical thickness, each followed by SPACER.
+
+    Aperiodic, the three follow a fixed random draw; periodic, a cell of all
+    three with their spacers repeats seven times, and two layers follow.
+    """
+    types = [(n, SHARED_THICKNESS / n) for n in (1.3, 2.2, 3.1)]
+    assert len({n * d for n, d in types}) == 1
+    if periodic:
+        layers = ([layer for t in types for layer in (t, SPACER)] * 8)[: 7 * 6 + 2]
+    else:
+        draw = np.random.default_rng(29).integers(0, 3, 40)
+        layers = [layer for j in draw for layer in (types[j], SPACER)]
+    return photonic.LayeredStack(tuple(layers), n_in=1.2, n_out=1.5)
 
 
 def march_case(case, front_stack):
@@ -422,6 +512,9 @@ class TestMarchCache:
         assert np.array_equal(got, want)
 
     def test_trig_once_per_layer_type(self, front_stack, monkeypatch):
+        # once per optical thickness n d, a float key: the front stack's two
+        # types share theirs, and 2.4/1.38 at the same design wavelength has
+        # n d = 0.1755 and 0.17550000000000002, so it keeps two
         calls = {"cos": 0, "sin": 0}
         for name in calls:
             def counted(x, _name=name, _f=getattr(np, name)):
@@ -429,11 +522,14 @@ class TestMarchCache:
                 return _f(x)
             monkeypatch.setattr(np, name, counted)
         omegas = np.linspace(0.5 * OMEGA0, 1.5 * OMEGA0, 257)
-        for _ in photonic._backward_march(front_stack, omegas):
-            pass
-        types = len(set(front_stack.layers))
-        assert types == 2
-        assert calls == {"cos": types, "sin": types}
+        one_ulp_apart = photonic.LayeredStack.quarter_wave(2.4, 1.38, 373, LAMBDA0)
+        for stack, keys in ((front_stack, 1), (one_ulp_apart, 2)):
+            assert len(set(stack.layers)) == 2
+            assert len({n * d for n, d in stack.layers}) == keys
+            calls.update(cos=0, sin=0)
+            for _ in photonic._backward_march(stack, omegas):
+                pass
+            assert calls == {"cos": keys, "sin": keys}
 
     def test_distinct_layers_allocate_no_table(self):
         rng = np.random.default_rng(41)
@@ -451,6 +547,53 @@ class TestMarchCache:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0]
+
+    def test_types_of_one_thickness_hold_one_phase(self):
+        # 200 distinct types, one n d: the shared cos and sin are held until
+        # the last type is formed, at the front face
+        rng = np.random.default_rng(43)
+        indices = [n for n in rng.uniform(1.05, 3.2, 400)
+                   if n * (SHARED_THICKNESS / n) == SHARED_THICKNESS][:200]
+        stack = photonic.LayeredStack(tuple((n, SHARED_THICKNESS / n) for n in indices))
+        assert len(set(stack.layers)) == 200
+        assert {n * d for n, d in stack.layers} == {SHARED_THICKNESS}
+        omegas = np.linspace(4.0, 9.0, 4096)
+        peaks = []
+        for march in (uncached_march, photonic._backward_march):
+            tracemalloc.start()
+            try:
+                for _ in march(stack, omegas):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+    @pytest.mark.parametrize("width", [1, 65])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["aperiodic", "periodic"])
+    def test_types_of_one_thickness_keep_every_bit(self, periodic, width):
+        # the references evaluate each type's trig afresh; the march shares
+        # one cos array as A and D between types of different index
+        stack = shared_thickness_stack(periodic)
+        omegas = np.linspace(4.0, 9.0, width) if width > 1 else np.array([6.3])
+        (a, da), b, k = photonic._front_face(stack, omegas, slope=True)
+        (a_ref, da_ref), b_ref, k_ref = reference_slope_front_face(stack, omegas)
+        for got, want in ((a, a_ref), (da, da_ref), (b, b_ref), (k, k_ref)):
+            assert np.array_equal(got, want)
+        if periodic:
+            # the plain march by cells has no exact reference; its layer
+            # march is checked at every face
+            assert photonic._period(stack.layers) == 6
+            for got, want in zip(photonic._backward_march(stack, omegas),
+                                 uncached_march(stack, omegas)):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            assert photonic._period(stack.layers) > len(stack.layers) // 2
+            for e, h, k in uncached_march(stack, omegas):
+                pass
+            want = (*photonic._split_waves(e, h, stack.n_in), k)
+            for got, w in zip(photonic._front_face(stack, omegas), want):
+                assert np.array_equal(got, w)
 
 
 class TestCellMarch:
@@ -626,10 +769,10 @@ class TestCellMarch:
     def test_one_frequency_slope_march_array_call_count(self, front_stack, monkeypatch):
         # the march and the front-face split are written as explicit ufunc
         # calls, so this counts every array product, sum and difference of
-        # one exact group delay on the front stack: two layer types, one
-        # cell product, one leftover layer, five power steps and seven
-        # squarings.  Pinned, so that a change that regrows the per-call
-        # cost shows here
+        # one exact group delay on the front stack: two layer types of one
+        # phase, one cell product, one leftover layer, five power steps and
+        # seven squarings.  Pinned, so that a change that regrows the
+        # per-call cost shows here
         calls = {"multiply": 0, "add": 0, "subtract": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(np, name), **kwargs):
@@ -637,7 +780,7 @@ class TestCellMarch:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np, name, counted)
         photonic.group_delay(front_stack, OMEGA0)
-        assert calls == {"multiply": 115, "add": 57, "subtract": 13}
+        assert calls == {"multiply": 114, "add": 57, "subtract": 13}
 
     @pytest.mark.parametrize("slope", [False, True])
     def test_a_frequency_gets_the_same_bits_in_any_company(self, front_stack, slope):
@@ -1033,6 +1176,38 @@ class TestStopbandAndPhaseEnergy:
             checked += 1
         assert checked >= 13
 
+    def test_k_section_keeps_the_argsort_walk(self, skc_stack, front_stack, monkeypatch):
+        # round 1's sections are marched in walk order, so it takes no sort;
+        # every round must march the reference's frequencies
+        cases = stopband_oracle_cases(skc_stack, front_stack)
+        cases.append((photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0), 2.0 * np.pi))
+        boundary = photonic.LayeredStack.quarter_wave(10.0, 1.0, 21, 1.0)
+        cases += [(boundary, np.pi), (boundary, 9.0)]
+        marched, transmittance = [], photonic._transmittance
+
+        def recorded(stack, omegas):
+            marched.append(omegas)
+            return transmittance(stack, omegas)
+
+        monkeypatch.setattr(photonic, "_transmittance", recorded)
+        checked = rounds = 0
+        for stack, omega in cases:
+            try:
+                brackets = full_scan_brackets(stack, omega)
+            except NotInStopbandError:
+                continue
+            marched.clear()
+            want = argsort_k_section(stack, *brackets)
+            want_marched = list(marched)
+            marched.clear()
+            assert np.array_equal(photonic._k_section(stack, *brackets), want)
+            assert len(marched) == len(want_marched)
+            assert all(np.array_equal(g, w) for g, w in zip(marched, want_marched))
+            checked += 1
+            rounds = max(rounds, len(marched))
+        assert checked >= 13
+        assert rounds >= 3
+
     def test_edge_is_the_crossing_nearest_the_band(self):
         # |t|^2 crosses 0.5 three times in the scan step below this band;
         # bisection keeps the outermost crossing, 2.9e-4 further out
@@ -1088,10 +1263,11 @@ class TestStopbandAndPhaseEnergy:
             assert band[1 - end] == pytest.approx(bisected[1 - end], rel=1e-14, abs=0.0)
             assert omega * 0.3 < band[1 - end] < omega * 1.7
 
-    def test_edges_refined_in_few_marches(self, front_stack, monkeypatch):
+    def test_edges_refined_in_few_marches(self, front_stack, skc_stack, monkeypatch):
         # one march for the scan window, which omega_ref rides along, and two
         # k-section rounds, the second ended by the predicted crossings;
-        # refining one frequency at a time took 74 and plain 64-section 7
+        # refining one frequency at a time took 74 and plain 64-section 7.
+        # The pulse and skc configs' wider band widens the window twice
         marches = []
         stack_t_r = photonic._stack_t_r
 
@@ -1102,6 +1278,9 @@ class TestStopbandAndPhaseEnergy:
         monkeypatch.setattr(photonic, "_stack_t_r", counted)
         photonic.find_stopband(front_stack, OMEGA0)
         assert len(marches) == 3
+        marches.clear()
+        photonic.find_stopband(skc_stack, OMEGA0)
+        assert len(marches) == 5
 
     @pytest.mark.parametrize("case", ["front", "skc-and-pulse", "rescaled", "scan-boundary"])
     def test_windowed_scan_matches_the_full_scan(self, case, skc_stack, front_stack):
