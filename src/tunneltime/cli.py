@@ -208,17 +208,14 @@ def _response_columns(omegas, t, r) -> dict:
             "transmission": [abs(x) ** 2 for x in t.tolist()]}
 
 
-def _unitarity_defect(t, r) -> float:
-    return float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)))
-
-
 def _run_stack(v: dict):
     stack, lo, hi = _stack(v["stack"]), v["omega_min"], v["omega_max"]
     if hi <= lo or v["points"] < 5:
         raise ConfigError("need omega_max > omega_min and points >= 5")
     omegas = np.linspace(lo, hi, v["points"])
     t, r = photonic.stack_t_r_samples(stack, omegas)
-    summary = {"total_length": stack.total_length, "unitarity_defect": _unitarity_defect(t, r)}
+    defect = spectral.unitarity_defect(t, r, stack.n_out / stack.n_in)
+    summary = {"total_length": stack.total_length, "unitarity_defect": defect}
     return _response_columns(omegas, t, r), summary
 
 
@@ -227,14 +224,14 @@ def _run_grating(v: dict):
     lo, hi = v["delta_min"], v["delta_max"]
     if hi <= lo or v["points"] < 5:
         raise ConfigError("need delta_max > delta_min and points >= 5")
-    # detunings from omega_b, so the grid's omegas are the printed column bit for bit
-    detunings = np.linspace(lo, hi, v["points"]) / grating.n_bar
-    grid = _build(spectral.FrequencyGrid, grating.omega_b, detunings)
-    resp = photonic.grating_response(grating, grid)
-    t_midgap = photonic._grating_closed_form(grating, grating.omega_b)[0]
+    omegas = grating.omega_b + np.linspace(lo, hi, v["points"]) / grating.n_bar
+    if not np.all(np.diff(omegas) > 0.0):
+        raise ConfigError("detuning range too narrow for distinct frequencies")
+    t, r = photonic.grating_response(grating, omegas)
+    t_midgap, _ = photonic.grating_response(grating, grating.omega_b)
     summary = {"midgap_transmission": float(abs(t_midgap) ** 2),
-               "unitarity_defect": resp.unitarity_defect()}
-    return _response_columns(grid.omegas, resp.t, resp.r), summary
+               "unitarity_defect": spectral.unitarity_defect(t, r, 1.0)}
+    return _response_columns(omegas, t, r), summary
 
 
 def _run_hartman(v: dict):
@@ -242,7 +239,8 @@ def _run_hartman(v: dict):
         family = analysis.QuantumBarrierFamily(v["v0"], v["energy"])
     else:
         family = analysis.GratingFamily(v["kappa"], v["n_bar"], v["omega_b"])
-        _build(family._grating, v["lengths"][0])  # a bad kappa is a config error
+        # a bad kappa is a config error
+        _build(photonic.UniformGrating, v["kappa"], v["lengths"][0], v["n_bar"], v["omega_b"])
     sweep = analysis.hartman_sweep(family, v["lengths"])
     columns = {"length": sweep.lengths, "tau_g": sweep.tau_g, "u_per_pin": sweep.u_per_pin,
                "apparent_speed": sweep.apparent_speed}

@@ -61,7 +61,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import spectral
-from .errors import DetuningOutOfRangeError, NonFiniteResultError, NotInStopbandError
+from .errors import (DetuningOutOfRangeError, NonFiniteResultError, NotInStopbandError,
+                     UndersampledPhaseError)
 
 # fraction of the Bragg frequency within which the coupled-mode closed form
 # is trusted
@@ -609,8 +610,8 @@ def _grating_closed_form(grating: UniformGrating, omega, length=None):
     return (*spectral._two_wave(gamma, -delta, grating.kappa, length), gamma)
 
 
-def grating_response(grating: UniformGrating, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
-    """Coupled-mode closed-form response of a uniform grating.
+def grating_response(grating: UniformGrating, omegas):
+    """Coupled-mode closed-form t and r of a uniform grating at ``omegas``, one or an array.
 
     With delta = n_bar (omega - omega_b) and gamma = sqrt(kappa^2 - delta^2):
 
@@ -620,8 +621,8 @@ def grating_response(grating: UniformGrating, grid: spectral.FrequencyGrid) -> s
     At the Bragg frequency |t| = sech(kappa L).  Detunings are only trusted
     within |delta| < 0.2 * omega_b.
     """
-    t, r, _, _ = _grating_closed_form(grating, grid.omegas)
-    return spectral.ComplexResponse(grid, t, r)
+    t, r, _, _ = _grating_closed_form(grating, omegas)
+    return t, r
 
 
 def grating_envelopes(grating: UniformGrating, omega: float, z: np.ndarray):
@@ -927,7 +928,10 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
     inside a stopband), evaluates stored energy per input power at the
     carrier, and reports the relative slope/energy difference plus the
     maximum fit residual in radians.  Transparent structures (no stopband,
-    e.g. a vacuum slab) skip the span restriction.
+    e.g. a vacuum slab) skip the span restriction.  arg t is -arg a of the
+    march's rescaled incident amplitude a, which never underflows, so a stack
+    too opaque for t is fitted too; an unwrapped step of pi/2 or more between
+    samples raises UndersampledPhaseError.
     """
     try:
         band = find_stopband(stack, grid.omega0)
@@ -935,12 +939,13 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
         band = None
     if band is not None and grid.span > 0.02 * band.width * (1.0 + 1e-9):
         raise ValueError("grid span exceeds 2% of the stopband width")
-    resp = stack_response(stack, grid)
-    phase = spectral.unwrap_phase(resp)
+    phi = np.unwrap(-np.angle(_front_face(stack, grid.omegas)[0]))
+    if np.any(np.abs(np.diff(phi)) >= 0.5 * np.pi):
+        raise UndersampledPhaseError("arg t steps by pi/2 or more between grid samples")
     detunings = grid.detunings
-    coeffs = np.polyfit(detunings, phase.phi, 1)
+    coeffs = np.polyfit(detunings, phi, 1)
     fit = np.polyval(coeffs, detunings)
-    residual = float(np.max(np.abs(phase.phi - fit)))
+    residual = float(np.max(np.abs(phi - fit)))
     slope = float(coeffs[0])
     u = stored_energy(stack, grid.omega0).u_per_pin
     rel = abs(slope - u) / u if u != 0.0 else np.inf

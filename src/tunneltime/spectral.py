@@ -1,9 +1,10 @@
-"""Shared spectral substrate: frequency grids, complex responses, the
+"""Shared spectral substrate: frequency grids, the unitarity defect, the
 sampled-phase oracle, and the two-wave barrier of the quantum rectangle and
 the uniform grating (scaled closed-form t and r, exact group delay, exact
-field integral).  No reported delay reads a sampled phase; the oracle
-(`unwrap_phase`, `phase_derivative`) is what the exact delays are tested
-against, and `photonic.phase_energy_check` fits its unwrapped phase.
+field integral).  No runtime path reads a sampled phase: the oracle
+(`ComplexResponse`, `unwrap_phase`, `phase_derivative`) is what the tests
+check the exact delays against, and `photonic.phase_energy_check` unwraps
+the march's own phase.
 
 Conventions
 -----------
@@ -132,10 +133,6 @@ class ComplexResponse:
         if self.t.shape != (self.grid.count,) or self.r.shape != (self.grid.count,):
             raise ValueError("t and r must match the grid length")
 
-    def unitarity_defect(self) -> float:
-        """max_k | |t_k|^2 + |r_k|^2 - 1 |  (zero for lossless systems)."""
-        return float(np.max(np.abs(np.abs(self.t) ** 2 + np.abs(self.r) ** 2 - 1.0)))
-
 
 @dataclass(frozen=True)
 class UnwrappedPhase:
@@ -159,11 +156,16 @@ class DerivativeEstimate(NamedTuple):
     error: float
 
 
+def unitarity_defect(t, r, weight: float) -> float:
+    """max |weight |t|^2 + |r|^2 - 1|, zero when lossless; a stack's weight is n_out/n_in."""
+    return float(np.max(np.abs(weight * np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)))
+
+
 def unwrap_phase(resp: ComplexResponse) -> UnwrappedPhase:
     """Unwrap arg(t) over the response grid.
 
-    Kept for the sampled-phase oracle and `photonic.phase_energy_check`;
-    the benchmark traces this name.
+    Kept for the sampled-phase oracle that the tests check against; no
+    runtime path calls it, and the benchmark traces this name.
     A |t| that is non-finite or below 1e-300 has no phase: ZeroAmplitudeError.
     Each step is corrected by the nearest multiple of 2*pi.  If a corrected
     step still reaches pi the direction of the jump is ambiguous and the grid

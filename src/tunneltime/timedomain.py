@@ -26,8 +26,8 @@ function returning its detector record, final state and worst edge leak.
 A detector record that has not decayed by the end of its window raises
 instead of yielding a delay.  A ladder of three time steps, all recorded
 on the coarsest step's clock, cancels the step's error to fourth order; a
-worker thread runs the two coarser rungs while the calling thread runs the
-finest, whose stepped run is the longest path, and the result is the
+pool of two threads takes the finest rung, whose stepped run is the longest
+path, first and the two coarser rungs after it, and the result is the
 serial one bit for bit.
 """
 
@@ -701,15 +701,15 @@ def tdse_oracle(
     the correlation (`_band_limited_peak`), which a coarse clock biases far
     less than a 3-point parabola.
 
-    The rungs share no written state, so one worker thread runs the 4 dt
-    and 2 dt pairs while the calling thread runs the dt pair (scipy's
+    The rungs share no written state, so a pool of two threads takes the dt
+    pair first, then the 4 dt and the 2 dt pairs as a thread frees (scipy's
     tridiagonal solve releases the GIL).  With the free runs' leaks checked
-    in batches the two threads carry about equal work, and the dt pair's
-    Cayley steps, 4/3 as many as the other two rungs' together, are the
-    critical path.  Each run's arithmetic and the order in which the rungs
-    combine are the serial ones, so the result is identical to a serial
-    ladder's, and so is the error: that of the coarsest failing rung.  The
-    worker is joined before the call returns or raises.
+    in batches the threads carry about equal work, and the dt pair's Cayley
+    steps, 4/3 as many as the other two rungs' together, are the critical
+    path.  Each run's arithmetic and the order in which the rungs combine
+    are the serial ones, and results are read coarsest first, so the result
+    is identical to a serial ladder's, and so is the error: that of the
+    coarsest failing rung.  The pool is joined before the call returns or raises.
 
     Both records of each pair must have fallen below 1e-3 of their peak
     power by the last sample (`RecordTruncatedError` otherwise), so a
@@ -781,18 +781,12 @@ def tdse_oracle(
     # imported here, as `_cayley_run` imports LAPACK: no CLI experiment runs the oracle
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(1) as worker:
-        coarser = worker.submit(lambda: [rung(1), rung(2)])
-        try:
-            finest, error = rung(4), None
-        except Exception as exc:
-            error = exc
-        # outside the handler, so that a coarser rung's error comes first, as
-        # in a serial ladder, and carries no trace of the dt rung's
-        rungs = coarser.result()
-    if error is not None:
-        raise error
-    (coarsest, coarse, fine), norms, leaks = zip(*rungs, finest)
+    with ThreadPoolExecutor(2) as pool:
+        # the dt rung first, the others queued behind; read coarsest first, so
+        # a failure raises the serial ladder's error, with no other as context
+        futures = {every: pool.submit(lambda every=every: rung(every)) for every in (4, 1, 2)}
+        rungs = [futures[every].result() for every in (1, 2, 4)]
+    (coarsest, coarse, fine), norms, leaks = zip(*rungs)
     norm_error, leak = max(norms), max(leaks)
     pair_fine = fine + (fine - coarse) / 3.0  # R2(dt, 2 dt)
     pair_coarse = coarse + (coarse - coarsest) / 3.0  # R2(2 dt, 4 dt)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -148,18 +149,36 @@ class TestListExperiments:
         assert {path[-1] for path in key_paths(cfg)} <= listed
 
 
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "tunneltime").glob("*.py"))
+ORACLE_PHASE_NAMES = {"unwrap_phase", "phase_derivative", "UnwrappedPhase"}
+
+
+def named(node):
+    """Every name, attribute and imported name under an AST node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
 class TestNoSampledPhaseDelay:
+    @pytest.fixture
+    def oracle_unreachable(self, monkeypatch):
+        # every reported delay has an exact route and criterion 4 unwraps the
+        # march's own phase, so the sampled-phase oracle is for tests only
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the runtime reached the sampled-phase oracle")
+
+        for name in ("phase_derivative", "unwrap_phase", "ComplexResponse"):
+            monkeypatch.setattr(spectral, name, unreachable)
+
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
     def test_shipped_configs_never_reach_the_sampled_phase_tools(
-        self, tmp_path, config, monkeypatch
+        self, tmp_path, config, oracle_unreachable
     ):
-        # every reported delay has an exact route; the sampled-phase oracle
-        # is for tests and the phase-energy check only
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a shipped config reached the sampled-phase oracle")
-
-        monkeypatch.setattr(spectral, "phase_derivative", unreachable)
-        monkeypatch.setattr(spectral, "unwrap_phase", unreachable)
         assert cli.run(str(config), output_dir=str(tmp_path)) == 0
         cfg = json.loads(config.read_text(encoding="utf-8"))
         if cfg["kind"] == "pulse":
@@ -169,6 +188,48 @@ class TestNoSampledPhaseDelay:
             )
             results = json.loads((tmp_path / f"{config.stem}.json").read_text())["results"]
             assert results["tau_g"] == photonic.group_delay(stack, cfg["omega_mid"])
+
+    def test_grating_run_never_reaches_the_sampled_phase_tools(self, tmp_path, oracle_unreachable):
+        cfg = write_config(
+            tmp_path / "gr.json",
+            {"kind": "grating", "grating": {"kappa": 0.3, "length": 10.0, "omega_b": 6.0},
+             "delta_min": -0.5, "delta_max": 0.5, "points": 31},
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+
+    def test_phase_energy_check_fits_an_opaque_stack(self, oracle_unreachable):
+        # |t| underflows to zero at midgap, while the march's incident
+        # amplitude, rescaled by 2^-k, keeps its phase
+        stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0)
+        omega = 2.0 * np.pi
+        assert photonic.stack_t_r(stack, omega)[0] == 0.0
+        band = photonic.find_stopband(stack, omega)
+        grid = spectral.FrequencyGrid.centered(omega, 0.005 * band.width, 65)
+        check = photonic.phase_energy_check(stack, grid)
+        assert check.slope == pytest.approx(photonic.group_delay(stack, omega), rel=1e-4)
+        assert check.max_residual < 1e-3
+
+    def test_only_spectral_names_the_oracle(self):
+        # and only the benchmark-traced `photonic.stack_response` builds a
+        # ComplexResponse
+        for path in SOURCES:
+            if path.name == "spectral.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not ORACLE_PHASE_NAMES & set(named(tree)), path.name
+            holders = [node.name for node in tree.body if "ComplexResponse" in named(node)]
+            assert holders == (["stack_response"] if path.name == "photonic.py" else []), path.name
+
+    def test_cli_takes_no_private_attribute(self):
+        # the CLI is a shell over the library's public names; dunders such as
+        # ``__name__`` are not private
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        ]
+        assert private == []
 
 
 class TestRunHartman:
@@ -664,6 +725,19 @@ class TestStackExperiment:
         assert lines[0] == "omega,t_re,t_im,r_re,r_im,transmission"
         assert len(lines) == 102
         summary = json.loads((out / "stack.json").read_text())
+        assert summary["results"]["unitarity_defect"] < 1e-12
+
+    def test_unitarity_defect_weighs_transmission_between_unequal_media(self, tmp_path):
+        # lossless between n_in = 1 and n_out = 1.5: (n_out/n_in)|t|^2 + |r|^2 = 1,
+        # while |t|^2 + |r|^2 falls to about 0.67
+        qw = {"n_hi": 2.0, "n_lo": 1.5, "layer_count": 11, "lambda0": LAMBDA0}
+        cfg = write_config(
+            tmp_path / "stack.json",
+            {"kind": "stack", "stack": {"quarter_wave": qw, "n_in": 1.0, "n_out": 1.5},
+             "omega_min": 0.8 * OMEGA0, "omega_max": 1.2 * OMEGA0, "points": 101},
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        summary = json.loads((tmp_path / "out" / "stack.json").read_text())
         assert summary["results"]["unitarity_defect"] < 1e-12
 
     def test_t_is_evaluated_at_each_printed_omega(self, tmp_path):

@@ -486,10 +486,10 @@ class TestTdseOracle:
     )
     def test_failing_rungs_raise_the_serial_error(self, monkeypatch, failing, raised, finished):
         # rungs named by their step in units of dt; each failing rung's pair
-        # raises with that step in its message.  The worker runs 4 dt, then
-        # 2 dt, and stops at its first error, as a serial ladder would; the
-        # caller runs dt, and a thread's rung is the one whose barrier run it
-        # started last
+        # raises with that step in its message.  The pool's two threads take
+        # dt, 4 dt and 2 dt in that order and run each to its end; the results
+        # are read coarsest first, as a serial ladder would meet them, and a
+        # thread's rung is the one whose barrier run it started last
         on_thread = threading.local()
         done = set()
         cayley_run, pair_times = timedomain._cayley_run, timedomain._pair_times
