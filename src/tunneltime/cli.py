@@ -251,15 +251,13 @@ def _run_hartman(v: dict):
 
 def _run_pulse(v: dict):
     stack = _stack(v["stack"])
-    # the envelope's shape does not depend on its bandwidth, so a bad sample
-    # count is a config error before any stack is marched
-    _build(timedomain.PulseEnvelope.gaussian_with_bandwidth, v["omega_mid"], 1.0,
-           samples=v["samples"])
+    # a bad sample count is a config error before any stack is marched
+    if v["samples"] < timedomain.MIN_PULSE_SAMPLES:
+        raise ConfigError(f"key 'samples' must be at least {timedomain.MIN_PULSE_SAMPLES}")
     band = photonic.find_stopband(stack, v["omega_mid"])
-    pulse = _build(timedomain.PulseEnvelope.gaussian_with_bandwidth,
-                   v["omega_mid"], v["bandwidth_fraction"] * band.width, samples=v["samples"])
-    result = timedomain.propagate_spectral(stack, pulse)
-    columns = {"time": pulse.times, "abs_a_in": [abs(a) for a in pulse.a.tolist()],
+    result = timedomain.propagate_spectral(
+        stack, v["omega_mid"], v["bandwidth_fraction"] * band.width, v["samples"])
+    columns = {"time": result.times, "abs_a_in": [abs(a) for a in result.a_in.tolist()],
                "abs_a_out": [abs(a) for a in result.a_out.tolist()]}
     summary = {
         "peak_delay": result.peak_delay,
@@ -274,8 +272,8 @@ def _run_pulse(v: dict):
 
 def _run_front(v: dict):
     stack, omega_mid = _stack(v["stack"]), v["omega_mid"]
-    ramp = timedomain.TurnOnRamp(n_cycles=v["n_cycles"], hold_cycles=v["hold_cycles"])
-    result = timedomain.front_causality(stack, omega_mid, ramp, v["band_factor"])
+    result = timedomain.front_causality(
+        stack, omega_mid, v["n_cycles"], v["hold_cycles"], v["band_factor"])
     tau_g = photonic.group_delay(stack, omega_mid)
     columns = {"front_time": [result.front_time],
                "pre_front_fraction": [result.pre_front_fraction],

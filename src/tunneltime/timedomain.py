@@ -8,9 +8,10 @@ transfer function then means
     A_out(t) = (1/2pi) integral t(omega0 + W) A~(W) e^{-iWt} dW,
 
 so the vacuum-slab response t = e^{i w L} delays the envelope by exactly L.
-Records are synthesized on uniform time grids via the FFT; every envelope is
-required to decay below 1e-12 of its peak at both record ends so cyclic
-wraparound stays out of the physics.
+Records are synthesized on uniform time grids via the FFT.  A pulse's
+Gaussian record spans 16 intensity FWHMs, so its ends sit near e^-88 of its
+peak, and a turn-on ramp has compact support inside its record, so the FFT's
+cyclic wraparound reaches no input; each output is checked at its record ends.
 
 The Crank-Nicolson integrator provides an independent oracle for the quantum
 group delay: it knows nothing about transmission phases, it just propagates
@@ -52,9 +53,9 @@ from .errors import (
 from .photonic import LayeredStack
 from .quantum import QuantumBarrier
 
-_EDGE_DECAY = 1e-12          # envelope floor at record ends, relative to peak
 _WRAPAROUND_LIMIT = 1e-9     # synthesized records must stay below this at ends
 _DURATION_FACTOR = 16.0       # a Gaussian record spans this many intensity FWHMs
+MIN_PULSE_SAMPLES = 8        # fewest samples of a pulse record
 # oracle detector window past the peak arrival, in packet widths at arrival
 _WINDOW_WIDTHS = 8.0
 # oracle default finest step in units of the default cell squared, (1/(20 k0))^2:
@@ -97,106 +98,23 @@ def _fft_length(count: int) -> int:
 
 
 @dataclass(frozen=True)
-class PulseEnvelope:
-    """Complex envelope A(0, t) on a uniform time grid, carrier ``omega0``."""
-
-    times: np.ndarray
-    a: np.ndarray
-    omega0: float
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        a = np.asarray(self.a, dtype=complex)
-        times.flags.writeable = False
-        a.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "a", a)
-        if times.ndim != 1 or times.size < 8 or a.shape != times.shape:
-            raise ValueError("times and a must be equal-length 1-D arrays of >= 8 samples")
-        steps = np.diff(times)
-        if steps[0] <= 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise ValueError("time grid must be uniform and increasing")
-        peak = float(np.max(np.abs(a)))
-        if peak <= 0.0:
-            raise ValueError("envelope is identically zero")
-        if max(abs(a[0]), abs(a[-1])) > _EDGE_DECAY * peak:
-            raise ValueError("envelope must decay below 1e-12 of peak at record ends")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def count(self) -> int:
-        return self.times.size
-
-    def bandwidth(self) -> float:
-        """FWHM of the power spectrum |A~(W)|^2 (half-max crossings interpolated)."""
-        power = np.abs(np.fft.fftshift(np.fft.ifft(self.a))) ** 2
-        detunings = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.count, self.dt))
-        half = 0.5 * float(np.max(power))
-        above = np.nonzero(power >= half)[0]
-        lo, hi = int(above[0]), int(above[-1])
-
-        def crossing(inside: int, outside: int) -> float:
-            frac = (half - power[outside]) / (power[inside] - power[outside])
-            return float(detunings[outside] + frac * (detunings[inside] - detunings[outside]))
-
-        left = crossing(lo, lo - 1) if lo > 0 else float(detunings[0])
-        right = crossing(hi, hi + 1) if hi < self.count - 1 else float(detunings[-1])
-        return right - left
-
-    @classmethod
-    def gaussian(cls, omega0: float, sigma_t: float, samples: int = 4096) -> "PulseEnvelope":
-        """Gaussian envelope exp(-t^2 / (2 sigma_t^2)) on a centered record.
-
-        The record spans _DURATION_FACTOR = 16 times the intensity FWHM
-        (2 sqrt(ln 2) sigma_t), which keeps the ends far below the 1e-12
-        decay floor.
-        """
-        fwhm = 2.0 * np.sqrt(np.log(2.0)) * sigma_t  # FWHM of |A|^2
-        span = _DURATION_FACTOR * fwhm
-        dt = span / samples
-        times = (np.arange(samples) - samples // 2) * dt
-        a = np.exp(-(times ** 2) / (2.0 * sigma_t ** 2)).astype(complex)
-        return cls(times, a, omega0)
-
-    @classmethod
-    def gaussian_with_bandwidth(
-        cls, omega0: float, bandwidth: float, samples: int = 4096
-    ) -> "PulseEnvelope":
-        """Gaussian whose power-spectrum FWHM equals ``bandwidth``."""
-        sigma_t = 2.0 * np.sqrt(np.log(2.0)) / bandwidth
-        return cls.gaussian(omega0, sigma_t, samples)
-
-
-@dataclass(frozen=True)
 class PropagationResult:
-    """Transmitted envelope with its quasi-static diagnostics.
+    """Input and transmitted envelopes with their quasi-static diagnostics.
 
-    ``a_out`` lives on the input pulse's time grid.  ``energy_balance`` is
-    the transmitted plus reflected envelope energy over the input's, 1 for
-    a lossless stack.
+    ``a_in`` and ``a_out`` live on the record's grid ``times``.
+    ``energy_balance`` is the transmitted envelope energy, weighted by
+    n_out/n_in, plus the reflected envelope energy, over the input's: 1 for
+    a lossless stack whatever its exit medium.
     """
 
+    times: np.ndarray
+    a_in: np.ndarray
     a_out: np.ndarray
     peak_delay: float
     width_ratio: float
     quasistatic_deviation: float
     tau_g: float
     energy_balance: float
-
-
-@dataclass(frozen=True)
-class TurnOnRamp:
-    """C1 raised-cosine turn-on/turn-off envelope, measured in carrier cycles."""
-
-    n_cycles: float = 24.0
-    hold_cycles: float = 60.0
-
-    def __post_init__(self):
-        if self.n_cycles <= 0 or self.hold_cycles < 0:
-            raise ValueError("n_cycles must be positive and hold_cycles nonnegative")
 
 
 @dataclass(frozen=True)
@@ -273,8 +191,16 @@ def _rms_width(times: np.ndarray, envelope: np.ndarray) -> float:
     return float(np.sqrt(np.sum((times - mean) ** 2 * power) / total))
 
 
-def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> PropagationResult:
-    """Send a narrowband envelope through a layered stack.
+def propagate_spectral(
+    stack: LayeredStack, omega0: float, bandwidth: float, samples: int
+) -> PropagationResult:
+    """Send a narrowband Gaussian pulse through a layered stack.
+
+    The envelope exp(-t^2 / (2 sigma_t^2)) on the carrier ``omega0`` has
+    sigma_t = 2 sqrt(ln 2) / ``bandwidth``, the FWHM of its power spectrum;
+    its ``samples`` points, centred on t = 0, span 16 intensity FWHMs.
+    Fewer than MIN_PULSE_SAMPLES samples or a bandwidth that is not
+    positive raise ValueError.
 
     The stack is sampled once, at omega0 + W for each FFT bin's detuning W
     in FFT order, so each bin meets its own frequency; a band that reaches
@@ -285,9 +211,18 @@ def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> Propagation
     bin and tau_g the exact `photonic.group_delay` at the carrier; the
     reference delayed envelope is evaluated by the exact spectral shift.
     """
-    dt = pulse.dt
-    omega_fft = 2.0 * np.pi * np.fft.fftfreq(pulse.count, dt)
-    omegas = pulse.omega0 + omega_fft
+    if samples < MIN_PULSE_SAMPLES or not bandwidth > 0:
+        raise ValueError(
+            f"a pulse needs at least {MIN_PULSE_SAMPLES} samples and a positive bandwidth"
+        )
+    fwhm_per_sigma = 2.0 * np.sqrt(np.log(2.0))  # intensity FWHM of the envelope in sigma_t
+    sigma_t = fwhm_per_sigma / bandwidth
+    span = _DURATION_FACTOR * (fwhm_per_sigma * sigma_t)
+    times = (np.arange(samples) - samples // 2) * (span / samples)
+    a_in = np.exp(-(times ** 2) / (2.0 * sigma_t ** 2)).astype(complex)
+    dt = float(times[1] - times[0])
+    omega_fft = 2.0 * np.pi * np.fft.fftfreq(samples, dt)
+    omegas = omega0 + omega_fft
     lowest = float(np.min(omegas))
     if lowest <= 0.0:
         raise BandTooNarrowError(
@@ -295,7 +230,7 @@ def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> Propagation
         )
     t_fft, r_fft = photonic.stack_t_r_samples(stack, omegas)
 
-    spec_in = np.fft.ifft(pulse.a)
+    spec_in = np.fft.ifft(a_in)
     a_out = np.fft.fft(spec_in * t_fft)
     a_refl = np.fft.fft(spec_in * r_fft)
 
@@ -303,25 +238,27 @@ def propagate_spectral(stack: LayeredStack, pulse: PulseEnvelope) -> Propagation
     if peak_out > 0 and max(abs(a_out[0]), abs(a_out[-1])) > _WRAPAROUND_LIMIT * peak_out:
         raise WraparoundDetectedError("transmitted envelope does not decay at record ends")
 
-    tau_g = photonic.group_delay(stack, pulse.omega0)
+    tau_g = photonic.group_delay(stack, omega0)
     a_ref = np.fft.fft(spec_in * complex(t_fft[0]) * np.exp(1j * omega_fft * tau_g))
     deviation = float(np.max(np.abs(a_out - a_ref)) / peak_out) if peak_out > 0 else 0.0
 
-    peak_delay = spectral.locate_peak(pulse.times, np.abs(a_out) ** 2) - spectral.locate_peak(
-        pulse.times, np.abs(pulse.a) ** 2
+    peak_delay = spectral.locate_peak(times, np.abs(a_out) ** 2) - spectral.locate_peak(
+        times, np.abs(a_in) ** 2
     )
-    width_ratio = _rms_width(pulse.times, a_out) / _rms_width(pulse.times, pulse.a)
+    width_ratio = _rms_width(times, a_out) / _rms_width(times, a_in)
 
     energy_in, energy_out, energy_refl = (
-        float(np.sum(np.abs(a) ** 2) * dt) for a in (pulse.a, a_out, a_refl)
+        float(np.sum(np.abs(a) ** 2) * dt) for a in (a_in, a_out, a_refl)
     )
     return PropagationResult(
+        times=times,
+        a_in=a_in,
         a_out=a_out,
         peak_delay=float(peak_delay),
         width_ratio=float(width_ratio),
         quasistatic_deviation=deviation,
         tau_g=float(tau_g),
-        energy_balance=(energy_out + energy_refl) / energy_in,
+        energy_balance=(stack.n_out / stack.n_in * energy_out + energy_refl) / energy_in,
     )
 
 
@@ -340,15 +277,20 @@ def _ramp_envelope(times: np.ndarray, t_on: float, rise: float, hold: float) -> 
 def front_causality(
     stack: LayeredStack,
     omega_mid: float,
-    ramp: TurnOnRamp = TurnOnRamp(),
+    n_cycles: float = 24.0,
+    hold_cycles: float = 60.0,
     band_factor: float = 50.0,
 ) -> FrontTestResult:
     """Fraction of transmitted energy arriving before the light front, with its control.
 
-    A smoothly switched-on carrier at ``omega_mid`` is synthesized over a
-    band of ``band_factor`` times the width of the stack's stopband at
-    ``omega_mid`` (the front is broadband); a passband ``omega_mid`` raises
-    NotInStopbandError before any synthesis.  The ramp's spectrum is formed
+    The carrier at ``omega_mid`` is switched on by a C1 raised-cosine ramp of
+    ``n_cycles`` carrier cycles, held for ``hold_cycles`` and switched off by
+    the mirrored ramp; a ``n_cycles`` that is not positive or a negative
+    ``hold_cycles`` raises ValueError before anything else.  The signal is
+    synthesized over a band of ``band_factor`` times the width of the
+    stack's stopband at ``omega_mid`` (the front is broadband); a passband
+    ``omega_mid`` raises NotInStopbandError before any synthesis.  The
+    ramp's spectrum is formed
     once and sent through the stack and through the equal-length vacuum
     slab, whose response is e^{i omega L} in closed form; neither output can
     arrive before the vacuum transit of the total length, and the slab's
@@ -368,6 +310,8 @@ def front_causality(
     2^20 samples raises WraparoundDetectedError, as does transmitted power
     above 1e-6 of its peak in the accepted record's last 2 %.
     """
+    if n_cycles <= 0 or hold_cycles < 0:
+        raise ValueError("n_cycles must be positive and hold_cycles nonnegative")
     if band_factor < 50.0:
         raise BandTooNarrowError("synthesis band must cover at least 50x the stopband")
     stopband_width = photonic.find_stopband(stack, omega_mid).width
@@ -379,8 +323,8 @@ def front_causality(
 
     length = stack.total_length
     cycle = 2.0 * np.pi / omega_mid
-    rise = ramp.n_cycles * cycle
-    hold = ramp.hold_cycles * cycle
+    rise = n_cycles * cycle
+    hold = hold_cycles * cycle
     # ring-out sizing: stopband-edge resonances decay on ~1/width scales
     ring = 80.0 * max(cycle, 2.0 * np.pi / stopband_width)
     t_on = 8.0 * rise

@@ -231,6 +231,27 @@ class TestNoSampledPhaseDelay:
         ]
         assert private == []
 
+    def test_cli_reaches_timedomain_only_through_its_two_runs(self):
+        # the pulse and front runners are one library call each and build no
+        # timedomain object; the sample floor is the one other name, read so
+        # that a bad count is a config error before the stopband search
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        attributes = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "timedomain"
+        ]
+        called = {
+            node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.func in attributes
+        }
+        assert called == {"propagate_spectral", "front_causality"}
+        assert {node.attr for node in attributes} == called | {"MIN_PULSE_SAMPLES"}
+        assert not [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("timedomain")
+        ]
+
 
 class TestRunHartman:
     def test_csv_columns_and_values(self, tmp_path):
@@ -557,6 +578,19 @@ class TestNumericalFailure:
         assert summary["error"] == "NonFiniteResultError"
         assert "tau_g" in summary["message"]
         assert not (out / "q.csv").exists()
+
+
+class TestPulseExperiment:
+    def test_energy_balance_weighs_the_exit_medium(self, tmp_path):
+        # this lossless stack's balance reads 0.973 if the transmitted energy
+        # is not weighed by n_out/n_in
+        stack = {**SKC_CONFIG["stack"], "n_out": 1.5}
+        cfg = write_config(
+            tmp_path / "pulse.json", {"kind": "pulse", "stack": stack, "omega_mid": OMEGA0}
+        )
+        assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+        results = json.loads((tmp_path / "out" / "pulse.json").read_text())["results"]
+        assert abs(results["energy_balance"] - 1.0) < 1e-12
 
 
 class TestSkcExperiment:

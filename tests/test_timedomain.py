@@ -138,64 +138,101 @@ def closed_form_lag(barrier, packet):
     return brentq(slope, guess - 0.1, guess + 0.1, xtol=1e-14)
 
 
-class TestPulseEnvelope:
-    def test_rejects_nonuniform_times(self):
-        times = np.concatenate([np.linspace(0, 1, 50), [1.5]])
-        with pytest.raises(ValueError):
-            timedomain.PulseEnvelope(times, np.exp(-((times - 0.5) ** 2) * 500), 5.0)
-
-    def test_rejects_undecayed_ends(self):
-        times = np.linspace(-1.0, 1.0, 64)
-        with pytest.raises(ValueError):
-            timedomain.PulseEnvelope(times, np.exp(-times ** 2), 5.0)
-
-    def test_gaussian_record_is_clean(self):
-        pulse = timedomain.PulseEnvelope.gaussian(5.0, sigma_t=2.0, samples=1024)
-        assert pulse.count == 1024
-        peak = np.max(np.abs(pulse.a))
-        assert abs(pulse.a[0]) <= 1e-12 * peak
-
-    def test_bandwidth_convention(self):
-        pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
-            5.0, bandwidth=0.05, samples=4096
-        )
-        assert pulse.bandwidth() == pytest.approx(0.05, rel=0.02)
-
-
 # carrier of the vacuum-slab delay lines: at OMEGA0 the FFT bands of their
 # records (8192 samples at sigma_t = 40, 1024 at sigma_t = 10) reach omega <= 0
 DELAY_LINE_CARRIER = 30.0
 
 
+def bandwidth_of(sigma_t):
+    """Power-spectrum FWHM of the Gaussian envelope exp(-t^2 / (2 sigma_t^2))."""
+    return 2.0 * np.sqrt(np.log(2.0)) / sigma_t
+
+
+def measured_bandwidth(times, a):
+    """FWHM of the power spectrum |A~(W)|^2, half-max crossings interpolated."""
+    power = np.abs(np.fft.fftshift(np.fft.ifft(a))) ** 2
+    detunings = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(times.size, times[1] - times[0]))
+    half = 0.5 * float(np.max(power))
+    above = np.nonzero(power >= half)[0]
+    lo, hi = int(above[0]), int(above[-1])
+    assert 0 < lo and hi < times.size - 1, "half maximum not crossed inside the band"
+
+    def crossing(inside, outside):
+        frac = (half - power[outside]) / (power[inside] - power[outside])
+        return detunings[outside] + frac * (detunings[inside] - detunings[outside])
+
+    return crossing(hi, hi + 1) - crossing(lo, lo - 1)
+
+
+def vacuum_record(bandwidth, samples):
+    """The input record ``propagate_spectral`` builds, read off a stackless run."""
+    return timedomain.propagate_spectral(
+        photonic.LayeredStack(()), DELAY_LINE_CARRIER, bandwidth, samples
+    )
+
+
+class TestPulseEnvelope:
+    def test_gaussian_record_is_clean(self):
+        result = vacuum_record(0.05, 1024)
+        times, a_in = result.times, result.a_in
+        assert times.size == a_in.size == 1024
+        assert times[512] == 0.0
+        steps = np.diff(times)
+        assert np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]
+        assert np.max(np.abs(a_in)) == 1.0
+        assert max(abs(a_in[0]), abs(a_in[-1])) <= 1e-12
+
+    def test_bandwidth_convention(self):
+        result = vacuum_record(0.05, 4096)
+        assert measured_bandwidth(result.times, result.a_in) == pytest.approx(0.05, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "bandwidth, samples",
+        [(0.05, timedomain.MIN_PULSE_SAMPLES - 1), (0.0, 1024), (-0.05, 1024)],
+        ids=["too-few-samples", "zero-bandwidth", "negative-bandwidth"],
+    )
+    def test_rejects_bad_record_before_marching(self, monkeypatch, bandwidth, samples):
+        def no_march(stack, omegas):
+            raise AssertionError("a bad record reached the stack")
+
+        monkeypatch.setattr(photonic, "stack_t_r_samples", no_march)
+        with pytest.raises(ValueError):
+            vacuum_record(bandwidth, samples)
+
+    def test_fewest_samples_run(self):
+        result = vacuum_record(0.05, timedomain.MIN_PULSE_SAMPLES)
+        assert result.times.size == timedomain.MIN_PULSE_SAMPLES
+
+
 class TestPropagateSpectral:
     def test_identity_response(self):
-        pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=2048)
-        result = timedomain.propagate_spectral(photonic.LayeredStack(()), pulse)
-        np.testing.assert_allclose(result.a_out, pulse.a, atol=1e-14)
+        result = timedomain.propagate_spectral(
+            photonic.LayeredStack(()), OMEGA0, bandwidth_of(40.0), 2048
+        )
+        np.testing.assert_allclose(result.a_out, result.a_in, atol=1e-14)
         assert result.peak_delay == pytest.approx(0.0, abs=1e-9)
         assert result.width_ratio == pytest.approx(1.0, abs=1e-12)
         assert result.quasistatic_deviation == pytest.approx(0.0, abs=1e-13)
 
     def test_pure_delay_line(self):
-        pulse = timedomain.PulseEnvelope.gaussian(DELAY_LINE_CARRIER, sigma_t=40.0, samples=8192)
         tau = 3.7
-        result = timedomain.propagate_spectral(photonic.LayeredStack.vacuum_slab(tau), pulse)
+        result = timedomain.propagate_spectral(
+            photonic.LayeredStack.vacuum_slab(tau), DELAY_LINE_CARRIER, bandwidth_of(40.0), 8192
+        )
         assert result.peak_delay == pytest.approx(tau, abs=1e-6)
         assert result.quasistatic_deviation < 1e-10
         assert result.width_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_band_reaching_nonpositive_frequencies_rejected(self):
         # at OMEGA0 the 8192-sample record's band reaches past omega = 0
-        pulse = timedomain.PulseEnvelope.gaussian(OMEGA0, sigma_t=40.0, samples=8192)
         with pytest.raises(BandTooNarrowError):
-            timedomain.propagate_spectral(photonic.LayeredStack.vacuum_slab(3.7), pulse)
+            timedomain.propagate_spectral(
+                photonic.LayeredStack.vacuum_slab(3.7), OMEGA0, bandwidth_of(40.0), 8192
+            )
 
     def test_quasistatic_transit_of_opaque_stack(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)
-        pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
-            OMEGA0, 0.01 * band.width, samples=1024
-        )
-        result = timedomain.propagate_spectral(skc_stack, pulse)
+        result = timedomain.propagate_spectral(skc_stack, OMEGA0, 0.01 * band.width, 1024)
         tau_g = photonic.group_delay(skc_stack, OMEGA0)
         assert result.tau_g == tau_g
         assert result.peak_delay == pytest.approx(tau_g, rel=0.01)
@@ -206,30 +243,34 @@ class TestPropagateSpectral:
 
     def test_energy_bookkeeping(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)
-        pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
-            OMEGA0, 0.02 * band.width, samples=1024
-        )
-        result = timedomain.propagate_spectral(skc_stack, pulse)
+        result = timedomain.propagate_spectral(skc_stack, OMEGA0, 0.02 * band.width, 1024)
         assert result.energy_balance == pytest.approx(1.0, abs=1e-8)
+
+    def test_energy_balance_weighs_the_exit_medium(self):
+        # unweighted, the transmitted energy of this lossless stack leaves the
+        # balance at 0.973: the exit medium carries n_out |E|^2 per |E|^2
+        stack = photonic.LayeredStack.quarter_wave(2.0, 1.5, 11, LAMBDA0, n_out=1.5)
+        band = photonic.find_stopband(stack, OMEGA0)
+        result = timedomain.propagate_spectral(stack, OMEGA0, 0.01 * band.width, 1024)
+        assert abs(result.energy_balance - 1.0) < 1e-12
 
     def test_deviation_shrinks_with_bandwidth(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)
-        deviations = []
-        for fraction in (0.04, 0.02, 0.01, 0.005):
-            pulse = timedomain.PulseEnvelope.gaussian_with_bandwidth(
-                OMEGA0, fraction * band.width, samples=1024
-            )
-            deviations.append(
-                timedomain.propagate_spectral(skc_stack, pulse).quasistatic_deviation
-            )
+        deviations = [
+            timedomain.propagate_spectral(
+                skc_stack, OMEGA0, fraction * band.width, 1024
+            ).quasistatic_deviation
+            for fraction in (0.04, 0.02, 0.01, 0.005)
+        ]
         assert all(a >= b for a, b in zip(deviations, deviations[1:]))
 
     def test_wraparound_detected(self):
-        pulse = timedomain.PulseEnvelope.gaussian(DELAY_LINE_CARRIER, sigma_t=10.0, samples=1024)
-        span = pulse.times[-1] - pulse.times[0]
+        bandwidth = bandwidth_of(10.0)
+        times = vacuum_record(bandwidth, 1024).times
+        span = times[-1] - times[0]
         with pytest.raises(WraparoundDetectedError):
             timedomain.propagate_spectral(
-                photonic.LayeredStack.vacuum_slab(0.45 * span), pulse
+                photonic.LayeredStack.vacuum_slab(0.45 * span), DELAY_LINE_CARRIER, bandwidth, 1024
             )
 
 
@@ -251,6 +292,15 @@ class TestFrontCausality:
         monkeypatch.setattr(photonic, "stack_t_r_samples", no_synthesis)
         with pytest.raises(NotInStopbandError):
             timedomain.front_causality(front_stack, 0.95 * OMEGA0)
+
+    @pytest.mark.parametrize(
+        "n_cycles, hold_cycles", [(0.0, 60.0), (-1.0, 60.0), (24.0, -1.0)],
+        ids=["no-rise", "negative-rise", "negative-hold"],
+    )
+    def test_ramp_checked_before_the_stopband_search(self, front_stack, n_cycles, hold_cycles):
+        # at a passband carrier the ramp's ValueError wins over NotInStopbandError
+        with pytest.raises(ValueError):
+            timedomain.front_causality(front_stack, 0.95 * OMEGA0, n_cycles, hold_cycles)
 
     def test_doubling_band_does_not_increase_fraction(self, front_stack):
         base = timedomain.front_causality(front_stack, OMEGA0, band_factor=50.0)
