@@ -87,11 +87,15 @@ class HartmanSweep:
 
 @dataclass(frozen=True)
 class EnergySaturationCurve:
-    """Stored energy versus length with its exponential-saturation fit."""
+    """Stored energy versus length with its exponential-saturation fit.
+
+    ``fitted_depth`` is the field 1/e depth of the fit, None when the
+    stored energy does not saturate; ``field_depth`` is the family's
+    independent estimate at the longest length.
+    """
 
     lengths: np.ndarray
     u_per_pin: np.ndarray
-    u_plateau: float
     fitted_depth: Optional[float]
     field_depth: Optional[float]
 
@@ -126,16 +130,6 @@ class SkcReport:
             f"u_free - u_barrier = {self.u_free - self.u_barrier:.6g}, "
             "not a propagation speed"
         )
-
-
-@dataclass(frozen=True)
-class FreeSpaceComparison:
-    """Stored energy of the barrier against the equal-length vacuum value."""
-
-    u_barrier: float
-    u_free: float
-    reduced: bool
-    in_stopband: bool
 
 
 def hartman_sweep(family, lengths: Sequence[float]) -> HartmanSweep:
@@ -196,7 +190,6 @@ def energy_saturation(family, lengths: Sequence[float]) -> EnergySaturationCurve
     return EnergySaturationCurve(
         lengths=lengths,
         u_per_pin=u,
-        u_plateau=u_plateau,
         fitted_depth=fitted,
         field_depth=field_depth,
     )
@@ -227,25 +220,7 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
         mirror_shift=advance,
         apparent_speed=length / tau if tau > 0.0 else None,
         u_barrier=report.u_per_pin,
-        u_free=report.free_space_u_per_pin,
+        u_free=length,
         backward_escape_fraction=float(abs(refl) ** 2),
     )
 
-
-def free_space_comparison(stack: LayeredStack, omega_mid: float) -> FreeSpaceComparison:
-    """Stored energy against the equal-length vacuum reference.
-
-    Inside a stopband destructive interference pushes the stored energy
-    below its free-space value; at a passband resonance it may exceed it
-    (resonant buildup), which is reported honestly with ``in_stopband``
-    False so the caller can tell the regimes apart.
-    """
-    t, _ = photonic.stack_t_r(stack, omega_mid)
-    in_stopband = abs(t) ** 2 < 0.5
-    report = photonic.stored_energy(stack, omega_mid)
-    return FreeSpaceComparison(
-        u_barrier=report.u_per_pin,
-        u_free=report.free_space_u_per_pin,
-        reduced=bool(report.u_per_pin < report.free_space_u_per_pin),
-        in_stopband=bool(in_stopband),
-    )

@@ -33,7 +33,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 

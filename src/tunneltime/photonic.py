@@ -204,13 +204,16 @@ class UniformGrating:
 
 @dataclass(frozen=True)
 class FieldProfile:
-    """Sampled E/H fields through a stack, unit input power normalization."""
+    """Sampled E/H fields through a stack, unit input power normalization.
+
+    ``e`` and ``h`` are the fields at the depths ``z`` from the stack's front
+    face, and ``index`` is the refractive index of the layer at each sample.
+    """
 
     z: np.ndarray
     e: np.ndarray
     h: np.ndarray
     index: np.ndarray
-    layer_edges: np.ndarray
 
     def density(self) -> np.ndarray:
         """Time-averaged energy density (n^2 |e|^2 + |h|^2)/4 at the samples."""
@@ -221,18 +224,18 @@ class FieldProfile:
 class EnergyReport:
     """Stored energy of a stack at one frequency, per unit input power.
 
-    ``penetration_depth`` is the 1/e depth of the *field-amplitude* envelope,
-    obtained from a log-linear fit of the per-layer energy density over the
-    front half of the structure (the density decays at twice the field rate).
-    It is None when the envelope does not fall by 1/e within the stack
+    ``u_per_pin`` is the stored energy and ``density`` the energy density
+    of each layer, constant across it.  ``penetration_depth`` is the 1/e
+    depth of the *field-amplitude* envelope, obtained from a log-linear fit
+    of the per-layer energy density over the front half of the structure
+    (the density decays at twice the field rate).  It is None when the
+    envelope does not fall by 1/e within the stack
     (passband illumination).
     """
 
     u_per_pin: float
-    z: np.ndarray
     density: np.ndarray
     penetration_depth: Optional[float]
-    free_space_u_per_pin: float
 
 
 @dataclass(frozen=True)
@@ -673,7 +676,6 @@ def reconstruct_fields(stack: LayeredStack, omega: float) -> FieldProfile:
         e=(forward + backward).ravel(),
         h=(index[:, None] * (forward - backward)).ravel(),
         index=np.repeat(index, _FIELD_POINTS_PER_LAYER),
-        layer_edges=edges,
     )
 
 
@@ -715,17 +717,10 @@ def stored_energy(stack: LayeredStack, omega: float) -> EnergyReport:
     densities = 0.5 * index ** 2 * np.sum(np.abs(coeffs) ** 2, axis=1)
     edges = np.concatenate(([0.0], np.cumsum([d for _, d in stack.layers])))
     thicknesses = np.diff(edges)
-    u_total = float(np.sum(densities * thicknesses))
-
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    depth = _fit_penetration_depth(stack, omega, densities)
-
     return EnergyReport(
-        u_per_pin=u_total,
-        z=centers,
+        u_per_pin=float(np.sum(densities * thicknesses)),
         density=densities,
-        penetration_depth=depth,
-        free_space_u_per_pin=stack.total_length,
+        penetration_depth=_fit_penetration_depth(stack, omega, densities),
     )
 
 
@@ -813,7 +808,7 @@ def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
     read from the first window's march, so a passband omega_ref costs one
     window.
     """
-    lo = max(omega_ref * (1.0 - _SCAN_FACTOR), 1e-12 * omega_ref)
+    lo = omega_ref * (1.0 - _SCAN_FACTOR)
     hi = omega_ref * (1.0 + _SCAN_FACTOR)
     omegas = np.linspace(lo, hi, _SCAN_POINTS)
     j_ref = int(np.argmin(np.abs(omegas - omega_ref)))

@@ -63,10 +63,14 @@ def transmission(barrier: QuantumBarrier, energy: float) -> complex:
 
 @dataclass(frozen=True)
 class ScatterState:
-    """Stationary scattering solution at a tunneling energy E < v0."""
+    """Stationary scattering solution at a tunneling energy E < v0.
+
+    ``k`` = sqrt(2E) is the wavenumber outside the barrier and ``kappa`` =
+    sqrt(2 (v0 - E)) the decay rate inside it; ``t`` (exit-anchored) and
+    ``r`` are the transmission and reflection amplitudes.
+    """
 
     barrier: QuantumBarrier
-    energy: float
     k: float
     kappa: float
     t: complex
@@ -154,7 +158,6 @@ def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
     t, r, scaled_t, _ = _closed_form(barrier, energy)
     return ScatterState(
         barrier=barrier,
-        energy=energy,
         k=float(np.sqrt(2.0 * energy)),
         kappa=float(np.sqrt(2.0 * (barrier.v0 - energy))),
         t=complex(t),

@@ -104,26 +104,3 @@ class TestSkcReport:
         band = photonic.find_stopband(skc_stack, OMEGA0)
         with pytest.raises(NotInStopbandError):
             analysis.skc_report(skc_stack, band.upper * 1.2)
-
-
-class TestFreeSpaceComparison:
-    def test_vacuum_slab_is_not_reduced(self):
-        cmp = analysis.free_space_comparison(photonic.LayeredStack.vacuum_slab(2.0), 5.0)
-        assert not cmp.reduced
-        assert cmp.u_barrier == pytest.approx(cmp.u_free, rel=1e-12)
-
-    def test_midgap_stored_energy_reduced(self, skc_stack):
-        cmp = analysis.free_space_comparison(skc_stack, OMEGA0)
-        assert cmp.reduced
-        assert cmp.in_stopband
-
-    def test_passband_resonance_exceeds_free_space(self):
-        weak = photonic.LayeredStack.quarter_wave(1.6, 1.2, 11, LAMBDA0)
-        band = photonic.find_stopband(weak, OMEGA0)
-        omegas = np.linspace(band.upper * 1.002, band.upper * 1.35, 3000)
-        t, _ = photonic.stack_t_r_samples(weak, omegas)
-        w_res = float(omegas[int(np.argmax(np.abs(t) ** 2))])
-        cmp = analysis.free_space_comparison(weak, w_res)
-        assert not cmp.in_stopband
-        assert not cmp.reduced
-        assert cmp.u_barrier > cmp.u_free

@@ -945,13 +945,24 @@ class TestStoredEnergy:
     def test_vacuum_slab_transport_time(self):
         report = photonic.stored_energy(photonic.LayeredStack.vacuum_slab(2.0), 5.0)
         assert report.u_per_pin == pytest.approx(2.0, rel=1e-12)
-        assert report.free_space_u_per_pin == 2.0
         assert report.penetration_depth is None  # flat profile, nothing decays
 
     def test_midgap_energy_below_free_space(self, skc_stack):
         report = photonic.stored_energy(skc_stack, OMEGA0)
-        assert report.u_per_pin < report.free_space_u_per_pin
+        assert report.u_per_pin < skc_stack.total_length
         assert np.all(report.density >= 0.0)
+
+    def test_passband_resonance_exceeds_free_space(self):
+        # resonant buildup at a transmission peak stores more than the
+        # equal-length vacuum transit
+        weak = photonic.LayeredStack.quarter_wave(1.6, 1.2, 11, LAMBDA0)
+        band = photonic.find_stopband(weak, OMEGA0)
+        omegas = np.linspace(band.upper * 1.002, band.upper * 1.35, 3000)
+        t, _ = photonic.stack_t_r_samples(weak, omegas)
+        power = np.abs(t) ** 2
+        peak = int(np.argmax(power))
+        assert power[peak] >= 0.5
+        assert photonic.stored_energy(weak, float(omegas[peak])).u_per_pin > weak.total_length
 
     def test_doubling_opaque_length_changes_nothing(self):
         base = photonic.LayeredStack.quarter_wave(2.22, 1.41, 43, LAMBDA0)

@@ -247,3 +247,24 @@ class TestDelayReport:
         kappa = abs(np.sqrt(complex(2.0 * (2.0 - energy))))
         tol = 4 * EPS * (kappa * length + abs(report.tau_g))
         assert report.tau_i == pytest.approx(-r.imag / (2.0 * energy), abs=tol)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_self_interference_delay_on_random_barriers(self, side):
+        # tau_i = -Im(r)/k^2 with k = sqrt(2E) (Winful, PRL 91, 260401 (2003))
+        # on 3000 barriers up to kappa L = 30, every hundredth of zero length
+        rng = np.random.default_rng(7)
+        for i in range(3000):
+            v0 = float(rng.uniform(0.1, 10.0))
+            ratio = float(rng.uniform(0.01, 0.99) if side == "below" else rng.uniform(1.01, 5.0))
+            energy = v0 * ratio
+            rate = np.sqrt(2.0 * abs(v0 - energy))
+            length = 0.0 if i % 100 == 0 else float(rng.uniform(0.0, 30.0)) / rate
+            barrier = quantum.QuantumBarrier(v0, length)
+            report = quantum.delay_report(barrier, energy)
+            if side == "below":
+                r = quantum.scatter(barrier, energy).r
+            else:
+                r = complex(quantum._closed_form(barrier, energy)[1])
+            # a zero-length barrier has tau_g = tau_d = r = 0 exactly
+            tol = max(1e-12 * (abs(report.tau_g) + abs(report.tau_d)), 1e-300)
+            assert report.tau_i == pytest.approx(-r.imag / (2.0 * energy), rel=0.0, abs=tol)

@@ -182,6 +182,15 @@ class TestPulseEnvelope:
         assert np.max(np.abs(a_in)) == 1.0
         assert max(abs(a_in[0]), abs(a_in[-1])) <= 1e-12
 
+    @pytest.mark.parametrize("samples", [8, 9, 1024, 1025, 4096, 4097])
+    def test_input_peak_is_exactly_zero(self, samples):
+        # peak_delay is the output's peak time alone: the input record's
+        # parabola vertex is +0.0, since sample n//2 sits at t = 0 between
+        # bit-equal neighbours
+        result = vacuum_record(0.05, samples)
+        peak = spectral.locate_peak(result.times, np.abs(result.a_in) ** 2)
+        assert peak == 0.0 and math.copysign(1.0, peak) == 1.0
+
     def test_bandwidth_convention(self):
         result = vacuum_record(0.05, 4096)
         assert measured_bandwidth(result.times, result.a_in) == pytest.approx(0.05, rel=0.02)
