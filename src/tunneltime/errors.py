@@ -43,7 +43,7 @@ class AboveBarrierError(TunnelTimeError):
 
 
 class NonPositiveEnergyError(TunnelTimeError):
-    """Scattering energy must be strictly positive."""
+    """Scattering energy must be strictly positive and finite."""
 
 
 # -- photonic barrier ------------------------------------------------------

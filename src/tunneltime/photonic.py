@@ -296,7 +296,12 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
     factor of order the stack's optical thickness, far inside the margin
     below overflow.  The rescale shift takes the larger of both rows; the
     2^k scale cancels in any ratio of a derivative to its value.
+
+    Raises ValueError, when the exit face is drawn, for a frequency that is
+    not positive and finite.
     """
+    if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
+        raise ValueError("frequencies must be positive and finite")
     layers = stack.layers
     period = stack._layer_period if cells else 1
     count, rest = divmod(len(layers), period)
@@ -551,8 +556,6 @@ def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
     Each amplitude is 2^(-k) times the true one; with ``slope`` each is a
     (2, F) array whose row 1 is its w-derivative.
     """
-    if np.any(omegas <= 0.0):
-        raise ValueError("frequencies must be positive")
     for e, h, k in _backward_march(stack, omegas, slope, cells=True):
         pass  # only the front face is needed
     return (*_split_waves(e, h, stack.n_in), k)
@@ -597,7 +600,7 @@ def _grating_closed_form(grating: UniformGrating, omega, length=None):
     quantity, and a kappa whose square overflows raises NonFiniteResultError.
     """
     delta = grating.detuning(omega)
-    if np.any(np.abs(delta) >= _GRATING_VALIDITY * grating.omega_b):
+    if not np.all(np.abs(delta) < _GRATING_VALIDITY * grating.omega_b):
         raise DetuningOutOfRangeError(
             "detuning outside coupled-mode validity |delta| < 0.2 * omega_b"
         )
@@ -806,8 +809,10 @@ def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
     below 0.5 reaches a window edge that is not a scan end.
     Raises NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is
     read from the first window's march, so a passband omega_ref costs one
-    window.
+    window.  Raises ValueError for an omega_ref that is not positive and finite.
     """
+    if not (math.isfinite(omega_ref) and omega_ref > 0.0):
+        raise ValueError("omega_ref must be positive and finite")
     lo = omega_ref * (1.0 - _SCAN_FACTOR)
     hi = omega_ref * (1.0 + _SCAN_FACTOR)
     omegas = np.linspace(lo, hi, _SCAN_POINTS)

@@ -7,10 +7,12 @@ Phase convention: the incident wave is exp(ikx) for x <= 0 and the
 transmitted wave is t * exp(ik(x - L)) for x >= L, i.e. the transmission
 phase is anchored at the barrier exit.  A vanishing barrier then gives
 t -> exp(ikL) and a zero-length barrier gives t = 1 exactly.  With this
-anchoring the group delay is simply d(arg t)/dE.  t, r and that delay come
-from the scaled two-wave closed form of :mod:`spectral` with kappa taken
-complex: one expression below, at and above the barrier top, finite on
-opaque barriers.
+anchoring the group delay is simply d(arg t)/dE.  t and r (:func:`scatter`,
+at any E > 0), that delay and the dwell time come from the scaled two-wave
+closed form of :mod:`spectral` with kappa taken complex: one expression
+below, at and above the barrier top, finite on opaque barriers.  There is
+no wavefunction sampler: the tests check the closed form against an
+independent boundary-matching solve.
 """
 
 from __future__ import annotations
@@ -48,85 +50,12 @@ def _closed_form(barrier: QuantumBarrier, energy):
     with a = (v0 - 2E)/k and b = -v0/k.
     """
     energy = np.asarray(energy, dtype=float)
-    if np.any(energy <= 0.0):
-        raise NonPositiveEnergyError("energy must be positive")
+    if not np.all(np.isfinite(energy) & (energy > 0.0)):
+        raise NonPositiveEnergyError("energy must be positive and finite")
     k = np.sqrt(2.0 * energy)
     kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
     a = (barrier.v0 - 2.0 * energy) / k
     return (*spectral._two_wave(kappa_c, a, -barrier.v0 / k, barrier.length), kappa_c)
-
-
-def transmission(barrier: QuantumBarrier, energy: float) -> complex:
-    """Complex transmission amplitude, exit-anchored, valid for any E > 0."""
-    return complex(_closed_form(barrier, energy)[0])
-
-
-@dataclass(frozen=True)
-class ScatterState:
-    """Stationary scattering solution at a tunneling energy E < v0.
-
-    ``k`` = sqrt(2E) is the wavenumber outside the barrier and ``kappa`` =
-    sqrt(2 (v0 - E)) the decay rate inside it; ``t`` (exit-anchored) and
-    ``r`` are the transmission and reflection amplitudes.
-    """
-
-    barrier: QuantumBarrier
-    k: float
-    kappa: float
-    t: complex
-    r: complex
-    scaled_t: complex  # t e^{kappa L}, finite where t itself underflows
-
-    def psi_incident_side(self, x):
-        """exp(ikx) + r exp(-ikx); the x <= 0 form."""
-        x = np.asarray(x, dtype=float)
-        return np.exp(1j * self.k * x) + self.r * np.exp(-1j * self.k * x)
-
-    def _inside_waves(self, x):
-        """The growing and decaying terms of psi_inside, from t e^{kappa L}.
-
-        (t e^{kappa L} / 2)(1 +/- ik/kappa) times e^{kappa (x - 2L)} and e^{-kappa x}:
-        both exponents are <= 0 on [0, L], so opaque barriers never overflow.
-        """
-        x = np.asarray(x, dtype=float)
-        half = 0.5 * self.scaled_t
-        ratio = 1j * self.k / self.kappa
-        grow = half * (1.0 + ratio) * np.exp(self.kappa * (x - 2.0 * self.barrier.length))
-        return grow, half * (1.0 - ratio) * np.exp(-self.kappa * x)
-
-    def psi_inside(self, x):
-        """t [cosh kappa(x - L) + i (k/kappa) sinh kappa(x - L)]; the 0 <= x <= L form."""
-        grow, decay = self._inside_waves(x)
-        return grow + decay
-
-    def psi_transmitted_side(self, x):
-        """t exp(ik(x - L)); the x >= L form."""
-        x = np.asarray(x, dtype=float)
-        return self.t * np.exp(1j * self.k * (x - self.barrier.length))
-
-    def dpsi_incident_side(self, x):
-        x = np.asarray(x, dtype=float)
-        return 1j * self.k * (np.exp(1j * self.k * x) - self.r * np.exp(-1j * self.k * x))
-
-    def dpsi_inside(self, x):
-        grow, decay = self._inside_waves(x)
-        return self.kappa * (grow - decay)
-
-    def dpsi_transmitted_side(self, x):
-        x = np.asarray(x, dtype=float)
-        return 1j * self.k * self.t * np.exp(1j * self.k * (x - self.barrier.length))
-
-    def psi(self, x):
-        """Piecewise wavefunction valid on the whole axis."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        left = x < 0.0
-        right = x > self.barrier.length
-        mid = ~(left | right)
-        out[left] = self.psi_incident_side(x[left])
-        out[mid] = self.psi_inside(x[mid])
-        out[right] = self.psi_transmitted_side(x[right])
-        return out
 
 
 @dataclass(frozen=True)
@@ -147,23 +76,14 @@ class DelayReport:
     apparent_superluminal: bool
 
 
-def scatter(barrier: QuantumBarrier, energy: float) -> ScatterState:
-    """Stationary tunneling solution: closed-form t and r at the energy.
+def scatter(barrier: QuantumBarrier, energy):
+    """Exit-anchored t and r at energies E > 0, one energy or an array.
 
-    Requires 0 < E < v0; use :func:`transmission` for the analytically
-    continued amplitude at other energies.
+    The two-wave closed form of :func:`_closed_form`: one expression below,
+    at and above the barrier top.
     """
-    if energy >= barrier.v0:
-        raise AboveBarrierError("scatter() requires the tunneling regime E < v0")
-    t, r, scaled_t, _ = _closed_form(barrier, energy)
-    return ScatterState(
-        barrier=barrier,
-        k=float(np.sqrt(2.0 * energy)),
-        kappa=float(np.sqrt(2.0 * (barrier.v0 - energy))),
-        t=complex(t),
-        r=complex(r),
-        scaled_t=complex(scaled_t),
-    )
+    t, r, _, _ = _closed_form(barrier, energy)
+    return t, r
 
 
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:
@@ -175,8 +95,8 @@ def group_delay(barrier: QuantumBarrier, energy: float) -> float:
     and above the barrier top, finite on barriers too opaque for t.  The
     free-propagation limit v0 -> 0 reproduces tau_g -> L/k.
     """
-    if energy <= 0.0:
-        raise NonPositiveEnergyError("energy must be positive")
+    if not (energy > 0.0 and math.isfinite(energy)):
+        raise NonPositiveEnergyError("energy must be positive and finite")
     k = math.sqrt(2.0 * energy)
     kappa = cmath.sqrt(2.0 * (barrier.v0 - energy))
     a = (barrier.v0 - 2.0 * energy) / k

@@ -67,8 +67,9 @@ def _as_complex_array(values) -> np.ndarray:
 class FrequencyGrid:
     """Uniform grid of angular frequencies around a carrier ``omega0``.
 
-    ``detunings`` must be strictly increasing with constant spacing and hold
-    at least 5 samples (the sampled-phase oracle's stencil needs them).
+    ``omega0`` and ``detunings`` must be finite, and ``detunings`` strictly
+    increasing with constant spacing and at least 5 samples (the
+    sampled-phase oracle's stencil needs them).
     """
 
     omega0: float
@@ -79,6 +80,8 @@ class FrequencyGrid:
         d = self.detunings
         if d.ndim != 1 or d.size < 5:
             raise ValueError("grid needs at least 5 samples")
+        if not (math.isfinite(self.omega0) and np.all(np.isfinite(d))):
+            raise ValueError("grid carrier and detunings must be finite")
         steps = np.diff(d)
         if steps[0] <= 0.0:
             raise ValueError("grid spacing must be positive")
@@ -90,8 +93,8 @@ class FrequencyGrid:
         """Grid of ``count`` samples spanning ``omega0 +/- half_width``."""
         if count < 5:
             raise ValueError("grid needs at least 5 samples")
-        if half_width <= 0.0:
-            raise ValueError("half_width must be positive")
+        if not (half_width > 0.0 and math.isfinite(half_width)):
+            raise ValueError("half_width must be positive and finite")
         return cls(omega0, np.linspace(-half_width, half_width, count))
 
     @property

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import LAMBDA0, OMEGA0
+from conftest import OMEGA0
 from tunneltime import analysis, photonic, quantum
 from tunneltime.errors import FitFailureError, NotInStopbandError
 

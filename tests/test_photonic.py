@@ -315,17 +315,25 @@ class TestStackResponse:
         for ts, rs in ((resp.t, resp.r), (t_s, r_s)):
             assert list(zip(ts, rs)) == scalar
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
     def test_entry_points_reject_nonpositive_frequency(self, skc_stack, omega):
+        # raised before any step of the march, or a RuntimeWarning would come first
         with pytest.raises(ValueError):
             photonic.stack_t_r(skc_stack, omega)
         with pytest.raises(ValueError):
             photonic.stack_t_r_samples(skc_stack, [1.0, omega])
         with pytest.raises(ValueError):
             photonic.group_delay(skc_stack, omega)
-        grid = spectral.FrequencyGrid(1.0, np.linspace(omega - 1.0, 0.0, 5))
         with pytest.raises(ValueError):
-            photonic.stack_response(skc_stack, grid)
+            photonic.stored_energy(skc_stack, omega)
+        with pytest.raises(ValueError):
+            photonic.reconstruct_fields(skc_stack, omega)
+        with pytest.raises(ValueError):
+            photonic.find_stopband(skc_stack, omega)
+        if np.isfinite(omega):  # a grid holds finite frequencies only
+            grid = spectral.FrequencyGrid(1.0, np.linspace(omega - 1.0, 0.0, 5))
+            with pytest.raises(ValueError):
+                photonic.stack_response(skc_stack, grid)
 
     def test_unitarity_over_random_stacks(self):
         rng = np.random.default_rng(23)
@@ -841,6 +849,16 @@ class TestGratingResponse:
             photonic.grating_stored_energy(grating, omega)
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_envelopes(grating, omega, np.linspace(0.0, grating.length, 5))
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "route", ["grating_response", "grating_group_delay", "grating_stored_energy"]
+    )
+    def test_nonfinite_frequency_is_outside_the_window(self, route, omega):
+        # a NaN detuning fails the window test, or a RuntimeWarning would come first
+        grating = photonic.UniformGrating(0.3, 20.0, 1.0, 2.0 * np.pi)
+        with pytest.raises(DetuningOutOfRangeError):
+            getattr(photonic, route)(grating, omega)
 
     def test_group_delay_analytic_value(self):
         grating = photonic.UniformGrating(0.2, 25.0, 1.3, 2.0 * np.pi)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import quantum_matching_oracle, sampled_phase_slope
 from tunneltime import quantum
-from tunneltime.errors import AboveBarrierError, NonPositiveEnergyError
+from tunneltime.errors import NonPositiveEnergyError
 
 KAPPA = np.sqrt(2.0)  # kappa for v0 = 2, E = 1
 EPS = np.finfo(float).eps
@@ -23,38 +23,50 @@ class TestValidation:
             quantum.QuantumBarrier(1.0, -1.0)
 
     def test_scatter_rejects_nonpositive_energy(self):
-        with pytest.raises(NonPositiveEnergyError):
-            quantum.scatter(quantum.QuantumBarrier(2.0, 1.0), 0.0)
+        # one bad energy in an array fails the whole call
+        for energy in (0.0, np.inf, np.array([1.0, 0.0, 3.0]), np.array([1.0, np.nan])):
+            with pytest.raises(NonPositiveEnergyError):
+                quantum.scatter(quantum.QuantumBarrier(2.0, 1.0), energy)
 
-    @pytest.mark.parametrize("energy", [0.0, -0.5])
+    @pytest.mark.parametrize("energy", [0.0, -0.5, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("route", ["group_delay", "dwell_time", "delay_report"])
     def test_delay_routes_reject_nonpositive_energy(self, route, energy):
         # raised before sqrt(2E) is formed, or a RuntimeWarning would come first
         with pytest.raises(NonPositiveEnergyError):
             getattr(quantum, route)(quantum.QuantumBarrier(2.0, 1.0), energy)
 
-    def test_scatter_rejects_above_barrier(self):
-        with pytest.raises(AboveBarrierError):
-            quantum.scatter(quantum.QuantumBarrier(2.0, 1.0), 2.0)
-
 
 class TestScatter:
     def test_zero_length_barrier_is_transparent(self):
-        state = quantum.scatter(quantum.QuantumBarrier(2.0, 0.0), 1.0)
-        assert state.t == pytest.approx(1.0 + 0.0j, abs=1e-15)
-        assert state.r == pytest.approx(0.0, abs=1e-15)
+        t, r = quantum.scatter(quantum.QuantumBarrier(2.0, 0.0), 1.0)
+        assert t == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert r == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_point_magnitude(self):
         # v0=2, E=1, L=3: k = kappa = sqrt(2), |t| = 1/cosh(3 sqrt 2)
-        state = quantum.scatter(quantum.QuantumBarrier(2.0, 3.0), 1.0)
-        assert abs(state.t) == pytest.approx(1.0 / np.cosh(3.0 * np.sqrt(2.0)), rel=1e-12)
+        t, _ = quantum.scatter(quantum.QuantumBarrier(2.0, 3.0), 1.0)
+        assert abs(t) == pytest.approx(1.0 / np.cosh(3.0 * np.sqrt(2.0)), rel=1e-12)
 
     def test_amplitudes_match_linear_system_oracle(self):
-        for v0, length, energy in ((2.0, 3.0, 1.0), (5.0, 0.7, 2.2), (1.5, 12.0, 0.4)):
-            state = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
+        # below and, in the last two, above the barrier top; the oracle is
+        # singular at the top (kappa = 0), where the sampled-phase and
+        # dwell-time continuity checks cover t
+        for v0, length, energy in (
+            (2.0, 3.0, 1.0), (5.0, 0.7, 2.2), (1.5, 12.0, 0.4), (2.0, 3.0, 3.7), (0.5, 9.0, 0.9)
+        ):
+            t, r = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
             t_ref, r_ref, _, _ = quantum_matching_oracle(v0, length, energy)
-            assert state.t == pytest.approx(t_ref, rel=1e-12, abs=1e-15)
-            assert state.r == pytest.approx(r_ref, rel=1e-12, abs=1e-15)
+            assert t == pytest.approx(t_ref, rel=1e-12, abs=1e-15)
+            assert r == pytest.approx(r_ref, rel=1e-12, abs=1e-15)
+
+    def test_energy_array_is_bit_equal_to_scalar_calls(self):
+        barrier = quantum.QuantumBarrier(2.0, 3.0)
+        energies = np.append(np.linspace(0.01, 6.0, 997), 2.0)  # and the barrier top
+        t, r = quantum.scatter(barrier, energies)
+        scalar_t, scalar_r = zip(*(quantum.scatter(barrier, e) for e in energies))
+        closed_t, closed_r = quantum._closed_form(barrier, energies)[:2]
+        for got, scalar, closed in ((t, scalar_t, closed_t), (r, scalar_r, closed_r)):
+            assert got.tobytes() == np.array(scalar).tobytes() == closed.tobytes()
 
     def test_flux_conservation_over_random_cases(self):
         rng = np.random.default_rng(11)
@@ -62,28 +74,9 @@ class TestScatter:
             v0 = rng.uniform(0.2, 10.0)
             energy = rng.uniform(0.01, 0.99) * v0
             length = rng.uniform(0.0, 20.0 / np.sqrt(2.0 * (v0 - energy)))
-            state = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
-            defect = abs(abs(state.t) ** 2 + abs(state.r) ** 2 - 1.0)
+            t, r = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
+            defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
             assert defect < 1e-12
-
-    # at kappa L = 1000 t underflows to zero and cosh(kappa L) overflows
-    @pytest.mark.parametrize("kappa_l", [3.0, 20.0, 1000.0])
-    def test_wavefunction_continuity_at_interfaces(self, kappa_l):
-        barrier = quantum.QuantumBarrier(2.0, kappa_l / KAPPA)
-        state = quantum.scatter(barrier, 1.0)
-        length = barrier.length
-        assert abs(state.psi_incident_side(0.0) - state.psi_inside(0.0)) < 1e-10
-        assert abs(state.psi_inside(length) - state.psi_transmitted_side(length)) < 1e-10
-        assert abs(state.dpsi_incident_side(0.0) - state.dpsi_inside(0.0)) < 1e-10
-        assert abs(state.dpsi_inside(length) - state.dpsi_transmitted_side(length)) < 1e-10
-
-    def test_piecewise_sampler_matches_regions(self):
-        state = quantum.scatter(quantum.QuantumBarrier(2.0, 3.0), 1.0)
-        xs = np.array([-1.0, 0.5, 3.5])
-        psi = state.psi(xs)
-        assert psi[0] == pytest.approx(complex(state.psi_incident_side(-1.0)))
-        assert psi[1] == pytest.approx(complex(state.psi_inside(0.5)))
-        assert psi[2] == pytest.approx(complex(state.psi_transmitted_side(3.5)))
 
 
 class TestGroupDelay:
@@ -131,7 +124,7 @@ class TestGroupDelay:
         # series cutoff of the closed form
         barrier = quantum.QuantumBarrier(2.0, length)
         sampled = sampled_phase_slope(
-            lambda energies: quantum._closed_form(barrier, energies)[0], energy, 1e-4 * energy
+            lambda energies: quantum.scatter(barrier, energies)[0], energy, 1e-4 * energy
         )
         assert quantum.group_delay(barrier, energy) == pytest.approx(sampled, rel=1e-10)
 
@@ -154,10 +147,12 @@ class TestDwellTime:
     def test_against_midpoint_rule_oracle(self):
         barrier = quantum.QuantumBarrier(2.0, 3.0)
         energy = 1.0
-        state = quantum.scatter(barrier, energy)
+        # the oracle's interior field a e^{kappa x} + b e^{-kappa x}, kappa = sqrt(2)
+        _, _, a, b = quantum_matching_oracle(barrier.v0, barrier.length, energy)
         xs = (np.arange(1_000_000) + 0.5) * (barrier.length / 1_000_000)
-        brute = np.sum(np.abs(state.psi_inside(xs)) ** 2) * (barrier.length / 1_000_000)
-        brute /= state.k
+        inside = a * np.exp(KAPPA * xs) + b * np.exp(-KAPPA * xs)
+        brute = np.sum(np.abs(inside) ** 2) * (barrier.length / 1_000_000)
+        brute /= np.sqrt(2.0 * energy)  # j_in = k
         measured = quantum.dwell_time(barrier, energy)
         assert measured > 0.0
         assert measured == pytest.approx(brute, rel=1e-8)
@@ -231,8 +226,8 @@ class TestDelayReport:
         for kappa_l in (2.0, 5.0, 10.0):
             barrier = quantum.QuantumBarrier(2.0, kappa_l / KAPPA)
             report = quantum.delay_report(barrier, 1.0)
-            state = quantum.scatter(barrier, 1.0)
-            expected = -state.r.imag / (2.0 * 1.0)  # k^2 = 2E
+            _, r = quantum.scatter(barrier, 1.0)
+            expected = -r.imag / (2.0 * 1.0)  # k^2 = 2E
             assert report.tau_i == pytest.approx(expected, abs=5e-9)
 
     @pytest.mark.parametrize("energy", [0.3, 1.0, 1.7, 2.5])
@@ -243,7 +238,7 @@ class TestDelayReport:
         # order kappa L cancel in tau_g, so the tolerance grows with kappa L
         barrier = quantum.QuantumBarrier(2.0, length)
         report = quantum.delay_report(barrier, energy)
-        r = complex(quantum._closed_form(barrier, energy)[1])
+        _, r = quantum.scatter(barrier, energy)
         kappa = abs(np.sqrt(complex(2.0 * (2.0 - energy))))
         tol = 4 * EPS * (kappa * length + abs(report.tau_g))
         assert report.tau_i == pytest.approx(-r.imag / (2.0 * energy), abs=tol)
@@ -261,10 +256,7 @@ class TestDelayReport:
             length = 0.0 if i % 100 == 0 else float(rng.uniform(0.0, 30.0)) / rate
             barrier = quantum.QuantumBarrier(v0, length)
             report = quantum.delay_report(barrier, energy)
-            if side == "below":
-                r = quantum.scatter(barrier, energy).r
-            else:
-                r = complex(quantum._closed_form(barrier, energy)[1])
+            _, r = quantum.scatter(barrier, energy)
             # a zero-length barrier has tau_g = tau_d = r = 0 exactly
             tol = max(1e-12 * (abs(report.tau_g) + abs(report.tau_d)), 1e-300)
             assert report.tau_i == pytest.approx(-r.imag / (2.0 * energy), rel=0.0, abs=tol)

@@ -44,6 +44,20 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             spectral.FrequencyGrid(1.0, np.linspace(1, -1, 5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_carrier_or_detuning(self, bad):
+        # a non-finite spacing would otherwise raise a RuntimeWarning first
+        detunings = np.linspace(-1.0, 1.0, 5)
+        for make in (
+            lambda: spectral.FrequencyGrid(bad, detunings),
+            lambda: spectral.FrequencyGrid(5.0, [bad] * 5),
+            lambda: spectral.FrequencyGrid(5.0, np.append(detunings, bad)),
+            lambda: spectral.FrequencyGrid.centered(bad, 1.0, 9),
+            lambda: spectral.FrequencyGrid.centered(5.0, bad, 9),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
     def test_index_of_off_grid(self):
         grid = spectral.FrequencyGrid.centered(10.0, 0.5, 11)
         with pytest.raises(EdgeOfGridError):
@@ -69,7 +83,7 @@ class TestUnwrapPhase:
         coarse = np.linspace(0.2, 1.8, 81)
         fine = np.linspace(0.2, 1.8, 8001)  # 100x finer, shares every sample
         def unwrapped(energies):
-            ts = np.array([quantum.transmission(barrier, e) for e in energies])
+            ts, _ = quantum.scatter(barrier, energies)
             grid = spectral.FrequencyGrid(float(energies.mean()),
                                           energies - float(energies.mean()))
             return spectral.unwrap_phase(make_response(grid, ts)).phi
@@ -151,7 +165,7 @@ class TestPhaseDerivative:
         barrier = quantum.QuantumBarrier(2.0, 20.0 / np.sqrt(2.0))
         energy = 1.0
         measured = sampled_phase_slope(
-            lambda energies: quantum._closed_form(barrier, energies)[0], energy, 1e-4 * energy
+            lambda energies: quantum.scatter(barrier, energies)[0], energy, 1e-4 * energy
         )
         expected = quantum.analytic_group_delay(barrier, energy)
         assert measured == pytest.approx(expected, rel=1e-8)

@@ -126,7 +126,7 @@ def closed_form_lag(barrier, packet):
     k0, delta_k = packet.k0, packet.delta_k
     k = np.linspace(max(k0 - 12.0 * delta_k, 1e-3 * k0), k0 + 12.0 * delta_k, 20001)
     energy = 0.5 * k ** 2
-    t = quantum._closed_form(barrier, energy)[0]
+    t, _ = quantum.scatter(barrier, energy)
     weight = np.exp(-0.5 * ((k - k0) / delta_k) ** 2) * t * np.exp(-1j * k * barrier.length) / k
 
     def slope(tau):
