@@ -20,7 +20,7 @@ from .errors import FitFailureError, NotInStopbandError
 from .photonic import LayeredStack, UniformGrating
 from .quantum import QuantumBarrier
 
-# slices per grating period of the stack behind a grating family's field depth
+# slices per grating period of the cell behind a grating family's field depth
 _SLICES_PER_PERIOD = 30
 
 
@@ -63,14 +63,13 @@ class GratingFamily:
         return photonic.grating_stored_energy(self._grating(length), self.omega_b)
 
     def field_penetration_depth(self, length: float) -> Optional[float]:
-        """Field 1/e depth measured on the sliced-stack energy-density profile.
+        """Field 1/e depth at Bragg, independent of coupled-mode theory's 1/kappa.
 
-        This is an independent estimate (backward-march fields of the index
-        profile cut into _SLICES_PER_PERIOD slices a period) of the
-        coupled-mode prediction 1/kappa.
+        The :func:`photonic.bloch_depth` of one grating period cut into
+        _SLICES_PER_PERIOD slices: the same at every length, None at kappa = 0.
         """
-        stack = self._grating(length).as_layered_stack(_SLICES_PER_PERIOD)
-        return photonic.stored_energy(stack, self.omega_b).penetration_depth
+        period = self._grating(np.pi / (self.n_bar * self.omega_b))
+        return photonic.bloch_depth(period.as_layered_stack(_SLICES_PER_PERIOD), self.omega_b)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def energy_saturation(family, lengths: Sequence[float]) -> EnergySaturationCurve
     taken at twice the longest length.  ``fitted_depth`` is None when the
     residuals do not decay (a transparent family grows linearly instead);
     ``field_depth`` reports the family's independent field-penetration
-    estimate for comparison.
+    estimate for comparison, a grating family's Bloch depth.
     """
     lengths = np.asarray(sorted(float(x) for x in lengths))
     if lengths.size < 3:

@@ -47,6 +47,7 @@ for each set bit j of m, M squared in place between steps.  The 373-layer
 need every layer face and are marched layer by layer.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, and a vacuum slab yields its length.
+The field's 1/e depth in a periodic stack is its cell's Bloch depth.
 """
 
 from __future__ import annotations
@@ -225,17 +226,11 @@ class EnergyReport:
     """Stored energy of a stack at one frequency, per unit input power.
 
     ``u_per_pin`` is the stored energy and ``density`` the energy density
-    of each layer, constant across it.  ``penetration_depth`` is the 1/e
-    depth of the *field-amplitude* envelope, obtained from a log-linear fit
-    of the per-layer energy density over the front half of the structure
-    (the density decays at twice the field rate).  It is None when the
-    envelope does not fall by 1/e within the stack
-    (passband illumination).
+    of each layer, constant across it.
     """
 
     u_per_pin: float
     density: np.ndarray
-    penetration_depth: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -703,64 +698,44 @@ def _layer_wave_coefficients(stack: LayeredStack, omega: float) -> np.ndarray:
 
 
 def stored_energy(stack: LayeredStack, omega: float) -> EnergyReport:
-    """Stored energy per unit input power, with density profile and 1/e depth.
+    """Stored energy per unit input power, with its per-layer density.
 
     Inside a homogeneous lossless layer the combined density
     (n^2 |E|^2 + |H|^2)/4 is exactly constant (electric and magnetic
     standing-wave oscillations cancel), so the integral is evaluated in
     closed form per layer: u_j = n_j^2 (|a_j|^2 + |b_j|^2) / 2.
-
-    The 1/e depth comes from a log-linear fit of the layer densities over the
-    front half, on bins of roughly half-wave optical thickness; it is the
-    field-amplitude depth (density slope divided by two) and is None when the
-    profile does not decay.
     """
     coeffs = _layer_wave_coefficients(stack, omega)
     index = np.array([n for n, _ in stack.layers])
     densities = 0.5 * index ** 2 * np.sum(np.abs(coeffs) ** 2, axis=1)
     edges = np.concatenate(([0.0], np.cumsum([d for _, d in stack.layers])))
     thicknesses = np.diff(edges)
-    return EnergyReport(
-        u_per_pin=float(np.sum(densities * thicknesses)),
-        density=densities,
-        penetration_depth=_fit_penetration_depth(stack, omega, densities),
-    )
+    return EnergyReport(u_per_pin=float(np.sum(densities * thicknesses)), density=densities)
 
 
-def _fit_penetration_depth(stack, omega, densities) -> Optional[float]:
-    """Field 1/e depth from layer densities binned to ~half-wave thickness."""
-    # group consecutive layers until each bin holds >= pi of optical phase,
-    # which averages out the half-wave alternation of quarter-wave pairs and
-    # of finely sliced gratings alike; a trailing bin needs >= pi/2
-    bounds, phase = [0], 0.0
-    for j, (n, d) in enumerate(stack.layers):
-        phase += n * d * omega
-        if phase >= np.pi - 1e-12:
-            bounds.append(j + 1)
-            phase = 0.0
-    if phase >= 0.5 * np.pi:
-        bounds.append(len(stack.layers))
-    starts = np.array(bounds[:-1], dtype=int)
-    thick = np.array([d for _, d in stack.layers[: bounds[-1]]])
-    widths = np.add.reduceat(thick, starts)
-    bins_z = np.concatenate(([0.0], np.cumsum(widths)[:-1])) + 0.5 * widths
-    bins_u = np.add.reduceat(densities[: bounds[-1]] * thick, starts) / widths
+def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
+    """1/e field-amplitude depth of the medium that repeats ``cell``, None in a passband.
 
-    # the fit covers the front half, including a bin centred on the half
-    # length: a mirror-symmetric stack puts the middle bin's centre there
-    # only up to roundoff, so the comparison carries a tolerance.  Bins deep
-    # inside a stack too opaque for floating point hold a density that has
-    # underflowed (subnormal or zero); they are left out of the fit
-    half = (0.5 + 1e-9) * stack.total_length
-    front = (bins_z <= half) & (bins_u >= np.finfo(float).tiny)
-    if np.count_nonzero(front) < 3:
+    A Bloch wave decays by e^{-K Lambda} over the cell's length Lambda, with
+    cosh(K Lambda) = |tr M|/2 for the march's cell step M (:func:`_cell_matrix`)
+    at ``omega`` (Yeh, Yariv & Hong, JOSA 67, 423 (1977)); the depth 1/K is
+    Lambda/ln(n_hi/n_lo) at midgap of a quarter-wave cell.  Raises ValueError
+    for an empty cell or an ``omega`` that is not positive and finite, and
+    NonFiniteResultError where tr M overflows.
+    """
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError("omega must be positive and finite")
+    if not cell.layers:
+        raise ValueError("need at least one layer")
+    steps = _layer_steps(cell.layers[::-1], np.asarray([float(omega)]), slope=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a, d), _ = _cell_matrix(steps, slope=False)
+        half_trace = abs(complex(a[0] + d[0])) / 2.0
+    if not math.isfinite(half_trace):
+        raise NonFiniteResultError(f"trace of the cell's step at omega = {omega!r} is not finite")
+    if half_trace <= 1.0:
         return None
-    slope, _ = np.polyfit(bins_z[front], np.log(bins_u[front]), 1)
-    # a field that does not fall by 1/e within the stack (passband
-    # illumination) has no penetration depth
-    if slope >= 0.0 or 2.0 / -slope > stack.total_length:
-        return None
-    return float(2.0 / (-slope))
+    return cell.total_length / math.acosh(half_trace)
 
 
 def group_delay(stack: LayeredStack, omega: float) -> float:
@@ -942,11 +917,10 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
     phi = np.unwrap(-np.angle(_front_face(stack, grid.omegas)[0]))
     if np.any(np.abs(np.diff(phi)) >= 0.5 * np.pi):
         raise UndersampledPhaseError("arg t steps by pi/2 or more between grid samples")
-    detunings = grid.detunings
-    coeffs = np.polyfit(detunings, phi, 1)
-    fit = np.polyval(coeffs, detunings)
-    residual = float(np.max(np.abs(phi - fit)))
-    slope = float(coeffs[0])
+    # the least-squares line through the samples' centroid
+    x = grid.detunings - np.mean(grid.detunings)
+    slope = float(np.dot(x, phi) / np.dot(x, x))
+    residual = float(np.max(np.abs(phi - np.mean(phi) - slope * x)))
     u = stored_energy(stack, grid.omega0).u_per_pin
     rel = abs(slope - u) / u if u != 0.0 else np.inf
     return PhaseEnergyReport(

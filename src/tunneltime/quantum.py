@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .errors import AboveBarrierError, NonPositiveEnergyError
+from .errors import AboveBarrierError, NonFiniteResultError, NonPositiveEnergyError
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,18 @@ def _closed_form(barrier: QuantumBarrier, energy):
 
     kappa = sqrt(2 (v0 - E)) is taken complex, so the one two-wave closed form
     of :func:`spectral._two_wave` holds below, at and above the barrier top,
-    with a = (v0 - 2E)/k and b = -v0/k.
+    with a = (v0 - 2E)/k and b = -v0/k.  Raises NonFiniteResultError where
+    2 E or 2 (v0 - E) overflows.
     """
     energy = np.asarray(energy, dtype=float)
     if not np.all(np.isfinite(energy) & (energy > 0.0)):
         raise NonPositiveEnergyError("energy must be positive and finite")
-    k = np.sqrt(2.0 * energy)
-    kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
+    try:
+        with np.errstate(over="raise"):
+            k = np.sqrt(2.0 * energy)
+            kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
+    except FloatingPointError as exc:
+        raise NonFiniteResultError(f"2 E or 2 (v0 - E) overflows: {exc}") from exc
     a = (barrier.v0 - 2.0 * energy) / k
     return (*spectral._two_wave(kappa_c, a, -barrier.v0 / k, barrier.length), kappa_c)
 
@@ -93,14 +98,24 @@ def group_delay(barrier: QuantumBarrier, energy: float) -> float:
     kappa = sqrt(2 (v0 - E)) taken complex, a = (v0 - 2E)/k,
     da/dE = -2/k - a/k^2 and d(kappa^2)/dE = -2: one expression below, at
     and above the barrier top, finite on barriers too opaque for t.  The
-    free-propagation limit v0 -> 0 reproduces tau_g -> L/k.
+    free-propagation limit v0 -> 0 reproduces tau_g -> L/k.  Where a/k^2
+    overflows (E below about 1e-200) but tau_g ~ 1/k does not, the delay,
+    linear in da/dE, takes its a/k^2 part at da/dE = -a and divides by k
+    twice; a delay that still overflows raises NonFiniteResultError.
     """
     if not (energy > 0.0 and math.isfinite(energy)):
         raise NonPositiveEnergyError("energy must be positive and finite")
     k = math.sqrt(2.0 * energy)
     kappa = cmath.sqrt(2.0 * (barrier.v0 - energy))
     a = (barrier.v0 - 2.0 * energy) / k
-    return spectral._two_wave_delay(kappa, a, -2.0 / k - a / k ** 2, -2.0, barrier.length)
+    length = barrier.length
+    tau = spectral._two_wave_delay(kappa, a, -2.0 / k - a / k ** 2, -2.0, length)
+    if not math.isfinite(tau):
+        tau = (spectral._two_wave_delay(kappa, a, -2.0 / k, -2.0, length)
+               + spectral._two_wave_delay(kappa, a, -a, 0.0, length) / k / k)
+    if not math.isfinite(tau):
+        raise NonFiniteResultError(f"group delay at E = {energy!r} is not finite")
+    return tau
 
 
 def dwell_time(barrier: QuantumBarrier, energy: float) -> float:

@@ -67,9 +67,9 @@ def _as_complex_array(values) -> np.ndarray:
 class FrequencyGrid:
     """Uniform grid of angular frequencies around a carrier ``omega0``.
 
-    ``omega0`` and ``detunings`` must be finite, and ``detunings`` strictly
-    increasing with constant spacing and at least 5 samples (the
-    sampled-phase oracle's stencil needs them).
+    ``omega0``, ``detunings`` and their sums must be finite, and
+    ``detunings`` strictly increasing with constant spacing and at least 5
+    samples (the sampled-phase oracle's stencil needs them).
     """
 
     omega0: float
@@ -87,6 +87,10 @@ class FrequencyGrid:
             raise ValueError("grid spacing must be positive")
         if np.max(np.abs(steps - steps[0])) > _UNIFORMITY_TOL * steps[0]:
             raise ValueError("grid must be uniformly spaced")
+        # the sums are monotone in the detuning, so the ends bound them all;
+        # a Python float sum overflows to inf, with no warning
+        if not all(math.isfinite(self.omega0 + float(x)) for x in (d[0], d[-1])):
+            raise ValueError("grid frequencies omega0 + detunings must be finite")
 
     @classmethod
     def centered(cls, omega0: float, half_width: float, count: int) -> "FrequencyGrid":

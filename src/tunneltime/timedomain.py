@@ -408,15 +408,16 @@ def _cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
     """Stepped Crank-Nicolson run: records, final psi and worst edge leak.
 
     The Cayley form A psi' = B psi has A = I + i dt H / 2 and B = 2I - A, so
-    psi' = 2 A^-1 psi - psi: A is LU-factored once (gttrf) and each step is
-    one tridiagonal solve (gttrs).  psi[detector] is recorded at step 0 and
-    at every ``every``-th step, and the probability in psi's first and last
-    ``edge_cells`` entries is checked at each of `_stops` (`_worse_leak`).
+    psi' = (A/2)^-1 psi - psi: A/2, exactly half of A, is LU-factored once
+    (gttrf) and each step is one tridiagonal solve (gttrs).  psi[detector]
+    is recorded at step 0 and at every ``every``-th step, and the probability
+    in psi's first and last ``edge_cells`` entries is checked at each of
+    `_stops` (`_worse_leak`).
     """
     from scipy.linalg import lapack
 
-    a_main = 1.0 + 0.5j * dt * (1.0 / dx ** 2 + potential)
-    a_off = np.full(psi0.size - 1, -0.25j * dt / dx ** 2)
+    a_main = 0.5 + 0.25j * dt * (1.0 / dx ** 2 + potential)
+    a_off = np.full(psi0.size - 1, -0.125j * dt / dx ** 2)
     gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (a_main, psi0))
     dl, d, du, du2, ipiv, info = gttrf(a_off, a_main, a_off)
     if info != 0:
@@ -427,7 +428,6 @@ def _cayley_run(psi0, potential, dx, dt, detector, every, steps, edge_cells):
         chi, info = gttrs(dl, d, du, du2, ipiv, psi)
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        chi *= 2.0
         chi -= psi
         psi = chi
         if step % every == 0:

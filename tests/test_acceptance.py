@@ -146,7 +146,7 @@ def test_criterion_08_energy_saturation():
         8,
         "stored energy saturates with the field penetration depth",
         ok,
-        f"doubling change {sat:.2e}, fitted vs field depth rel {depth_rel:.2e}",
+        f"doubling change {sat:.2e}, fitted vs Bloch depth rel {depth_rel:.2e}",
     )
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -963,7 +962,6 @@ class TestStoredEnergy:
     def test_vacuum_slab_transport_time(self):
         report = photonic.stored_energy(photonic.LayeredStack.vacuum_slab(2.0), 5.0)
         assert report.u_per_pin == pytest.approx(2.0, rel=1e-12)
-        assert report.penetration_depth is None  # flat profile, nothing decays
 
     def test_midgap_energy_below_free_space(self, skc_stack):
         report = photonic.stored_energy(skc_stack, OMEGA0)
@@ -998,49 +996,50 @@ class TestStoredEnergy:
         report = photonic.stored_energy(deep, OMEGA0)
         expected = photonic.stored_energy(shallow, OMEGA0)
         assert report.u_per_pin == pytest.approx(expected.u_per_pin, rel=1e-12)
-        assert report.penetration_depth == pytest.approx(expected.penetration_depth, rel=1e-12)
         t, r = photonic.stack_t_r(deep, OMEGA0)
         assert t == 0.0
         assert abs(r) == pytest.approx(1.0, rel=1e-15)
         assert photonic.group_delay(deep, OMEGA0) == pytest.approx(report.u_per_pin, rel=1e-12)
 
-    def test_middle_bin_on_half_length_is_not_a_coin_toss(self):
-        # the first stack from default_rng(5) has 21 layers, and at 2 pi its
-        # middle phase bin is centred on the half length up to roundoff; a
-        # one-ulp move of the half length must not move the fitted depth
-        stack = random_symmetric_stack(np.random.default_rng(5))
-        omega = 2.0 * np.pi
-        report = photonic.stored_energy(stack, omega)
-        assert len(stack.layers) == 21
-        depths = []
-        for toward in (0.0, np.inf):
-            nudged = SimpleNamespace(
-                layers=stack.layers,
-                total_length=np.nextafter(stack.total_length, toward),
-            )
-            depths.append(photonic._fit_penetration_depth(nudged, omega, report.density))
-        assert depths == [report.penetration_depth] * 2
+    @pytest.mark.parametrize("n_hi, n_lo", [(1.02, 1.0), (2.0, 1.5), (3.0, 1.0)])
+    def test_bloch_depth_is_the_quarter_wave_closed_form(self, n_hi, n_lo):
+        # at midgap cosh(K Lambda) = |tr M|/2 = (n_hi/n_lo + n_lo/n_hi)/2, so
+        # K Lambda = ln(n_hi/n_lo) (Yeh, Yariv & Hong, JOSA 67, 423 (1977));
+        # midgap of lambda0 = 2 pi is omega = 1
+        cell = photonic.LayeredStack.quarter_wave(n_hi, n_lo, 2, 2.0 * np.pi)
+        expected = cell.total_length / math.log(n_hi / n_lo)
+        assert photonic.bloch_depth(cell, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_no_depth_for_a_field_that_barely_decays(self):
-        # the seventh stack from default_rng(5) is in a passband at 2 pi
-        # (|t|^2 = 0.88); its density profile still fits a tiny negative
-        # slope, whose 1/e depth of about 77 is 45 times the stack
-        rng = np.random.default_rng(5)
-        for _ in range(7):
-            stack = random_symmetric_stack(rng)
-        omega = 2.0 * np.pi
-        t, _ = photonic.stack_t_r(stack, omega)
-        assert len(stack.layers) == 21
-        assert abs(t) ** 2 == pytest.approx(0.877, abs=1e-3)
-        assert photonic.stored_energy(stack, omega).penetration_depth is None
+        # omega = 1.5 lies between the first two stopbands of the 2.0/1.5
+        # quarter-wave stack for lambda0 = 2 pi (midgaps 1 and 3), where the
+        # Bloch waves only turn
+        cell = photonic.LayeredStack.quarter_wave(2.0, 1.5, 2, 2.0 * np.pi)
+        stack = photonic.LayeredStack.quarter_wave(2.0, 1.5, 11, 2.0 * np.pi)
+        t, _ = photonic.stack_t_r(stack, 1.5)
+        assert abs(t) ** 2 > 0.5
+        assert photonic.bloch_depth(cell, 1.5) is None
 
     def test_grating_density_decay_rate_is_twice_kappa(self):
+        # one grating period, cut into 30 slices, is the cell; the coupled-mode
+        # field depth is 1/kappa
         kappa = 0.1
-        grating = photonic.UniformGrating(kappa, 100.0, 1.0, 2.0 * np.pi)
-        report = photonic.stored_energy(
-            grating.as_layered_stack(slices_per_period=30), grating.omega_b
-        )
-        assert report.penetration_depth == pytest.approx(1.0 / kappa, rel=0.02)
+        period = photonic.UniformGrating(kappa, 0.5, 1.0, 2.0 * np.pi)
+        cell = period.as_layered_stack(slices_per_period=30)
+        assert len(cell.layers) == 30
+        assert photonic.bloch_depth(cell, period.omega_b) == pytest.approx(1.0 / kappa, rel=0.02)
+
+    def test_bloch_depth_rejects_what_it_cannot_take(self):
+        cell = photonic.LayeredStack.quarter_wave(2.0, 1.5, 2, LAMBDA0)
+        for omega in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                photonic.bloch_depth(cell, omega)
+        with pytest.raises(ValueError):
+            photonic.bloch_depth(photonic.LayeredStack(()), OMEGA0)
+        # both phases are 1 at omega = 1, and tr M holds (n1/n2) sin^2(1) = 1e400 sin^2(1)
+        extreme = photonic.LayeredStack(((1e200, 1e-200), (1e-200, 1e200)))
+        with pytest.raises(NonFiniteResultError):
+            photonic.bloch_depth(extreme, 1.0)
 
     def test_lifetime_identity_for_symmetric_stacks(self):
         rng = np.random.default_rng(101)

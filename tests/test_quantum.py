@@ -7,7 +7,7 @@ import pytest
 
 from conftest import quantum_matching_oracle, sampled_phase_slope
 from tunneltime import quantum
-from tunneltime.errors import NonPositiveEnergyError
+from tunneltime.errors import NonFiniteResultError, NonPositiveEnergyError
 
 KAPPA = np.sqrt(2.0)  # kappa for v0 = 2, E = 1
 EPS = np.finfo(float).eps
@@ -34,6 +34,14 @@ class TestValidation:
         # raised before sqrt(2E) is formed, or a RuntimeWarning would come first
         with pytest.raises(NonPositiveEnergyError):
             getattr(quantum, route)(quantum.QuantumBarrier(2.0, 1.0), energy)
+
+    @pytest.mark.parametrize("route", ["scatter", "group_delay", "dwell_time", "delay_report"])
+    @pytest.mark.parametrize("v0, energy", [(2.0, 1.7e308), (1.7e308, 1.0)])
+    def test_routes_name_an_overflowing_energy(self, route, v0, energy):
+        # 2 E or 2 (v0 - E) leaves the float range: a named error, not an
+        # overflow RuntimeWarning
+        with pytest.raises(NonFiniteResultError):
+            getattr(quantum, route)(quantum.QuantumBarrier(v0, 1.0), energy)
 
 
 class TestScatter:
@@ -137,6 +145,19 @@ class TestGroupDelay:
             for side in (0.0, 1.0)
         )
         assert below == pytest.approx(above, rel=1e-14)
+
+    @pytest.mark.parametrize("energy", [1e-250, 1e-300, 5e-324])
+    @pytest.mark.parametrize("length", [0.0, 1.0])
+    def test_finite_where_a_over_k_squared_overflows(self, energy, length):
+        # tau_g ~ 1/k as E -> 0; on v0 = 2, L = 1, tau_g k reads
+        # 1.0373147207275482 from E = 1e-20 down to 1e-200, where a/k^2 is
+        # still finite, and at L = 0 the delay is 0
+        barrier = quantum.QuantumBarrier(2.0, length)
+        k = np.sqrt(2.0 * energy)
+        tau = quantum.group_delay(barrier, energy)
+        assert tau * k == pytest.approx(1.0373147207275482 * length, rel=1e-14, abs=0.0)
+        report = quantum.delay_report(barrier, energy)
+        assert report.tau_g == tau and np.isfinite(report.tau_i)
 
 
 class TestDwellTime:

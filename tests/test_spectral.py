@@ -58,6 +58,14 @@ class TestFrequencyGrid:
             with pytest.raises(ValueError):
                 make()
 
+    def test_rejects_frequencies_that_overflow(self):
+        # a finite carrier and finite detunings whose sum is not
+        up = np.linspace(0.0, 1e308, 5)
+        for omega0, detunings in ((1e308, up), (-1e308, -up[::-1])):
+            with pytest.raises(ValueError):
+                spectral.FrequencyGrid(omega0, detunings)
+        assert spectral.FrequencyGrid(-1e308, up).omegas[-1] == 0.0
+
     def test_index_of_off_grid(self):
         grid = spectral.FrequencyGrid.centered(10.0, 0.5, 11)
         with pytest.raises(EdgeOfGridError):
