@@ -210,7 +210,6 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
         raise NotInStopbandError(f"|t({omega_mid})|^2 = {trans_power:.3f} >= 0.5")
     tau = photonic.group_delay(stack, omega_mid)
     length = stack.total_length
-    report = photonic.stored_energy(stack, omega_mid)
     advance = length - tau
     return SkcReport(
         barrier_delay=tau,
@@ -218,7 +217,7 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
         advance=advance,
         mirror_shift=advance,
         apparent_speed=length / tau if tau > 0.0 else None,
-        u_barrier=report.u_per_pin,
+        u_barrier=photonic.stored_energy(stack, omega_mid),
         u_free=length,
         backward_escape_fraction=float(abs(refl) ** 2),
     )

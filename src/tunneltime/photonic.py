@@ -43,10 +43,11 @@ composed once per frequency from its layers' steps, the N mod p layers left
 at the exit face are stepped singly, and then one step of M^(2^j) is taken
 for each set bit j of m, M squared in place between steps.  The 373-layer
 `front` stack, 186 cells and one layer, takes 6 steps and 7 squarings, not
-373 steps.  The layer amplitudes behind stored energy and field profiles
-need every layer face and are marched layer by layer.
+373 steps.  The layer amplitudes behind stored energy need every layer face
+and are marched layer by layer.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
-unit input power it is directly a time, and a vacuum slab yields its length.
+unit input power it is directly a time, one float, and a vacuum slab yields
+its length.
 The field's 1/e depth in a periodic stack is its cell's Bloch depth.
 """
 
@@ -68,9 +69,6 @@ from .errors import (DetuningOutOfRangeError, NonFiniteResultError, NotInStopban
 # fraction of the Bragg frequency within which the coupled-mode closed form
 # is trusted
 _GRATING_VALIDITY = 0.2
-
-# samples per layer of a reconstructed field profile
-_FIELD_POINTS_PER_LAYER = 32
 
 # growth bound at which the backward march rescales: far below overflow, and
 # out of reach of short or weakly modulated stacks
@@ -201,36 +199,6 @@ class UniformGrating:
         indices = self.n_bar + delta_n * np.cos(2.0 * beta0 * centers)
         layers = tuple((float(n), dz) for n in indices)
         return LayeredStack(layers, n_in=self.n_bar, n_out=self.n_bar)
-
-
-@dataclass(frozen=True)
-class FieldProfile:
-    """Sampled E/H fields through a stack, unit input power normalization.
-
-    ``e`` and ``h`` are the fields at the depths ``z`` from the stack's front
-    face, and ``index`` is the refractive index of the layer at each sample.
-    """
-
-    z: np.ndarray
-    e: np.ndarray
-    h: np.ndarray
-    index: np.ndarray
-
-    def density(self) -> np.ndarray:
-        """Time-averaged energy density (n^2 |e|^2 + |h|^2)/4 at the samples."""
-        return (self.index ** 2 * np.abs(self.e) ** 2 + np.abs(self.h) ** 2) / 4.0
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Stored energy of a stack at one frequency, per unit input power.
-
-    ``u_per_pin`` is the stored energy and ``density`` the energy density
-    of each layer, constant across it.
-    """
-
-    u_per_pin: float
-    density: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -586,13 +554,13 @@ def stack_t_r_samples(stack: LayeredStack, omegas: np.ndarray):
     return _stack_t_r(stack, np.asarray(omegas, dtype=float))
 
 
-def _grating_closed_form(grating: UniformGrating, omega, length=None):
+def _grating_closed_form(grating: UniformGrating, omega):
     """t, r, t e^{Re(gamma) L} and gamma of the coupled-mode grating at ``omega``.
 
     The two-wave barrier of :func:`spectral._two_wave` with a = -delta, b = kappa
-    and gamma = sqrt(kappa^2 - delta^2) taken complex; ``length`` defaults to
-    the grating's.  The validity window is enforced here for every grating
-    quantity, and a kappa whose square overflows raises NonFiniteResultError.
+    and gamma = sqrt(kappa^2 - delta^2) taken complex.  The validity window
+    is enforced here for every grating quantity, and a kappa whose square
+    overflows raises NonFiniteResultError.
     """
     delta = grating.detuning(omega)
     if not np.all(np.abs(delta) < _GRATING_VALIDITY * grating.omega_b):
@@ -606,9 +574,7 @@ def _grating_closed_form(grating: UniformGrating, omega, length=None):
             f"kappa = {grating.kappa!r} squared: {type(exc).__name__}: {exc}"
         ) from exc
     gamma = np.sqrt((kappa_squared - delta ** 2).astype(complex))
-    if length is None:
-        length = grating.length
-    return (*spectral._two_wave(gamma, -delta, grating.kappa, length), gamma)
+    return (*spectral._two_wave(gamma, -delta, grating.kappa, grating.length), gamma)
 
 
 def grating_response(grating: UniformGrating, omegas):
@@ -626,21 +592,6 @@ def grating_response(grating: UniformGrating, omegas):
     return t, r
 
 
-def grating_envelopes(grating: UniformGrating, omega: float, z: np.ndarray):
-    """Forward/backward mode envelopes R(z), S(z) with R(0) = 1, S(L) = 0.
-
-    The grating beyond z is a grating of length L - z with amplitudes t', r'.
-    It transmits R t' = t and reflects S = r' R; both are taken in scaled
-    form, so opaque gratings stay finite.
-    """
-    z = np.asarray(z, dtype=float)
-    _, _, scaled_t, gamma = _grating_closed_form(grating, omega)
-    _, rest_r, rest_scaled_t, _ = _grating_closed_form(grating, omega, grating.length - z)
-    # t / t' = (t e^{Re(gamma) L}) e^{-Re(gamma) z} / (t' e^{Re(gamma) (L - z)})
-    forward = scaled_t * np.exp(-gamma.real * z) / rest_scaled_t
-    return forward, rest_r * forward
-
-
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     """Stored energy per unit input power, U/P_in = n_bar * int(|R|^2 + |S|^2) dz.
 
@@ -652,29 +603,6 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     _, _, scaled_t, gamma = _grating_closed_form(grating, omega)
     integral = spectral._two_wave_integral(scaled_t, gamma, grating.kappa ** 2, grating.length)
     return float(grating.n_bar * integral)
-
-
-def reconstruct_fields(stack: LayeredStack, omega: float) -> FieldProfile:
-    """E and H through the stack, unit input power normalization.
-
-    Sampled at _FIELD_POINTS_PER_LAYER points per layer, both faces included.
-    Inside layer j, at distance s from its front face,
-    E = a_j e^{i n w s} + b_j e^{-i n w s} and H = n (a_j e^{i n w s} - b_j e^{-i n w s})
-    with the wave amplitudes of :func:`_layer_wave_coefficients`.
-    """
-    coeffs = _layer_wave_coefficients(stack, omega)
-    index, thickness = (np.asarray(col) for col in zip(*stack.layers))
-    edges = np.concatenate(([0.0], np.cumsum(thickness)))
-    s = np.linspace(0.0, thickness, _FIELD_POINTS_PER_LAYER, axis=1)
-    phase = (index * omega)[:, None] * s
-    forward = coeffs[:, :1] * np.exp(1j * phase)
-    backward = coeffs[:, 1:] * np.exp(-1j * phase)
-    return FieldProfile(
-        z=(edges[:-1, None] + s).ravel(),
-        e=(forward + backward).ravel(),
-        h=(index[:, None] * (forward - backward)).ravel(),
-        index=np.repeat(index, _FIELD_POINTS_PER_LAYER),
-    )
 
 
 def _layer_wave_coefficients(stack: LayeredStack, omega: float) -> np.ndarray:
@@ -697,20 +625,20 @@ def _layer_wave_coefficients(stack: LayeredStack, omega: float) -> np.ndarray:
     return scale[:, None] * np.stack(_split_waves(e[:-1], h[:-1], index), axis=1)
 
 
-def stored_energy(stack: LayeredStack, omega: float) -> EnergyReport:
-    """Stored energy per unit input power, with its per-layer density.
+def stored_energy(stack: LayeredStack, omega: float) -> float:
+    """Stored energy per unit input power, U/P_in, a time.
 
     Inside a homogeneous lossless layer the combined density
     (n^2 |E|^2 + |H|^2)/4 is exactly constant (electric and magnetic
     standing-wave oscillations cancel), so the integral is evaluated in
-    closed form per layer: u_j = n_j^2 (|a_j|^2 + |b_j|^2) / 2.
+    closed form per layer: u_j = n_j^2 (|a_j|^2 + |b_j|^2) / 2 times the
+    layer's thickness, taken as the difference of its cumulative edges.
     """
     coeffs = _layer_wave_coefficients(stack, omega)
     index = np.array([n for n, _ in stack.layers])
     densities = 0.5 * index ** 2 * np.sum(np.abs(coeffs) ** 2, axis=1)
     edges = np.concatenate(([0.0], np.cumsum([d for _, d in stack.layers])))
-    thicknesses = np.diff(edges)
-    return EnergyReport(u_per_pin=float(np.sum(densities * thicknesses)), density=densities)
+    return float(np.sum(densities * np.diff(edges)))
 
 
 def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
@@ -921,7 +849,7 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
     x = grid.detunings - np.mean(grid.detunings)
     slope = float(np.dot(x, phi) / np.dot(x, x))
     residual = float(np.max(np.abs(phi - np.mean(phi) - slope * x)))
-    u = stored_energy(stack, grid.omega0).u_per_pin
+    u = stored_energy(stack, grid.omega0)
     rel = abs(slope - u) / u if u != 0.0 else np.inf
     return PhaseEnergyReport(
         slope=slope,

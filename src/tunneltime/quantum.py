@@ -27,6 +27,11 @@ import numpy as np
 from . import spectral
 from .errors import AboveBarrierError, NonFiniteResultError, NonPositiveEnergyError
 
+# binary exponent below which dwell_time raises the scaled exit amplitude: its
+# square, 2^-600 or more, is then far from subnormal, and its integral over a
+# barrier of any length far from overflow
+_AMPLITUDE_EXPONENT_FLOOR = -300
+
 
 @dataclass(frozen=True)
 class QuantumBarrier:
@@ -124,10 +129,15 @@ def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
     Exact (Buttiker, PRB 27, 6178 (1983)) with kappa = sqrt(2 (v0 - E))
     complex, so one expression holds below, at and above the barrier top:
     tau_d = |t|^2 L [1 + 4 v0 L^2 h(2 kappa L)] / k with h(z) = (sinh z - z)/z^3.
+    |t e^{Re(kappa) L}|^2 ~ 2 E is subnormal below E ~ 1e-308, so an
+    amplitude below 2^_AMPLITUDE_EXPONENT_FLOOR is raised to that size by an
+    exact power of two 2^p, whose square is taken out after the division by k.
     """
     _, _, scaled_t, kappa_c = _closed_form(barrier, energy)
-    integral = spectral._two_wave_integral(scaled_t, kappa_c, barrier.v0, barrier.length)
-    return float(integral / np.sqrt(2.0 * energy))
+    p = max(0, _AMPLITUDE_EXPONENT_FLOOR - math.frexp(abs(scaled_t))[1])
+    raised = complex(math.ldexp(scaled_t.real, p), math.ldexp(scaled_t.imag, p))
+    integral = spectral._two_wave_integral(raised, kappa_c, barrier.v0, barrier.length)
+    return float(np.ldexp(integral / np.sqrt(2.0 * energy), -2 * p))
 
 
 def delay_report(barrier: QuantumBarrier, energy: float) -> DelayReport:

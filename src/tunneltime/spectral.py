@@ -67,8 +67,8 @@ def _as_complex_array(values) -> np.ndarray:
 class FrequencyGrid:
     """Uniform grid of angular frequencies around a carrier ``omega0``.
 
-    ``omega0``, ``detunings`` and their sums must be finite, and
-    ``detunings`` strictly increasing with constant spacing and at least 5
+    ``omega0``, ``detunings``, their sums and their spacing must be finite,
+    and ``detunings`` strictly increasing with constant spacing and at least 5
     samples (the sampled-phase oracle's stencil needs them).
     """
 
@@ -82,11 +82,16 @@ class FrequencyGrid:
             raise ValueError("grid needs at least 5 samples")
         if not (math.isfinite(self.omega0) and np.all(np.isfinite(d))):
             raise ValueError("grid carrier and detunings must be finite")
-        steps = np.diff(d)
-        if steps[0] <= 0.0:
-            raise ValueError("grid spacing must be positive")
-        if np.max(np.abs(steps - steps[0])) > _UNIFORMITY_TOL * steps[0]:
-            raise ValueError("grid must be uniformly spaced")
+        # finite detunings may still lie further apart than the float range
+        with np.errstate(over="ignore"):
+            steps = np.diff(d)
+            if not np.all(np.isfinite(steps)):
+                raise ValueError("grid spacing must be finite")
+            if steps[0] <= 0.0:
+                raise ValueError("grid spacing must be positive")
+            # a spread that overflows is past any tolerance
+            if np.max(np.abs(steps - steps[0])) > _UNIFORMITY_TOL * steps[0]:
+                raise ValueError("grid must be uniformly spaced")
         # the sums are monotone in the detuning, so the ends bound them all;
         # a Python float sum overflows to inf, with no warning
         if not all(math.isfinite(self.omega0 + float(x)) for x in (d[0], d[-1])):

@@ -61,10 +61,11 @@ def quantum_matching_oracle(v0: float, length: float, energy: float):
 def stack_matching_oracle(stack: photonic.LayeredStack, omega: float):
     """Solve the full interface-continuity linear system of a layered stack.
 
-    Unknowns are (r, a_j, b_j per layer, t) with per-layer local coordinates;
-    returns (t, r, field sampler e(z)) for unit incident amplitude.  This is
-    the brute-force route the backward field march of :mod:`photonic` is
-    checked against.
+    Unknowns are (r, a_j, b_j per layer, t) with per-layer local coordinates,
+    the field in layer j being a_j e^{i n w s} + b_j e^{-i n w s} at distance
+    s from its front face; returns t, r and the (N, 2) array of (a_j, b_j)
+    for unit incident amplitude.  This is the brute-force route the backward
+    field march of :mod:`photonic` is checked against.
     """
     layers = stack.layers
     n_layers = len(layers)
@@ -118,21 +119,33 @@ def stack_matching_oracle(stack: photonic.LayeredStack, omega: float):
     mat[row, b_idx(n_layers - 1)] = -nN / ph
     mat[row, t_idx] = -stack.n_out
     solution = np.linalg.solve(mat, rhs)
-    r = solution[0]
-    t = solution[t_idx]
+    return solution[t_idx], solution[0], solution[1:t_idx].reshape(n_layers, 2)
 
-    edges = np.concatenate(([0.0], np.cumsum([d for _, d in layers])))
 
-    def e_field(z: float) -> complex:
-        j = min(int(np.searchsorted(edges, z, side="right")) - 1, n_layers - 1)
-        j = max(j, 0)
-        local = z - edges[j]
-        nj = layers[j][0]
-        a = solution[a_idx(j)]
-        b = solution[b_idx(j)]
-        return a * np.exp(1j * nj * omega * local) + b * np.exp(-1j * nj * omega * local)
+def grating_envelopes(grating: photonic.UniformGrating, omega: float, z: np.ndarray):
+    """Forward/backward mode envelopes R(z), S(z) of a uniform grating, R(0) = 1, S(L) = 0.
 
-    return t, r, e_field
+    The solution of the coupled-mode equations of a uniform grating
+    (Erdogan, J. Lightwave Technol. 15, 1277 (1997)) with detuning delta and
+    gamma = sqrt(kappa^2 - delta^2) taken complex, written with
+    shc(x) = sinh(x)/x so the band edge gamma = 0 needs no branch:
+
+        R(z) = [cosh(gamma s) - i delta s shc(gamma s)] / D,
+        S(z) = i kappa s shc(gamma s) / D,
+
+    with s = L - z and D the bracket of R at s = L.  Independent of the
+    scaled two-wave closed form of :mod:`spectral` that the package uses.
+    """
+    delta = float(grating.detuning(omega))
+    gamma = np.sqrt(complex(grating.kappa ** 2 - delta ** 2))
+
+    def envelopes(s):
+        shc = np.sinc(1j * gamma * s / np.pi)  # sin(i x)/(i x) = sinh(x)/x
+        return np.cosh(gamma * s) - 1j * delta * s * shc, 1j * grating.kappa * s * shc
+
+    forward, backward = envelopes(grating.length - np.asarray(z, dtype=float))
+    denominator, _ = envelopes(grating.length)
+    return forward / denominator, backward / denominator
 
 
 def random_symmetric_stack(rng: np.random.Generator) -> photonic.LayeredStack:

@@ -58,7 +58,7 @@ def test_criterion_03_lifetime_identity_random_stacks():
         except Exception:
             omega = 2.0 * np.pi
         tau = photonic.group_delay(stack, omega)
-        u = photonic.stored_energy(stack, omega).u_per_pin
+        u = photonic.stored_energy(stack, omega)
         worst = max(worst, abs(tau - u) / abs(u))
     ok = worst < 1e-6
     report(

@@ -1,4 +1,4 @@
-"""Layered stacks, uniform gratings, field reconstruction, stored energy."""
+"""Layered stacks, uniform gratings, layer wave amplitudes, stored energy."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     LAMBDA0,
     OMEGA0,
+    grating_envelopes,
     random_stack,
     random_symmetric_stack,
     sampled_phase_slope,
@@ -295,16 +296,14 @@ class TestStackResponse:
             stack = front_stack
             omega = 0.95 * OMEGA0 if case == "front-pass" else OMEGA0
         t, r = photonic.stack_t_r(stack, omega)
-        t_ref, r_ref, e_ref = stack_matching_oracle(stack, omega)
+        t_ref, r_ref, coeffs_ref = stack_matching_oracle(stack, omega)
         assert t == pytest.approx(t_ref, rel=1e-10, abs=1e-14)
         assert r == pytest.approx(r_ref, rel=1e-10, abs=1e-14)
         # the layer amplitudes come off the same march
-        profile = photonic.reconstruct_fields(stack, omega)
+        coeffs = photonic._layer_wave_coefficients(stack, omega)
         scale = np.sqrt(2.0 / stack.n_in)  # oracle uses unit incident amplitude
-        for idx in range(0, profile.z.size, 37):
-            assert profile.e[idx] == pytest.approx(
-                scale * e_ref(profile.z[idx]), rel=1e-10, abs=1e-12
-            )
+        assert coeffs.shape == coeffs_ref.shape
+        assert coeffs.ravel() == pytest.approx(scale * coeffs_ref.ravel(), rel=1e-10, abs=1e-12)
 
     def test_entry_points_agree_bit_for_bit(self, skc_stack):
         grid = spectral.FrequencyGrid.centered(OMEGA0, 0.5, 9)
@@ -325,8 +324,6 @@ class TestStackResponse:
             photonic.group_delay(skc_stack, omega)
         with pytest.raises(ValueError):
             photonic.stored_energy(skc_stack, omega)
-        with pytest.raises(ValueError):
-            photonic.reconstruct_fields(skc_stack, omega)
         with pytest.raises(ValueError):
             photonic.find_stopband(skc_stack, omega)
         if np.isfinite(omega):  # a grid holds finite frequencies only
@@ -840,14 +837,12 @@ class TestGratingResponse:
         grid = spectral.FrequencyGrid.centered(grating.omega_b, 0.5 * grating.omega_b, 9)
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_response(grating, grid.omegas)
-        # the field quantities and the group delay share the window
+        # the stored energy and the group delay share the window
         omega = 1.5 * grating.omega_b
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_group_delay(grating, omega)
         with pytest.raises(DetuningOutOfRangeError):
             photonic.grating_stored_energy(grating, omega)
-        with pytest.raises(DetuningOutOfRangeError):
-            photonic.grating_envelopes(grating, omega, np.linspace(0.0, grating.length, 5))
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -914,59 +909,26 @@ class TestGratingResponse:
 
 
 class TestFields:
-    def test_vacuum_slab_traveling_wave(self):
-        profile = photonic.reconstruct_fields(photonic.LayeredStack.vacuum_slab(2.0), 5.0)
-        np.testing.assert_allclose(np.abs(profile.e), np.sqrt(2.0), atol=1e-12)
-        np.testing.assert_allclose(profile.density(), 1.0, atol=1e-12)
-
-    def test_fields_match_linear_system_oracle(self, skc_stack):
-        profile = photonic.reconstruct_fields(skc_stack, OMEGA0)
-        _, _, e_ref = stack_matching_oracle(skc_stack, OMEGA0)
-        scale = np.sqrt(2.0 / skc_stack.n_in)  # oracle uses unit incident amplitude
-        for idx in range(0, profile.z.size, 37):
-            assert profile.e[idx] == pytest.approx(
-                scale * e_ref(profile.z[idx]), rel=1e-10, abs=1e-12
-            )
-
     def test_interface_continuity(self, skc_stack):
-        profile = photonic.reconstruct_fields(skc_stack, OMEGA0)
-        per_layer = profile.z.size // len(skc_stack.layers)
-        for j in range(1, len(skc_stack.layers)):
-            left_e = profile.e[j * per_layer - 1]
-            right_e = profile.e[j * per_layer]
-            left_h = profile.h[j * per_layer - 1]
-            right_h = profile.h[j * per_layer]
-            assert abs(left_e - right_e) < 1e-10
-            assert abs(left_h - right_h) < 1e-10
-
-    def test_field_density_is_the_stored_energy_density(self):
-        # links the sampled fields to the closed-form per-layer energy route,
-        # down to the back of an opaque stack where the envelope is ~1e-20
-        stack = photonic.LayeredStack.quarter_wave(2.22, 1.41, 201, LAMBDA0)
-        profile = photonic.reconstruct_fields(stack, OMEGA0)
-        per_layer = profile.density().reshape(len(stack.layers), -1)
-        expected = photonic.stored_energy(stack, OMEGA0).density[:, None]
-        np.testing.assert_allclose(per_layer / expected, 1.0, rtol=0.0, atol=1e-12)
-
-    def test_midgap_envelope_decays_front_to_back(self, skc_stack):
-        report = photonic.stored_energy(skc_stack, OMEGA0)
-        # per-pair averages of the layer densities decay monotonically
-        pairs = [
-            (report.density[i] + report.density[i + 1]) / 2.0
-            for i in range(0, len(report.density) - 1, 2)
-        ]
-        assert all(a > b for a, b in zip(pairs, pairs[1:]))
+        # E = a e^{i n w s} + b e^{-i n w s} and H = n (a e^{i n w s} - b e^{-i n w s})
+        # at the back of each layer, s = d, meet E and H at the front of the next, s = 0
+        coeffs = photonic._layer_wave_coefficients(skc_stack, OMEGA0)
+        index, thickness = (np.array(col) for col in zip(*skc_stack.layers))
+        phase = np.exp(1j * index * OMEGA0 * thickness)
+        forward, backward = coeffs[:, 0] * phase, coeffs[:, 1] / phase
+        back_e, back_h = forward + backward, index * (forward - backward)
+        front_e, front_h = coeffs.sum(axis=1), index * (coeffs[:, 0] - coeffs[:, 1])
+        assert np.all(np.abs(back_e[:-1] - front_e[1:]) < 1e-10)
+        assert np.all(np.abs(back_h[:-1] - front_h[1:]) < 1e-10)
 
 
 class TestStoredEnergy:
     def test_vacuum_slab_transport_time(self):
-        report = photonic.stored_energy(photonic.LayeredStack.vacuum_slab(2.0), 5.0)
-        assert report.u_per_pin == pytest.approx(2.0, rel=1e-12)
+        u = photonic.stored_energy(photonic.LayeredStack.vacuum_slab(2.0), 5.0)
+        assert u == pytest.approx(2.0, rel=1e-12)
 
     def test_midgap_energy_below_free_space(self, skc_stack):
-        report = photonic.stored_energy(skc_stack, OMEGA0)
-        assert report.u_per_pin < skc_stack.total_length
-        assert np.all(report.density >= 0.0)
+        assert 0.0 < photonic.stored_energy(skc_stack, OMEGA0) < skc_stack.total_length
 
     def test_passband_resonance_exceeds_free_space(self):
         # resonant buildup at a transmission peak stores more than the
@@ -978,13 +940,13 @@ class TestStoredEnergy:
         power = np.abs(t) ** 2
         peak = int(np.argmax(power))
         assert power[peak] >= 0.5
-        assert photonic.stored_energy(weak, float(omegas[peak])).u_per_pin > weak.total_length
+        assert photonic.stored_energy(weak, float(omegas[peak])) > weak.total_length
 
     def test_doubling_opaque_length_changes_nothing(self):
         base = photonic.LayeredStack.quarter_wave(2.22, 1.41, 43, LAMBDA0)
         double = photonic.LayeredStack.quarter_wave(2.22, 1.41, 87, LAMBDA0)
-        u1 = photonic.stored_energy(base, OMEGA0).u_per_pin
-        u2 = photonic.stored_energy(double, OMEGA0).u_per_pin
+        u1 = photonic.stored_energy(base, OMEGA0)
+        u2 = photonic.stored_energy(double, OMEGA0)
         assert abs(u2 - u1) / u1 < 1e-4
 
     def test_stack_too_opaque_for_floating_point(self):
@@ -993,13 +955,12 @@ class TestStoredEnergy:
         # though t itself is 0, is that same lifetime
         shallow = photonic.LayeredStack.quarter_wave(3.0, 1.0, 401, LAMBDA0)
         deep = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, LAMBDA0)
-        report = photonic.stored_energy(deep, OMEGA0)
-        expected = photonic.stored_energy(shallow, OMEGA0)
-        assert report.u_per_pin == pytest.approx(expected.u_per_pin, rel=1e-12)
+        u = photonic.stored_energy(deep, OMEGA0)
+        assert u == pytest.approx(photonic.stored_energy(shallow, OMEGA0), rel=1e-12)
         t, r = photonic.stack_t_r(deep, OMEGA0)
         assert t == 0.0
         assert abs(r) == pytest.approx(1.0, rel=1e-15)
-        assert photonic.group_delay(deep, OMEGA0) == pytest.approx(report.u_per_pin, rel=1e-12)
+        assert photonic.group_delay(deep, OMEGA0) == pytest.approx(u, rel=1e-12)
 
     @pytest.mark.parametrize("n_hi, n_lo", [(1.02, 1.0), (2.0, 1.5), (3.0, 1.0)])
     def test_bloch_depth_is_the_quarter_wave_closed_form(self, n_hi, n_lo):
@@ -1052,7 +1013,7 @@ class TestStoredEnergy:
             else:
                 omega = band.center
             tau = photonic.group_delay(stack, omega)
-            u = photonic.stored_energy(stack, omega).u_per_pin
+            u = photonic.stored_energy(stack, omega)
             assert tau == pytest.approx(u, rel=1e-6)
 
     def test_weighted_identity_for_arbitrary_stacks(self):
@@ -1065,7 +1026,7 @@ class TestStoredEnergy:
             tau_t, tau_r = exact_delays(stack, omega)
             t, r = photonic.stack_t_r(stack, omega)
             weighted = abs(t) ** 2 * tau_t + abs(r) ** 2 * tau_r
-            u = photonic.stored_energy(stack, omega).u_per_pin
+            u = photonic.stored_energy(stack, omega)
             assert weighted == pytest.approx(u, rel=1e-12)
 
     def test_weighted_identity_between_unequal_media(self):
@@ -1078,7 +1039,7 @@ class TestStoredEnergy:
             tau_t, tau_r = exact_delays(stack, omega)
             t, r = photonic.stack_t_r(stack, omega)
             weighted = n_out / n_in * abs(t) ** 2 * tau_t + abs(r) ** 2 * tau_r
-            u = photonic.stored_energy(stack, omega).u_per_pin
+            u = photonic.stored_energy(stack, omega)
             assert weighted == pytest.approx(u, rel=1e-12)
 
 
@@ -1154,7 +1115,7 @@ class TestLifetimeIdentity:
         t, r = photonic.stack_t_r(stack, omega)
         tau_t = float(-(da / a).imag[0])
         reflected = float((db * np.conj(b)).imag[0] / abs(a[0]) ** 2) + abs(r) ** 2 * tau_t
-        u = photonic.stored_energy(stack, omega).u_per_pin
+        u = photonic.stored_energy(stack, omega)
         weighted = n_out / n_in * abs(t) ** 2 * tau_t + reflected
         assert abs(weighted - u) < 1e-11 * u
 
@@ -1173,7 +1134,7 @@ class TestGratingStoredEnergy:
             assert grating.detuning(omega) == delta  # the band edge is hit exactly
         count = 200_000
         z = (np.arange(count) + 0.5) * (grating.length / count)
-        forward, backward = photonic.grating_envelopes(grating, omega, z)
+        forward, backward = grating_envelopes(grating, omega, z)
         brute = n_bar * np.sum(np.abs(forward) ** 2 + np.abs(backward) ** 2)
         brute *= grating.length / count
         assert photonic.grating_stored_energy(grating, omega) == pytest.approx(brute, rel=1e-8)

@@ -210,6 +210,15 @@ class TestDwellTime:
             barrier = quantum.QuantumBarrier(2.0, length)
             assert quantum.dwell_time(barrier, 1.0) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("energy", [1e-310, 1e-315, 1e-320, 5e-324])
+    def test_subnormal_energy_keeps_the_low_energy_law(self, energy):
+        # tau_d ~ k as E -> 0, and |t e^{Re(kappa) L}|^2 ~ 2 E is subnormal
+        # here: on v0 = 2, L = 1, tau_d/k reads 0.29733959510092256 at E = 1e-20
+        barrier = quantum.QuantumBarrier(2.0, 1.0)
+        low = quantum.dwell_time(barrier, 1e-20) / np.sqrt(2e-20)
+        assert quantum.dwell_time(barrier, energy) / np.sqrt(2.0 * energy) == pytest.approx(
+            low, rel=1e-12, abs=0.0)
+
 
 class TestDelayReport:
     def test_zero_length_report(self):

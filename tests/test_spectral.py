@@ -59,9 +59,12 @@ class TestFrequencyGrid:
                 make()
 
     def test_rejects_frequencies_that_overflow(self):
-        # a finite carrier and finite detunings whose sum is not
+        # a finite carrier and finite detunings whose sum is not, or whose
+        # step or spread of steps is not: a ValueError, not a RuntimeWarning
         up = np.linspace(0.0, 1e308, 5)
-        for omega0, detunings in ((1e308, up), (-1e308, -up[::-1])):
+        step = [-1.7e308, 1.7e308, 1.71e308, 1.72e308, 1.73e308]
+        spread = [-0.5e308, 0.5e308, -0.5e308, 0.0, 1.0]
+        for omega0, detunings in ((1e308, up), (-1e308, -up[::-1]), (0.0, step), (0.0, spread)):
             with pytest.raises(ValueError):
                 spectral.FrequencyGrid(omega0, detunings)
         assert spectral.FrequencyGrid(-1e308, up).omegas[-1] == 0.0
