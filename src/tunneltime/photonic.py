@@ -20,7 +20,8 @@ steps the interface fields back by
                  [-i n sin(delta), cos(delta)]] . [E, H](z + d),
 
 delta = n d w, with exact power-of-two rescaling against overflow.  t and r
-are read off at the front face, each layer's wave amplitudes at its own.
+are read off at the front face; stored energy is summed off each layer's
+front face as the march steps.
 The same march can carry dE/dw and dH/dw beside E and H, which gives the
 group delay exactly, with no sampled phase.
 Every step has the form (E, H) <- (A E - P H, D H - Q E): four products and
@@ -43,8 +44,8 @@ composed once per frequency from its layers' steps, the N mod p layers left
 at the exit face are stepped singly, and then one step of M^(2^j) is taken
 for each set bit j of m, M squared in place between steps.  The 373-layer
 `front` stack, 186 cells and one layer, takes 6 steps and 7 squarings, not
-373 steps.  The layer amplitudes behind stored energy need every layer face
-and are marched layer by layer.
+373 steps.  Stored energy needs every layer face and is marched layer by
+layer.
 Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
 unit input power it is directly a time, one float, and a vacuum slab yields
 its length.
@@ -53,6 +54,7 @@ The field's 1/e depth in a periodic stack is its cell's Bloch depth.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -240,6 +242,11 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
     are those of the power steps.  A power whose squared growth bound would
     pass _RESCALE_BOUND is repeated for the remaining cells instead, and a
     cell whose own growth bound does is stepped layer by layer.  The
+    composed cell's rounding recurs in every cell, so the march by cells
+    departs from the layer march: on random periodic stacks of 2-600 cells
+    of 1-4 layers, indices 1-3.5, by up to about 4e-12 relative on 2^k a
+    and absolute on r, and on the delay by up to about 4e-12 of the larger
+    of its size and the optical length, 1.5e-11 of its own size.  The
     true fields are 2^k (E, H), k an integer per frequency:
     E and H are rescaled by exact powers of two before a step that could
     take a running bound on their size past _RESCALE_BOUND, and never
@@ -524,16 +531,35 @@ def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
     return (*_split_waves(e, h, stack.n_in), k)
 
 
+@contextlib.contextmanager
+def _named_float_errors(what: str):
+    """NonFiniteResultError naming ``what`` where numpy meets an overflow, invalid or 1/0.
+
+    Each read-out of the march runs under one, so a stack or frequency that
+    takes the march out of the float range fails by name; a value that a
+    Python float carries to infinity sets no flag, so a read-out whose
+    result can take one checks that result too.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteResultError(f"{what}: {type(exc).__name__}: {exc}") from exc
+
+
 def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
     """t and r at positive frequencies: t = 2^(-k)/a and r = b/a at the front face."""
-    incident, reflected, k = _front_face(stack, omegas)
-    # 1.0 and 2^0 are both cast to 1 + 0i in the division
-    return (np.ldexp(1.0, -k) if k.any() else 1.0) / incident, reflected / incident
+    with _named_float_errors("t and r"):
+        incident, reflected, k = _front_face(stack, omegas)
+        # 1.0 and 2^0 are both cast to 1 + 0i in the division
+        return (np.ldexp(1.0, -k) if k.any() else 1.0) / incident, reflected / incident
 
 
 # The three public forms below differ only in how frequencies come in and
 # results go out; none calls another, so a tracer wrapping them counts each
-# march to the front face once.
+# march to the front face once.  Each raises ValueError for a frequency that
+# is not positive and finite, and NonFiniteResultError where the march or
+# t and r leave the float range.
 
 def stack_response(stack: LayeredStack, grid: spectral.FrequencyGrid) -> spectral.ComplexResponse:
     """Complex transmission/reflection of a layered stack over a grid.
@@ -605,40 +631,36 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     return float(grating.n_bar * integral)
 
 
-def _layer_wave_coefficients(stack: LayeredStack, omega: float) -> np.ndarray:
-    """Per-layer forward/backward wave amplitudes (a_j, b_j), unit input power.
-
-    Within layer j the field is a_j e^{i n w s} + b_j e^{-i n w s} with s the
-    distance from the layer's front face; row j of the (N, 2) result is read
-    off the backward march there.  The march follows the dominant solution,
-    so opaque barriers stay accurate and too deep layers underflow to zero.
-    """
-    march = _backward_march(stack, np.asarray([float(omega)]))
-    # a yield is rewritten by the next step, so each is copied; index 0 is
-    # the stack's front face, index N its exit face
-    faces = [(e.copy(), h.copy(), k.copy()) for e, h, k in march]
-    e, h, k = (np.concatenate(col)[::-1] for col in zip(*faces))
-    incident, _ = _split_waves(e[0], h[0], stack.n_in)
-    # unit input power: P_in = n_in |E0|^2 / 2
-    scale = np.sqrt(2.0 / stack.n_in) * np.ldexp(1.0, k[:-1] - k[0]) / incident
-    index = np.array([n for n, _ in stack.layers])
-    return scale[:, None] * np.stack(_split_waves(e[:-1], h[:-1], index), axis=1)
-
-
 def stored_energy(stack: LayeredStack, omega: float) -> float:
     """Stored energy per unit input power, U/P_in, a time.
 
     Inside a homogeneous lossless layer the combined density
     (n^2 |E|^2 + |H|^2)/4 is exactly constant (electric and magnetic
-    standing-wave oscillations cancel), so the integral is evaluated in
-    closed form per layer: u_j = n_j^2 (|a_j|^2 + |b_j|^2) / 2 times the
-    layer's thickness, taken as the difference of its cumulative edges.
+    standing-wave oscillations cancel), so a layer of thickness d holds d
+    times its density at its front face.  The march yields each front face
+    once, exit side first, and d (n^2 |E|^2 + |H|^2) is added to a sum held
+    in the march's current 2^k scale, multiplied by 4^(-shift) whenever k
+    moves.  With P_in = n_in |a|^2 / 2 for the incident amplitude a at the
+    front face, U/P_in is the sum over 2 n_in |a|^2.  Raises ValueError for
+    an ``omega`` that is not positive and finite, and NonFiniteResultError
+    where the sum leaves the float range.
     """
-    coeffs = _layer_wave_coefficients(stack, omega)
-    index = np.array([n for n, _ in stack.layers])
-    densities = 0.5 * index ** 2 * np.sum(np.abs(coeffs) ** 2, axis=1)
-    edges = np.concatenate(([0.0], np.cumsum([d for _, d in stack.layers])))
-    return float(np.sum(densities * np.diff(edges)))
+    faces = _backward_march(stack, np.asarray([float(omega)]))
+    total, scale = 0.0, 0
+    with _named_float_errors("stored energy"):
+        e, h, _ = next(faces)  # the exit face, where k = 0
+        for (n, d), (e, h, k) in zip(stack.layers[::-1], faces):
+            if k[0] != scale:
+                total, scale = float(np.ldexp(total, 2 * (scale - k[0]))), int(k[0])
+            x, y = complex(e[0]), complex(h[0])
+            total += d * (n * n * (x.real * x.real + x.imag * x.imag)
+                          + y.real * y.real + y.imag * y.imag)
+        size = np.abs(_split_waves(e, h, stack.n_in)[0][0])
+        # |a| divides twice, as |a|^2 can underflow where n_in |a| does not
+        u = float(total / (2.0 * stack.n_in * size) / size)
+    if not math.isfinite(u):
+        raise NonFiniteResultError(f"stored energy at omega = {omega!r} is not finite")
+    return u
 
 
 def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
@@ -671,11 +693,16 @@ def group_delay(stack: LayeredStack, omega: float) -> float:
 
     t = 2^(-k)/a, and a and a' = da/dw come from one slope march
     (:func:`_backward_march`), so the delay stays finite on a stack so opaque
-    that t itself underflows to zero.
+    that t itself underflows to zero.  Raises NonFiniteResultError where the
+    march or the delay leaves the float range.
     """
-    incident, _, _ = _front_face(stack, np.asarray([float(omega)]), slope=True)
-    # 0.0 - x rather than -x, so an empty stack's zero delay is +0.0
-    return float(0.0 - (incident[1] / incident[0]).imag[0])
+    with _named_float_errors("group delay"):
+        incident, _, _ = _front_face(stack, np.asarray([float(omega)]), slope=True)
+        # 0.0 - x rather than -x, so an empty stack's zero delay is +0.0
+        delay = float(0.0 - (incident[1] / incident[0]).imag[0])
+    if not math.isfinite(delay):
+        raise NonFiniteResultError(f"group delay at omega = {omega!r} is not finite")
+    return delay
 
 
 def grating_group_delay(grating: UniformGrating, omega: float) -> float:
@@ -712,12 +739,13 @@ def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
     below 0.5 reaches a window edge that is not a scan end.
     Raises NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is
     read from the first window's march, so a passband omega_ref costs one
-    window.  Raises ValueError for an omega_ref that is not positive and finite.
+    window.  Raises ValueError for an omega_ref whose scan range is not
+    positive and finite, and NonFiniteResultError where the march is not.
     """
-    if not (math.isfinite(omega_ref) and omega_ref > 0.0):
-        raise ValueError("omega_ref must be positive and finite")
     lo = omega_ref * (1.0 - _SCAN_FACTOR)
     hi = omega_ref * (1.0 + _SCAN_FACTOR)
+    if not (lo > 0.0 and math.isfinite(hi)):
+        raise ValueError("omega_ref * (1 +/- 0.7) must be positive and finite")
     omegas = np.linspace(lo, hi, _SCAN_POINTS)
     j_ref = int(np.argmin(np.abs(omegas - omega_ref)))
     # the march is elementwise, so a frequency gets the same bits whichever
@@ -779,7 +807,7 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
             pair = predicted[live][:, None] * straddle
             held = (np.minimum(a, b)[:, None] <= pair) & (pair <= np.maximum(a, b)[:, None])
             missed = ~np.all(held, axis=1)
-            pair[missed] = 0.5 * (a + b)[missed, None] * straddle
+            pair[missed] = (0.5 * a + 0.5 * b)[missed, None] * straddle
             marched = np.column_stack((sections, pair))
         power = _transmittance(stack, marched)
         rows, crossed = np.arange(a.size), power >= 0.5
@@ -808,7 +836,8 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
         predicted = np.full(inside.shape, np.nan)
         predicted[live] = origin + unit * offset
         live = still
-    return 0.5 * (outside + inside)
+    # halves first, so a midpoint near the float maximum does not overflow
+    return 0.5 * outside + 0.5 * inside
 
 
 def _inverse_interpolation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -842,7 +871,8 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
         band = None
     if band is not None and grid.span > 0.02 * band.width * (1.0 + 1e-9):
         raise ValueError("grid span exceeds 2% of the stopband width")
-    phi = np.unwrap(-np.angle(_front_face(stack, grid.omegas)[0]))
+    with _named_float_errors("arg t"):
+        phi = np.unwrap(-np.angle(_front_face(stack, grid.omegas)[0]))
     if np.any(np.abs(np.diff(phi)) >= 0.5 * np.pi):
         raise UndersampledPhaseError("arg t steps by pi/2 or more between grid samples")
     # the least-squares line through the samples' centroid

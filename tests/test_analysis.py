@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,25 @@ class TestEnergySaturation:
     def test_needs_three_lengths(self):
         with pytest.raises(FitFailureError):
             analysis.energy_saturation(analysis.GratingFamily(kappa=0.2), [1.0, 2.0])
+
+
+class TestQuantumPenetrationDepth:
+    @pytest.mark.parametrize("v0, energy", [(2.0, 1.0), (5.0, 0.5), (1.0, 1e-3)])
+    def test_below_the_top_is_one_over_kappa(self, v0, energy):
+        depth = analysis.QuantumBarrierFamily(v0, energy).field_penetration_depth(3.0)
+        assert depth == pytest.approx(1.0 / math.sqrt(2.0 * (v0 - energy)), rel=1e-15)
+
+    @pytest.mark.parametrize("energy", [2.0, 3.5])
+    def test_none_at_and_above_the_top(self, energy):
+        assert analysis.QuantumBarrierFamily(2.0, energy).field_penetration_depth(3.0) is None
+
+    def test_saturation_fit_matches_it(self):
+        # the fit reads 0.7197 against 1/kappa = 1/sqrt(2) = 0.7071
+        family = analysis.QuantumBarrierFamily(v0=2.0, energy=1.0)
+        lengths = [kl / math.sqrt(2.0) for kl in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
+        curve = analysis.energy_saturation(family, lengths)
+        assert curve.field_depth == family.field_penetration_depth(lengths[-1])
+        assert abs(curve.fitted_depth - curve.field_depth) / curve.field_depth < 0.05
 
 
 class TestSkcReport:

@@ -876,6 +876,20 @@ def test_csv_text_matches_per_cell_rendering():
     assert cli._csv_text(columns, float_arrays(columns)) == expected
 
 
+def test_vectorised_magnitudes_match_python_scalars():
+    # |t|^2 and |a| in the CSVs are np.float_power(np.hypot(re, im), 2.0) and
+    # np.hypot(re, im), which call the libm hypot and pow that Python's
+    # abs(complex) and ** 2 call; np.abs and h * h round differently in the
+    # last bit, so a numpy change that breaks this moves the CSV bytes
+    rng, count = np.random.default_rng(37), 200_000
+    z = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * np.exp(
+        rng.uniform(-30.0, 30.0, count))
+    scalars = z.tolist()
+    columns = cli._response_columns(np.zeros(z.size), z, z)
+    assert columns["transmission"].tolist() == [abs(x) ** 2 for x in scalars]
+    assert np.hypot(z.real, z.imag).tolist() == [abs(x) for x in scalars]
+
+
 def float_arrays(columns):
     """Each column as the float array `cli.run` converts it to once."""
     return {key: np.asarray(values, dtype=float) for key, values in columns.items()}
