@@ -24,20 +24,27 @@ are read off at the front face; stored energy is summed off each layer's
 front face as the march steps.
 The same march can carry dE/dw and dH/dw beside E and H, which gives the
 group delay exactly, with no sampled phase.
-Every step has the form (E, H) <- (A E - P H, D H - Q E): four products and
-two differences, written into two reused arrays beside E and H.  A layer's
+Every step has the form (E, H) <- (A E - P H, D H - Q E).  A step is held
+as one list, [growth, A, P, Q, D], with [dA, dP, dQ, dD] appended for the
+slope, and the fields as [E, H] with [dE/dw, dH/dw] appended.  A layer's
 step has A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta),
 formed once per layer type, a distinct (n, d) pair, and held from its first
 use to its last.  cos(delta) and sin(delta) are formed once per optical
 thickness n d, a float key: the two types of each shipped quarter-wave stack
-share theirs, so its march costs one cos and one sin per frequency.  The
-slope march, whose one-frequency calls are nearly all per-call overhead,
-holds each pair, (A, D), (P, Q) and their derivatives, stacked as one
-(2, F) array, and (E, H) with their derivatives as one (2, 2, F) array, so
-a step, a cell product or a squaring takes about half the array calls; the
-plain march keeps each pair as two arrays, which keeps its wide arrays
-half the size.  For t, r and the group delay, a stack that repeats a cell
-of p layers m >= 2 times is marched by powers of its cell, the Bloch-wave
+share theirs, so its march costs one cos and one sin per frequency.  Each
+step, cell product and squaring is written once, with plain and augmented
+operators, so the same code runs on numpy arrays of frequencies and on one
+float frequency, for which the fields and coefficients are Python complex
+numbers.  t and r march arrays, a single frequency included, so a
+frequency gets the same bits in any company.  The one-frequency read-outs,
+the group delay, the stored energy and the Bloch depth, march a float:
+numpy's per-call overhead would be nearly all of their time.  The two
+agree to within about 1e-15 relative, not to the bit: numpy's complex
+product may fuse a multiply and an add where CPython's does not, and its
+cos and sin are its own.  On arrays the augmented operators write E, H and
+a squared power in place, and a step writes P H and Q E into two scratch
+arrays.  For t, r and the group delay, a stack that repeats a cell of
+p layers m >= 2 times is marched by powers of its cell, the Bloch-wave
 treatment of periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)) with
 binary powering (Knuth, TAOCP vol. 2, sec. 4.6.3): the cell's step M is
 composed once per frequency from its layers' steps, the N mod p layers left
@@ -229,48 +236,45 @@ class PhaseEnergyReport:
     max_residual: float
 
 
-def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False,
-                    cells: bool = False):
+def _backward_march(stack: LayeredStack, omegas, slope: bool = False, cells: bool = False):
     """(E, H, k) at the exit face, then at the front face of each step, last step first.
 
-    A step is one layer.  With ``cells``, a stack of N = m p + r layers that
-    holds m >= 2 whole copies of its repeating cell of p layers (see
-    :func:`_period`) steps the r layers left at the exit face one at a time,
-    then the m cells by binary powers of the cell's step M: one step of
-    M^(2^j) for each set bit j of m, lowest first, with M squared in place
-    between steps (:func:`_square`).  So the faces after the leftover layers
-    are those of the power steps.  A power whose squared growth bound would
-    pass _RESCALE_BOUND is repeated for the remaining cells instead, and a
-    cell whose own growth bound does is stepped layer by layer.  The
-    composed cell's rounding recurs in every cell, so the march by cells
-    departs from the layer march: on random periodic stacks of 2-600 cells
-    of 1-4 layers, indices 1-3.5, by up to about 4e-12 relative on 2^k a
-    and absolute on r, and on the delay by up to about 4e-12 of the larger
-    of its size and the optical length, 1.5e-11 of its own size.  The
-    true fields are 2^k (E, H), k an integer per frequency:
-    E and H are rescaled by exact powers of two before a step that could
-    take a running bound on their size past _RESCALE_BOUND, and never
-    otherwise.  A step (E, H) <- (A E - P H, D H - Q E) takes its
-    coefficients (growth, AD, PQ), the pairs AD = (A, D) and PQ = (P, Q),
-    from :func:`_step_coefficients` or :func:`_cell_matrix` and writes into
-    reused arrays, so a yielded (E, H, k) is valid only until the next step.
+    ``omegas`` is an array of frequencies, or one float, for which E and H
+    are Python complex numbers and k an int.  A step is one layer.  With
+    ``cells``, a stack of N = m p + r layers that holds m >= 2 whole copies
+    of its repeating cell of p layers (see :func:`_period`) steps the r
+    layers left at the exit face one at a time, then the m cells by binary
+    powers of the cell's step M: one step of M^(2^j) for each set bit j of
+    m, lowest first, with M squared in place between steps
+    (:func:`_square`).  So the faces after the leftover layers are those of
+    the power steps.  A power whose squared growth bound would pass
+    _RESCALE_BOUND is repeated for the remaining cells instead, and a cell
+    whose own growth bound does is stepped layer by layer.  The composed
+    cell's rounding recurs in every cell, so the march by cells departs from
+    the layer march: on random periodic stacks of 2-600 cells of 1-4 layers,
+    indices 1-3.5, by up to about 4e-12 relative on 2^k a and absolute on r,
+    and on the delay by up to about 4e-12 of the larger of its size and the
+    optical length, 1.5e-11 of its own size.  The true fields are 2^k (E, H),
+    k an integer per frequency: E and H are rescaled by exact powers of two
+    before a step that could take a running bound on their size past
+    _RESCALE_BOUND, and never otherwise.  A step, [growth, A, P, Q, D] from
+    :func:`_step_coefficients` or :func:`_cell_matrix`, is taken by
+    :func:`_step`, which overwrites array fields in place, so a yielded
+    (E, H, k) is valid only until the next step.
 
-    With ``slope``, the yielded E and H are (2, F) arrays whose row 1 is
-    dE/dw and dH/dw, stepped by the product rule, (E, H)' <- M (E, H)' +
-    dM/dw (E, H), with dM/dw = [[dA, -dP], [-dQ, dD]] appended to the
-    coefficients as the pairs dAD and dPQ.  Every pair is then stacked, and
-    the march holds the fields as one (2, 2, F) array, row 0 (E, H) and
-    row 1 their derivatives, so that one product by AD and one by PQ step
-    all four: each row takes AD (E, H) minus PQ (H, E), and row 1 then adds
-    dAD (E, H) minus dPQ (H, E) of row 0.  Row 1 outgrows the bound by a
+    With ``slope``, each step goes on with dM/dw = [[dA, -dP], [-dQ, dD]],
+    the fields with dE/dw and dH/dw, stepped by the product rule,
+    (E, H)' <- M (E, H)' + dM/dw (E, H), and the march yields
+    (E, dE/dw), (H, dH/dw) and k.  The derivatives outgrow the bound by a
     factor of order the stack's optical thickness, far inside the margin
-    below overflow.  The rescale shift takes the larger of both rows; the
-    2^k scale cancels in any ratio of a derivative to its value.
+    below overflow.  The rescale shift takes the largest of all four
+    fields; the 2^k scale cancels in any ratio of a derivative to its value.
 
     Raises ValueError, when the exit face is drawn, for a frequency that is
     not positive and finite.
     """
-    if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
+    if not (omegas > 0.0 and math.isfinite(omegas) if isinstance(omegas, float)
+            else np.all(np.isfinite(omegas) & (omegas > 0.0))):
         raise ValueError("frequencies must be positive and finite")
     layers = stack.layers
     period = stack._layer_period if cells else 1
@@ -279,9 +283,8 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
     growth = math.prod(_growth(n) for n, _ in cell)
 
     def powers(power, m):
-        # M^(2^j) for each set bit j of m; M is squared in place between
-        # steps, into spare arrays that neither a step nor a yielded face
-        # holds then.  A power whose square could pass _RESCALE_BOUND is
+        # M^(2^j) for each set bit j of m, M squared in place between
+        # steps.  A power whose square could pass _RESCALE_BOUND is
         # repeated for the rest of the cells instead
         while m:
             if power[0] ** 2 > _RESCALE_BOUND:
@@ -291,70 +294,39 @@ def _backward_march(stack: LayeredStack, omegas: np.ndarray, slope: bool = False
                 yield power
             m >>= 1
             if m:
-                _square(power, *(dm if slope else (e2, h2)))
+                _square(power)
+
+    def face():
+        e, h, *slopes = fields
+        return ((e, slopes[0]), (h, slopes[1]), k) if slope else (e, h, k)
 
     if period < 2 or count < 2 or growth > _RESCALE_BOUND:
         steps = _layer_steps(layers[::-1], omegas, slope)
     else:
         steps = _layer_steps(cell[::-1] + layers[len(layers) - rest:][::-1], omegas, slope)
-        power = [growth, *_cell_matrix(itertools.islice(steps, period), slope)]
+        power = [growth, *_cell_matrix(itertools.islice(steps, period))]
         steps = itertools.chain(steps, powers(power, count))
-        del power
-    if slope:  # the exit fields do not depend on w
-        fields = np.zeros((2, 2, *omegas.shape), dtype=complex)
-        fields[0, 0], fields[0, 1] = 1.0, stack.n_out
-        spare, cross = np.empty_like(fields), np.empty_like(fields)
-        dm, dm2 = cross
-        e, h = fields[:, 0], fields[:, 1]
+    # the exit fields do not depend on w; on arrays a step writes P H and Q E
+    # into scratch
+    exit_fields = (1.0, stack.n_out, 0.0, 0.0)[:4 if slope else 2]
+    if isinstance(omegas, float):
+        fields, k, scratch = [complex(value) for value in exit_fields], 0, None
     else:
-        e = np.ones(omegas.shape, dtype=complex)
-        h = np.full(omegas.shape, complex(stack.n_out))
-        e2, h2 = np.empty_like(e), np.empty_like(h)
-    k = np.zeros(omegas.shape, dtype=int)
+        fields = [np.full(omegas.shape, complex(value)) for value in exit_fields]
+        k = np.zeros(omegas.shape, dtype=int)
+        scratch = [np.empty_like(fields[0]) for _ in range(2)]
     bound = max(1.0, stack.n_out)
-    yield e, h, k
-    for coeffs in steps:
-        if bound * coeffs[0] > _RESCALE_BOUND:
-            size = np.maximum(np.abs(e), np.abs(h))
-            _, shift = np.frexp(size.max(axis=0) if slope else size)
-            scale = np.ldexp(1.0, -shift)
-            if slope:
-                fields = fields * scale
-            else:
-                e, h = e * scale, h * scale
+    yield face()
+    for m in steps:
+        if bound * m[0] > _RESCALE_BOUND:
+            shift, fields = _rescaled(fields)
             k, bound = k + shift, 1.0
-        bound *= coeffs[0]
-        _, ad, pq, *slopes = coeffs
-        if slope:
-            dad, dpq = slopes
-            # both rows <- AD (E, H) - PQ (H, E), then row 1 adds
-            # dAD (E, H) - dPQ (H, E) of row 0
-            np.multiply(ad, fields, out=spare)
-            np.multiply(pq, fields[:, ::-1], out=cross)
-            np.subtract(spare, cross, out=spare)
-            np.multiply(dad, fields[0], out=dm)
-            np.multiply(dpq, fields[0, ::-1], out=dm2)
-            np.subtract(dm, dm2, out=dm)
-            np.add(spare[1], dm, out=spare[1])
-            fields, spare = spare, fields
-            e, h = fields[:, 0], fields[:, 1]
-            del dad, dpq
-        else:
-            # e2 = a e - p h, then h2 = d h - q e, with e's array free for
-            # d h once q e is formed
-            (a, d), (p, q) = ad, pq
-            np.multiply(p, h, out=h2)
-            np.multiply(a, e, out=e2)
-            np.subtract(e2, h2, out=e2)
-            np.multiply(q, e, out=h2)
-            np.multiply(d, h, out=e)
-            np.subtract(e, h2, out=h2)
-            e, e2, h, h2 = e2, e, h2, h
-            del a, p, q, d
+        bound *= m[0]
+        fields = _step(fields, m, scratch)
         # a layer type with no steps left frees its coefficients before the
         # next type's are formed
-        del coeffs, ad, pq, slopes
-        yield e, h, k
+        del m
+        yield face()
 
 
 def _period(layers) -> int:
@@ -381,7 +353,17 @@ def _growth(n: float) -> float:
     return 1.0 + max(n, 1.0 / n)
 
 
-def _layer_steps(layers, omegas: np.ndarray, slope: bool):
+def _rescaled(fields):
+    """j and ``fields`` times 2^(-j), per frequency, j the exponent of the largest |field|."""
+    if isinstance(fields[0], complex):
+        _, shift = math.frexp(max(map(abs, fields)))
+        return shift, [field * math.ldexp(1.0, -shift) for field in fields]
+    _, shift = np.frexp(functools.reduce(np.maximum, map(np.abs, fields)))
+    scale = np.ldexp(1.0, -shift)
+    return shift, [field * scale for field in fields]
+
+
+def _layer_steps(layers, omegas, slope: bool):
     """The step coefficients of each of ``layers`` in turn.
 
     A layer type, a distinct (n, d) pair, has its coefficients formed at its
@@ -390,10 +372,10 @@ def _layer_steps(layers, omegas: np.ndarray, slope: bool):
     a shipped quarter-wave stack, share bit-equal phases: cos(delta) and sin(delta)
     are formed once per key and frequency (:func:`_layer_trig`), and held
     only until the last type with that key has formed its coefficients.  A
-    held type keeps three complex arrays, 6 words per frequency (16 in all
-    with ``slope``, whose four pairs are stacked), or fewer where types share
-    one cos array.  A type that occurs once is never held; the most held at
-    once is half the layers, for a palindrome of distinct layers.
+    held type keeps three complex arrays, 6 words per frequency (11 with
+    ``slope``), or fewer where types share one cos array.  A type that
+    occurs once is never held; the most held at once is half the layers,
+    for a palindrome of distinct layers.
     """
     left, held, trig = Counter(layers), {}, {}
     # types are formed in order of first use, the order of left's keys, so
@@ -413,137 +395,155 @@ def _layer_steps(layers, omegas: np.ndarray, slope: bool):
         yield held[layer] if left[layer] else held.pop(layer)
 
 
-def _layer_trig(thickness: float, omegas: np.ndarray):
-    """cos(delta) + 0i and sin(delta) of the phase delta = thickness * w.
+def _layer_trig(thickness: float, omegas):
+    """cos(delta) and sin(delta) of the phase delta = thickness * w.
 
-    cos(delta) is held complex, the value numpy casts a real factor to in a
-    product with a complex array, so each product keeps its bits.  The only
-    place a layer's trig is evaluated; the phase dies here.
+    Floats for a float w.  For an array, cos(delta) is held complex,
+    cos(delta) + 0i, the value numpy casts a real factor to in a product
+    with a complex array, so each product keeps its bits.  The only place a
+    layer's trig is evaluated; the phase dies here.
     """
-    phase = np.multiply(thickness, omegas)
+    phase = thickness * omegas
+    if isinstance(phase, float):
+        if math.isinf(phase):  # numpy flags this overflow in an array; Python does not
+            raise OverflowError(f"phase {thickness!r} * {omegas!r} overflows")
+        return math.cos(phase), math.sin(phase)
     cos_p = np.zeros(omegas.shape, dtype=complex)
     cos_p.real = np.cos(phase)
     return cos_p, np.sin(phase)
 
 
-def _step_coefficients(n: float, d: float, cos_p: np.ndarray, sin_p: np.ndarray,
-                       slope: bool = False):
-    """growth and the pairs AD = (A, D) and PQ = (P, Q) of one layer's step.
+def _step_coefficients(n: float, d: float, cos_p, sin_p, slope: bool = False):
+    """[growth, A, P, Q, D] of one layer's step, and with ``slope`` [dA, dP, dQ, dD] after.
 
     A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta), from the
     :func:`_layer_trig` of the layer's phase delta = n d w.  sin(delta) dies
     with the last type that reads it, so the march holds only what a step
-    reads.  A plain march holds each pair as two arrays, A and D the same
-    one, which other types of the same n d may share as their A and D: a
-    step and :func:`_cell_matrix` only read coefficients, and
-    :func:`_square` writes only into a power it owns.  With ``slope`` the
-    w-derivatives follow,
+    reads.  A and D are one array, which other types of the same n d may
+    share as theirs: a step and :func:`_cell_matrix` only read
+    coefficients, and :func:`_square` writes only into a power it owns.
+    The w-derivatives are
     dM/dw = n d [[-sin(delta), -i cos(delta)/n], [-i n cos(delta), -sin(delta)]],
-    and every pair, AD, PQ, dAD and dPQ, is stacked as one (2, F) array.
+    dA = dD one real array.
     """
-    pq = np.multiply(1j, np.divide(sin_p, n)), np.multiply(1j, np.multiply(n, sin_p))
-    if not slope:
-        return _growth(n), (cos_p, cos_p), pq
-    da = np.multiply(-n * d, sin_p)
-    return (_growth(n), np.array((cos_p, cos_p)), np.array(pq), np.array((da, da), dtype=complex),
-            np.array((np.multiply(1j * d, cos_p), np.multiply(1j * n * n * d, cos_p))))
+    step = [_growth(n), cos_p, 1j * (sin_p / n), 1j * (n * sin_p), cos_p]
+    if slope:
+        da = (-n * d) * sin_p
+        step += [da, (1j * d) * cos_p, (1j * n * n * d) * cos_p, da]
+    return step
 
 
-def _cell_matrix(steps, slope: bool):
-    """(AD, PQ) of a cell's step from its layers' step coefficients, exit side first.
+def _cell_matrix(steps):
+    """[A, P, Q, D, *slopes] of a cell's step from its layers' steps, exit side first.
 
     The cell's step is the product M = M_1 ... M_p of its layers' steps,
-    built up from the exit side as M <- M_j M; with ``slope``, (dAD, dPQ)
-    follow by the product rule, dM <- M_j dM + dM_j M.
+    built up from the exit side as M <- M_j M (:func:`_product`).
     """
     _, *cell = next(steps)
     for _, *layer in steps:
-        product = _product(layer[:2], cell[:2])
-        if slope:
-            product += [np.add(x, y) for x, y in zip(_product(layer[:2], cell[2:]),
-                                                     _product(layer[2:], cell[:2]))]
-        cell = product
+        cell = _product(layer, cell)
     return cell
 
 
-def _pairwise(f, *pairs):
-    """f of stacked (2, F) pairs at once, or per row of pairs held as two arrays."""
-    if isinstance(pairs[0], tuple):
-        return tuple(map(f, *pairs))
-    return f(*pairs)
+def _step(fields, step, scratch):
+    """``fields`` [E, H, *slopes] stepped back by ``step`` [growth, A, P, Q, D, *slopes].
+
+    (E, H) <- (A E - P H, D H - Q E), with augmented operators, so array E
+    and H are overwritten in place; P H and Q E are written into the two
+    arrays of ``scratch``, None on floats.  With slopes, (dE, dH) follow by
+    the product rule, dE <- A dE - P dH + (dA E - dP H) and
+    dH <- D dH - Q dE + (dD H - dQ E), formed before E and H move.
+    """
+    e, h, *slopes = fields
+    _, a, p, q, d, *dm = step
+    if dm:
+        (de, dh), (da, dp, dq, dd) = slopes, dm
+        slopes = [a * de - p * dh + (da * e - dp * h), d * dh - q * de + (dd * h - dq * e)]
+    ph = p * h if scratch is None else np.multiply(p, h, out=scratch[0])
+    qe = q * e if scratch is None else np.multiply(q, e, out=scratch[1])
+    e *= a
+    e -= ph
+    h *= d
+    h -= qe
+    return [e, h, *slopes]
 
 
-def _square(power, trace, pq):
-    """Square in place a step [growth, AD, PQ, *slopes] that owns its arrays.
+def _square(power):
+    """Square in place a step [growth, A, P, Q, D, *slopes] that owns its arrays.
 
-    M^2 = [[A A + P Q, -P t], [-Q t, D D + P Q]] with t = A + D, so AD <- AD AD
-    + P Q and PQ <- PQ t; with ``slopes``, held stacked, (dAD, dPQ) follow by
-    the product rule, dAD <- 2 AD dAD + s and dPQ <- dPQ t + PQ dt, with
-    s = dP Q + P dQ and dt = dA + dD.  ``trace`` and ``pq`` are arrays of
-    one pair row's shape whose contents are dead.
+    M^2 = [[A A + P Q, -P t], [-Q t, D D + P Q]] with t = A + D; with
+    slopes, by the product rule, dA <- 2 A dA + s, dD <- 2 D dD + s,
+    dP <- dP t + P dt and dQ <- dQ t + Q dt, with s = dP Q + P dQ and
+    dt = dA + dD.  A, P, Q and D are written with augmented operators, so
+    arrays are overwritten in place.
     """
     power[0] **= 2
-    _, ad, off, *slopes = power
-    np.add(ad[0], ad[1], out=trace)
-    if slopes:
-        dad, dpq = slopes
-        s = np.add(np.multiply(dpq[0], off[1]), np.multiply(off[0], dpq[1]))
-        dtrace = np.add(dad[0], dad[1])
-        np.multiply(dad, ad, out=dad)
-        np.multiply(dad, 2.0, out=dad)
-        np.add(dad, s, out=dad)
-        np.multiply(dpq, trace, out=dpq)
-        np.add(dpq, np.multiply(off, dtrace), out=dpq)
-    np.multiply(off[0], off[1], out=pq)
-    _pairwise(lambda x: np.add(np.multiply(x, x, out=x), pq, out=x), ad)
-    _pairwise(lambda x: np.multiply(x, trace, out=x), off)
+    _, a, p, q, d, *dm = power
+    t, pq = a + d, p * q
+    if dm:
+        da, dp, dq, dd = dm
+        s, dt = dp * q + p * dq, da + dd
+        dm = [da * a * 2.0 + s, dp * t + p * dt, dq * t + q * dt, dd * d * 2.0 + s]
+    a *= a
+    a += pq
+    d *= d
+    d += pq
+    p *= t
+    q *= t
+    power[1:] = a, p, q, d, *dm
 
 
 def _product(x, y):
-    """(AD, PQ) of the step x y, each step given as (AD, PQ) of [[A, -P], [-Q, D]].
+    """The step x y, each step [A, P, Q, D, *slopes] of M = [[A, -P], [-Q, D]].
 
-    Row by row, A = xA yA + xP yQ and D = xD yD + xQ yP, P = xA yP + xP yD
-    and Q = xD yQ + xQ yA: each pair is the sum of two pairwise products,
-    one with the other factor's pair reversed.
+    A = xA yA + xP yQ, P = xA yP + xP yD, Q = xQ yA + xD yQ and
+    D = xQ yP + xD yD; with slopes, d(x y) = x dy + dx y.
     """
-    (xad, xpq), (yad, ypq) = x, y
-
-    def dot(a, b, c, d):
-        return np.add(np.multiply(a, b), np.multiply(c, d))
-
-    return [_pairwise(dot, xad, yad, xpq, ypq[::-1]), _pairwise(dot, xad, ypq, xpq, yad[::-1])]
+    xa, xp, xq, xd, *dx = x
+    ya, yp, yq, yd, *dy = y
+    xy = [xa * ya + xp * yq, xa * yp + xp * yd, xq * ya + xd * yq, xq * yp + xd * yd]
+    if dx:
+        xy += [u + v for u, v in zip(_product(x[:4], dy), _product(dx, y[:4]))]
+    return xy
 
 
 def _split_waves(e, h, n):
     """Forward and backward wave amplitudes of the fields (E, H) in index n."""
-    ratio = np.divide(h, n)
-    return np.multiply(0.5, np.add(e, ratio)), np.multiply(0.5, np.subtract(e, ratio))
+    ratio = h / n
+    return 0.5 * (e + ratio), 0.5 * (e - ratio)
 
 
-def _front_face(stack: LayeredStack, omegas: np.ndarray, slope: bool = False):
+def _front_face(stack: LayeredStack, omegas, slope: bool = False):
     """Incident and reflected amplitudes a, b and the exponent k at the front face.
 
     Each amplitude is 2^(-k) times the true one; with ``slope`` each is a
-    (2, F) array whose row 1 is its w-derivative.
+    pair of it and its w-derivative.
     """
     for e, h, k in _backward_march(stack, omegas, slope, cells=True):
         pass  # only the front face is needed
-    return (*_split_waves(e, h, stack.n_in), k)
+    if not slope:
+        return (*_split_waves(e, h, stack.n_in), k)
+    (a, b), (da, db) = (_split_waves(*fields, stack.n_in) for fields in zip(e, h))
+    return (a, da), (b, db), k
 
 
 @contextlib.contextmanager
 def _named_float_errors(what: str):
-    """NonFiniteResultError naming ``what`` where numpy meets an overflow, invalid or 1/0.
+    """NonFiniteResultError naming ``what`` where the march leaves the float range.
 
     Each read-out of the march runs under one, so a stack or frequency that
-    takes the march out of the float range fails by name; a value that a
-    Python float carries to infinity sets no flag, so a read-out whose
-    result can take one checks that result too.
+    takes the march out of the float range fails by name.  On arrays numpy
+    raises at an overflow, invalid value or 1/0.  On a float Python raises
+    OverflowError or ZeroDivisionError at some of these, and the march
+    raises OverflowError for an infinite phase, whose cosine :mod:`math`
+    would reject with ValueError; Python carries the rest to inf or nan
+    unflagged, as it does any value a read-out forms from numpy's results,
+    so a read-out whose result can take one checks that result too.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:  # FloatingPointError from numpy among them
         raise NonFiniteResultError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -645,19 +645,18 @@ def stored_energy(stack: LayeredStack, omega: float) -> float:
     an ``omega`` that is not positive and finite, and NonFiniteResultError
     where the sum leaves the float range.
     """
-    faces = _backward_march(stack, np.asarray([float(omega)]))
+    faces = _backward_march(stack, float(omega))
     total, scale = 0.0, 0
     with _named_float_errors("stored energy"):
         e, h, _ = next(faces)  # the exit face, where k = 0
         for (n, d), (e, h, k) in zip(stack.layers[::-1], faces):
-            if k[0] != scale:
-                total, scale = float(np.ldexp(total, 2 * (scale - k[0]))), int(k[0])
-            x, y = complex(e[0]), complex(h[0])
-            total += d * (n * n * (x.real * x.real + x.imag * x.imag)
-                          + y.real * y.real + y.imag * y.imag)
-        size = np.abs(_split_waves(e, h, stack.n_in)[0][0])
+            if k != scale:
+                total, scale = math.ldexp(total, 2 * (scale - k)), k
+            total += d * (n * n * (e.real * e.real + e.imag * e.imag)
+                          + h.real * h.real + h.imag * h.imag)
+        size = abs(_split_waves(e, h, stack.n_in)[0])
         # |a| divides twice, as |a|^2 can underflow where n_in |a| does not
-        u = float(total / (2.0 * stack.n_in * size) / size)
+        u = total / (2.0 * stack.n_in * size) / size
     if not math.isfinite(u):
         raise NonFiniteResultError(f"stored energy at omega = {omega!r} is not finite")
     return u
@@ -677,10 +676,9 @@ def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
         raise ValueError("omega must be positive and finite")
     if not cell.layers:
         raise ValueError("need at least one layer")
-    steps = _layer_steps(cell.layers[::-1], np.asarray([float(omega)]), slope=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (a, d), _ = _cell_matrix(steps, slope=False)
-        half_trace = abs(complex(a[0] + d[0])) / 2.0
+    with _named_float_errors("trace of the cell's step"):
+        a, _, _, d = _cell_matrix(_layer_steps(cell.layers[::-1], float(omega), slope=False))
+        half_trace = abs(a + d) / 2.0
     if not math.isfinite(half_trace):
         raise NonFiniteResultError(f"trace of the cell's step at omega = {omega!r} is not finite")
     if half_trace <= 1.0:
@@ -697,9 +695,9 @@ def group_delay(stack: LayeredStack, omega: float) -> float:
     march or the delay leaves the float range.
     """
     with _named_float_errors("group delay"):
-        incident, _, _ = _front_face(stack, np.asarray([float(omega)]), slope=True)
+        (a, da), _, _ = _front_face(stack, float(omega), slope=True)
         # 0.0 - x rather than -x, so an empty stack's zero delay is +0.0
-        delay = float(0.0 - (incident[1] / incident[0]).imag[0])
+        delay = 0.0 - (da / a).imag
     if not math.isfinite(delay):
         raise NonFiniteResultError(f"group delay at omega = {omega!r} is not finite")
     return delay
