@@ -24,44 +24,35 @@ are read off at the front face; stored energy is summed off each layer's
 front face as the march steps.
 The same march can carry dE/dw and dH/dw beside E and H, which gives the
 group delay exactly, with no sampled phase.
-Every step has the form (E, H) <- (A E - P H, D H - Q E).  A step is held
-as one list, [growth, A, P, Q, D], with [dA, dP, dQ, dD] appended for the
-slope, and the fields as [E, H] with [dE/dw, dH/dw] appended.  A layer's
-step has A = D = cos(delta), P = i sin(delta)/n and Q = i n sin(delta),
-formed once per layer type, a distinct (n, d) pair, and held from its first
-use to its last.  cos(delta) and sin(delta) are formed once per optical
-thickness n d, a float key: the two types of each shipped quarter-wave stack
-share theirs, so its march costs one cos and one sin per frequency.  Each
-step, cell product and squaring is written once, with plain and augmented
-operators, so the same code runs on numpy arrays of frequencies and on one
-float frequency, for which the fields and coefficients are Python complex
-numbers.  t and r march arrays, a single frequency included, so a
-frequency gets the same bits in any company.  The one-frequency read-outs,
-the group delay, the stored energy and the Bloch depth, march a float:
-numpy's per-call overhead would be nearly all of their time.  The two
-agree to within about 1e-15 relative, not to the bit: numpy's complex
-product may fuse a multiply and an add where CPython's does not, and its
-cos and sin are its own.  On arrays the augmented operators write E, H and
-a squared power in place, and a step writes P H and Q E into two scratch
-arrays.  For t, r and the group delay, a stack that repeats a cell of
-p layers m >= 2 times is marched by powers of its cell, the Bloch-wave
+Every step has the form (E, H) <- (A E - P H, D H - Q E) (:func:`_step`),
+its coefficients formed once per layer type and its cos and sin once per
+optical thickness (:func:`_layer_steps`).  Each step, cell product and
+squaring is written once, with plain and augmented operators, so the same
+code runs on numpy arrays of frequencies and on one float frequency, for
+which the fields and coefficients are Python complex numbers.  t and r
+march arrays, a single frequency included, so a frequency gets the same
+bits in any company.  The one-frequency read-outs, the group delay, the
+stored energy and the Bloch depth, march a float: numpy's per-call overhead
+would be nearly all of their time.  The two agree to within about 1e-15
+relative, not to the bit: numpy's complex product may fuse a multiply and
+an add where CPython's does not, and its cos and sin are its own.  For t,
+r and the group delay, a stack that repeats a cell of p layers m >= 2
+times is marched by binary powers of its cell's step, the Bloch-wave
 treatment of periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)) with
-binary powering (Knuth, TAOCP vol. 2, sec. 4.6.3): the cell's step M is
-composed once per frequency from its layers' steps, the N mod p layers left
-at the exit face are stepped singly, and then one step of M^(2^j) is taken
-for each set bit j of m, M squared in place between steps.  The 373-layer
-`front` stack, 186 cells and one layer, takes 6 steps and 7 squarings, not
-373 steps.  Stored energy needs every layer face and is marched layer by
-layer.
-Stored energy uses the time-averaged density u = (n^2 |E|^2 + |H|^2)/4; per
-unit input power it is directly a time, one float, and a vacuum slab yields
-its length.
-The field's 1/e depth in a periodic stack is its cell's Bloch depth.
+binary powering (Knuth, TAOCP vol. 2, sec. 4.6.3; :func:`_backward_march`):
+the 373-layer `front` stack, 186 cells and one layer, takes 6 steps and 7
+squarings, not 373 steps.  Stored energy needs every layer face and is
+marched layer by layer; it uses the time-averaged density
+u = (n^2 |E|^2 + |H|^2)/4, and per unit input power it is directly a time,
+one float: a vacuum slab yields its length.  The field's 1/e depth in a
+periodic stack is its cell's Bloch depth.
+The uniform grating is the two-wave barrier of :mod:`spectral`, by the same
+rule: t and r on numpy arrays, the group delay and stored energy on one float.
 """
 
 from __future__ import annotations
 
-import contextlib
+import cmath
 import functools
 import itertools
 import math
@@ -527,29 +518,9 @@ def _front_face(stack: LayeredStack, omegas, slope: bool = False):
     return (a, da), (b, db), k
 
 
-@contextlib.contextmanager
-def _named_float_errors(what: str):
-    """NonFiniteResultError naming ``what`` where the march leaves the float range.
-
-    Each read-out of the march runs under one, so a stack or frequency that
-    takes the march out of the float range fails by name.  On arrays numpy
-    raises at an overflow, invalid value or 1/0.  On a float Python raises
-    OverflowError or ZeroDivisionError at some of these, and the march
-    raises OverflowError for an infinite phase, whose cosine :mod:`math`
-    would reject with ValueError; Python carries the rest to inf or nan
-    unflagged, as it does any value a read-out forms from numpy's results,
-    so a read-out whose result can take one checks that result too.
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except ArithmeticError as exc:  # FloatingPointError from numpy among them
-        raise NonFiniteResultError(f"{what}: {type(exc).__name__}: {exc}") from exc
-
-
 def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
     """t and r at positive frequencies: t = 2^(-k)/a and r = b/a at the front face."""
-    with _named_float_errors("t and r"):
+    with spectral._named_float_errors("t and r"):
         incident, reflected, k = _front_face(stack, omegas)
         # 1.0 and 2^0 are both cast to 1 + 0i in the division
         return (np.ldexp(1.0, -k) if k.any() else 1.0) / incident, reflected / incident
@@ -580,27 +551,34 @@ def stack_t_r_samples(stack: LayeredStack, omegas: np.ndarray):
     return _stack_t_r(stack, np.asarray(omegas, dtype=float))
 
 
-def _grating_closed_form(grating: UniformGrating, omega):
-    """t, r, t e^{Re(gamma) L} and gamma of the coupled-mode grating at ``omega``.
-
-    The two-wave barrier of :func:`spectral._two_wave` with a = -delta, b = kappa
-    and gamma = sqrt(kappa^2 - delta^2) taken complex.  The validity window
-    is enforced here for every grating quantity, and a kappa whose square
-    overflows raises NonFiniteResultError.
-    """
-    delta = grating.detuning(omega)
-    if not np.all(np.abs(delta) < _GRATING_VALIDITY * grating.omega_b):
+def _coupling_squared(grating: UniformGrating, delta) -> float:
+    """kappa^2, or DetuningOutOfRangeError for a detuning, float or array, out of the window."""
+    inside = abs(delta) < _GRATING_VALIDITY * grating.omega_b  # a bool for a float
+    if not (inside is True or np.all(inside)):
         raise DetuningOutOfRangeError(
-            "detuning outside coupled-mode validity |delta| < 0.2 * omega_b"
-        )
+            "detuning outside coupled-mode validity |delta| < 0.2 * omega_b")
     try:
-        kappa_squared = float(grating.kappa) ** 2
+        return float(grating.kappa) ** 2
     except OverflowError as exc:
         raise NonFiniteResultError(
-            f"kappa = {grating.kappa!r} squared: {type(exc).__name__}: {exc}"
-        ) from exc
-    gamma = np.sqrt((kappa_squared - delta ** 2).astype(complex))
-    return (*spectral._two_wave(gamma, -delta, grating.kappa, grating.length), gamma)
+            f"kappa = {grating.kappa!r} squared: OverflowError: {exc}") from exc
+
+
+def _grating_closed_form(grating: UniformGrating, omega):
+    """t and r at ``omega`` on numpy arrays, the two-wave barrier of :func:`spectral._two_wave`.
+
+    a = -delta, b = kappa and gamma = sqrt(kappa^2 - delta^2) taken complex.
+    """
+    delta = grating.detuning(omega)
+    with spectral._named_float_errors("t and r"):
+        gamma = np.sqrt((_coupling_squared(grating, delta) - delta ** 2).astype(complex))
+        return spectral._two_wave(gamma, -delta, grating.kappa, grating.length)
+
+
+def _grating_rate(grating: UniformGrating, omega: float):
+    """delta and gamma of :func:`_grating_closed_form` at one float, gamma a Python complex."""
+    delta = grating.n_bar * (float(omega) - grating.omega_b)
+    return delta, cmath.sqrt(_coupling_squared(grating, delta) - delta * delta)
 
 
 def grating_response(grating: UniformGrating, omegas):
@@ -614,8 +592,7 @@ def grating_response(grating: UniformGrating, omegas):
     At the Bragg frequency |t| = sech(kappa L).  Detunings are only trusted
     within |delta| < 0.2 * omega_b.
     """
-    t, r, _, _ = _grating_closed_form(grating, omegas)
-    return t, r
+    return _grating_closed_form(grating, omegas)
 
 
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
@@ -624,11 +601,13 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     A field integral, independent of the exact phase derivative of
     :func:`grating_group_delay`.  Exact with gamma = sqrt(kappa^2 - delta^2)
     complex, inside, at the edge of and outside the stopband alike:
-    U/P_in = n_bar |t|^2 L [1 + 4 kappa^2 L^2 h(2 gamma L)], h(z) = (sinh z - z)/z^3.
+    U/P_in = n_bar |t|^2 L [1 + 4 kappa^2 L^2 h(2 gamma L)], h(z) = (sinh z - z)/z^3
+    (:func:`spectral._two_wave_integral`).
     """
-    _, _, scaled_t, gamma = _grating_closed_form(grating, omega)
-    integral = spectral._two_wave_integral(scaled_t, gamma, grating.kappa ** 2, grating.length)
-    return float(grating.n_bar * integral)
+    delta, gamma = _grating_rate(grating, omega)
+    u = grating.n_bar * spectral._two_wave_integral(gamma, -delta, grating.kappa ** 2,
+                                                     grating.length)
+    return spectral._finite(u, f"stored energy at omega = {omega!r}")
 
 
 def stored_energy(stack: LayeredStack, omega: float) -> float:
@@ -647,7 +626,7 @@ def stored_energy(stack: LayeredStack, omega: float) -> float:
     """
     faces = _backward_march(stack, float(omega))
     total, scale = 0.0, 0
-    with _named_float_errors("stored energy"):
+    with spectral._named_float_errors("stored energy"):
         e, h, _ = next(faces)  # the exit face, where k = 0
         for (n, d), (e, h, k) in zip(stack.layers[::-1], faces):
             if k != scale:
@@ -657,9 +636,7 @@ def stored_energy(stack: LayeredStack, omega: float) -> float:
         size = abs(_split_waves(e, h, stack.n_in)[0])
         # |a| divides twice, as |a|^2 can underflow where n_in |a| does not
         u = total / (2.0 * stack.n_in * size) / size
-    if not math.isfinite(u):
-        raise NonFiniteResultError(f"stored energy at omega = {omega!r} is not finite")
-    return u
+    return spectral._finite(u, f"stored energy at omega = {omega!r}")
 
 
 def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
@@ -676,11 +653,10 @@ def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
         raise ValueError("omega must be positive and finite")
     if not cell.layers:
         raise ValueError("need at least one layer")
-    with _named_float_errors("trace of the cell's step"):
+    with spectral._named_float_errors("trace of the cell's step"):
         a, _, _, d = _cell_matrix(_layer_steps(cell.layers[::-1], float(omega), slope=False))
         half_trace = abs(a + d) / 2.0
-    if not math.isfinite(half_trace):
-        raise NonFiniteResultError(f"trace of the cell's step at omega = {omega!r} is not finite")
+    spectral._finite(half_trace, f"trace of the cell's step at omega = {omega!r}")
     if half_trace <= 1.0:
         return None
     return cell.total_length / math.acosh(half_trace)
@@ -689,18 +665,20 @@ def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
 def group_delay(stack: LayeredStack, omega: float) -> float:
     """Exact group delay d(arg t)/dw = -Im(a'/a) of a stack at ``omega`` > 0.
 
-    t = 2^(-k)/a, and a and a' = da/dw come from one slope march
-    (:func:`_backward_march`), so the delay stays finite on a stack so opaque
-    that t itself underflows to zero.  Raises NonFiniteResultError where the
-    march or the delay leaves the float range.
+    t = 2^(-k)/a with a = (E + H/n_in)/2, and E, H and their slopes come from
+    one slope march (:func:`_backward_march`), so the delay stays finite on
+    a stack so opaque that t underflows; below n_in = 1, where H/n_in can
+    overflow, a'/a is (n_in E' + H')/(n_in E + H).  Raises
+    NonFiniteResultError where the march or the delay leaves the float range.
     """
-    with _named_float_errors("group delay"):
-        (a, da), _, _ = _front_face(stack, float(omega), slope=True)
+    n = stack.n_in
+    with spectral._named_float_errors("group delay"):
+        for (e, de), (h, dh), _ in _backward_march(stack, float(omega), slope=True, cells=True):
+            pass  # only the front face is needed
+        ratio = (n * de + dh) / (n * e + h) if n < 1.0 else (de + dh / n) / (e + h / n)
         # 0.0 - x rather than -x, so an empty stack's zero delay is +0.0
-        delay = 0.0 - (da / a).imag
-    if not math.isfinite(delay):
-        raise NonFiniteResultError(f"group delay at omega = {omega!r} is not finite")
-    return delay
+        delay = 0.0 - ratio.imag
+    return spectral._finite(delay, f"group delay at omega = {omega!r}")
 
 
 def grating_group_delay(grating: UniformGrating, omega: float) -> float:
@@ -708,13 +686,12 @@ def grating_group_delay(grating: UniformGrating, omega: float) -> float:
 
     The two-wave delay of :func:`spectral._two_wave_delay` with rate
     gamma = sqrt(kappa^2 - delta^2), a = -delta, da/dw = -n_bar and
-    d(gamma^2)/dw = -2 delta n_bar; finite on gratings too opaque for t.
+    d(gamma^2)/dw = -2 delta n_bar; the opaque delay at any length.
     """
-    *_, gamma = _grating_closed_form(grating, omega)
-    delta = float(grating.detuning(omega))
+    delta, gamma = _grating_rate(grating, omega)
     n_bar = grating.n_bar
-    return spectral._two_wave_delay(complex(gamma), -delta, -n_bar, -2.0 * delta * n_bar,
-                                    grating.length)
+    tau = spectral._two_wave_delay(gamma, -delta, -n_bar, -2.0 * delta * n_bar, grating.length)
+    return spectral._finite(tau, f"grating group delay at omega = {omega!r}")
 
 
 def _transmittance(stack: LayeredStack, omegas) -> np.ndarray:
@@ -869,7 +846,7 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
         band = None
     if band is not None and grid.span > 0.02 * band.width * (1.0 + 1e-9):
         raise ValueError("grid span exceeds 2% of the stopband width")
-    with _named_float_errors("arg t"):
+    with spectral._named_float_errors("arg t"):
         phi = np.unwrap(-np.angle(_front_face(stack, grid.omegas)[0]))
     if np.any(np.abs(np.diff(phi)) >= 0.5 * np.pi):
         raise UndersampledPhaseError("arg t steps by pi/2 or more between grid samples")

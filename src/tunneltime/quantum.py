@@ -10,9 +10,10 @@ t -> exp(ikL) and a zero-length barrier gives t = 1 exactly.  With this
 anchoring the group delay is simply d(arg t)/dE.  t and r (:func:`scatter`,
 at any E > 0), that delay and the dwell time come from the scaled two-wave
 closed form of :mod:`spectral` with kappa taken complex: one expression
-below, at and above the barrier top, finite on opaque barriers.  There is
-no wavefunction sampler: the tests check the closed form against an
-independent boundary-matching solve.
+below, at and above the barrier top, finite on opaque barriers of any
+length: t and r on numpy arrays, the delays and dwell time on one float.
+There is no wavefunction sampler: the tests check the closed form against
+an independent boundary-matching solve.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ import numpy as np
 
 from . import spectral
 from .errors import AboveBarrierError, NonFiniteResultError, NonPositiveEnergyError
-
-# binary exponent below which dwell_time raises the scaled exit amplitude: its
-# square, 2^-600 or more, is then far from subnormal, and its integral over a
-# barrier of any length far from overflow
-_AMPLITUDE_EXPONENT_FLOOR = -300
 
 
 @dataclass(frozen=True)
@@ -48,24 +44,32 @@ class QuantumBarrier:
 
 
 def _closed_form(barrier: QuantumBarrier, energy):
-    """t, r, t e^{Re(kappa) L} and kappa at energies E > 0 (array or scalar).
+    """t and r on numpy arrays of energies E > 0, 0-d for one energy.
 
     kappa = sqrt(2 (v0 - E)) is taken complex, so the one two-wave closed form
     of :func:`spectral._two_wave` holds below, at and above the barrier top,
-    with a = (v0 - 2E)/k and b = -v0/k.  Raises NonFiniteResultError where
-    2 E or 2 (v0 - E) overflows.
+    with a = (v0 - 2E)/k and b = -v0/k.
     """
     energy = np.asarray(energy, dtype=float)
     if not np.all(np.isfinite(energy) & (energy > 0.0)):
         raise NonPositiveEnergyError("energy must be positive and finite")
-    try:
-        with np.errstate(over="raise"):
-            k = np.sqrt(2.0 * energy)
-            kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
-    except FloatingPointError as exc:
-        raise NonFiniteResultError(f"2 E or 2 (v0 - E) overflows: {exc}") from exc
+    with spectral._named_float_errors("t and r"):
+        k = np.sqrt(2.0 * energy)
+        kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
+        a = (barrier.v0 - 2.0 * energy) / k
+        return spectral._two_wave(kappa_c, a, -barrier.v0 / k, barrier.length)
+
+
+def _wave_numbers(barrier: QuantumBarrier, energy: float):
+    """k = sqrt(2 E), kappa = sqrt(2 (v0 - E)), complex, and a = (v0 - 2E)/k at one float E > 0."""
+    if not (energy > 0.0 and math.isfinite(energy)):
+        raise NonPositiveEnergyError("energy must be positive and finite")
+    energy = float(energy)
+    k, kappa_squared = math.sqrt(2.0 * energy), 2.0 * (barrier.v0 - energy)
     a = (barrier.v0 - 2.0 * energy) / k
-    return (*spectral._two_wave(kappa_c, a, -barrier.v0 / k, barrier.length), kappa_c)
+    if not all(map(math.isfinite, (k, kappa_squared, a))):
+        raise NonFiniteResultError(f"2 E, 2 (v0 - E) or a overflows at E = {energy!r}")
+    return k, cmath.sqrt(kappa_squared), a
 
 
 @dataclass(frozen=True)
@@ -87,13 +91,8 @@ class DelayReport:
 
 
 def scatter(barrier: QuantumBarrier, energy):
-    """Exit-anchored t and r at energies E > 0, one energy or an array.
-
-    The two-wave closed form of :func:`_closed_form`: one expression below,
-    at and above the barrier top.
-    """
-    t, r, _, _ = _closed_form(barrier, energy)
-    return t, r
+    """Exit-anchored t and r at energies E > 0, one energy or an array (:func:`_closed_form`)."""
+    return _closed_form(barrier, energy)
 
 
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:
@@ -102,25 +101,18 @@ def group_delay(barrier: QuantumBarrier, energy: float) -> float:
     The two-wave delay of :func:`spectral._two_wave_delay` with rate
     kappa = sqrt(2 (v0 - E)) taken complex, a = (v0 - 2E)/k,
     da/dE = -2/k - a/k^2 and d(kappa^2)/dE = -2: one expression below, at
-    and above the barrier top, finite on barriers too opaque for t.  The
-    free-propagation limit v0 -> 0 reproduces tau_g -> L/k.  Where a/k^2
-    overflows (E below about 1e-200) but tau_g ~ 1/k does not, the delay,
-    linear in da/dE, takes its a/k^2 part at da/dE = -a and divides by k
-    twice; a delay that still overflows raises NonFiniteResultError.
+    and above the barrier top, and the Hartman limit at any length.  Where
+    a/k^2 overflows (E below about 1e-200) but tau_g ~ 1/k does not, the
+    delay, linear in da/dE, takes its a/k^2 part at da/dE = -a and divides
+    by k twice; a delay that still overflows raises NonFiniteResultError.
     """
-    if not (energy > 0.0 and math.isfinite(energy)):
-        raise NonPositiveEnergyError("energy must be positive and finite")
-    k = math.sqrt(2.0 * energy)
-    kappa = cmath.sqrt(2.0 * (barrier.v0 - energy))
-    a = (barrier.v0 - 2.0 * energy) / k
+    k, kappa, a = _wave_numbers(barrier, energy)
     length = barrier.length
     tau = spectral._two_wave_delay(kappa, a, -2.0 / k - a / k ** 2, -2.0, length)
     if not math.isfinite(tau):
         tau = (spectral._two_wave_delay(kappa, a, -2.0 / k, -2.0, length)
                + spectral._two_wave_delay(kappa, a, -a, 0.0, length) / k / k)
-    if not math.isfinite(tau):
-        raise NonFiniteResultError(f"group delay at E = {energy!r} is not finite")
-    return tau
+    return spectral._finite(tau, f"group delay at E = {energy!r}")
 
 
 def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
@@ -128,30 +120,28 @@ def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
 
     Exact (Buttiker, PRB 27, 6178 (1983)) with kappa = sqrt(2 (v0 - E))
     complex, so one expression holds below, at and above the barrier top:
-    tau_d = |t|^2 L [1 + 4 v0 L^2 h(2 kappa L)] / k with h(z) = (sinh z - z)/z^3.
-    |t e^{Re(kappa) L}|^2 ~ 2 E is subnormal below E ~ 1e-308, so an
-    amplitude below 2^_AMPLITUDE_EXPONENT_FLOOR is raised to that size by an
-    exact power of two 2^p, whose square is taken out after the division by k.
+    tau_d = |t|^2 L [1 + 4 v0 L^2 h(2 kappa L)] / k, h(z) = (sinh z - z)/z^3
+    (:func:`spectral._two_wave_integral` per flux k).
     """
-    _, _, scaled_t, kappa_c = _closed_form(barrier, energy)
-    p = max(0, _AMPLITUDE_EXPONENT_FLOOR - math.frexp(abs(scaled_t))[1])
-    raised = complex(math.ldexp(scaled_t.real, p), math.ldexp(scaled_t.imag, p))
-    integral = spectral._two_wave_integral(raised, kappa_c, barrier.v0, barrier.length)
-    return float(np.ldexp(integral / np.sqrt(2.0 * energy), -2 * p))
+    k, kappa, a = _wave_numbers(barrier, energy)
+    tau = spectral._two_wave_integral(kappa, a, barrier.v0, barrier.length, flux=k)
+    return spectral._finite(tau, f"dwell time at E = {energy!r}")
 
 
 def delay_report(barrier: QuantumBarrier, energy: float) -> DelayReport:
-    """Assemble tau_g, tau_d, tau_i = tau_g - tau_d and the speed diagnostics."""
-    tau_g = group_delay(barrier, energy)  # rejects E <= 0 before k is formed
+    """Assemble tau_g, tau_d, tau_i = tau_g - tau_d and the speed diagnostics, all finite."""
+    k, _, _ = _wave_numbers(barrier, energy)
+    tau_g = group_delay(barrier, energy)
     tau_d = dwell_time(barrier, energy)
-    k = float(np.sqrt(2.0 * energy))
-    length = barrier.length
-    apparent = length / tau_g if tau_g > 0.0 else None
+    apparent = barrier.length / tau_g if tau_g > 0.0 else None
+    tau_i, front_time = tau_g - tau_d, barrier.length / k
+    spectral._finite(max(abs(tau_i), front_time, apparent or 0.0),
+                     f"tau_i, L/k or L/tau_g at E = {energy!r}")
     return DelayReport(
         tau_g=tau_g,
         tau_d=tau_d,
-        tau_i=tau_g - tau_d,
-        front_time=length / k,
+        tau_i=tau_i,
+        front_time=front_time,
         apparent_speed=apparent,
         apparent_superluminal=bool(apparent is not None and apparent > k),
     )

@@ -1,10 +1,12 @@
 """Shared spectral substrate: frequency grids, the unitarity defect, the
 sampled-phase oracle, and the two-wave barrier of the quantum rectangle and
-the uniform grating (scaled closed-form t and r, exact group delay, exact
-field integral).  No runtime path reads a sampled phase: the oracle
-(`ComplexResponse`, `unwrap_phase`, `phase_derivative`) is what the tests
-check the exact delays against, and `photonic.phase_energy_check` unwraps
-the march's own phase.
+the uniform grating (scaled closed-form t and r on numpy arrays; exact
+group delay and exact field integral on one float in Python complex
+numbers, where numpy's per-call overhead would be nearly all of the time).
+No runtime path reads a sampled phase: the oracle (`ComplexResponse`,
+`unwrap_phase`, `phase_derivative`) is what the tests check the exact
+delays against, and `photonic.phase_energy_check` unwraps the march's own
+phase.
 
 Conventions
 -----------
@@ -21,6 +23,7 @@ call concurrently.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -238,36 +241,69 @@ def _h_series(z):
     return h
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or NonFiniteResultError naming ``what`` where it is inf or nan."""
+    if not math.isfinite(value):
+        raise NonFiniteResultError(f"{what} is not finite")
+    return value
+
+
+@contextlib.contextmanager
+def _named_float_errors(what: str):
+    """NonFiniteResultError naming ``what`` at numpy's overflow, 1/0 or invalid value.
+
+    Python floats raise OverflowError or ZeroDivisionError at some of these
+    and carry the rest to inf or nan, so a float result is checked too
+    (:func:`_finite`).
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except ArithmeticError as exc:  # FloatingPointError from numpy among them
+        raise NonFiniteResultError(f"{what}: {type(exc).__name__}: {exc}") from exc
+
+
 def _two_wave(rate, a, b, length):
-    """t, r and t e^{Re(rate) L} of a two-wave barrier, vectorised over every argument.
+    """t and r of a two-wave barrier on arrays, for callers under :func:`_named_float_errors`.
 
     The field is a cosh/sinh combination of ``rate`` (Re >= 0) inside, and
 
         t = 1 / (cosh(rate L) + i a sinh(rate L)/rate),  r = i b (sinh(rate L)/rate) t.
 
-    cosh and sinh are carried times e^{-Re(rate) L}: nothing overflows, an
-    opaque barrier's t underflows cleanly to zero, and r and the scaled
-    amplitude stay exact.  sinh(z)/z = 1 + z^2 h(z) is summed as a series near
-    z = 0, so rate = 0 (the barrier top, the band edge) needs no branch.
+    cosh and sinh are carried times e^{-Re z}, z = rate L, and sinh(z)/rate is
+    (e^{i Im z} - e^{-z - Re z})/(2 rate), which no length multiplies: an
+    opaque barrier's t underflows to zero while r stays exact, an infinite
+    Re z is the opaque limit, and an infinite Im z raises NonFiniteResultError.
+    The series L (1 + z^2 h(z)) near z = 0 takes rate = 0 (the barrier top).
     """
-    z = np.asarray(rate, dtype=complex) * length
-    decay = np.exp(-z.real)
-    turn = np.exp(1j * z.imag)
-    far = np.exp(-z - z.real)
+    with np.errstate(over="ignore"):
+        z = rate * length
+    if not np.all(np.isfinite(z.imag)):
+        raise NonFiniteResultError("phase of rate x length is not finite")
+    decay, turn, far = np.exp(-z.real), np.exp(1j * z.imag), np.exp(-z - z.real)
     small = np.abs(z) < _H_SERIES_CUTOFF
     near = np.where(small, z, 0.0)
-    series = (1.0 + near * near * _h_series(near)) * decay
-    # sinh(rate L)/rate times e^{-Re z}: the series near 0, the quotient elsewhere
-    sinh_over_rate = length * np.where(small, series, 0.5 * (turn - far) / np.where(small, 1.0, z))
+    series = length * ((1.0 + near * near * _h_series(near)) * decay)
+    sinh_over_rate = np.where(small, series, 0.5 * (turn - far) / np.where(small, 1.0, rate))
     scaled_t = 1.0 / (0.5 * (turn + far) + 1j * a * sinh_over_rate)
-    return decay * scaled_t, 1j * b * sinh_over_rate * scaled_t, scaled_t
+    return decay * scaled_t, 1j * b * (sinh_over_rate * scaled_t)
 
 
-def _turn(z: complex) -> complex:
-    """e^{i Im z}; a phase Im z that overflowed has no value and raises NonFiniteResultError."""
-    if not math.isfinite(z.imag):
+def _two_wave_denominator(rate: complex, a: float, length: float):
+    """z = rate L, e^{-Re z}, e^{-z - Re z}, and cosh z, sinh(z)/rate and D, times e^{-Re z}.
+
+    D = cosh z + i a sinh(z)/rate, t = 1/D, as in :func:`_two_wave`, on one float.
+    """
+    z = rate * length
+    if not math.isfinite(z.imag):  # cmath.exp would raise a bare ValueError
         raise NonFiniteResultError(f"phase {z.imag!r} of rate x length is not finite")
-    return cmath.exp(1j * z.imag)
+    turn, decay, far = cmath.exp(1j * z.imag), math.exp(-z.real), cmath.exp(-z - z.real)
+    if abs(z) < _H_SERIES_CUTOFF:
+        sinh_over_rate = length * (1.0 + z * z * _h_series(z)) * decay
+    else:
+        sinh_over_rate = 0.5 * (turn - far) / rate
+    cosh_z = 0.5 * (turn + far)
+    return z, decay, far, cosh_z, sinh_over_rate, cosh_z + 1j * a * sinh_over_rate
 
 
 def _two_wave_delay(rate, a, da, ds, length: float) -> float:
@@ -281,49 +317,46 @@ def _two_wave_delay(rate, a, da, ds, length: float) -> float:
 
     with g(z) = (z cosh z - sinh z)/z^3, entire and even; below the cutoff
     g(z) = (1 + z^2 h(z/2)/4)^2/2 - h(z), from cosh z = 1 + 2 sinh^2(z/2).
-    D and D' are carried times e^{-Re z}, which cancels in the ratio, so
-    the delay stays finite where t underflows; rate = 0 needs no branch.
-    Above the cutoff L^2 g is (cosh z - sinh(z)/z)/rate^2, which forms
-    neither z^3 nor L^2, so no barrier is too long.
+    Above it, from sinh z - cosh z = -e^{-z},
+
+        D'/D = ds (L/2) [1/rate - e^{-z} (1 - i a/rate)/(rate D)]
+               + i (da - ds a/(2 rate^2)) sinh(z)/(rate D),
+
+    where L multiplies only Im of the bracket, which has no 1/rate part
+    below the barrier top, so nothing of order rate L cancels at any length.
     """
-    rate = complex(rate)
-    z = rate * length
-    decay = math.exp(-z.real)
-    turn, far = _turn(z), cmath.exp(-z - z.real)
-    cosh_z = 0.5 * (turn + far)
+    z, decay, far, _, sinh_over_rate, d = _two_wave_denominator(rate, a, length)
     if abs(z) < _H_SERIES_CUTOFF:
         h = _h_series(z)
-        sinh_over_rate = length * (1.0 + z * z * h) * decay
-        l2g = length ** 2 * (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
+        l2g = length * length * (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
+        d_slope = ds * 0.5 * length * (sinh_over_rate + 1j * a * l2g) + 1j * da * sinh_over_rate
+        slope = (d_slope / d).imag
     else:
-        sinh_z = 0.5 * (turn - far)
-        sinh_over_rate = length * sinh_z / z
-        l2g = (cosh_z - sinh_z / z) / rate ** 2
-    d = cosh_z + 1j * a * sinh_over_rate
-    d_slope = ds * 0.5 * length * (sinh_over_rate + 1j * a * l2g) + 1j * da * sinh_over_rate
+        bracket = 1.0 / rate - far * (1.0 - 1j * a / rate) / (rate * d)
+        slope = (ds * (0.5 * length * bracket.imag)
+                 + ((da - 0.5 * ds * a / rate / rate) * sinh_over_rate / d).real)
     # 0.0 - x rather than -x, so a zero delay (L = 0) is +0.0, never -0.0
-    return 0.0 - (d_slope / d).imag
+    return 0.0 - slope
 
 
-def _two_wave_integral(scaled_t, rate, coupling: float, length: float) -> float:
-    """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] with h(z) = (sinh z - z)/z^3.
+def _two_wave_integral(rate, a, coupling: float, length: float, flux: float = 1.0) -> float:
+    """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] / flux with h(z) = (sinh z - z)/z^3.
 
     The exact integral of |field|^2 over a two-wave barrier of length L
-    (see :func:`_two_wave`), given its scaled exit amplitude
-    ``scaled_t`` = t e^{Re(rate) L}.  h is entire and even, h(0) = 1/6; both
-    terms in the bracket are evaluated times e^{-2 Re(rate) L}, so the product
-    stays exact on opaque barriers where |t|^2 alone underflows.  Above the
-    cutoff 4 L^2 h is (sinh z - z)/(z rate^2), which forms neither z^3 nor
-    L^2, so no barrier is too long.
+    (see :func:`_two_wave`) per incident ``flux``.  Above the cutoff, with
+    z = rate L and g = coupling/rate^2 formed first, the product is
+    L (1 - g) + g sinh(z) cosh(z)/rate, times e^{-2 Re z}, divided by the
+    scaled |D| of t = 1/D before ``flux`` and after: |t|^2 is never formed.
     """
-    z = 2.0 * complex(rate) * length
-    decay = math.exp(-z.real)
-    if abs(z) < _H_SERIES_CUTOFF:
-        l2h = 4.0 * length ** 2 * _h_series(z) * decay
-    else:  # sinh(z) e^{-Re z} = (e^{i Im z} - e^{-z - Re z}) / 2
-        sinh_z = 0.5 * (_turn(z) - cmath.exp(-z - z.real))
-        l2h = (sinh_z - z * decay) / (z * complex(rate) ** 2)
-    return float(length * abs(scaled_t) ** 2 * (decay + coupling * l2h.real))
+    z, decay, _, cosh_z, sinh_over_rate, d = _two_wave_denominator(rate, a, length)
+    if abs(2.0 * z) < _H_SERIES_CUTOFF:
+        product = length * decay * decay * (1.0 + 4.0 * coupling * length * length
+                                             * _h_series(2.0 * z))
+    else:
+        g = coupling / rate / rate
+        product = length * decay * decay * (1.0 - g) + g * sinh_over_rate * cosh_z
+    size = abs(d)
+    return product.real / size / flux / size
 
 
 def locate_peak(times, samples) -> float:

@@ -253,6 +253,38 @@ class TestNoSampledPhaseDelay:
         ]
 
 
+class TestNoArrayClosedFormInTheOneFloatReadOuts:
+    @pytest.fixture
+    def arrays_unreachable(self, monkeypatch):
+        # t and r go through numpy arrays; the delays, the dwell time and the
+        # stored energy are one float in Python complex numbers
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a one-float read-out reached the array closed form")
+
+        monkeypatch.setattr(spectral, "_two_wave", unreachable)
+        monkeypatch.setattr(quantum, "_closed_form", unreachable)
+        monkeypatch.setattr(photonic, "_grating_closed_form", unreachable)
+
+    def test_read_outs_never_reach_the_array_closed_form(self, arrays_unreachable):
+        barrier = quantum.QuantumBarrier(2.0, 3.0)
+        for energy in (0.7, 1.0, 2.0, 3.7):  # below, at and above the barrier top
+            quantum.group_delay(barrier, energy)
+            quantum.dwell_time(barrier, energy)
+            quantum.delay_report(barrier, energy)
+        grating = photonic.UniformGrating(0.25, 20.0, 1.3, 4.0)
+        for omega in (4.0, 4.19, 4.3):  # inside, near the edge of and outside the stopband
+            photonic.grating_group_delay(grating, omega)
+            photonic.grating_stored_energy(grating, omega)
+        with pytest.raises(AssertionError):  # t and r do reach it
+            quantum.scatter(barrier, 1.0)
+        with pytest.raises(AssertionError):
+            photonic.grating_response(grating, 4.0)
+
+    @pytest.mark.parametrize("name", ["quantum", "hartman_quantum", "hartman_grating"])
+    def test_closed_form_configs_never_reach_it(self, tmp_path, name, arrays_unreachable):
+        assert cli.run(str(CONFIG_DIR / f"{name}.json"), output_dir=str(tmp_path)) == 0
+
+
 class TestRunHartman:
     def test_csv_columns_and_values(self, tmp_path):
         cfg = write_config(tmp_path / "hartman.json", HARTMAN_CONFIG)
@@ -530,8 +562,10 @@ class TestNumericalFailure:
         [
             ({"kind": "hartman", "family": "quantum", "v0": 1e242, "energy": 0.05,
               "lengths": [0.05]}, "FloatingPointError: divide by zero"),
+            # kappa L overflows, the opaque limit: tau_g is 2.28e-126, and
+            # L/tau_g leaves the float range
             ({"kind": "quantum", "v0": 9.6e250, "length": 9.6e250, "energy": 2.0},
-             "FloatingPointError: overflow"),
+             "L/tau_g at E = 2.0 is not finite"),
             ({"kind": "pulse", "omega_mid": 1e-108,
               "stack": {"layers": [[3.56, 533.1], [4.07e135, 2.66e205]], "n_in": 1e-283}},
              "FloatingPointError: invalid value encountered in cos"),
@@ -539,7 +573,7 @@ class TestNumericalFailure:
             ({"kind": "quantum", "v0": 16.0, "length": 8.4e274, "energy": 1.3e255},
              "of rate x length is not finite"),
         ],
-        ids=["stored-energy-underflows", "rate-overflows", "layer-phase-overflows",
+        ids=["stored-energy-underflows", "apparent-speed-overflows", "layer-phase-overflows",
              "two-wave-phase-overflows"],
     )
     def test_non_finite_intermediate_exits_3_named(self, tmp_path, payload, message):

@@ -20,7 +20,7 @@ from conftest import (
     sampled_phase_slope,
     stack_matching_oracle,
 )
-from tunneltime import photonic, spectral
+from tunneltime import photonic, quantum, spectral
 from tunneltime.errors import (
     DetuningOutOfRangeError,
     NonFiniteResultError,
@@ -28,6 +28,8 @@ from tunneltime.errors import (
     TunnelTimeError,
     UndersampledPhaseError,
 )
+
+EPS = np.finfo(float).eps
 
 # magnitudes from the least subnormal to near the float maximum, with the
 # extremes and a few round magnitudes drawn often
@@ -408,6 +410,59 @@ class TestStackResponse:
         except (ValueError, TunnelTimeError):
             return
         assert np.all(np.isfinite(np.asarray(result, dtype=complex)))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        v0=FLOAT_RANGE,
+        length=FLOAT_RANGE,
+        energy=FLOAT_RANGE,
+        kappa=st.one_of(st.just(0.0), FLOAT_RANGE),
+        n_bar=st.floats(1.0, 4.0),
+        omega_b=FLOAT_RANGE,
+        fraction=st.floats(-0.99, 0.99),
+        entry=st.sampled_from(["scatter", "group_delay", "dwell_time", "delay_report",
+                               "grating_response", "grating_group_delay",
+                               "grating_stored_energy"]),
+    )
+    # an opaque barrier and grating whose rate x length overflows, and a
+    # dwell time and stored energy there
+    @example(v0=2.0, length=1.5e308, energy=0.7, kappa=0.0, n_bar=1.0, omega_b=1.0,
+             fraction=0.0, entry="scatter")
+    @example(v0=2.0, length=1e308, energy=1.0, kappa=2.0, n_bar=1.0, omega_b=6.0,
+             fraction=0.0, entry="grating_response")
+    @example(v0=2.0, length=1.2e308, energy=1.0, kappa=0.0, n_bar=1.0, omega_b=1.0,
+             fraction=0.0, entry="dwell_time")
+    @example(v0=2.0, length=1e308, energy=1.0, kappa=2.0, n_bar=1.0, omega_b=6.0,
+             fraction=0.0, entry="grating_stored_energy")
+    def test_closed_forms_are_finite_or_named(
+        self, v0, length, energy, kappa, n_bar, omega_b, fraction, entry
+    ):
+        # the quantum rectangle and the uniform grating across the float
+        # range, at detunings inside the validity window: a finite result or
+        # a named TunnelTimeError, and no RuntimeWarning (an error under this
+        # suite's filter).  Every drawn argument is in its domain, so a
+        # ValueError fails the draw
+        barrier = quantum.QuantumBarrier(v0, length)
+        grating = photonic.UniformGrating(kappa, length, n_bar, omega_b)
+        omega = omega_b + fraction * photonic._GRATING_VALIDITY * omega_b / n_bar
+        try:
+            if entry == "scatter":
+                result = [*quantum.scatter(barrier, energy),
+                          *quantum.scatter(barrier, [energy, v0])]
+            elif entry == "delay_report":
+                report = quantum.delay_report(barrier, energy)
+                result = [report.tau_g, report.tau_d, report.tau_i, report.front_time,
+                          report.apparent_speed or 0.0]
+            elif entry == "grating_response":
+                result = [*photonic.grating_response(grating, omega),
+                          *photonic.grating_response(grating, [omega, omega_b])]
+            elif entry.startswith("grating"):
+                result = [getattr(photonic, entry)(grating, omega)]
+            else:
+                result = [getattr(quantum, entry)(barrier, energy)]
+        except TunnelTimeError:
+            return
+        assert all(np.all(np.isfinite(x)) for x in result)
 
     def test_unitarity_over_random_stacks(self):
         rng = np.random.default_rng(23)
@@ -1020,8 +1075,31 @@ class TestGratingResponse:
             grating = photonic.UniformGrating(0.2, size, 1.0, 2.0 * np.pi)
             tau = photonic.grating_group_delay(grating, grating.omega_b)
             stored = photonic.grating_stored_energy(grating, grating.omega_b)
-            assert tau == pytest.approx(5.0, rel=1e-15)
-            assert stored == pytest.approx(5.0, rel=1e-15)
+            assert tau == pytest.approx(5.0, rel=1e-15, abs=0.0)
+            assert stored == pytest.approx(5.0, rel=1e-15, abs=0.0)
+        # and off Bragg, in the band (kappa = 2, delta = 0.05), those at kappa L = 40
+        off = [photonic.UniformGrating(2.0, size, 1.0, 6.0) for size in (length, 20.0)]
+        for quantity in (photonic.grating_group_delay, photonic.grating_stored_energy):
+            far, near = (quantity(grating, 6.05) for grating in off)
+            assert far == pytest.approx(near, rel=4 * EPS, abs=0.0)
+
+    def test_off_bragg_delay_keeps_its_opaque_value_at_every_length(self):
+        # no term of order gamma L cancels at delta != 0
+        grating = photonic.UniformGrating(2.0, 20.0, 1.0, 6.0)
+        opaque = photonic.grating_group_delay(grating, 6.05)
+        for length in np.geomspace(20.0, 1e300, 301):
+            grating = photonic.UniformGrating(2.0, float(length), 1.0, 6.0)
+            assert photonic.grating_group_delay(grating, 6.05) == pytest.approx(
+                opaque, rel=4 * EPS, abs=0.0)
+
+    def test_opaque_grating_at_a_length_past_the_float_range_of_kappa_l(self):
+        # kappa L = 2e308 overflows: the opaque limit, |r| = 1 and
+        # U/P_in = tau_g = n_bar/kappa
+        grating = photonic.UniformGrating(2.0, 1e308, 1.0, 6.0)
+        t, r = photonic.grating_response(grating, 6.0)
+        assert t == 0.0 and abs(r) == pytest.approx(1.0, rel=2 * EPS, abs=0.0)
+        for quantity in (photonic.grating_stored_energy, photonic.grating_group_delay):
+            assert quantity(grating, 6.0) == pytest.approx(0.5, rel=2 * EPS, abs=0.0)
 
     def test_zero_coupling_is_the_transit_time(self):
         grating = photonic.UniformGrating(0.0, 7.0, 1.3, 2.0 * np.pi)
@@ -1213,6 +1291,13 @@ class TestExactGroupDelay:
         )
         assert repr(photonic.group_delay(photonic.LayeredStack(()), 3.0)) == "0.0"
 
+    def test_entered_from_a_subnormal_index(self):
+        # H/n_in overflows at n_in = 5e-324; a'/a = (n_in E' + H')/(n_in E + H)
+        # does not: no delay, and a vacuum layer's d, as n_in -> 0
+        assert repr(photonic.group_delay(photonic.LayeredStack((), n_in=5e-324), 1.0)) == "0.0"
+        stack = photonic.LayeredStack(((1.0, 1e-300),), n_in=5e-324)
+        assert photonic.group_delay(stack, 1.0) == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+
 
 # the cells of two quarter-wave stacks, for explicit examples of the lifetime identity
 FRONT_CELL = photonic.LayeredStack.quarter_wave(1.02, 1.0, 2, LAMBDA0).layers
@@ -1284,6 +1369,19 @@ class TestGratingStoredEnergy:
         assert photonic.grating_stored_energy(grating, grating.omega_b) == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize("kappa_l", [0.3, 3.0, 40.0, None], ids=["0.3", "3", "40", "L=1"])
+    def test_stored_energy_is_the_delay_at_bragg_for_any_coupling(self, kappa_l):
+        # U/P_in = tau_g = n_bar tanh(kappa L)/kappa from kappa = 1e-3 to
+        # 1e150; at L = 1, (kappa L) kappa^2 overflows past kappa ~ 1e103,
+        # but coupling/gamma^2 = 1 does not
+        for kappa in np.geomspace(1e-3, 1e150, 154):
+            length = 1.0 if kappa_l is None else kappa_l / kappa
+            grating = photonic.UniformGrating(float(kappa), length, 1.3, 6.0)
+            tau = photonic.grating_group_delay(grating, 6.0)
+            assert photonic.grating_stored_energy(grating, 6.0) == pytest.approx(
+                tau, rel=1e-12, abs=0.0)
+            assert tau == pytest.approx(1.3 * np.tanh(kappa * length) / kappa, rel=1e-12, abs=0.0)
 
 
 class TestStopbandAndPhaseEnergy:

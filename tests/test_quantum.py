@@ -76,6 +76,14 @@ class TestScatter:
         for got, scalar, closed in ((t, scalar_t, closed_t), (r, scalar_r, closed_r)):
             assert got.tobytes() == np.array(scalar).tobytes() == closed.tobytes()
 
+    @pytest.mark.parametrize("length", [1e103, 1.5e308])
+    def test_opaque_reflection_at_any_length(self, length):
+        # kappa L overflows at 1.5e308: the opaque limit, where t underflows
+        # to zero and r = i b / (kappa + i a) has |r| = 1
+        t, r = quantum.scatter(quantum.QuantumBarrier(2.0, length), 0.7)
+        assert t == 0.0
+        assert abs(r) == pytest.approx(1.0, rel=2 * EPS, abs=0.0)
+
     def test_flux_conservation_over_random_cases(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -119,11 +127,11 @@ class TestGroupDelay:
     @pytest.mark.parametrize("energy", [0.3, 1.0, 1.7])
     @pytest.mark.parametrize("kappa_l", [100.0, 1e3, 1e4])
     def test_opaque_limit(self, energy, kappa_l):
-        # |t| underflows past kappa L ~ 345; tau_g tends to 2/(k kappa).
-        # Terms of order kappa L cancel in D'/D, so roundoff grows with kappa L
+        # |t| underflows past kappa L ~ 345; tau_g tends to 2/(k kappa).  No
+        # term of order kappa L cancels in D'/D, so roundoff does not grow
         k, kappa = np.sqrt(2.0 * energy), np.sqrt(2.0 * (2.0 - energy))
         tau = quantum.group_delay(quantum.QuantumBarrier(2.0, kappa_l / kappa), energy)
-        assert tau == pytest.approx(2.0 / (k * kappa), rel=8 * EPS * kappa_l)
+        assert tau == pytest.approx(2.0 / (k * kappa), rel=2 * EPS, abs=0.0)
 
     @pytest.mark.parametrize("energy", [2.0 - 1e-6, 2.0, 2.0 + 1e-6, 1e-3, 1.0, 3.0])
     @pytest.mark.parametrize("length", [1e-4, 0.1, 3.0])
@@ -205,8 +213,9 @@ class TestDwellTime:
 
     def test_opaque_barrier_saturates(self):
         # kappa L = 600 at v0 = 2, E = 1: |t|^2 alone underflows, tau_d -> 1/2;
-        # at kappa L = 1414 (L = 1000) cosh(kappa L) itself overflows
-        for length in (600.0 / np.sqrt(2.0), 1000.0):
+        # at kappa L = 1414 (L = 1000) cosh(kappa L) itself overflows, and at
+        # L = 1.2e308 kappa L does
+        for length in (600.0 / np.sqrt(2.0), 1000.0, 1.2e308):
             barrier = quantum.QuantumBarrier(2.0, length)
             assert quantum.dwell_time(barrier, 1.0) == pytest.approx(0.5, rel=1e-12)
 
@@ -231,13 +240,36 @@ class TestDelayReport:
     @pytest.mark.parametrize("length", [1e103, 1e200, 1e300])
     def test_barrier_too_long_to_cube_kappa_l_keeps_the_opaque_values(self, length):
         # (kappa L)^3 and L^2 overflow past kappa L ~ 5.6e102; the delays are
-        # those at L = 1e102, the opaque limits tau_g = 1 and tau_d = 0.5
+        # those at kappa L = 40, below, at (the opaque limits tau_g = 1 and
+        # tau_d = 0.5) and above v0/2
+        for v0, energy in ((2.0, 1.0), (2.0, 0.7), (2.0, 1.3), (8.0, 1.0)):
+            kappa = np.sqrt(2.0 * (v0 - energy))
+            report = quantum.delay_report(quantum.QuantumBarrier(v0, length), energy)
+            shorter = quantum.delay_report(quantum.QuantumBarrier(v0, 40.0 / kappa), energy)
+            assert report.tau_g == pytest.approx(shorter.tau_g, rel=4 * EPS, abs=0.0)
+            assert report.tau_d == pytest.approx(shorter.tau_d, rel=4 * EPS, abs=0.0)
         report = quantum.delay_report(quantum.QuantumBarrier(2.0, length), 1.0)
-        shorter = quantum.delay_report(quantum.QuantumBarrier(2.0, 1e102), 1.0)
-        assert report.tau_g == pytest.approx(1.0, rel=4 * EPS)
-        assert report.tau_d == pytest.approx(0.5, rel=4 * EPS)
-        assert report.tau_g == pytest.approx(shorter.tau_g, rel=4 * EPS)
-        assert report.tau_d == pytest.approx(shorter.tau_d, rel=4 * EPS)
+        assert report.tau_g == pytest.approx(1.0, rel=4 * EPS, abs=0.0)
+        assert report.tau_d == pytest.approx(0.5, rel=4 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("v0, energy", [(2.0, 0.7), (2.0, 1.3), (8.0, 1.0)])
+    def test_hartman_limit_at_every_length(self, v0, energy):
+        # tau_g stops growing with length (Hartman, J. Appl. Phys. 33, 3427
+        # (1962)): from kappa L = 40 out to L = 1e300 it keeps its value
+        kappa = np.sqrt(2.0 * (v0 - energy))
+        opaque = quantum.group_delay(quantum.QuantumBarrier(v0, 40.0 / kappa), energy)
+        for length in np.geomspace(40.0 / kappa, 1e300, 301):
+            tau = quantum.group_delay(quantum.QuantumBarrier(v0, float(length)), energy)
+            assert tau == pytest.approx(opaque, rel=4 * EPS, abs=0.0)
+
+    def test_overflowing_rate_is_the_opaque_limit(self):
+        # kappa L overflows at v0 = L = 9.6e250, E = 2: tau_g takes the
+        # opaque value -(da/dE + a/kappa^2) kappa/(kappa^2 + a^2), about
+        # 2.2822e-126, and tau_d, about 4.75e-377, rounds to zero
+        barrier = quantum.QuantumBarrier(9.6e250, 9.6e250)
+        assert quantum.group_delay(barrier, 2.0) == pytest.approx(2.282177322938192e-126,
+                                                                  rel=4 * EPS, abs=0.0)
+        assert quantum.dwell_time(barrier, 2.0) == 0.0
 
     def test_identity_is_exact_by_construction(self):
         report = quantum.delay_report(quantum.QuantumBarrier(2.0, 3.0), 1.0)
@@ -264,13 +296,12 @@ class TestDelayReport:
     @pytest.mark.parametrize("length", [3.0, 1000.0, 1e6])
     def test_winful_split_from_opaque_to_above_barrier(self, energy, length):
         # tau_g - tau_d = -Im(r)/k^2 (Winful, PRL 91, 260401 (2003)), also
-        # where |t| underflows and above the barrier top.  At a != 0 terms of
-        # order kappa L cancel in tau_g, so the tolerance grows with kappa L
+        # where |t| underflows and above the barrier top, to roundoff of
+        # tau_g's own size at every kappa L
         barrier = quantum.QuantumBarrier(2.0, length)
         report = quantum.delay_report(barrier, energy)
         _, r = quantum.scatter(barrier, energy)
-        kappa = abs(np.sqrt(complex(2.0 * (2.0 - energy))))
-        tol = 4 * EPS * (kappa * length + abs(report.tau_g))
+        tol = 4 * EPS * (1.0 + abs(report.tau_g))
         assert report.tau_i == pytest.approx(-r.imag / (2.0 * energy), abs=tol)
 
     @pytest.mark.parametrize("side", ["below", "above"])
