@@ -46,8 +46,9 @@ marched layer by layer; it uses the time-averaged density
 u = (n^2 |E|^2 + |H|^2)/4, and per unit input power it is directly a time,
 one float: a vacuum slab yields its length.  The field's 1/e depth in a
 periodic stack is its cell's Bloch depth.
-The uniform grating is the two-wave barrier of :mod:`spectral`, by the same
-rule: t and r on numpy arrays, the group delay and stored energy on one float.
+The uniform grating is the two-wave barrier of :mod:`spectral`, whose one
+scalar kernel gives t, r, the group delay and stored energy one frequency
+at a time.
 """
 
 from __future__ import annotations
@@ -564,19 +565,8 @@ def _coupling_squared(grating: UniformGrating, delta) -> float:
             f"kappa = {grating.kappa!r} squared: OverflowError: {exc}") from exc
 
 
-def _grating_closed_form(grating: UniformGrating, omega):
-    """t and r at ``omega`` on numpy arrays, the two-wave barrier of :func:`spectral._two_wave`.
-
-    a = -delta, b = kappa and gamma = sqrt(kappa^2 - delta^2) taken complex.
-    """
-    delta = grating.detuning(omega)
-    with spectral._named_float_errors("t and r"):
-        gamma = np.sqrt((_coupling_squared(grating, delta) - delta ** 2).astype(complex))
-        return spectral._two_wave(gamma, -delta, grating.kappa, grating.length)
-
-
 def _grating_rate(grating: UniformGrating, omega: float):
-    """delta and gamma of :func:`_grating_closed_form` at one float, gamma a Python complex."""
+    """delta = n_bar (omega - omega_b) and gamma = sqrt(kappa^2 - delta^2), a Python complex."""
     delta = grating.n_bar * (float(omega) - grating.omega_b)
     return delta, cmath.sqrt(_coupling_squared(grating, delta) - delta * delta)
 
@@ -590,9 +580,17 @@ def grating_response(grating: UniformGrating, omegas):
         r = i kappa sinh(gamma L) / (gamma cosh(gamma L) - i delta sinh(gamma L))
 
     At the Bragg frequency |t| = sech(kappa L).  Detunings are only trusted
-    within |delta| < 0.2 * omega_b.
+    within |delta| < 0.2 * omega_b, checked at every frequency before any is
+    evaluated by :func:`spectral._two_wave_t_r`, with a = -delta and b = kappa.
     """
-    return _grating_closed_form(grating, omegas)
+    omegas = np.asarray(omegas, dtype=float)
+    _coupling_squared(grating, grating.detuning(omegas))
+
+    def setup(omega):
+        delta, gamma = _grating_rate(grating, omega)
+        return gamma, -delta, grating.kappa
+
+    return spectral._two_wave_arrays(omegas, setup, grating.length)
 
 
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:

@@ -8,10 +8,10 @@ transmitted wave is t * exp(ik(x - L)) for x >= L, i.e. the transmission
 phase is anchored at the barrier exit.  A vanishing barrier then gives
 t -> exp(ikL) and a zero-length barrier gives t = 1 exactly.  With this
 anchoring the group delay is simply d(arg t)/dE.  t and r (:func:`scatter`,
-at any E > 0), that delay and the dwell time come from the scaled two-wave
-closed form of :mod:`spectral` with kappa taken complex: one expression
+at any E > 0), that delay and the dwell time come from the one scalar
+two-wave kernel of :mod:`spectral` with kappa taken complex: one expression
 below, at and above the barrier top, finite on opaque barriers of any
-length: t and r on numpy arrays, the delays and dwell time on one float.
+length, and evaluated energy by energy for an array.
 There is no wavefunction sampler: the tests check the closed form against
 an independent boundary-matching solve.
 """
@@ -41,23 +41,6 @@ class QuantumBarrier:
             raise ValueError("barrier height v0 must be positive and finite")
         if not (self.length >= 0.0 and np.isfinite(self.length)):
             raise ValueError("barrier length must be nonnegative and finite")
-
-
-def _closed_form(barrier: QuantumBarrier, energy):
-    """t and r on numpy arrays of energies E > 0, 0-d for one energy.
-
-    kappa = sqrt(2 (v0 - E)) is taken complex, so the one two-wave closed form
-    of :func:`spectral._two_wave` holds below, at and above the barrier top,
-    with a = (v0 - 2E)/k and b = -v0/k.
-    """
-    energy = np.asarray(energy, dtype=float)
-    if not np.all(np.isfinite(energy) & (energy > 0.0)):
-        raise NonPositiveEnergyError("energy must be positive and finite")
-    with spectral._named_float_errors("t and r"):
-        k = np.sqrt(2.0 * energy)
-        kappa_c = np.sqrt((2.0 * (barrier.v0 - energy)).astype(complex))
-        a = (barrier.v0 - 2.0 * energy) / k
-        return spectral._two_wave(kappa_c, a, -barrier.v0 / k, barrier.length)
 
 
 def _wave_numbers(barrier: QuantumBarrier, energy: float):
@@ -91,8 +74,20 @@ class DelayReport:
 
 
 def scatter(barrier: QuantumBarrier, energy):
-    """Exit-anchored t and r at energies E > 0, one energy or an array (:func:`_closed_form`)."""
-    return _closed_form(barrier, energy)
+    """Exit-anchored t and r at energies E > 0, one energy (0-d) or an array.
+
+    :func:`spectral._two_wave_t_r` energy by energy, with kappa = sqrt(2 (v0 - E))
+    complex, a = (v0 - 2E)/k and b = -v0/k: one expression at any E > 0.
+    """
+    energy = np.asarray(energy, dtype=float)
+    if not np.all(np.isfinite(energy) & (energy > 0.0)):
+        raise NonPositiveEnergyError("energy must be positive and finite")
+
+    def setup(e):
+        k, kappa, a = _wave_numbers(barrier, e)
+        return kappa, a, -barrier.v0 / k
+
+    return spectral._two_wave_arrays(energy, setup, barrier.length)
 
 
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:

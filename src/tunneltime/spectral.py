@@ -1,12 +1,14 @@
 """Shared spectral substrate: frequency grids, the unitarity defect, the
 sampled-phase oracle, and the two-wave barrier of the quantum rectangle and
-the uniform grating (scaled closed-form t and r on numpy arrays; exact
-group delay and exact field integral on one float in Python complex
-numbers, where numpy's per-call overhead would be nearly all of the time).
-No runtime path reads a sampled phase: the oracle (`ComplexResponse`,
-`unwrap_phase`, `phase_derivative`) is what the tests check the exact
-delays against, and `photonic.phase_energy_check` unwraps the march's own
-phase.
+the uniform grating.  One scalar kernel in Python complex numbers serves its
+every read-out, t and r, exact group delay and exact field integral; an
+array goes value by value, about 2 us a value on a 2-core x86-64 host.
+These barriers have tau_r = tau_t: r = i b (sinh(z)/rate) t with b and
+rate^2 real, so sinh(z)/rate is real and arg r - arg t is constant between
+the zeros of r.  No runtime path reads a sampled phase: the oracle
+(`ComplexResponse`, `unwrap_phase`, `phase_derivative`) is what the tests
+check the exact delays against, and `photonic.phase_energy_check` unwraps
+the march's own phase.
 
 Conventions
 -----------
@@ -263,36 +265,17 @@ def _named_float_errors(what: str):
         raise NonFiniteResultError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
-def _two_wave(rate, a, b, length):
-    """t and r of a two-wave barrier on arrays, for callers under :func:`_named_float_errors`.
-
-    The field is a cosh/sinh combination of ``rate`` (Re >= 0) inside, and
-
-        t = 1 / (cosh(rate L) + i a sinh(rate L)/rate),  r = i b (sinh(rate L)/rate) t.
-
-    cosh and sinh are carried times e^{-Re z}, z = rate L, and sinh(z)/rate is
-    (e^{i Im z} - e^{-z - Re z})/(2 rate), which no length multiplies: an
-    opaque barrier's t underflows to zero while r stays exact, an infinite
-    Re z is the opaque limit, and an infinite Im z raises NonFiniteResultError.
-    The series L (1 + z^2 h(z)) near z = 0 takes rate = 0 (the barrier top).
-    """
-    with np.errstate(over="ignore"):
-        z = rate * length
-    if not np.all(np.isfinite(z.imag)):
-        raise NonFiniteResultError("phase of rate x length is not finite")
-    decay, turn, far = np.exp(-z.real), np.exp(1j * z.imag), np.exp(-z - z.real)
-    small = np.abs(z) < _H_SERIES_CUTOFF
-    near = np.where(small, z, 0.0)
-    series = length * ((1.0 + near * near * _h_series(near)) * decay)
-    sinh_over_rate = np.where(small, series, 0.5 * (turn - far) / np.where(small, 1.0, rate))
-    scaled_t = 1.0 / (0.5 * (turn + far) + 1j * a * sinh_over_rate)
-    return decay * scaled_t, 1j * b * (sinh_over_rate * scaled_t)
-
-
 def _two_wave_denominator(rate: complex, a: float, length: float):
     """z = rate L, e^{-Re z}, e^{-z - Re z}, and cosh z, sinh(z)/rate and D, times e^{-Re z}.
 
-    D = cosh z + i a sinh(z)/rate, t = 1/D, as in :func:`_two_wave`, on one float.
+    The field of a two-wave barrier is a cosh/sinh combination of ``rate``
+    (Re >= 0) inside, and t = 1/D with D = cosh z + i a sinh(z)/rate; this
+    is the one place D is formed.  cosh and sinh are carried times e^{-Re z},
+    and sinh(z)/rate is (e^{i Im z} - e^{-z - Re z})/(2 rate), which no
+    length multiplies: an opaque barrier's t underflows to zero while r
+    stays exact, an infinite Re z is the opaque limit, and an infinite Im z
+    raises NonFiniteResultError.  The series L (1 + z^2 h(z)) near z = 0
+    takes rate = 0 (the barrier top).
     """
     z = rate * length
     if not math.isfinite(z.imag):  # cmath.exp would raise a bare ValueError
@@ -306,8 +289,30 @@ def _two_wave_denominator(rate: complex, a: float, length: float):
     return z, decay, far, cosh_z, sinh_over_rate, cosh_z + 1j * a * sinh_over_rate
 
 
+def _two_wave_t_r(rate: complex, a: float, b: float, length: float):
+    """t = e^{-Re z}/d, r = i b sinh(z)/rate/d; d is :func:`_two_wave_denominator`'s scaled D."""
+    _, decay, _, _, sinh_over_rate, d = _two_wave_denominator(rate, a, length)
+    if not cmath.isfinite(d):  # r would read 0 where a sinh(z)/rate overflows
+        raise NonFiniteResultError(f"t and r: scaled D = {d!r} is not finite")
+    return decay / d, 1j * b * sinh_over_rate / d  # b first: b L is normal where L is not
+
+
+def _two_wave_arrays(values: np.ndarray, setup, length: float):
+    """t and r of :func:`_two_wave_t_r` at each float of ``values``, in its shape.
+
+    ``setup`` maps one value to its (rate, a, b).  Python complex numbers
+    carry inf and nan with no error, so those raise NonFiniteResultError too.
+    """
+    with _named_float_errors("t and r"):
+        pairs = [_two_wave_t_r(*setup(x), length) for x in values.ravel().tolist()]
+    t_r = np.array(pairs, dtype=complex).T.copy().reshape((2,) + values.shape)
+    if not np.all(np.isfinite(t_r)):
+        raise NonFiniteResultError("t and r are not finite")
+    return t_r[0], t_r[1]
+
+
 def _two_wave_delay(rate, a, da, ds, length: float) -> float:
-    """Exact group delay -Im(D'/D) of a two-wave barrier (see :func:`_two_wave`).
+    """Exact group delay -Im(D'/D) of a two-wave barrier (see :func:`_two_wave_denominator`).
 
     t = 1/D with D = cosh z + i a sinh(z)/rate and z = rate L, so
     d(arg t)/dx = -Im(D'/D) for the variable x that ``da`` = da/dx and
@@ -343,7 +348,7 @@ def _two_wave_integral(rate, a, coupling: float, length: float, flux: float = 1.
     """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] / flux with h(z) = (sinh z - z)/z^3.
 
     The exact integral of |field|^2 over a two-wave barrier of length L
-    (see :func:`_two_wave`) per incident ``flux``.  Above the cutoff, with
+    (see :func:`_two_wave_denominator`) per incident ``flux``.  Above the cutoff, with
     z = rate L and g = coupling/rate^2 formed first, the product is
     L (1 - g) + g sinh(z) cosh(z)/rate, times e^{-2 Re z}, divided by the
     scaled |D| of t = 1/D before ``flux`` and after: |t|^2 is never formed.

@@ -253,38 +253,6 @@ class TestNoSampledPhaseDelay:
         ]
 
 
-class TestNoArrayClosedFormInTheOneFloatReadOuts:
-    @pytest.fixture
-    def arrays_unreachable(self, monkeypatch):
-        # t and r go through numpy arrays; the delays, the dwell time and the
-        # stored energy are one float in Python complex numbers
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a one-float read-out reached the array closed form")
-
-        monkeypatch.setattr(spectral, "_two_wave", unreachable)
-        monkeypatch.setattr(quantum, "_closed_form", unreachable)
-        monkeypatch.setattr(photonic, "_grating_closed_form", unreachable)
-
-    def test_read_outs_never_reach_the_array_closed_form(self, arrays_unreachable):
-        barrier = quantum.QuantumBarrier(2.0, 3.0)
-        for energy in (0.7, 1.0, 2.0, 3.7):  # below, at and above the barrier top
-            quantum.group_delay(barrier, energy)
-            quantum.dwell_time(barrier, energy)
-            quantum.delay_report(barrier, energy)
-        grating = photonic.UniformGrating(0.25, 20.0, 1.3, 4.0)
-        for omega in (4.0, 4.19, 4.3):  # inside, near the edge of and outside the stopband
-            photonic.grating_group_delay(grating, omega)
-            photonic.grating_stored_energy(grating, omega)
-        with pytest.raises(AssertionError):  # t and r do reach it
-            quantum.scatter(barrier, 1.0)
-        with pytest.raises(AssertionError):
-            photonic.grating_response(grating, 4.0)
-
-    @pytest.mark.parametrize("name", ["quantum", "hartman_quantum", "hartman_grating"])
-    def test_closed_form_configs_never_reach_it(self, tmp_path, name, arrays_unreachable):
-        assert cli.run(str(CONFIG_DIR / f"{name}.json"), output_dir=str(tmp_path)) == 0
-
-
 class TestRunHartman:
     def test_csv_columns_and_values(self, tmp_path):
         cfg = write_config(tmp_path / "hartman.json", HARTMAN_CONFIG)
@@ -767,7 +735,8 @@ class TestGratingExperiment:
         rows = csv_rows(tmp_path / "out" / "gr.csv")
         omegas = 6.0 + np.linspace(-0.5, 0.5, 501) / 1.3
         assert np.array_equal(rows[:, 0], omegas)
-        t, r = photonic._grating_closed_form(photonic.UniformGrating(**grating), omegas)[:2]
+        t, r = np.array([photonic.grating_response(photonic.UniformGrating(**grating), omega)
+                         for omega in omegas]).T
         assert np.array_equal(rows[:, 1:5], np.column_stack([t.real, t.imag, r.real, r.imag]))
 
 

@@ -1112,7 +1112,7 @@ class TestGratingResponse:
         grating = photonic.UniformGrating(0.25, 20.0, 1.0, 4.0)
         omega = grating.omega_b + delta
         sampled = sampled_phase_slope(
-            lambda omegas: photonic._grating_closed_form(grating, omegas)[0], omega, 1e-6 * omega
+            lambda omegas: photonic.grating_response(grating, omegas)[0], omega, 1e-6 * omega
         )
         assert photonic.grating_group_delay(grating, omega) == pytest.approx(sampled, rel=2e-9)
 
@@ -1382,6 +1382,22 @@ class TestGratingStoredEnergy:
             assert photonic.grating_stored_energy(grating, 6.0) == pytest.approx(
                 tau, rel=1e-12, abs=0.0)
             assert tau == pytest.approx(1.3 * np.tanh(kappa * length) / kappa, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(kappa=st.floats(1e-2, 10.0), length=st.floats(0.1, 100.0), n_bar=st.floats(1.0, 3.0),
+           delta=st.floats(-0.199 * 6.0, 0.199 * 6.0))
+    # opaque, deep in the stopband and near its edge
+    @example(kappa=0.2, length=4000.0, n_bar=1.0, delta=0.1)
+    @example(kappa=0.2, length=4000.0, n_bar=1.0, delta=0.19)
+    def test_stored_energy_is_the_delay_across_the_stopband(self, kappa, length, n_bar, delta):
+        # U/P_in = |t|^2 tau_t + |r|^2 tau_r with tau_r = tau_t for the
+        # symmetric two-wave barrier, so U/P_in = tau_g at every detuning,
+        # inside, at the edge of and outside the stopband
+        grating = photonic.UniformGrating(kappa, length, n_bar, 6.0)
+        omega = 6.0 + delta / n_bar
+        tau = photonic.grating_group_delay(grating, omega)
+        assert photonic.grating_stored_energy(grating, omega) == pytest.approx(
+            tau, rel=1e-13, abs=0.0)
 
 
 class TestStopbandAndPhaseEnergy:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import quantum_matching_oracle, sampled_phase_slope
-from tunneltime import quantum
+from tunneltime import photonic, quantum
 from tunneltime.errors import NonFiniteResultError, NonPositiveEnergyError
 
 KAPPA = np.sqrt(2.0)  # kappa for v0 = 2, E = 1
@@ -68,13 +68,27 @@ class TestScatter:
             assert r == pytest.approx(r_ref, rel=1e-12, abs=1e-15)
 
     def test_energy_array_is_bit_equal_to_scalar_calls(self):
+        # and a grating's frequencies, inside, at the edge of and outside its
+        # stopband, Bragg among them
         barrier = quantum.QuantumBarrier(2.0, 3.0)
         energies = np.append(np.linspace(0.01, 6.0, 997), 2.0)  # and the barrier top
-        t, r = quantum.scatter(barrier, energies)
-        scalar_t, scalar_r = zip(*(quantum.scatter(barrier, e) for e in energies))
-        closed_t, closed_r = quantum._closed_form(barrier, energies)[:2]
-        for got, scalar, closed in ((t, scalar_t, closed_t), (r, scalar_r, closed_r)):
-            assert got.tobytes() == np.array(scalar).tobytes() == closed.tobytes()
+        grating = photonic.UniformGrating(0.25, 20.0, 1.3, 4.0)
+        omegas = np.append(4.0 + np.linspace(-0.79, 0.79, 801) / 1.3, 4.0)
+        for call, values in ((lambda x: quantum.scatter(barrier, x), energies),
+                             (lambda x: photonic.grating_response(grating, x), omegas)):
+            t, r = call(values)
+            scalar_t, scalar_r = zip(*(call(x) for x in values))
+            for got, scalar in ((t, scalar_t), (r, scalar_r)):
+                assert got.tobytes() == np.array(scalar).tobytes()
+
+    def test_one_value_is_0d_and_an_array_keeps_its_shape(self):
+        barrier = quantum.QuantumBarrier(2.0, 3.0)
+        grating = photonic.UniformGrating(0.25, 20.0, 1.3, 4.0)
+        for call, value in ((lambda x: quantum.scatter(barrier, x), 1.0),
+                            (lambda x: photonic.grating_response(grating, x), 4.1)):
+            for values in (value, np.full((2, 3), value), np.empty(0)):
+                for got in call(values):
+                    assert got.shape == np.shape(values) and got.dtype == complex
 
     @pytest.mark.parametrize("length", [1e103, 1.5e308])
     def test_opaque_reflection_at_any_length(self, length):
@@ -84,12 +98,36 @@ class TestScatter:
         assert t == 0.0
         assert abs(r) == pytest.approx(1.0, rel=2 * EPS, abs=0.0)
 
+    def test_subnormal_length_keeps_the_precision_of_r(self):
+        # kappa L ~ 1e-209, so r = i b L / (1 + i a L) to roundoff: b L and
+        # a L are normal though L is subnormal, and r = i b (L/D) would read
+        # the subnormal L/D (Re r was 0 where it is -5e-21)
+        v0, length, energy = 1e181, 1e-315, 1e-248
+        k = np.sqrt(2.0 * energy)
+        a, b = (v0 - 2.0 * energy) / k, -v0 / k
+        _, r = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
+        assert r == pytest.approx(1j * (b * length) / (1.0 + 1j * (a * length)), rel=4 * EPS)
+
+    def test_barrier_top_of_a_very_long_barrier_is_named(self):
+        # a L overflows D at E = v0: a named error, not t = r = 0 read off an
+        # infinite D (the finite answer is |r| = 1)
+        with pytest.raises(NonFiniteResultError):
+            quantum.scatter(quantum.QuantumBarrier(1e150, 1e300), 1e150)
+
     def test_flux_conservation_over_random_cases(self):
+        # below the barrier top, then anywhere from 0.01 v0 to 3 v0, then at
+        # the top itself, where kappa = 0
         rng = np.random.default_rng(11)
+        cases = []
         for _ in range(1000):
             v0 = rng.uniform(0.2, 10.0)
             energy = rng.uniform(0.01, 0.99) * v0
-            length = rng.uniform(0.0, 20.0 / np.sqrt(2.0 * (v0 - energy)))
+            cases.append((v0, energy, rng.uniform(0.0, 20.0 / np.sqrt(2.0 * (v0 - energy)))))
+        for _ in range(1000):
+            v0 = rng.uniform(0.2, 10.0)
+            cases.append((v0, rng.uniform(0.01, 3.0) * v0, rng.uniform(0.0, 20.0 / np.sqrt(v0))))
+        cases += [(v0, v0, length) for v0, _, length in cases[::10]]
+        for v0, energy, length in cases:
             t, r = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
             defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
             assert defect < 1e-12
