@@ -32,10 +32,11 @@ code runs on numpy arrays of frequencies and on one float frequency, for
 which the fields and coefficients are Python complex numbers.  t and r
 march arrays, a single frequency included, so a frequency gets the same
 bits in any company.  The one-frequency read-outs, the group delay, the
-stored energy and the Bloch depth, march a float: numpy's per-call overhead
-would be nearly all of their time.  The two agree to within about 1e-15
-relative, not to the bit: numpy's complex product may fuse a multiply and
-an add where CPython's does not, and its cos and sin are its own.  For t,
+stored energy and the Bloch depth, march a float, as does the final
+refinement of the stopband edges: numpy's per-call overhead would be nearly
+all of their time.  The two agree to within about 1e-15 relative, not to
+the bit: numpy's complex product may fuse a multiply and an add where
+CPython's does not, and its cos and sin are its own.  For t,
 r and the group delay, a stack that repeats a cell of p layers m >= 2
 times is marched by binary powers of its cell's step, the Bloch-wave
 treatment of periodic media (Yeh, Yariv & Hong, JOSA 67, 423 (1977)) with
@@ -75,16 +76,10 @@ _GRATING_VALIDITY = 0.2
 # out of reach of short or weakly modulated stacks
 _RESCALE_BOUND = 1e150
 
-# sections each k-section round cuts a stopband-edge bracket into, so one
-# march per round samples 63 interior points of every bracket; from the
-# second round on the march also samples each bracket's predicted crossing
-# p at p (1 -/+ _STRADDLE), a quarter of the 1e-14 stop width a side, so a
-# prediction good to 2.5e-15 ends its bracket in that round
+# sections the stopband search's one array march cuts each edge bracket
+# into, sampling 63 interior points of both brackets at once; the kept
+# section is then closed on the one-float march
 _SECTIONS = 64
-_STRADDLE = 2.5e-15
-# section points of a round, nearest its kept sub-bracket, that predict the
-# crossing the next round straddles
-_PREDICTORS = 8
 
 # the stopband scan: _SCAN_POINTS frequencies over omega_ref * (1 +/- _SCAN_FACTOR)
 _SCAN_FACTOR = 0.7
@@ -702,14 +697,13 @@ def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
 
     |t|^2 is scanned at _SCAN_POINTS frequencies over
     omega_ref * (1 +/- _SCAN_FACTOR), and each end of the contiguous region
-    below 0.5 around omega_ref is refined by k-section: every round samples
-    both edge brackets at once and keeps, in each, the crossing nearest the
-    band, so an edge bounds the below-0.5 run that holds omega_ref.  From the
-    second round on each bracket is also sampled either side of its
-    predicted crossing, which usually ends the search in two rounds.  An edge
-    on the scan boundary stays there.  The scan is marched only in a window
-    around omega_ref, _SCAN_WINDOW points a side, widened 4x while the run
-    below 0.5 reaches a window edge that is not a scan end.
+    below 0.5 around omega_ref is refined by :func:`_k_section`: one array
+    march samples both edge brackets at once and keeps, in each, the section
+    that crosses nearest the band, so an edge bounds the below-0.5 run that
+    holds omega_ref; regula falsi on the one-float march closes each
+    section.  An edge on the scan boundary stays there.  The scan is marched
+    only in a window around omega_ref, _SCAN_WINDOW points a side, widened
+    4x while the run below 0.5 reaches a window edge that is not a scan end.
     Raises NotInStopbandError when |t(omega_ref)|^2 >= 0.5; t(omega_ref) is
     read from the first window's march, so a passband omega_ref costs one
     window.  Raises ValueError for an omega_ref whose scan range is not
@@ -753,76 +747,56 @@ def find_stopband(stack: LayeredStack, omega_ref: float) -> Stopband:
 
 
 def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Crossings of |t|^2 = 0.5, one per bracket, refined together.
+    """Crossings of |t|^2 = 0.5, one per bracket.
 
     Each bracket runs from a sample inside the band (|t|^2 < 0.5) to one
-    outside.  A round marches once over _SECTIONS - 1 interior points of every
-    live bracket and, from the second round on, two more that straddle the
-    crossing predicted by the round before (straddling the bracket's midpoint
-    where the prediction falls outside it); walking out from its inside end,
-    the first point with |t|^2 >= 0.5 becomes the new outside end (the old one
-    if none does) and the point before it the new inside end.  The prediction
-    is inverse interpolation through the _PREDICTORS interior points nearest
-    the kept sub-bracket, so it costs no march.  A bracket stops once
-    |inside - outside| <= 1e-14 |inside| and yields its midpoint.
+    outside.  One march samples _SECTIONS - 1 interior points of every live
+    bracket; walking out from its inside end, the first point with
+    |t|^2 >= 0.5 becomes the new outside end (the old one if none does) and
+    the point before it the new inside end.  Each kept section is then
+    closed one frequency at a time on the one-float march by Illinois
+    regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)) on f = |t|^2 - 0.5,
+    t = 2^(-k)/a as :func:`_stack_t_r` forms it, seeded with the march's
+    samples; an end the march did not sample has no f, so its bracket takes
+    midpoints until that end moves, as does a secant step that leaves its
+    bracket.  A bracket stops once |inside - outside| <= 1e-14 |inside|, or
+    once its midpoint is one of its ends, and yields its midpoint.
     """
     outside, inside = outside.copy(), inside.copy()
-    steps = np.arange(1, _SECTIONS) / _SECTIONS
-    straddle = 1.0 + np.array([-_STRADDLE, _STRADDLE])
-    predicted = None
-    live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
-    while np.any(live):
-        a, b = inside[live], outside[live]
-        unit = (b - a) / _SECTIONS  # one section, negative at a lower edge
-        sections = a[:, None] + (b - a)[:, None] * steps
-        marched = sections
-        if predicted is not None:
-            pair = predicted[live][:, None] * straddle
-            held = (np.minimum(a, b)[:, None] <= pair) & (pair <= np.maximum(a, b)[:, None])
-            missed = ~np.all(held, axis=1)
-            pair[missed] = (0.5 * a + 0.5 * b)[missed, None] * straddle
-            marched = np.column_stack((sections, pair))
-        power = _transmittance(stack, marched)
-        rows, crossed = np.arange(a.size), power >= 0.5
-        # walk order runs out from the inside end: the stable argsort of the
-        # key (x - a) / unit, which the sections alone already follow
-        if predicted is not None:
-            order = rows[:, None], np.argsort((marched - a[:, None]) / unit[:, None], axis=1,
-                                              kind="stable")
-            marched, crossed = marched[order], crossed[order]
-        walk = np.column_stack((a, marched, b))
-        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, walk.shape[1] - 1)
-        inside[live], outside[live] = walk[rows, first - 1], walk[rows, first]
-        still = np.abs(inside - outside) > 1e-14 * np.abs(inside)
-        if not still.any():  # no prediction is read after the last round
-            break
-        # interpolate in local coordinates, origin at the new inside end and
-        # unit one section, over sections only: the straddling pair sits too
-        # close to itself to help; a prediction is cut to 64 sections either
-        # way, so a wild one stays finite
-        origin = inside[live]
-        start = np.floor((origin - a) / unit).astype(int) - _PREDICTORS // 2
-        start = np.clip(start, 0, _SECTIONS - 1 - _PREDICTORS)
-        near = (rows[:, None], start[:, None] + np.arange(_PREDICTORS))
-        local = (sections[near] - origin[:, None]) / unit[:, None]
-        offset = np.clip(_inverse_interpolation(local, power[near] - 0.5), -_SECTIONS, _SECTIONS)
-        predicted = np.full(inside.shape, np.nan)
-        predicted[live] = origin + unit * offset
-        live = still
-    # halves first, so a midpoint near the float maximum does not overflow
+    live = np.flatnonzero(np.abs(inside - outside) > 1e-14 * np.abs(inside))
+    a, b = inside[live], outside[live]
+    sections = a[:, None] + (b - a)[:, None] * (np.arange(1, _SECTIONS) / _SECTIONS)
+    powers = _transmittance(stack, sections).tolist()
+    with spectral._named_float_errors("|t|^2 at a stopband edge"):
+        for j, row, power in zip(live, sections.tolist(), powers):
+            xs, fs = [float(inside[j]), *row, float(outside[j])], [math.nan, *power, math.nan]
+            first = next((i for i in range(1, _SECTIONS) if fs[i] >= 0.5), _SECTIONS)
+            x0, x1, f0, f1 = xs[first - 1], xs[first], fs[first - 1] - 0.5, fs[first] - 0.5
+            kept = 0  # the end the last step kept: -1 inside, 1 outside
+            while abs(x1 - x0) > 1e-14 * abs(x0):
+                # halves first, so a midpoint near the float maximum does not overflow
+                x = 0.5 * x0 + 0.5 * x1
+                if x in (x0, x1):
+                    break
+                secant = x0 + (x1 - x0) * (f0 / (f0 - f1))  # nan where an end has no f
+                if min(x0, x1) < secant < max(x0, x1):
+                    x = secant
+                incident, _, k = _front_face(stack, x)
+                # an infinite a would read as t = 0
+                spectral._finite(abs(incident), f"incident amplitude at omega = {x!r}")
+                f = spectral._finite(abs(math.ldexp(1.0, -k) / incident) ** 2,
+                                     f"|t|^2 at omega = {x!r}") - 0.5
+                # Illinois: an end kept twice running has its f halved
+                if f < 0.0:
+                    if kept == 1:
+                        f1 *= 0.5
+                    x0, f0, kept = x, f, 1
+                else:
+                    if kept == -1:
+                        f0 *= 0.5
+                    x1, f1, kept = x, f, -1
+            inside[j], outside[j] = x0, x1
     return 0.5 * outside + 0.5 * inside
-
-
-def _inverse_interpolation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per row, the Lagrange interpolant of x over y evaluated at y = 0.
-
-    Equal y values in a row give a non-finite result instead of a warning.
-    """
-    diagonal = np.arange(y.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = -y[:, None, :] / (y[:, :, None] - y[:, None, :])
-        ratios[:, diagonal, diagonal] = 1.0
-        return np.sum(x * np.prod(ratios, axis=2), axis=1)
 
 
 def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> PhaseEnergyReport:

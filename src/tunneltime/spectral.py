@@ -72,7 +72,7 @@ def _as_complex_array(values) -> np.ndarray:
 class FrequencyGrid:
     """Uniform grid of angular frequencies around a carrier ``omega0``.
 
-    ``omega0``, ``detunings``, their sums and their spacing must be finite,
+    ``omega0``, ``detunings``, their sums, spacing and span must be finite,
     and ``detunings`` strictly increasing with constant spacing and at least 5
     samples (the sampled-phase oracle's stencil needs them).
     """
@@ -90,8 +90,8 @@ class FrequencyGrid:
         # finite detunings may still lie further apart than the float range
         with np.errstate(over="ignore"):
             steps = np.diff(d)
-            if not np.all(np.isfinite(steps)):
-                raise ValueError("grid spacing must be finite")
+            if not (np.all(np.isfinite(steps)) and np.isfinite(d[-1] - d[0])):
+                raise ValueError("grid spacing and span must be finite")
             if steps[0] <= 0.0:
                 raise ValueError("grid spacing must be positive")
             # a spread that overflows is past any tolerance
@@ -129,7 +129,10 @@ class FrequencyGrid:
 
     def index_of(self, omega: float) -> int:
         """Index of the grid sample nearest to ``omega`` (must lie on grid)."""
-        pos = (omega - self.omega0 - self.detunings[0]) / self.spacing
+        # Python floats carry an overflow to inf with no RuntimeWarning
+        pos = (float(omega) - float(self.omega0) - float(self.detunings[0])) / self.spacing
+        if not math.isfinite(pos):
+            raise EdgeOfGridError(f"omega={omega} not on the grid")
         j = int(round(pos))
         if j < 0 or j >= self.count or abs(pos - j) > 0.5:
             raise EdgeOfGridError(f"omega={omega} not on the grid")
@@ -174,8 +177,18 @@ class DerivativeEstimate(NamedTuple):
 
 
 def unitarity_defect(t, r, weight: float) -> float:
-    """max |weight |t|^2 + |r|^2 - 1|, zero when lossless; a stack's weight is n_out/n_in."""
-    return float(np.max(np.abs(weight * np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)))
+    """max |weight |t|^2 + |r|^2 - 1|, zero when lossless; a stack's weight is n_out/n_in.
+
+    Raises ValueError for a t, r or weight that is not finite, and
+    NonFiniteResultError where the sum overflows.
+    """
+    t, r = np.asarray(t, dtype=complex), np.asarray(r, dtype=complex)
+    if not (math.isfinite(weight) and np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+        raise ValueError("t, r and weight must be finite")
+    with _named_float_errors("unitarity defect"):
+        # |t| of a finite t may overflow to inf with no numpy warning
+        defect = float(np.max(np.abs(weight * np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)))
+    return _finite(defect, "unitarity defect")
 
 
 def unwrap_phase(resp: ComplexResponse) -> UnwrappedPhase:
@@ -266,7 +279,7 @@ def _named_float_errors(what: str):
 
 
 def _two_wave_denominator(rate: complex, a: float, length: float):
-    """z = rate L, e^{-Re z}, e^{-z - Re z}, and cosh z, sinh(z)/rate and D, times e^{-Re z}.
+    """z = rate L, e^{-Re z}, e^{-z - Re z}, cosh z, sinh(z)/rate and D, times e^{-Re z}; a scale.
 
     The field of a two-wave barrier is a cosh/sinh combination of ``rate``
     (Re >= 0) inside, and t = 1/D with D = cosh z + i a sinh(z)/rate; this
@@ -275,23 +288,31 @@ def _two_wave_denominator(rate: complex, a: float, length: float):
     length multiplies: an opaque barrier's t underflows to zero while r
     stays exact, an infinite Re z is the opaque limit, and an infinite Im z
     raises NonFiniteResultError.  The series L (1 + z^2 h(z)) near z = 0
-    takes rate = 0 (the barrier top).
+    takes rate = 0 (the barrier top).  There a L can overflow D where t, r
+    and the delay are finite, so every value but z is also carried times
+    the returned scale, 2^-j with 2^j an exact power of two near
+    max(1, |a| L), and L enters as L 2^-j: t = 0 and |r| = 1 on a barrier
+    too long for a L.  Elsewhere the scale is 1.
     """
     z = rate * length
     if not math.isfinite(z.imag):  # cmath.exp would raise a bare ValueError
         raise NonFiniteResultError(f"phase {z.imag!r} of rate x length is not finite")
     turn, decay, far = cmath.exp(1j * z.imag), math.exp(-z.real), cmath.exp(-z - z.real)
+    scale = 1.0
     if abs(z) < _H_SERIES_CUTOFF:
-        sinh_over_rate = length * (1.0 + z * z * _h_series(z)) * decay
+        # at least 2^-1020, so e^{-2 Re z} 2^-j stays a normal float
+        scale = math.ldexp(1.0, -min(max(0, math.frexp(a)[1] + math.frexp(length)[1]), 1020))
+        sinh_over_rate = length * scale * (1.0 + z * z * _h_series(z)) * decay
+        turn, decay, far = turn * scale, decay * scale, far * scale
     else:
         sinh_over_rate = 0.5 * (turn - far) / rate
     cosh_z = 0.5 * (turn + far)
-    return z, decay, far, cosh_z, sinh_over_rate, cosh_z + 1j * a * sinh_over_rate
+    return z, decay, far, cosh_z, sinh_over_rate, cosh_z + 1j * a * sinh_over_rate, scale
 
 
 def _two_wave_t_r(rate: complex, a: float, b: float, length: float):
     """t = e^{-Re z}/d, r = i b sinh(z)/rate/d; d is :func:`_two_wave_denominator`'s scaled D."""
-    _, decay, _, _, sinh_over_rate, d = _two_wave_denominator(rate, a, length)
+    _, decay, _, _, sinh_over_rate, d, _ = _two_wave_denominator(rate, a, length)
     if not cmath.isfinite(d):  # r would read 0 where a sinh(z)/rate overflows
         raise NonFiniteResultError(f"t and r: scaled D = {d!r} is not finite")
     return decay / d, 1j * b * sinh_over_rate / d  # b first: b L is normal where L is not
@@ -330,7 +351,7 @@ def _two_wave_delay(rate, a, da, ds, length: float) -> float:
     where L multiplies only Im of the bracket, which has no 1/rate part
     below the barrier top, so nothing of order rate L cancels at any length.
     """
-    z, decay, far, _, sinh_over_rate, d = _two_wave_denominator(rate, a, length)
+    z, decay, far, _, sinh_over_rate, d, _ = _two_wave_denominator(rate, a, length)
     if abs(z) < _H_SERIES_CUTOFF:
         h = _h_series(z)
         l2g = length * length * (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
@@ -352,8 +373,11 @@ def _two_wave_integral(rate, a, coupling: float, length: float, flux: float = 1.
     z = rate L and g = coupling/rate^2 formed first, the product is
     L (1 - g) + g sinh(z) cosh(z)/rate, times e^{-2 Re z}, divided by the
     scaled |D| of t = 1/D before ``flux`` and after: |t|^2 is never formed.
+    The product is formed without the kernel's scale, whose square can
+    underflow it, and the scale goes back in at each division by |D|.
     """
-    z, decay, _, cosh_z, sinh_over_rate, d = _two_wave_denominator(rate, a, length)
+    z, decay, _, cosh_z, sinh_over_rate, d, scale = _two_wave_denominator(rate, a, length)
+    decay, cosh_z, sinh_over_rate = decay / scale, cosh_z / scale, sinh_over_rate / scale
     if abs(2.0 * z) < _H_SERIES_CUTOFF:
         product = length * decay * decay * (1.0 + 4.0 * coupling * length * length
                                              * _h_series(2.0 * z))
@@ -361,7 +385,7 @@ def _two_wave_integral(rate, a, coupling: float, length: float, flux: float = 1.
         g = coupling / rate / rate
         product = length * decay * decay * (1.0 - g) + g * sinh_over_rate * cosh_z
     size = abs(d)
-    return product.real / size / flux / size
+    return product.real * scale / size / flux * scale / size
 
 
 def locate_peak(times, samples) -> float:
@@ -369,11 +393,15 @@ def locate_peak(times, samples) -> float:
 
     Requires a strict interior maximum; the refinement fits a quadratic
     through the maximum sample and its two neighbours and returns the vertex.
+    Raises ValueError for a time or sample that is not finite, and
+    NonFiniteResultError where the fit overflows.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(samples, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 3:
         raise ValueError("times and samples must be equal-length 1-D arrays")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("times and samples must be finite")
     if np.all(v == v[0]):
         raise FlatSignalError("all samples equal")
     j = int(np.argmax(v))
@@ -381,10 +409,11 @@ def locate_peak(times, samples) -> float:
         raise PeakAtBoundaryError("maximum sits on the record boundary")
     t0, t1, t2 = t[j - 1], t[j], t[j + 1]
     v0, v1, v2 = v[j - 1], v[j], v[j + 1]
-    # vertex of the parabola through three (generally non-uniform) points
-    denom = (t1 - t0) * (v1 - v2) - (t1 - t2) * (v1 - v0)
-    if denom <= 0.0:
-        # degenerate plateau around the max; the sample itself is the answer
-        return float(t1)
-    num = (t1 - t0) ** 2 * (v1 - v2) - (t1 - t2) ** 2 * (v1 - v0)
-    return float(t1 - 0.5 * num / denom)
+    with _named_float_errors("peak refinement"):
+        # vertex of the parabola through three (generally non-uniform) points
+        denom = (t1 - t0) * (v1 - v2) - (t1 - t2) * (v1 - v0)
+        if denom <= 0.0:
+            # degenerate plateau around the max; the sample itself is the answer
+            return float(t1)
+        num = (t1 - t0) ** 2 * (v1 - v2) - (t1 - t2) ** 2 * (v1 - v0)
+        return float(t1 - 0.5 * num / denom)

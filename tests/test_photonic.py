@@ -129,53 +129,6 @@ def plain_k_section(stack, omega_ref):
     return tuple(0.5 * (outside + inside))
 
 
-def argsort_k_section(stack, outside, inside):
-    """photonic._k_section with each round's walk order taken by a stable argsort.
-
-    Every round, the first included, sorts its marched points by the key
-    (x - inside) / section and gathers |t|^2 and the points by
-    take_along_axis; the rest is the k-section as it is.
-    """
-    outside, inside = outside.copy(), inside.copy()
-    steps = np.arange(1, photonic._SECTIONS) / photonic._SECTIONS
-    straddle = 1.0 + np.array([-photonic._STRADDLE, photonic._STRADDLE])
-    predictors = photonic._PREDICTORS
-    predicted = None
-    live = np.abs(inside - outside) > 1e-14 * np.abs(inside)
-    while np.any(live):
-        a, b = inside[live], outside[live]
-        unit = (b - a) / photonic._SECTIONS
-        sections = a[:, None] + (b - a)[:, None] * steps
-        marched = sections
-        if predicted is not None:
-            pair = predicted[live][:, None] * straddle
-            held = (np.minimum(a, b)[:, None] <= pair) & (pair <= np.maximum(a, b)[:, None])
-            missed = ~np.all(held, axis=1)
-            pair[missed] = 0.5 * (a + b)[missed, None] * straddle
-            marched = np.column_stack((sections, pair))
-        power = photonic._transmittance(stack, marched)
-        order = np.argsort((marched - a[:, None]) / unit[:, None], axis=1, kind="stable")
-        crossed = np.take_along_axis(power, order, axis=1) >= 0.5
-        walk = np.column_stack((a, np.take_along_axis(marched, order, axis=1), b))
-        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, walk.shape[1] - 1)
-        rows = np.arange(first.size)
-        inside[live], outside[live] = walk[rows, first - 1], walk[rows, first]
-        still = np.abs(inside - outside) > 1e-14 * np.abs(inside)
-        if not still.any():
-            break
-        origin = inside[live]
-        start = np.floor((origin - a) / unit).astype(int) - predictors // 2
-        start = np.clip(start, 0, photonic._SECTIONS - 1 - predictors)
-        near = (rows[:, None], start[:, None] + np.arange(predictors))
-        local = (sections[near] - origin[:, None]) / unit[:, None]
-        offset = photonic._inverse_interpolation(local, power[near] - 0.5)
-        offset = np.clip(offset, -photonic._SECTIONS, photonic._SECTIONS)
-        predicted = np.full(inside.shape, np.nan)
-        predicted[live] = origin + unit * offset
-        live = still
-    return 0.5 * (outside + inside)
-
-
 def stopband_oracle_cases(skc_stack, front_stack):
     """The shipped stacks, three quarter-wave depths and 25 random symmetric stacks."""
     cases = [(skc_stack, OMEGA0), (front_stack, OMEGA0)]
@@ -1454,38 +1407,6 @@ class TestStopbandAndPhaseEnergy:
             checked += 1
         assert checked >= 13
 
-    def test_k_section_keeps_the_argsort_walk(self, skc_stack, front_stack, monkeypatch):
-        # round 1's sections are marched in walk order, so it takes no sort;
-        # every round must march the reference's frequencies
-        cases = stopband_oracle_cases(skc_stack, front_stack)
-        cases.append((photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0), 2.0 * np.pi))
-        boundary = photonic.LayeredStack.quarter_wave(10.0, 1.0, 21, 1.0)
-        cases += [(boundary, np.pi), (boundary, 9.0)]
-        marched, transmittance = [], photonic._transmittance
-
-        def recorded(stack, omegas):
-            marched.append(omegas)
-            return transmittance(stack, omegas)
-
-        monkeypatch.setattr(photonic, "_transmittance", recorded)
-        checked = rounds = 0
-        for stack, omega in cases:
-            try:
-                brackets = full_scan_brackets(stack, omega)
-            except NotInStopbandError:
-                continue
-            marched.clear()
-            want = argsort_k_section(stack, *brackets)
-            want_marched = list(marched)
-            marched.clear()
-            assert np.array_equal(photonic._k_section(stack, *brackets), want)
-            assert len(marched) == len(want_marched)
-            assert all(np.array_equal(g, w) for g, w in zip(marched, want_marched))
-            checked += 1
-            rounds = max(rounds, len(marched))
-        assert checked >= 13
-        assert rounds >= 3
-
     def test_edge_is_the_crossing_nearest_the_band(self):
         # |t|^2 crosses 0.5 three times in the scan step below this band;
         # bisection keeps the outermost crossing, 2.9e-4 further out
@@ -1500,32 +1421,55 @@ class TestStopbandAndPhaseEnergy:
         assert power[0] == pytest.approx(0.5, abs=1e-9)
         assert np.all(power[1:] < 0.5)
 
-    def test_k_section_samples_only_inside_its_brackets(self, monkeypatch):
-        # on the opaque 3.0/1.0 stack the first round's predictors read |t|^2
-        # under 0.1 but at one narrow peak, and the crossings they predict
-        # lie 1e8 sections and more outside the brackets; the second round
-        # straddles each bracket's midpoint instead
-        stack = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0)
-        outside, inside = full_scan_brackets(stack, 2.0 * np.pi)
-        sampled, transmittance = [], photonic._transmittance
+    @pytest.mark.parametrize("case", ["opaque", "nearest-crossing", "scan-boundary-upper",
+                                      "scan-boundary-lower"])
+    def test_k_section_samples_only_inside_its_brackets(self, case, monkeypatch):
+        # the opaque 3.0/1.0 stack reads |t|^2 under 0.1 across most of each
+        # bracket but at one narrow peak, |t|^2 crosses 0.5 three times in
+        # the scan step below the nearest-crossing stack's band, and the 10/1
+        # stack's band runs past a scan end from either side.  Every
+        # frequency marched, in the array round and one at a time, lies in
+        # its bracket
+        if case == "opaque":
+            stack, omega = photonic.LayeredStack.quarter_wave(3.0, 1.0, 2001, 1.0), 2.0 * np.pi
+        elif case == "nearest-crossing":
+            cell = ((2.4916070933903036, 0.19824535079232136),
+                    (3.3416078916308773, 0.11980862237203016))
+            stack, omega = photonic.LayeredStack(cell * 184), 10.774860416209682
+        else:
+            stack = photonic.LayeredStack.quarter_wave(10.0, 1.0, 21, 1.0)
+            omega = np.pi if case == "scan-boundary-upper" else 9.0
+        outside, inside = full_scan_brackets(stack, omega)
+        sampled, front_face = [], photonic._front_face
 
-        def recorded(stack, omegas):
-            sampled.append(np.ravel(omegas))
-            return transmittance(stack, omegas)
+        def recorded(stack, omegas, *args, **kwargs):
+            sampled.append(omegas)
+            return front_face(stack, omegas, *args, **kwargs)
 
-        monkeypatch.setattr(photonic, "_transmittance", recorded)
+        monkeypatch.setattr(photonic, "_front_face", recorded)
         photonic._k_section(stack, outside, inside)
         lo, hi = np.minimum(outside, inside), np.maximum(outside, inside)
-        omegas = np.concatenate(sampled)[:, None]
-        assert len(sampled) > 2
+        floats = [omega for omega in sampled if isinstance(omega, float)]
+        assert len(sampled) == len(floats) + 1 and len(floats) >= 10
+        omegas = np.concatenate([np.ravel(omega) for omega in sampled])[:, None]
         assert np.all(np.any((lo <= omegas) & (omegas <= hi), axis=1))
 
-    def test_inverse_interpolation_is_exact_for_a_polynomial_inverse(self):
-        y = np.linspace(-0.3, 0.4, 8)[None, :] ** np.array([[1.0], [3.0]])
-        x = 0.25 + y - 2.0 * y**3 + y**7
-        assert photonic._inverse_interpolation(x, y) == pytest.approx([0.25, 0.25], abs=1e-14)
-        flat = photonic._inverse_interpolation(np.arange(8.0)[None, :], np.full((1, 8), -0.5))
-        assert not np.isfinite(flat[0])
+    def test_edges_read_the_same_transmittance_on_both_engines(self, skc_stack, front_stack):
+        # the search samples |t|^2 on the array march, then on the one-float
+        # march; at each edge the two read |t|^2 alike
+        checked = 0
+        for stack, omega in stopband_oracle_cases(skc_stack, front_stack):
+            try:
+                band = photonic.find_stopband(stack, omega)
+            except NotInStopbandError:
+                continue
+            for edge in (band.lower, band.upper):
+                incident, _, k = photonic._front_face(stack, edge)
+                one_float = abs(math.ldexp(1.0, -k) / incident) ** 2
+                t, _ = photonic.stack_t_r_samples(stack, [edge])
+                assert one_float == pytest.approx(abs(t[0]) ** 2, rel=0.0, abs=4e-15)
+            checked += 1
+        assert checked >= 10
 
     def test_edge_on_scan_boundary_keeps_the_scan_end(self):
         # the 10/1 stack's band spans 2.42..10.14 around its design frequency
@@ -1542,23 +1486,24 @@ class TestStopbandAndPhaseEnergy:
             assert omega * 0.3 < band[1 - end] < omega * 1.7
 
     def test_edges_refined_in_few_marches(self, front_stack, skc_stack, monkeypatch):
-        # one march for the scan window, which omega_ref rides along, and two
-        # k-section rounds, the second ended by the predicted crossings;
-        # refining one frequency at a time took 74 and plain 64-section 7.
-        # The pulse and skc configs' wider band widens the window twice
+        # one array march for the scan window, which omega_ref rides along,
+        # and one for 63 sections of both edges, then regula falsi one
+        # frequency at a time; refining one frequency at a time by bisection
+        # took 74 marches and plain 64-section rounds 7.  The pulse and skc
+        # configs' wider band widens the window twice
         marches = []
-        stack_t_r = photonic._stack_t_r
+        front_face = photonic._front_face
 
-        def counted(stack, omegas):
-            marches.append(omegas)
-            return stack_t_r(stack, omegas)
+        def counted(stack, omegas, *args, **kwargs):
+            marches.append("float" if isinstance(omegas, float) else "array")
+            return front_face(stack, omegas, *args, **kwargs)
 
-        monkeypatch.setattr(photonic, "_stack_t_r", counted)
+        monkeypatch.setattr(photonic, "_front_face", counted)
         photonic.find_stopband(front_stack, OMEGA0)
-        assert len(marches) == 3
+        assert (marches.count("array"), marches.count("float")) == (2, 10)
         marches.clear()
         photonic.find_stopband(skc_stack, OMEGA0)
-        assert len(marches) == 5
+        assert (marches.count("array"), marches.count("float")) == (4, 6)
 
     @pytest.mark.parametrize("case", ["front", "skc-and-pulse", "rescaled", "scan-boundary"])
     def test_windowed_scan_matches_the_full_scan(self, case, skc_stack, front_stack):
@@ -1582,16 +1527,17 @@ class TestStopbandAndPhaseEnergy:
     def test_narrow_band_marches_one_window(self, front_stack, monkeypatch):
         # a march of the whole scan would take 4002 frequencies
         sizes = []
-        transmittance = photonic._transmittance
+        front_face = photonic._front_face
 
-        def recorded(stack, omegas):
-            sizes.append(np.size(omegas))
-            return transmittance(stack, omegas)
+        def recorded(stack, omegas, *args, **kwargs):
+            sizes.append("float" if isinstance(omegas, float) else np.size(omegas))
+            return front_face(stack, omegas, *args, **kwargs)
 
-        monkeypatch.setattr(photonic, "_transmittance", recorded)
+        monkeypatch.setattr(photonic, "_front_face", recorded)
         photonic.find_stopband(front_stack, OMEGA0)
-        # 63 sections of both edges, then 63 sections and a straddling pair
-        assert sizes == [130, 126, 130]
+        # the window, 63 sections of both edges, then five one-float
+        # marches an edge
+        assert sizes == [130, 126] + ["float"] * 10
         sizes.clear()
         with pytest.raises(NotInStopbandError):
             photonic.find_stopband(photonic.LayeredStack.vacuum_slab(1.0), 5.0)

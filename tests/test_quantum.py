@@ -108,11 +108,12 @@ class TestScatter:
         _, r = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
         assert r == pytest.approx(1j * (b * length) / (1.0 + 1j * (a * length)), rel=4 * EPS)
 
-    def test_barrier_top_of_a_very_long_barrier_is_named(self):
-        # a L overflows D at E = v0: a named error, not t = r = 0 read off an
-        # infinite D (the finite answer is |r| = 1)
-        with pytest.raises(NonFiniteResultError):
-            quantum.scatter(quantum.QuantumBarrier(1e150, 1e300), 1e150)
+    def test_barrier_top_of_a_very_long_barrier_is_finite(self):
+        # a L ~ 7e374 at E = v0 would overflow D; with a power of two near
+        # a L taken out of D first, t ~ 1/(a L) underflows and |r| = 1
+        t, r = quantum.scatter(quantum.QuantumBarrier(1e150, 1e300), 1e150)
+        assert t == 0.0
+        assert abs(r) == 1.0
 
     def test_flux_conservation_over_random_cases(self):
         # below the barrier top, then anywhere from 0.01 v0 to 3 v0, then at
@@ -155,6 +156,13 @@ class TestGroupDelay:
             assert quantum.group_delay(barrier, energy) == pytest.approx(
                 quantum.analytic_group_delay(barrier, energy), rel=1e-13
             )
+
+    def test_barrier_top_of_a_very_long_barrier(self):
+        # tau_g -> -2 L/(3 a) = 9.428090415820632e+74 as a L grows at E = v0,
+        # where a L^3 ~ 7e524 would overflow D'
+        a = -1e150 / np.sqrt(2e150)
+        tau = quantum.group_delay(quantum.QuantumBarrier(1e150, 1e150), 1e150)
+        assert tau == pytest.approx(-2.0 * 1e150 / (3.0 * a), rel=1e-15, abs=0.0)
 
     def test_free_propagation_limit(self):
         # v0 -> 0 must hand back the transit time L/k
@@ -256,6 +264,15 @@ class TestDwellTime:
         for length in (600.0 / np.sqrt(2.0), 1000.0, 1.2e308):
             barrier = quantum.QuantumBarrier(2.0, length)
             assert quantum.dwell_time(barrier, 1.0) == pytest.approx(0.5, rel=1e-12)
+
+    def test_short_barrier_of_large_a_keeps_its_dwell_time(self):
+        # a L = 1.75e151 at z ~ 5e-59, so tau_d = L/(a L)^2/k; D is carried
+        # times 2^-j there, and 2^-2j would underflow L e^{-2 Re z} 2^-2j
+        v0, length, energy = 4.0654668028029695e+100, 6.101445249742728e-110, 1e-320
+        k = np.sqrt(2.0 * energy)
+        al = (v0 - 2.0 * energy) / k * length
+        tau = quantum.dwell_time(quantum.QuantumBarrier(v0, length), energy)
+        assert tau == pytest.approx(length / al / k / al, rel=4 * EPS, abs=0.0)
 
     @pytest.mark.parametrize("energy", [1e-310, 1e-315, 1e-320, 5e-324])
     def test_subnormal_energy_keeps_the_low_energy_law(self, energy):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sampled_phase_slope
@@ -13,9 +13,17 @@ from tunneltime.errors import (
     EdgeOfGridError,
     FlatSignalError,
     NonConvergentError,
+    NonFiniteResultError,
     PeakAtBoundaryError,
+    TunnelTimeError,
     UndersampledPhaseError,
     ZeroAmplitudeError,
+)
+
+# any float, nan and the infinities included
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308, -1.7e308, np.inf, np.nan]),
 )
 
 
@@ -239,3 +247,66 @@ class TestLocatePeak:
         base = spectral.locate_peak(times, samples)
         shifted = spectral.locate_peak(times + shift, samples)
         assert shifted - base == pytest.approx(shift, abs=1e-9)
+
+
+class TestFiniteOrNamed:
+    @pytest.mark.parametrize("samples", [[0.0, 1.0, np.nan, 1.0, 0.0],
+                                         [0.0, 1.0, np.inf, 1.0, 0.0]])
+    def test_locate_peak_rejects_nonfinite_samples(self, samples):
+        # nan was read as the peak, and inf raised a bare RuntimeWarning
+        with pytest.raises(ValueError):
+            spectral.locate_peak(np.arange(5.0), samples)
+        with pytest.raises(ValueError):
+            spectral.locate_peak(samples, [0.0, 1.0, 2.0, 1.0, 0.0])
+
+    def test_locate_peak_names_an_overflow(self):
+        with pytest.raises(NonFiniteResultError):
+            spectral.locate_peak([-1.7e308, 0.0, 1.7e308], [0.0, 1.0, 0.0])
+
+    def test_unitarity_defect_is_finite_or_named(self):
+        for t, r, weight in (([np.nan], [0.0], 1.0), ([1.0], [np.inf], 1.0),
+                             ([1.0], [0.0], np.nan)):
+            with pytest.raises(ValueError):
+                spectral.unitarity_defect(t, r, weight)
+        with pytest.raises(NonFiniteResultError):
+            spectral.unitarity_defect([1e200], [0.0], 1.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
+                       min_size=3, max_size=7),
+        weight=ANY_FLOAT,
+        spread=st.tuples(ANY_FLOAT, ANY_FLOAT, st.integers(5, 9)),
+        entry=st.sampled_from(["locate_peak", "unitarity_defect", "FrequencyGrid",
+                               "FrequencyGrid-linspace"]),
+    )
+    # a grid whose steps are finite but whose span overflows, and one whose
+    # read-outs are all finite
+    @example(pairs=[(0.0, x, 0.0, 0.0) for x in (-1e308, -5e307, 0.0, 5e307, 1e308)],
+             weight=0.0, spread=(0.0, 1.0, 5), entry="FrequencyGrid")
+    @example(pairs=[(0.0, 0.0, 0.0, 0.0)] * 3, weight=1e308, spread=(-1.0, 1.0, 5),
+             entry="FrequencyGrid-linspace")
+    def test_entry_points_are_finite_or_named(self, pairs, weight, spread, entry):
+        # a finite result, a ValueError or a named TunnelTimeError, and no
+        # RuntimeWarning (an error under this suite's filter); a grid is
+        # drawn both from free detunings and from a linspace, which is
+        # uniform, and every read-out of it is taken
+        a, b, c, d = (np.array(column) for column in zip(*pairs))
+        try:
+            if entry == "locate_peak":
+                result = [spectral.locate_peak(a, b)]
+            elif entry == "unitarity_defect":
+                # complex() takes an infinite part with no RuntimeWarning
+                t, r = ([complex(x, y) for x, y in zip(re, im)] for re, im in ((a, b), (c, d)))
+                result = [spectral.unitarity_defect(t, r, weight)]
+            else:
+                detunings = b
+                if entry.endswith("linspace"):
+                    with np.errstate(all="ignore"):  # the grid checks what this makes
+                        detunings = np.linspace(*spread)
+                grid = spectral.FrequencyGrid(weight, detunings)
+                result = [grid.count, grid.spacing, grid.span, *grid.omegas,
+                          grid.index_of(float(grid.omegas[1]))]
+        except (ValueError, TunnelTimeError):
+            return
+        assert all(np.isfinite(x) for x in result)
