@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import photonic, quantum
+from . import photonic, quantum, spectral
 from .errors import FitFailureError, NotInStopbandError
 from .photonic import LayeredStack, UniformGrating
 from .quantum import QuantumBarrier
@@ -137,26 +137,21 @@ def hartman_sweep(family, lengths: Sequence[float]) -> HartmanSweep:
     ``tail_relative_change`` compares the delay at the longest length with
     the delay at the longest length not exceeding a tenth of it (falling
     back to the shortest length for narrow sweeps): saturated families show
-    values at the numerical floor.
+    values at the numerical floor.  A delay or stored quantity that underflows
+    to 0 cannot divide: NonFiniteResultError.
     """
     lengths = np.asarray(sorted(float(x) for x in lengths))
     if lengths.size < 1 or lengths[0] <= 0.0:
         raise ValueError("need at least one positive length")
-    tau = np.array([family.delay(x) for x in lengths])
-    stored = np.array([family.stored(x) for x in lengths])
-    speed = lengths / tau
+    tau = np.array([family.delay(x) for x in lengths.tolist()])
+    stored = np.array([family.stored(x) for x in lengths.tolist()])
     decade = lengths[lengths <= lengths[-1] / 10.0]
     ref = decade[-1] if decade.size else lengths[0]
-    tau_ref = tau[np.searchsorted(lengths, ref)]
-    tail = abs(tau[-1] - tau_ref) / abs(tau[-1])
-    return HartmanSweep(
-        lengths=lengths,
-        tau_g=tau,
-        u_per_pin=stored,
-        apparent_speed=speed,
-        tail_relative_change=float(tail),
-        proportionality_ratio=tau / stored,
-    )
+    with spectral._named_float_errors("hartman sweep"):
+        tail = abs(tau[-1] - tau[np.searchsorted(lengths, ref)]) / abs(tau[-1])
+        return HartmanSweep(lengths=lengths, tau_g=tau, u_per_pin=stored,
+                            apparent_speed=lengths / tau, tail_relative_change=float(tail),
+                            proportionality_ratio=tau / stored)
 
 
 def energy_saturation(family, lengths: Sequence[float]) -> EnergySaturationCurve:

@@ -547,23 +547,18 @@ def stack_t_r_samples(stack: LayeredStack, omegas: np.ndarray):
     return _stack_t_r(stack, np.asarray(omegas, dtype=float))
 
 
-def _coupling_squared(grating: UniformGrating, delta) -> float:
-    """kappa^2, or DetuningOutOfRangeError for a detuning, float or array, out of the window."""
-    inside = abs(delta) < _GRATING_VALIDITY * grating.omega_b  # a bool for a float
-    if not (inside is True or np.all(inside)):
+def _grating_rate(grating: UniformGrating, omega: float):
+    """delta = n_bar (omega - omega_b) in the window (DetuningOutOfRangeError outside, NaN
+    among them) and gamma = sqrt(kappa^2 - delta^2), a Python complex."""
+    delta = grating.n_bar * (float(omega) - grating.omega_b)
+    if not abs(delta) < _GRATING_VALIDITY * grating.omega_b:
         raise DetuningOutOfRangeError(
             "detuning outside coupled-mode validity |delta| < 0.2 * omega_b")
     try:
-        return float(grating.kappa) ** 2
+        return delta, cmath.sqrt(float(grating.kappa) ** 2 - delta * delta)
     except OverflowError as exc:
         raise NonFiniteResultError(
             f"kappa = {grating.kappa!r} squared: OverflowError: {exc}") from exc
-
-
-def _grating_rate(grating: UniformGrating, omega: float):
-    """delta = n_bar (omega - omega_b) and gamma = sqrt(kappa^2 - delta^2), a Python complex."""
-    delta = grating.n_bar * (float(omega) - grating.omega_b)
-    return delta, cmath.sqrt(_coupling_squared(grating, delta) - delta * delta)
 
 
 def grating_response(grating: UniformGrating, omegas):
@@ -574,18 +569,16 @@ def grating_response(grating: UniformGrating, omegas):
         t = gamma / (gamma cosh(gamma L) - i delta sinh(gamma L))
         r = i kappa sinh(gamma L) / (gamma cosh(gamma L) - i delta sinh(gamma L))
 
-    At the Bragg frequency |t| = sech(kappa L).  Detunings are only trusted
-    within |delta| < 0.2 * omega_b, checked at every frequency before any is
-    evaluated by :func:`spectral._two_wave_t_r`, with a = -delta and b = kappa.
+    At the Bragg frequency |t| = sech(kappa L).  A detuning outside
+    |delta| < 0.2 * omega_b raises DetuningOutOfRangeError.  Frequency by
+    frequency :func:`spectral._two_wave_t_r`, with c = -delta, beta = kappa, k = 1.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    _coupling_squared(grating, grating.detuning(omegas))
 
     def setup(omega):
         delta, gamma = _grating_rate(grating, omega)
-        return gamma, -delta, grating.kappa
+        return gamma, -delta, grating.kappa, 1.0
 
-    return spectral._two_wave_arrays(omegas, setup, grating.length)
+    return spectral._two_wave_arrays(np.asarray(omegas, dtype=float), setup, grating.length)
 
 
 def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
@@ -598,7 +591,7 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     (:func:`spectral._two_wave_integral`).
     """
     delta, gamma = _grating_rate(grating, omega)
-    u = grating.n_bar * spectral._two_wave_integral(gamma, -delta, grating.kappa ** 2,
+    u = grating.n_bar * spectral._two_wave_integral(gamma, -delta, 1.0, grating.kappa ** 2,
                                                      grating.length)
     return spectral._finite(u, f"stored energy at omega = {omega!r}")
 
@@ -678,12 +671,13 @@ def grating_group_delay(grating: UniformGrating, omega: float) -> float:
     """Exact group delay d(arg t)/dw of a uniform grating, coupled-mode theory.
 
     The two-wave delay of :func:`spectral._two_wave_delay` with rate
-    gamma = sqrt(kappa^2 - delta^2), a = -delta, da/dw = -n_bar and
-    d(gamma^2)/dw = -2 delta n_bar; the opaque delay at any length.
+    gamma = sqrt(kappa^2 - delta^2), c = -delta, k = 1, dc/dw = -n_bar,
+    dk/dw = 0 and d(gamma^2)/dw = -2 delta n_bar; the opaque delay at any length.
     """
     delta, gamma = _grating_rate(grating, omega)
     n_bar = grating.n_bar
-    tau = spectral._two_wave_delay(gamma, -delta, -n_bar, -2.0 * delta * n_bar, grating.length)
+    tau = spectral._two_wave_delay(gamma, -delta, 1.0, -n_bar, 0.0, -2.0 * delta * n_bar,
+                                   grating.length)
     return spectral._finite(tau, f"grating group delay at omega = {omega!r}")
 
 

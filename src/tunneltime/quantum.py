@@ -7,13 +7,12 @@ Phase convention: the incident wave is exp(ikx) for x <= 0 and the
 transmitted wave is t * exp(ik(x - L)) for x >= L, i.e. the transmission
 phase is anchored at the barrier exit.  A vanishing barrier then gives
 t -> exp(ikL) and a zero-length barrier gives t = 1 exactly.  With this
-anchoring the group delay is simply d(arg t)/dE.  t and r (:func:`scatter`,
-at any E > 0), that delay and the dwell time come from the one scalar
-two-wave kernel of :mod:`spectral` with kappa taken complex: one expression
-below, at and above the barrier top, finite on opaque barriers of any
-length, and evaluated energy by energy for an array.
-There is no wavefunction sampler: the tests check the closed form against
-an independent boundary-matching solve.
+anchoring the group delay is simply d(arg t)/dE.  This module sets up
+k = sqrt(2E), kappa = sqrt(2 (v0 - E)), complex, and c = v0 - 2E; the scalar
+two-wave kernel of :mod:`spectral` turns them into t and r (:func:`scatter`),
+that delay and the dwell time at any E > 0 and any length, energy by energy
+for an array.  There is no wavefunction sampler: the tests check the closed
+form against an independent boundary-matching solve.
 """
 
 from __future__ import annotations
@@ -44,15 +43,14 @@ class QuantumBarrier:
 
 
 def _wave_numbers(barrier: QuantumBarrier, energy: float):
-    """k = sqrt(2 E), kappa = sqrt(2 (v0 - E)), complex, and a = (v0 - 2E)/k at one float E > 0."""
+    """k = sqrt(2 E), kappa = sqrt(2 (v0 - E)), complex, and c = v0 - 2E at one float E > 0."""
     if not (energy > 0.0 and math.isfinite(energy)):
         raise NonPositiveEnergyError("energy must be positive and finite")
     energy = float(energy)
     k, kappa_squared = math.sqrt(2.0 * energy), 2.0 * (barrier.v0 - energy)
-    a = (barrier.v0 - 2.0 * energy) / k
-    if not all(map(math.isfinite, (k, kappa_squared, a))):
-        raise NonFiniteResultError(f"2 E, 2 (v0 - E) or a overflows at E = {energy!r}")
-    return k, cmath.sqrt(kappa_squared), a
+    if not (math.isfinite(k) and math.isfinite(kappa_squared)):
+        raise NonFiniteResultError(f"2 E or 2 (v0 - E) overflows at E = {energy!r}")
+    return k, cmath.sqrt(kappa_squared), barrier.v0 - 2.0 * energy
 
 
 @dataclass(frozen=True)
@@ -77,36 +75,28 @@ def scatter(barrier: QuantumBarrier, energy):
     """Exit-anchored t and r at energies E > 0, one energy (0-d) or an array.
 
     :func:`spectral._two_wave_t_r` energy by energy, with kappa = sqrt(2 (v0 - E))
-    complex, a = (v0 - 2E)/k and b = -v0/k: one expression at any E > 0.
+    complex, c = v0 - 2E and beta = -v0: one expression at any E > 0.  An
+    energy that is not positive and finite raises NonPositiveEnergyError.
     """
-    energy = np.asarray(energy, dtype=float)
-    if not np.all(np.isfinite(energy) & (energy > 0.0)):
-        raise NonPositiveEnergyError("energy must be positive and finite")
 
     def setup(e):
-        k, kappa, a = _wave_numbers(barrier, e)
-        return kappa, a, -barrier.v0 / k
+        k, kappa, c = _wave_numbers(barrier, e)
+        return kappa, c, -barrier.v0, k
 
-    return spectral._two_wave_arrays(energy, setup, barrier.length)
+    return spectral._two_wave_arrays(np.asarray(energy, dtype=float), setup, barrier.length)
 
 
 def group_delay(barrier: QuantumBarrier, energy: float) -> float:
     """Exact group delay tau_g = d(arg t)/dE at the exit-anchored convention.
 
     The two-wave delay of :func:`spectral._two_wave_delay` with rate
-    kappa = sqrt(2 (v0 - E)) taken complex, a = (v0 - 2E)/k,
-    da/dE = -2/k - a/k^2 and d(kappa^2)/dE = -2: one expression below, at
-    and above the barrier top, and the Hartman limit at any length.  Where
-    a/k^2 overflows (E below about 1e-200) but tau_g ~ 1/k does not, the
-    delay, linear in da/dE, takes its a/k^2 part at da/dE = -a and divides
-    by k twice; a delay that still overflows raises NonFiniteResultError.
+    kappa = sqrt(2 (v0 - E)) taken complex, c = v0 - 2E, k = sqrt(2 E),
+    dc/dE = -2, dk/dE = 1/k and d(kappa^2)/dE = -2: one expression below,
+    at and above the barrier top, the Hartman limit at any length, and the
+    1/k law as E -> 0.  A delay that overflows raises NonFiniteResultError.
     """
-    k, kappa, a = _wave_numbers(barrier, energy)
-    length = barrier.length
-    tau = spectral._two_wave_delay(kappa, a, -2.0 / k - a / k ** 2, -2.0, length)
-    if not math.isfinite(tau):
-        tau = (spectral._two_wave_delay(kappa, a, -2.0 / k, -2.0, length)
-               + spectral._two_wave_delay(kappa, a, -a, 0.0, length) / k / k)
+    k, kappa, c = _wave_numbers(barrier, energy)
+    tau = spectral._two_wave_delay(kappa, c, k, -2.0, 1.0 / k, -2.0, barrier.length)
     return spectral._finite(tau, f"group delay at E = {energy!r}")
 
 
@@ -116,10 +106,10 @@ def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
     Exact (Buttiker, PRB 27, 6178 (1983)) with kappa = sqrt(2 (v0 - E))
     complex, so one expression holds below, at and above the barrier top:
     tau_d = |t|^2 L [1 + 4 v0 L^2 h(2 kappa L)] / k, h(z) = (sinh z - z)/z^3
-    (:func:`spectral._two_wave_integral` per flux k).
+    (:func:`spectral._two_wave_integral`).
     """
-    k, kappa, a = _wave_numbers(barrier, energy)
-    tau = spectral._two_wave_integral(kappa, a, barrier.v0, barrier.length, flux=k)
+    k, kappa, c = _wave_numbers(barrier, energy)
+    tau = spectral._two_wave_integral(kappa, c, k, barrier.v0, barrier.length)
     return spectral._finite(tau, f"dwell time at E = {energy!r}")
 
 
@@ -132,14 +122,9 @@ def delay_report(barrier: QuantumBarrier, energy: float) -> DelayReport:
     tau_i, front_time = tau_g - tau_d, barrier.length / k
     spectral._finite(max(abs(tau_i), front_time, apparent or 0.0),
                      f"tau_i, L/k or L/tau_g at E = {energy!r}")
-    return DelayReport(
-        tau_g=tau_g,
-        tau_d=tau_d,
-        tau_i=tau_i,
-        front_time=front_time,
-        apparent_speed=apparent,
-        apparent_superluminal=bool(apparent is not None and apparent > k),
-    )
+    return DelayReport(tau_g=tau_g, tau_d=tau_d, tau_i=tau_i, front_time=front_time,
+                       apparent_speed=apparent,
+                       apparent_superluminal=bool(apparent is not None and apparent > k))
 
 
 def analytic_group_delay(barrier: QuantumBarrier, energy: float) -> float:

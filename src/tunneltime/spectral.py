@@ -1,8 +1,8 @@
 """Shared spectral substrate: frequency grids, the unitarity defect, the
 sampled-phase oracle, and the two-wave barrier of the quantum rectangle and
-the uniform grating.  One scalar kernel in Python complex numbers serves its
-every read-out, t and r, exact group delay and exact field integral; an
-array goes value by value, about 2 us a value on a 2-core x86-64 host.
+the uniform grating.  One scalar kernel over k D, k the incident wave
+number, serves t and r, the exact group delay and the exact field integral;
+an array goes value by value, about 3 us a value on a 2-core x86-64 host.
 These barriers have tau_r = tau_t: r = i b (sinh(z)/rate) t with b and
 rate^2 real, so sinh(z)/rate is real and arg r - arg t is constant between
 the zeros of r.  No runtime path reads a sampled phase: the oracle
@@ -50,9 +50,10 @@ _AMPLITUDE_FLOOR = 1e-300
 # fractional non-uniformity tolerated in "uniform" grids
 _UNIFORMITY_TOL = 1e-9
 
-# Taylor coefficients 1/13!, 1/11!, ..., 1/3! of h(z) = (sinh z - z)/z^3 in z^2;
-# below the cutoff they reach roundoff and avoid the cancellation in sinh z - z
-_H_SERIES = tuple(1.0 / math.factorial(n) for n in range(13, 2, -2))
+# Taylor coefficients 1/19!, 1/17!, ..., 1/3! of h(z) = (sinh z - z)/z^3 in z^2;
+# below twice the cutoff (the field integral's h(2z)) they reach roundoff and
+# avoid the cancellation in sinh z - z
+_H_SERIES = tuple(1.0 / math.factorial(n) for n in range(19, 2, -2))
 _H_SERIES_CUTOFF = 0.5
 
 
@@ -278,51 +279,75 @@ def _named_float_errors(what: str):
         raise NonFiniteResultError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
-def _two_wave_denominator(rate: complex, a: float, length: float):
-    """z = rate L, e^{-Re z}, e^{-z - Re z}, cosh z, sinh(z)/rate and D, times e^{-Re z}; a scale.
+def _ratio(numerators, denominators) -> float:
+    """prod(numerators)/prod(denominators), binary exponents summed as integers: no partial
+    product over- or underflows, so the ratio is exact to roundoff wherever it is a float."""
+    mantissa, exponent = 1.0, 0
+    for x in numerators:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa * m, exponent + e
+    for x in denominators:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
+def _two_wave_denominator(rate: complex, c: float, k: float, length: float):
+    """z = rate L, e^{-Re z}, e^{-z - Re z}, cosh z, sinh(z)/rate and k D, times e^{-Re z}.
 
     The field of a two-wave barrier is a cosh/sinh combination of ``rate``
-    (Re >= 0) inside, and t = 1/D with D = cosh z + i a sinh(z)/rate; this
-    is the one place D is formed.  cosh and sinh are carried times e^{-Re z},
-    and sinh(z)/rate is (e^{i Im z} - e^{-z - Re z})/(2 rate), which no
+    (Re >= 0) inside, and t = 1/D with k D = k cosh z + i c sinh(z)/rate for
+    the incident wave number ``k``; this is the one place k D is formed, so
+    c/k is never formed.  cosh and sinh are carried times e^{-Re z}, and
+    sinh(z)/rate is (e^{i Im z} - e^{-z - Re z})/(2 rate), which no
     length multiplies: an opaque barrier's t underflows to zero while r
     stays exact, an infinite Re z is the opaque limit, and an infinite Im z
-    raises NonFiniteResultError.  The series L (1 + z^2 h(z)) near z = 0
-    takes rate = 0 (the barrier top).  There a L can overflow D where t, r
-    and the delay are finite, so every value but z is also carried times
-    the returned scale, 2^-j with 2^j an exact power of two near
-    max(1, |a| L), and L enters as L 2^-j: t = 0 and |r| = 1 on a barrier
-    too long for a L.  Elsewhere the scale is 1.
+    or k D raises NonFiniteResultError.  The series L (1 + z^2 h(z)) near
+    z = 0 takes rate = 0 (the barrier top).  There c L can overflow k D
+    where t, r and the delay are finite, so every value but z is also
+    carried times 2^-j, 2^j an exact power of two near max(1, |c| L), and L
+    enters as L 2^-j: t = 0 and |r| = 1 on a barrier too long for c L.
     """
     z = rate * length
     if not math.isfinite(z.imag):  # cmath.exp would raise a bare ValueError
         raise NonFiniteResultError(f"phase {z.imag!r} of rate x length is not finite")
     turn, decay, far = cmath.exp(1j * z.imag), math.exp(-z.real), cmath.exp(-z - z.real)
-    scale = 1.0
     if abs(z) < _H_SERIES_CUTOFF:
-        # at least 2^-1020, so e^{-2 Re z} 2^-j stays a normal float
-        scale = math.ldexp(1.0, -min(max(0, math.frexp(a)[1] + math.frexp(length)[1]), 1020))
+        # at least 2^-1020, so e^{-Re z} 2^-j stays a normal float; 1 at c L = 0
+        j = math.frexp(c)[1] + math.frexp(length)[1] if c * length else 0
+        scale = math.ldexp(1.0, -min(max(0, j), 1020))
         sinh_over_rate = length * scale * (1.0 + z * z * _h_series(z)) * decay
         turn, decay, far = turn * scale, decay * scale, far * scale
     else:
         sinh_over_rate = 0.5 * (turn - far) / rate
     cosh_z = 0.5 * (turn + far)
-    return z, decay, far, cosh_z, sinh_over_rate, cosh_z + 1j * a * sinh_over_rate, scale
+    d = k * cosh_z + 1j * c * sinh_over_rate
+    if not cmath.isfinite(d):  # t, r, the delay and the integral would read 0
+        raise NonFiniteResultError(f"scaled k D = {d!r} is not finite")
+    return z, decay, far, cosh_z, sinh_over_rate, d
 
 
-def _two_wave_t_r(rate: complex, a: float, b: float, length: float):
-    """t = e^{-Re z}/d, r = i b sinh(z)/rate/d; d is :func:`_two_wave_denominator`'s scaled D."""
-    _, decay, _, _, sinh_over_rate, d, _ = _two_wave_denominator(rate, a, length)
-    if not cmath.isfinite(d):  # r would read 0 where a sinh(z)/rate overflows
-        raise NonFiniteResultError(f"t and r: scaled D = {d!r} is not finite")
-    return decay / d, 1j * b * sinh_over_rate / d  # b first: b L is normal where L is not
+def _two_wave_t_r(rate: complex, c: float, beta: float, k: float, length: float):
+    """t = k e^{-Re z}/(k D) and r = i beta S/(k D), S = sinh(z)/rate real as rate^2 is.
+
+    ``beta`` = b k for r = i b S/D.  |t| and beta S/|k D| are one :func:`_ratio` each, as
+    k e^{-Re z} and beta S can leave the float range where they do not.
+    """
+    _, decay, _, _, sinh_over_rate, d = _two_wave_denominator(rate, c, k, length)
+    size = abs(d)
+    cos, sin = d.real / size, d.imag / size
+    t, r = _ratio((k, decay), (size,)), _ratio((beta, sinh_over_rate.real), (size,))
+    return complex(t * cos, -t * sin), complex(r * sin, r * cos)
 
 
 def _two_wave_arrays(values: np.ndarray, setup, length: float):
     """t and r of :func:`_two_wave_t_r` at each float of ``values``, in its shape.
 
-    ``setup`` maps one value to its (rate, a, b).  Python complex numbers
-    carry inf and nan with no error, so those raise NonFiniteResultError too.
+    ``setup`` maps one value to its (rate, c, beta, k), or raises outside its
+    domain; a t or r that is inf or nan raises NonFiniteResultError.
     """
     with _named_float_errors("t and r"):
         pairs = [_two_wave_t_r(*setup(x), length) for x in values.ravel().tolist()]
@@ -332,60 +357,59 @@ def _two_wave_arrays(values: np.ndarray, setup, length: float):
     return t_r[0], t_r[1]
 
 
-def _two_wave_delay(rate, a, da, ds, length: float) -> float:
-    """Exact group delay -Im(D'/D) of a two-wave barrier (see :func:`_two_wave_denominator`).
+def _two_wave_delay(rate, c, k, dc, dk, ds, length: float) -> float:
+    """Exact group delay -Im(D'/D) = -Im((k D)'/(k D)) of a two-wave barrier.
 
-    t = 1/D with D = cosh z + i a sinh(z)/rate and z = rate L, so
-    d(arg t)/dx = -Im(D'/D) for the variable x that ``da`` = da/dx and
-    ``ds`` = ds/dx differentiate by, s = rate^2.  In s,
+    For the x that ``dc``, ``dk`` and ``ds`` = d(rate^2) differentiate by, with
+    S = sinh(z)/rate real, d cosh z = (L/2) S ds and dS = (L^3/2) g(z) ds,
+    g(z) = (z cosh z - sinh z)/z^3 (see :func:`_two_wave_denominator`):
 
-        d cosh z = (L/2) sinh(z)/rate,  d(sinh(z)/rate) = (L^3/2) g(z),
+        Im((k D)'/(k D)) = [ds (L/2) c k (L^2 g cosh z - S^2) + (dc k - dk c) S cosh z] / |k D|^2.
 
-    with g(z) = (z cosh z - sinh z)/z^3, entire and even; below the cutoff
-    g(z) = (1 + z^2 h(z/2)/4)^2/2 - h(z), from cosh z = 1 + 2 sinh^2(z/2).
-    Above it, from sinh z - cosh z = -e^{-z},
-
-        D'/D = ds (L/2) [1/rate - e^{-z} (1 - i a/rate)/(rate D)]
-               + i (da - ds a/(2 rate^2)) sinh(z)/(rate D),
-
-    where L multiplies only Im of the bracket, which has no 1/rate part
-    below the barrier top, so nothing of order rate L cancels at any length.
+    Below the cutoff the ds and dc terms are one :func:`_ratio` each: no
+    power of L, c or k is formed.  Above it, from sinh z - cosh z = -e^{-z},
+    they are ds (L/2) Im[1/rate - e^{-z} (k - i c/rate)/(rate k D)]
+    + Re[(dc - ds c/(2 rate^2)) S/(k D)], where L multiplies only Im of the
+    bracket, which has no 1/rate part below the barrier top, so nothing of
+    order rate L cancels at any length.  The dk term is one :func:`_ratio`
+    on both sides.
     """
-    z, decay, far, _, sinh_over_rate, d, _ = _two_wave_denominator(rate, a, length)
+    z, decay, far, cosh_z, sinh_over_rate, d = _two_wave_denominator(rate, c, k, length)
+    size, s, ch = abs(d), sinh_over_rate.real, cosh_z.real
     if abs(z) < _H_SERIES_CUTOFF:
-        h = _h_series(z)
-        l2g = length * length * (0.5 * (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2 - h) * decay
-        d_slope = ds * 0.5 * length * (sinh_over_rate + 1j * a * l2g) + 1j * da * sinh_over_rate
-        slope = (d_slope / d).imag
+        # sinh(z/2)^2 = (z/2)^2 q^2, so cosh z = 1 + z^2 q^2/2 and g = q^2/2 - h(z)
+        h, q2 = _h_series(z), (1.0 + 0.25 * z * z * _h_series(0.5 * z)) ** 2
+        spread = ((0.5 * q2 - h) * (1.0 + 0.5 * z * z * q2) - (1.0 + z * z * h) ** 2).real
+        slope = (_ratio((0.5, ds, c, k, length, length, length, spread, decay, decay),
+                        (size, size)) + _ratio((dc, k, s, ch), (size, size)))
     else:
-        bracket = 1.0 / rate - far * (1.0 - 1j * a / rate) / (rate * d)
+        bracket = 1.0 / rate - far * (k - 1j * c / rate) / (rate * d)
         slope = (ds * (0.5 * length * bracket.imag)
-                 + ((da - 0.5 * ds * a / rate / rate) * sinh_over_rate / d).real)
+                 + ((dc - 0.5 * ds * c / rate / rate) * sinh_over_rate / d).real)
+    slope -= _ratio((dk, c, s, ch), (size, size))
     # 0.0 - x rather than -x, so a zero delay (L = 0) is +0.0, never -0.0
     return 0.0 - slope
 
 
-def _two_wave_integral(rate, a, coupling: float, length: float, flux: float = 1.0) -> float:
-    """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] / flux with h(z) = (sinh z - z)/z^3.
+def _two_wave_integral(rate, c, k, coupling: float, length: float) -> float:
+    """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] / k with h(z) = (sinh z - z)/z^3.
 
     The exact integral of |field|^2 over a two-wave barrier of length L
-    (see :func:`_two_wave_denominator`) per incident ``flux``.  Above the cutoff, with
-    z = rate L and g = coupling/rate^2 formed first, the product is
-    L (1 - g) + g sinh(z) cosh(z)/rate, times e^{-2 Re z}, divided by the
-    scaled |D| of t = 1/D before ``flux`` and after: |t|^2 is never formed.
-    The product is formed without the kernel's scale, whose square can
-    underflow it, and the scale goes back in at each division by |D|.
+    (see :func:`_two_wave_denominator`) per incident flux k.  Below the cutoff
+    its two terms are one :func:`_ratio` each, so no power of L is formed.
+    Above it, with z = rate L and g = coupling/rate^2 formed first, the
+    product L (1 - g) + g sinh(z) cosh(z)/rate, times e^{-2 Re z}, is
+    divided by |k D| before k multiplies and after: |t|^2 is never formed.
     """
-    z, decay, _, cosh_z, sinh_over_rate, d, scale = _two_wave_denominator(rate, a, length)
-    decay, cosh_z, sinh_over_rate = decay / scale, cosh_z / scale, sinh_over_rate / scale
-    if abs(2.0 * z) < _H_SERIES_CUTOFF:
-        product = length * decay * decay * (1.0 + 4.0 * coupling * length * length
-                                             * _h_series(2.0 * z))
-    else:
-        g = coupling / rate / rate
-        product = length * decay * decay * (1.0 - g) + g * sinh_over_rate * cosh_z
+    z, decay, _, cosh_z, sinh_over_rate, d = _two_wave_denominator(rate, c, k, length)
     size = abs(d)
-    return product.real * scale / size / flux * scale / size
+    if abs(z) < _H_SERIES_CUTOFF:
+        return (_ratio((k, length, decay, decay), (size, size))
+                + _ratio((4.0, coupling, k, length, length, length, _h_series(2.0 * z).real,
+                          decay, decay), (size, size)))
+    g = coupling / rate / rate
+    product = length * decay * decay * (1.0 - g) + g * sinh_over_rate * cosh_z
+    return product.real / size * k / size
 
 
 def locate_peak(times, samples) -> float:

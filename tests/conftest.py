@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tunneltime import photonic, spectral
 
@@ -11,6 +12,13 @@ from tunneltime import photonic, spectral
 # when reporting physical equivalents; the core never cares)
 LAMBDA0 = 0.702
 OMEGA0 = 2.0 * np.pi / LAMBDA0
+
+# magnitudes from the least subnormal to near the float maximum, with the
+# extremes and a few round magnitudes drawn often
+FLOAT_RANGE = st.one_of(
+    st.floats(5e-324, 1.7e308),
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300, 1.7e308]),
+)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import OMEGA0
+from conftest import FLOAT_RANGE, OMEGA0
 from tunneltime import analysis, photonic, quantum
-from tunneltime.errors import FitFailureError, NotInStopbandError
+from tunneltime.errors import (FitFailureError, NonFiniteResultError, NotInStopbandError,
+                               TunnelTimeError)
 
 
 class TestHartmanSweep:
@@ -43,6 +46,35 @@ class TestHartmanSweep:
         family = analysis.GratingFamily(kappa=0.15)
         sweep = analysis.hartman_sweep(family, [10.0, 30.0, 60.0, 100.0])
         np.testing.assert_allclose(sweep.proportionality_ratio, 1.0, rtol=1e-6)
+
+    def test_a_quantity_that_underflows_is_named(self):
+        # tau_g = 6.4e184 is finite and tau_d underflows to 0, so tau_g/tau_d
+        # has no value: a named error rather than a divide RuntimeWarning
+        with pytest.raises(NonFiniteResultError):
+            analysis.hartman_sweep(analysis.QuantumBarrierFamily(1e300, 5e-324), [5e-324])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        quantum_family=st.booleans(),
+        a=FLOAT_RANGE,
+        b=FLOAT_RANGE,
+        kappa=st.one_of(st.just(0.0), FLOAT_RANGE),
+        n_bar=st.floats(1.0, 4.0),
+        lengths=st.lists(FLOAT_RANGE, min_size=1, max_size=4),
+    )
+    def test_finite_or_named(self, quantum_family, a, b, kappa, n_bar, lengths):
+        # both families across the float range: every field finite, or a
+        # named TunnelTimeError, and no RuntimeWarning (an error under this
+        # suite's filter)
+        family = (analysis.QuantumBarrierFamily(v0=a, energy=b) if quantum_family
+                  else analysis.GratingFamily(kappa=kappa, n_bar=n_bar, omega_b=b))
+        try:
+            sweep = analysis.hartman_sweep(family, lengths)
+        except TunnelTimeError:
+            return
+        for values in (sweep.tau_g, sweep.u_per_pin, sweep.apparent_speed,
+                       sweep.proportionality_ratio, sweep.tail_relative_change):
+            assert np.all(np.isfinite(values))
 
 
 class TestEnergySaturation:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FLOAT_RANGE,
     LAMBDA0,
     OMEGA0,
     grating_envelopes,
@@ -30,13 +31,6 @@ from tunneltime.errors import (
 )
 
 EPS = np.finfo(float).eps
-
-# magnitudes from the least subnormal to near the float maximum, with the
-# extremes and a few round magnitudes drawn often
-FLOAT_RANGE = st.one_of(
-    st.floats(5e-324, 1.7e308),
-    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300, 1.7e308]),
-)
 
 
 def uncached_march(stack, omegas):

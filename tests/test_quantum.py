@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import quantum_matching_oracle, sampled_phase_slope
-from tunneltime import photonic, quantum
+from tunneltime import photonic, quantum, spectral
 from tunneltime.errors import NonFiniteResultError, NonPositiveEnergyError
 
 KAPPA = np.sqrt(2.0)  # kappa for v0 = 2, E = 1
@@ -115,6 +115,38 @@ class TestScatter:
         assert t == 0.0
         assert abs(r) == 1.0
 
+    def test_zero_length_at_any_height_and_energy(self):
+        # c L = 0 takes no power-of-two scale, so k cosh z stays in the float
+        # range, and t = 1 exactly
+        barrier = quantum.QuantumBarrier(1e300, 0.0)
+        t, r = quantum.scatter(barrier, 5e-324)
+        assert t == 1.0 and r == 0.0
+        assert quantum.group_delay(barrier, 5e-324) == 0.0 == quantum.dwell_time(barrier, 5e-324)
+
+    def test_tiny_energy_on_a_tall_barrier(self):
+        # a = (v0 - 2E)/k and b = -v0/k would overflow; t ~ -i k/(v0 L) and
+        # r ~ -1, as an 80-digit evaluation of the closed form reads
+        t, r = quantum.scatter(quantum.QuantumBarrier(1e300, 5e-324), 5e-324)
+        assert t.real == pytest.approx(4.0480450661462119e-277, rel=1e-15, abs=0.0)
+        assert t.imag == pytest.approx(-6.362424904190392e-139, rel=1e-15, abs=0.0)
+        assert r == pytest.approx(-1.0 - 6.362424904190392e-139j, rel=1e-15, abs=0.0)
+        assert spectral.unitarity_defect(t, r, 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("v0, length, energy, part, expected", [
+        # beta sinh(z)/rate = -v0 L ~ 5e-344 underflows
+        (1e-20, 5e-324, 1e-316, "r", -3.4935717137995457e-186j),
+        # k e^{-Re z} ~ 1e-350 underflows at kappa L = 575
+        (5.05e-201, 5.75e103, 5e-201, "t", 1.4966496382951583e-251 + 7.4084157095610248e-251j),
+    ])
+    def test_parts_whose_factors_leave_the_float_range(self, v0, length, energy, part, expected):
+        # each part of t and r is a product of k, c, beta, e^{-Re z}, cosh z and
+        # sinh(z)/rate over |k D|^2 with its exponents summed as integers;
+        # the expected values are 80-digit evaluations of the closed form
+        t, r = quantum.scatter(quantum.QuantumBarrier(v0, length), energy)
+        value = complex(t if part == "t" else r)
+        assert value.real == pytest.approx(expected.real, rel=1e-12, abs=0.0)
+        assert value.imag == pytest.approx(expected.imag, rel=1e-12, abs=0.0)
+
     def test_flux_conservation_over_random_cases(self):
         # below the barrier top, then anywhere from 0.01 v0 to 3 v0, then at
         # the top itself, where kappa = 0
@@ -214,6 +246,23 @@ class TestGroupDelay:
         assert report.tau_g == tau and np.isfinite(report.tau_i)
 
 
+    def test_tiny_energy_on_a_tall_barrier(self):
+        # tau_g ~ 1/(k v0 L) while a/k^2 ~ 1e623 would overflow; the value is
+        # a 120-digit derivative of arg t
+        barrier = quantum.QuantumBarrier(1e300, 5e-324)
+        tau = quantum.group_delay(barrier, 5e-324)
+        assert tau == pytest.approx(6.4388456855334261e184, rel=1e-15, abs=0.0)
+        report = quantum.delay_report(barrier, 5e-324)
+        assert report.tau_g == tau and report.tau_d >= 0.0
+
+    def test_dk_term_where_c_sinh_over_rate_underflows(self):
+        # c sinh(z)/rate ~ 2e-343 underflows, and the dk term (half the delay
+        # here) is a product with its exponents summed as integers; the value
+        # is an 80-digit evaluation
+        tau = quantum.group_delay(quantum.QuantumBarrier(1e-181, 1e-301), 1e-42)
+        assert tau == pytest.approx(7.0710678118654756e-281, rel=1e-14, abs=0.0)
+
+
 class TestDwellTime:
     def test_free_stream_transport_time(self):
         barrier = quantum.QuantumBarrier(1e-9, 2.0)
@@ -284,6 +333,12 @@ class TestDwellTime:
             low, rel=1e-12, abs=0.0)
 
 
+    def test_tiny_energy_on_a_tall_barrier(self):
+        # tau_d ~ k L/(v0 L)^2 underflows to 0 here, a true underflow
+        tau = quantum.dwell_time(quantum.QuantumBarrier(1e300, 5e-324), 5e-324)
+        assert np.isfinite(tau) and tau >= 0.0
+
+
 class TestDelayReport:
     def test_zero_length_report(self):
         report = quantum.delay_report(quantum.QuantumBarrier(2.0, 0.0), 1.0)
@@ -306,6 +361,15 @@ class TestDelayReport:
         report = quantum.delay_report(quantum.QuantumBarrier(2.0, length), 1.0)
         assert report.tau_g == pytest.approx(1.0, rel=4 * EPS, abs=0.0)
         assert report.tau_d == pytest.approx(0.5, rel=4 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("length", [1e150, 1e200, 1e300, 1.7e308])
+    def test_barrier_top_past_where_l_squared_overflows(self, length):
+        # at E = v0, tau_g and tau_d both tend to 4 L/(3 k) as c L grows; L^2
+        # overflows past L ~ 1.3e154, and L^3 past 5.6e102
+        barrier = quantum.QuantumBarrier(1e150, length)
+        expected = 4.0 * (length / (3.0 * np.sqrt(2e150)))
+        assert quantum.group_delay(barrier, 1e150) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert quantum.dwell_time(barrier, 1e150) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("v0, energy", [(2.0, 0.7), (2.0, 1.3), (8.0, 1.0)])
     def test_hartman_limit_at_every_length(self, v0, energy):
