@@ -38,7 +38,7 @@ class QuantumBarrierFamily:
         """Stored probability per unit incident flux (the dwell time)."""
         return quantum.dwell_time(QuantumBarrier(self.v0, length), self.energy)
 
-    def field_penetration_depth(self, length: float) -> Optional[float]:
+    def field_penetration_depth(self) -> Optional[float]:
         """1/e depth of the interior amplitude envelope, 1/kappa (None above barrier)."""
         if self.energy >= self.v0:
             return None
@@ -47,11 +47,15 @@ class QuantumBarrierFamily:
 
 @dataclass(frozen=True)
 class GratingFamily:
-    """Uniform gratings of fixed coupling, scalable in length, probed at Bragg."""
+    """Uniform gratings of fixed coupling, scalable in length, probed at Bragg; a kappa,
+    n_bar or omega_b that no grating takes raises ValueError when the family is made."""
 
     kappa: float
     n_bar: float = 1.0
     omega_b: float = 2.0 * np.pi
+
+    def __post_init__(self):
+        self._grating(1.0)
 
     def _grating(self, length: float) -> UniformGrating:
         return UniformGrating(self.kappa, length, self.n_bar, self.omega_b)
@@ -62,11 +66,11 @@ class GratingFamily:
     def stored(self, length: float) -> float:
         return photonic.grating_stored_energy(self._grating(length), self.omega_b)
 
-    def field_penetration_depth(self, length: float) -> Optional[float]:
+    def field_penetration_depth(self) -> Optional[float]:
         """Field 1/e depth at Bragg, independent of coupled-mode theory's 1/kappa.
 
         The :func:`photonic.bloch_depth` of one grating period cut into
-        _SLICES_PER_PERIOD slices: the same at every length, None at kappa = 0.
+        _SLICES_PER_PERIOD slices, which no length changes; None at kappa = 0.
         """
         period = self._grating(np.pi / (self.n_bar * self.omega_b))
         return photonic.bloch_depth(period.as_layered_stack(_SLICES_PER_PERIOD), self.omega_b)
@@ -90,7 +94,7 @@ class EnergySaturationCurve:
 
     ``fitted_depth`` is the field 1/e depth of the fit, None when the
     stored energy does not saturate; ``field_depth`` is the family's
-    independent estimate at the longest length.
+    independent estimate, the same at every length.
     """
 
     lengths: np.ndarray
@@ -147,7 +151,7 @@ def hartman_sweep(family, lengths: Sequence[float]) -> HartmanSweep:
     stored = np.array([family.stored(x) for x in lengths.tolist()])
     decade = lengths[lengths <= lengths[-1] / 10.0]
     ref = decade[-1] if decade.size else lengths[0]
-    with spectral._named_float_errors("hartman sweep"):
+    with spectral.named_float_errors("hartman sweep"):
         tail = abs(tau[-1] - tau[np.searchsorted(lengths, ref)]) / abs(tau[-1])
         return HartmanSweep(lengths=lengths, tau_g=tau, u_per_pin=stored,
                             apparent_speed=lengths / tau, tail_relative_change=float(tail),
@@ -166,8 +170,8 @@ def energy_saturation(family, lengths: Sequence[float]) -> EnergySaturationCurve
     lengths = np.asarray(sorted(float(x) for x in lengths))
     if lengths.size < 3:
         raise FitFailureError("saturation fit needs at least 3 lengths")
-    u = np.array([family.stored(x) for x in lengths])
-    u_plateau = float(family.stored(2.0 * lengths[-1]))
+    u = np.array([family.stored(x) for x in lengths.tolist()])
+    u_plateau = family.stored(2.0 * float(lengths[-1]))
     residuals = u_plateau - u
     usable = residuals > 1e3 * np.finfo(float).eps * max(abs(u_plateau), 1.0)
     fitted: Optional[float] = None
@@ -180,12 +184,11 @@ def energy_saturation(family, lengths: Sequence[float]) -> EnergySaturationCurve
             slope, _ = np.polyfit(lengths[usable], np.log(r_use), 1)
             if slope < 0.0:
                 fitted = float(-2.0 / slope)
-    field_depth = family.field_penetration_depth(lengths[-1])
     return EnergySaturationCurve(
         lengths=lengths,
         u_per_pin=u,
         fitted_depth=fitted,
-        field_depth=field_depth,
+        field_depth=family.field_penetration_depth(),
     )
 
 
@@ -197,7 +200,8 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
     a vacuum slab is a valid reference and reports zero advance.  The
     advance is also expressible as the stored-energy difference
     u_free - u_barrier; both sides come from independent routes (exact
-    phase slope versus field integral).
+    phase slope versus field integral).  A field past the float range raises
+    NonFiniteResultError.
     """
     t_mid, refl = photonic.stack_t_r(stack, omega_mid)
     trans_power = abs(t_mid) ** 2
@@ -206,12 +210,14 @@ def skc_report(stack: LayeredStack, omega_mid: float) -> SkcReport:
     tau = photonic.group_delay(stack, omega_mid)
     length = stack.total_length
     advance = length - tau
+    apparent = length / tau if tau > 0.0 else None
+    spectral._finite(max(length, abs(advance), apparent or 0.0), "length, advance or length/delay")
     return SkcReport(
         barrier_delay=tau,
         vacuum_delay=length,
         advance=advance,
         mirror_shift=advance,
-        apparent_speed=length / tau if tau > 0.0 else None,
+        apparent_speed=apparent,
         u_barrier=photonic.stored_energy(stack, omega_mid),
         u_free=length,
         backward_escape_fraction=float(abs(refl) ** 2),

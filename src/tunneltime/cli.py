@@ -17,7 +17,8 @@ value a library constructor rejects; nothing is written), 3 numerical
 failure (the failing error class is named in the JSON summary; a NaN or
 infinite result is one, and so is a Python ``ArithmeticError`` such as an
 overflowing float power, or a numpy overflow, invalid operation or division
-by zero anywhere in the run, reported as ``NonFiniteResultError``).  Outputs
+by zero anywhere in the run: the run is under ``spectral.named_float_errors``,
+so it is a ``NonFiniteResultError``, led by the kind if no library call names it).  Outputs
 are deterministic: identical configs produce byte-identical CSVs, with
 floats printed at 17 significant digits.
 ``threads`` is validated but sweeps run serially, so every thread count
@@ -238,9 +239,7 @@ def _run_hartman(v: dict):
     if v["family"] == "quantum":
         family = analysis.QuantumBarrierFamily(v["v0"], v["energy"])
     else:
-        family = analysis.GratingFamily(v["kappa"], v["n_bar"], v["omega_b"])
-        # a bad kappa is a config error
-        _build(photonic.UniformGrating, v["kappa"], v["lengths"][0], v["n_bar"], v["omega_b"])
+        family = _build(analysis.GratingFamily, v["kappa"], v["n_bar"], v["omega_b"])
     sweep = analysis.hartman_sweep(family, v["lengths"])
     columns = {"length": sweep.lengths, "tau_g": sweep.tau_g, "u_per_pin": sweep.u_per_pin,
                "apparent_speed": sweep.apparent_speed}
@@ -434,17 +433,11 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
 
     try:
         try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with spectral.named_float_errors(kind):
                 columns, summary = _EXPERIMENTS[kind].run(values)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except ArithmeticError as exc:
-            # a Python float or complex operation overflowed or divided by
-            # zero, or numpy met an overflow, an invalid operation or a
-            # division by zero (FloatingPointError): a non-finite
-            # intermediate, named where it arose
-            raise NonFiniteResultError(f"{type(exc).__name__}: {exc}") from exc
         if units is not None:
             summary.update(_fs_conversions(summary, units["length_scale_m"]))
         arrays = {key: np.asarray(values, dtype=float) for key, values in columns.items()}

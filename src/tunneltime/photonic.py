@@ -59,14 +59,13 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import spectral
-from .errors import (DetuningOutOfRangeError, NonFiniteResultError, NotInStopbandError,
-                     UndersampledPhaseError)
+from .errors import DetuningOutOfRangeError, NotInStopbandError, UndersampledPhaseError
 
 # fraction of the Bragg frequency within which the coupled-mode closed form
 # is trusted
@@ -157,8 +156,8 @@ class UniformGrating:
     """Uniform sinusoidal index grating described by coupled-mode theory.
 
     kappa is the coupling constant (1/length), n_bar the average index and
-    omega_b the Bragg angular frequency.  The equivalent index profile is
-    n(z) = n_bar + (2 kappa / omega_b) cos(2 n_bar omega_b z).
+    omega_b the Bragg angular frequency, each held as a Python float.  The
+    equivalent index profile is n(z) = n_bar + (2 kappa / omega_b) cos(2 n_bar omega_b z).
     """
 
     kappa: float
@@ -167,7 +166,9 @@ class UniformGrating:
     omega_b: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.kappa, self.length, self.n_bar, self.omega_b])):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        if not all(map(math.isfinite, (self.kappa, self.length, self.n_bar, self.omega_b))):
             raise ValueError("grating parameters must be finite")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
@@ -192,7 +193,7 @@ class UniformGrating:
         n_slices = max(1, int(round(slices_per_period * self.length / period)))
         dz = self.length / n_slices
         centers = (np.arange(n_slices) + 0.5) * dz
-        indices = self.n_bar + delta_n * np.cos(2.0 * beta0 * centers)
+        indices = self.n_bar + delta_n * np.cos(2.0 * (beta0 * centers))
         layers = tuple((float(n), dz) for n in indices)
         return LayeredStack(layers, n_in=self.n_bar, n_out=self.n_bar)
 
@@ -516,7 +517,7 @@ def _front_face(stack: LayeredStack, omegas, slope: bool = False):
 
 def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):
     """t and r at positive frequencies: t = 2^(-k)/a and r = b/a at the front face."""
-    with spectral._named_float_errors("t and r"):
+    with spectral.named_float_errors("t and r"):
         incident, reflected, k = _front_face(stack, omegas)
         # 1.0 and 2^0 are both cast to 1 + 0i in the division
         return (np.ldexp(1.0, -k) if k.any() else 1.0) / incident, reflected / incident
@@ -549,16 +550,17 @@ def stack_t_r_samples(stack: LayeredStack, omegas: np.ndarray):
 
 def _grating_rate(grating: UniformGrating, omega: float):
     """delta = n_bar (omega - omega_b) in the window (DetuningOutOfRangeError outside, NaN
-    among them) and gamma = sqrt(kappa^2 - delta^2), a Python complex."""
+    among them) and gamma = sqrt(kappa^2 - delta^2), a Python complex, from kappa and delta
+    scaled by one power of two: exact, so no square over- or underflows, and gamma has the
+    unscaled formula's bits wherever its squares are normal."""
     delta = grating.n_bar * (float(omega) - grating.omega_b)
     if not abs(delta) < _GRATING_VALIDITY * grating.omega_b:
         raise DetuningOutOfRangeError(
             "detuning outside coupled-mode validity |delta| < 0.2 * omega_b")
-    try:
-        return delta, cmath.sqrt(float(grating.kappa) ** 2 - delta * delta)
-    except OverflowError as exc:
-        raise NonFiniteResultError(
-            f"kappa = {grating.kappa!r} squared: OverflowError: {exc}") from exc
+    e = math.frexp(max(grating.kappa, abs(delta)))[1]
+    kappa, detuning = math.ldexp(grating.kappa, -e), math.ldexp(delta, -e)
+    gamma = cmath.sqrt(kappa * kappa - detuning * detuning)
+    return delta, complex(math.ldexp(gamma.real, e), math.ldexp(gamma.imag, e))
 
 
 def grating_response(grating: UniformGrating, omegas):
@@ -591,7 +593,8 @@ def grating_stored_energy(grating: UniformGrating, omega: float) -> float:
     (:func:`spectral._two_wave_integral`).
     """
     delta, gamma = _grating_rate(grating, omega)
-    u = grating.n_bar * spectral._two_wave_integral(gamma, -delta, 1.0, grating.kappa ** 2,
+    u = grating.n_bar * spectral._two_wave_integral(gamma, -delta, 1.0,
+                                                     (grating.kappa, grating.kappa),
                                                      grating.length)
     return spectral._finite(u, f"stored energy at omega = {omega!r}")
 
@@ -612,7 +615,7 @@ def stored_energy(stack: LayeredStack, omega: float) -> float:
     """
     faces = _backward_march(stack, float(omega))
     total, scale = 0.0, 0
-    with spectral._named_float_errors("stored energy"):
+    with spectral.named_float_errors("stored energy"):
         e, h, _ = next(faces)  # the exit face, where k = 0
         for (n, d), (e, h, k) in zip(stack.layers[::-1], faces):
             if k != scale:
@@ -639,7 +642,7 @@ def bloch_depth(cell: LayeredStack, omega: float) -> Optional[float]:
         raise ValueError("omega must be positive and finite")
     if not cell.layers:
         raise ValueError("need at least one layer")
-    with spectral._named_float_errors("trace of the cell's step"):
+    with spectral.named_float_errors("trace of the cell's step"):
         a, _, _, d = _cell_matrix(_layer_steps(cell.layers[::-1], float(omega), slope=False))
         half_trace = abs(a + d) / 2.0
     spectral._finite(half_trace, f"trace of the cell's step at omega = {omega!r}")
@@ -658,7 +661,7 @@ def group_delay(stack: LayeredStack, omega: float) -> float:
     NonFiniteResultError where the march or the delay leaves the float range.
     """
     n = stack.n_in
-    with spectral._named_float_errors("group delay"):
+    with spectral.named_float_errors("group delay"):
         for (e, de), (h, dh), _ in _backward_march(stack, float(omega), slope=True, cells=True):
             pass  # only the front face is needed
         ratio = (n * de + dh) / (n * e + h) if n < 1.0 else (de + dh / n) / (e + h / n)
@@ -761,7 +764,7 @@ def _k_section(stack: LayeredStack, outside: np.ndarray, inside: np.ndarray) -> 
     a, b = inside[live], outside[live]
     sections = a[:, None] + (b - a)[:, None] * (np.arange(1, _SECTIONS) / _SECTIONS)
     powers = _transmittance(stack, sections).tolist()
-    with spectral._named_float_errors("|t|^2 at a stopband edge"):
+    with spectral.named_float_errors("|t|^2 at a stopband edge"):
         for j, row, power in zip(live, sections.tolist(), powers):
             xs, fs = [float(inside[j]), *row, float(outside[j])], [math.nan, *power, math.nan]
             first = next((i for i in range(1, _SECTIONS) if fs[i] >= 0.5), _SECTIONS)
@@ -812,7 +815,7 @@ def phase_energy_check(stack: LayeredStack, grid: spectral.FrequencyGrid) -> Pha
         band = None
     if band is not None and grid.span > 0.02 * band.width * (1.0 + 1e-9):
         raise ValueError("grid span exceeds 2% of the stopband width")
-    with spectral._named_float_errors("arg t"):
+    with spectral.named_float_errors("arg t"):
         phi = np.unwrap(-np.angle(_front_face(stack, grid.omegas)[0]))
     if np.any(np.abs(np.diff(phi)) >= 0.5 * np.pi):
         raise UndersampledPhaseError("arg t steps by pi/2 or more between grid samples")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,15 +30,17 @@ from .errors import AboveBarrierError, NonFiniteResultError, NonPositiveEnergyEr
 
 @dataclass(frozen=True)
 class QuantumBarrier:
-    """Rectangular potential of height ``v0`` on 0 <= x <= ``length``."""
+    """Rectangular potential of height ``v0`` on 0 <= x <= ``length``, held as Python floats."""
 
     v0: float
     length: float
 
     def __post_init__(self):
-        if not (self.v0 > 0.0 and np.isfinite(self.v0)):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        if not (self.v0 > 0.0 and math.isfinite(self.v0)):
             raise ValueError("barrier height v0 must be positive and finite")
-        if not (self.length >= 0.0 and np.isfinite(self.length)):
+        if not (self.length >= 0.0 and math.isfinite(self.length)):
             raise ValueError("barrier length must be nonnegative and finite")
 
 
@@ -109,7 +111,7 @@ def dwell_time(barrier: QuantumBarrier, energy: float) -> float:
     (:func:`spectral._two_wave_integral`).
     """
     k, kappa, c = _wave_numbers(barrier, energy)
-    tau = spectral._two_wave_integral(kappa, c, k, barrier.v0, barrier.length)
+    tau = spectral._two_wave_integral(kappa, c, k, (barrier.v0, 1.0), barrier.length)
     return spectral._finite(tau, f"dwell time at E = {energy!r}")
 
 

@@ -186,7 +186,7 @@ def unitarity_defect(t, r, weight: float) -> float:
     t, r = np.asarray(t, dtype=complex), np.asarray(r, dtype=complex)
     if not (math.isfinite(weight) and np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
         raise ValueError("t, r and weight must be finite")
-    with _named_float_errors("unitarity defect"):
+    with named_float_errors("unitarity defect"):
         # |t| of a finite t may overflow to inf with no numpy warning
         defect = float(np.max(np.abs(weight * np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)))
     return _finite(defect, "unitarity defect")
@@ -265,12 +265,12 @@ def _finite(value: float, what: str) -> float:
 
 
 @contextlib.contextmanager
-def _named_float_errors(what: str):
-    """NonFiniteResultError naming ``what`` at numpy's overflow, 1/0 or invalid value.
+def named_float_errors(what: str):
+    """NonFiniteResultError, its message led by ``what``, at numpy's overflow, 1/0 or invalid value.
 
-    Python floats raise OverflowError or ZeroDivisionError at some of these
-    and carry the rest to inf or nan, so a float result is checked too
-    (:func:`_finite`).
+    Python floats raise OverflowError or ZeroDivisionError at some of these,
+    mapped too, and carry the rest to inf or nan, so a float result is checked
+    too (:func:`_finite`).  The CLI runs each experiment under it, by kind.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -349,7 +349,7 @@ def _two_wave_arrays(values: np.ndarray, setup, length: float):
     ``setup`` maps one value to its (rate, c, beta, k), or raises outside its
     domain; a t or r that is inf or nan raises NonFiniteResultError.
     """
-    with _named_float_errors("t and r"):
+    with named_float_errors("t and r"):
         pairs = [_two_wave_t_r(*setup(x), length) for x in values.ravel().tolist()]
     t_r = np.array(pairs, dtype=complex).T.copy().reshape((2,) + values.shape)
     if not np.all(np.isfinite(t_r)):
@@ -371,8 +371,9 @@ def _two_wave_delay(rate, c, k, dc, dk, ds, length: float) -> float:
     they are ds (L/2) Im[1/rate - e^{-z} (k - i c/rate)/(rate k D)]
     + Re[(dc - ds c/(2 rate^2)) S/(k D)], where L multiplies only Im of the
     bracket, which has no 1/rate part below the barrier top, so nothing of
-    order rate L cancels at any length.  The dk term is one :func:`_ratio`
-    on both sides.
+    order rate L cancels at any length; ds meets Im of the bracket before L,
+    and c meets 1/rate before ds, so a grating's delay holds where kappa,
+    delta and 1/L share any scale.  The dk term is one :func:`_ratio` on both sides.
     """
     z, decay, far, cosh_z, sinh_over_rate, d = _two_wave_denominator(rate, c, k, length)
     size, s, ch = abs(d), sinh_over_rate.real, cosh_z.real
@@ -384,30 +385,31 @@ def _two_wave_delay(rate, c, k, dc, dk, ds, length: float) -> float:
                         (size, size)) + _ratio((dc, k, s, ch), (size, size)))
     else:
         bracket = 1.0 / rate - far * (k - 1j * c / rate) / (rate * d)
-        slope = (ds * (0.5 * length * bracket.imag)
-                 + ((dc - 0.5 * ds * c / rate / rate) * sinh_over_rate / d).real)
+        slope = (ds * bracket.imag * 0.5 * length
+                 + ((dc - 0.5 * ds * (c / rate) / rate) * sinh_over_rate / d).real)
     slope -= _ratio((dk, c, s, ch), (size, size))
     # 0.0 - x rather than -x, so a zero delay (L = 0) is +0.0, never -0.0
     return 0.0 - slope
 
 
-def _two_wave_integral(rate, c, k, coupling: float, length: float) -> float:
-    """|t|^2 L [1 + 4 coupling L^2 h(2 rate L)] / k with h(z) = (sinh z - z)/z^3.
+def _two_wave_integral(rate, c, k, coupling, length: float) -> float:
+    """|t|^2 L [1 + 4 a b L^2 h(2 rate L)] / k, h(z) = (sinh z - z)/z^3, coupling = (a, b).
 
     The exact integral of |field|^2 over a two-wave barrier of length L
     (see :func:`_two_wave_denominator`) per incident flux k.  Below the cutoff
-    its two terms are one :func:`_ratio` each, so no power of L is formed.
-    Above it, with z = rate L and g = coupling/rate^2 formed first, the
+    its two terms are one :func:`_ratio` each, so no power of L, nor a b, is
+    formed.  Above it, with z = rate L and g = a/rate b/rate formed first, the
     product L (1 - g) + g sinh(z) cosh(z)/rate, times e^{-2 Re z}, is
     divided by |k D| before k multiplies and after: |t|^2 is never formed.
     """
     z, decay, _, cosh_z, sinh_over_rate, d = _two_wave_denominator(rate, c, k, length)
     size = abs(d)
+    a, b = coupling
     if abs(z) < _H_SERIES_CUTOFF:
         return (_ratio((k, length, decay, decay), (size, size))
-                + _ratio((4.0, coupling, k, length, length, length, _h_series(2.0 * z).real,
+                + _ratio((4.0, a, b, k, length, length, length, _h_series(2.0 * z).real,
                           decay, decay), (size, size)))
-    g = coupling / rate / rate
+    g = a / rate * b / rate
     product = length * decay * decay * (1.0 - g) + g * sinh_over_rate * cosh_z
     return product.real / size * k / size
 
@@ -433,7 +435,7 @@ def locate_peak(times, samples) -> float:
         raise PeakAtBoundaryError("maximum sits on the record boundary")
     t0, t1, t2 = t[j - 1], t[j], t[j + 1]
     v0, v1, v2 = v[j - 1], v[j], v[j + 1]
-    with _named_float_errors("peak refinement"):
+    with named_float_errors("peak refinement"):
         # vertex of the parabola through three (generally non-uniform) points
         denom = (t1 - t0) * (v1 - v2) - (t1 - t2) * (v1 - v0)
         if denom <= 0.0:

@@ -34,7 +34,6 @@ serial one bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -76,25 +75,18 @@ _PHASE_STEP_BOUND = np.pi / 16
 _RECORD_CAP = 1 << 20
 
 
-def _smooth_lengths(limit: int) -> list:
-    """Every 2^a 3^b 5^c <= limit in ascending order, the lengths FFTs take fast."""
-    lengths = []
-    p5 = 1
-    while p5 <= limit:
-        p35 = p5
-        while p35 <= limit:
-            lengths.extend(p35 << a for a in range((limit // p35).bit_length()))
-            p35 *= 3
-        p5 *= 5
-    return sorted(lengths)
-
-
-_FFT_LENGTHS = _smooth_lengths(_RECORD_CAP)
-
-
 def _fft_length(count: int) -> int:
-    """Smallest 2^a 3^b 5^c >= count, for counts up to the record cap."""
-    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, count)]
+    """Smallest 2^a 3^b 5^c >= count, the lengths FFTs take fast: for each 3^b 5^c
+    below the best so far, its least power-of-two multiple that reaches ``count``."""
+    best = 1 << (count - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-count // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -216,13 +208,14 @@ def propagate_spectral(
             f"a pulse needs at least {MIN_PULSE_SAMPLES} samples and a positive bandwidth"
         )
     fwhm_per_sigma = 2.0 * np.sqrt(np.log(2.0))  # intensity FWHM of the envelope in sigma_t
-    sigma_t = fwhm_per_sigma / bandwidth
-    span = _DURATION_FACTOR * (fwhm_per_sigma * sigma_t)
-    times = (np.arange(samples) - samples // 2) * (span / samples)
-    a_in = np.exp(-(times ** 2) / (2.0 * sigma_t ** 2)).astype(complex)
-    dt = float(times[1] - times[0])
-    omega_fft = 2.0 * np.pi * np.fft.fftfreq(samples, dt)
-    omegas = omega0 + omega_fft
+    with spectral.named_float_errors("pulse record"):
+        sigma_t = fwhm_per_sigma / bandwidth
+        span = _DURATION_FACTOR * (fwhm_per_sigma * sigma_t)
+        times = (np.arange(samples) - samples // 2) * (span / samples)
+        a_in = np.exp(-(times ** 2) / (2.0 * sigma_t ** 2)).astype(complex)
+        dt = float(times[1] - times[0])
+        omega_fft = 2.0 * np.pi * np.fft.fftfreq(samples, dt)
+        omegas = omega0 + omega_fft
     lowest = float(np.min(omegas))
     if lowest <= 0.0:
         raise BandTooNarrowError(
@@ -309,9 +302,9 @@ def front_causality(
     2^20 samples raises WraparoundDetectedError, as does transmitted power
     above 1e-6 of its peak in the accepted record's last 2 %.
     """
-    if n_cycles <= 0 or hold_cycles < 0:
+    if not (n_cycles > 0 and hold_cycles >= 0):
         raise ValueError("n_cycles must be positive and hold_cycles nonnegative")
-    if band_factor < 50.0:
+    if not band_factor >= 50.0:
         raise BandTooNarrowError("synthesis band must cover at least 50x the stopband")
     stopband_width = photonic.find_stopband(stack, omega_mid).width
     band = band_factor * stopband_width
@@ -331,11 +324,11 @@ def front_causality(
 
     # the band fixes dt exactly, so every synthesis frequency stays positive
     dt = 2.0 * np.pi / band
-    count = max(4096, math.ceil(duration / dt))
-    if count > _RECORD_CAP:
+    needed = duration / dt
+    if not needed <= _RECORD_CAP:  # an infinite duration too
         raise WraparoundDetectedError(
-            f"the front synthesis needs {count} samples, past the cap of {_RECORD_CAP}"
-        )
+            f"the front synthesis needs {needed:.6g} samples, past the cap of {_RECORD_CAP}")
+    count = max(4096, math.ceil(needed))
     while True:
         n = _fft_length(count)
         omegas = omega_mid + 2.0 * np.pi * np.fft.fftfreq(n, dt)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,14 @@ class TestHartmanSweep:
             assert np.all(np.isfinite(values))
 
 
+class TestGratingFamily:
+    @pytest.mark.parametrize("kappa, n_bar, omega_b", [(-0.1, 1.0, 1.0), (0.1, 0.0, 1.0),
+                                                       (0.1, 1.0, -1.0), (np.nan, 1.0, 1.0)])
+    def test_rejects_what_no_grating_takes(self, kappa, n_bar, omega_b):
+        with pytest.raises(ValueError):
+            analysis.GratingFamily(kappa, n_bar, omega_b)
+
+
 class TestEnergySaturation:
     def test_transparent_family_grows_linearly(self):
         family = analysis.GratingFamily(kappa=0.0)
@@ -104,6 +113,37 @@ class TestEnergySaturation:
         dwell_rate = -np.polyfit(lengths, dwell_res, 1)[0]
         assert abs(tau_rate - dwell_rate) / tau_rate < 0.05
 
+    def test_an_overflow_in_the_kernel_is_named(self):
+        # the lengths reach the barrier as Python floats, so an overflow is an
+        # inf that is named, not a numpy RuntimeWarning
+        with pytest.raises(NonFiniteResultError):
+            analysis.energy_saturation(analysis.QuantumBarrierFamily(5e-324, 1e-300),
+                                       [2.5e158, 3e158, 4e158])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        quantum_family=st.booleans(),
+        a=FLOAT_RANGE,
+        b=FLOAT_RANGE,
+        kappa=st.one_of(st.just(0.0), FLOAT_RANGE),
+        n_bar=st.floats(1.0, 4.0),
+        lengths=st.lists(FLOAT_RANGE, min_size=3, max_size=5),
+    )
+    def test_finite_or_named(self, quantum_family, a, b, kappa, n_bar, lengths):
+        # both families across the float range: every field finite or None,
+        # or a ValueError (twice the longest length may pass the float range)
+        # or a named TunnelTimeError, and no RuntimeWarning (an error under
+        # this suite's filter)
+        family = (analysis.QuantumBarrierFamily(v0=a, energy=b) if quantum_family
+                  else analysis.GratingFamily(kappa=kappa, n_bar=n_bar, omega_b=b))
+        try:
+            curve = analysis.energy_saturation(family, lengths)
+        except (ValueError, TunnelTimeError):
+            return
+        assert np.all(np.isfinite(curve.u_per_pin))
+        for depth in (curve.fitted_depth, curve.field_depth):
+            assert depth is None or math.isfinite(depth)
+
     def test_needs_three_lengths(self):
         with pytest.raises(FitFailureError):
             analysis.energy_saturation(analysis.GratingFamily(kappa=0.2), [1.0, 2.0])
@@ -112,19 +152,19 @@ class TestEnergySaturation:
 class TestQuantumPenetrationDepth:
     @pytest.mark.parametrize("v0, energy", [(2.0, 1.0), (5.0, 0.5), (1.0, 1e-3)])
     def test_below_the_top_is_one_over_kappa(self, v0, energy):
-        depth = analysis.QuantumBarrierFamily(v0, energy).field_penetration_depth(3.0)
+        depth = analysis.QuantumBarrierFamily(v0, energy).field_penetration_depth()
         assert depth == pytest.approx(1.0 / math.sqrt(2.0 * (v0 - energy)), rel=1e-15)
 
     @pytest.mark.parametrize("energy", [2.0, 3.5])
     def test_none_at_and_above_the_top(self, energy):
-        assert analysis.QuantumBarrierFamily(2.0, energy).field_penetration_depth(3.0) is None
+        assert analysis.QuantumBarrierFamily(2.0, energy).field_penetration_depth() is None
 
     def test_saturation_fit_matches_it(self):
         # the fit reads 0.7197 against 1/kappa = 1/sqrt(2) = 0.7071
         family = analysis.QuantumBarrierFamily(v0=2.0, energy=1.0)
         lengths = [kl / math.sqrt(2.0) for kl in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
         curve = analysis.energy_saturation(family, lengths)
-        assert curve.field_depth == family.field_penetration_depth(lengths[-1])
+        assert curve.field_depth == family.field_penetration_depth()
         assert abs(curve.fitted_depth - curve.field_depth) / curve.field_depth < 0.05
 
 
@@ -152,6 +192,27 @@ class TestSkcReport:
         assert 0.5 < report.backward_escape_fraction < 1.0
         assert "backward" in report.interpretation
         assert "not a propagation speed" in report.interpretation
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        cell=st.lists(st.tuples(FLOAT_RANGE, FLOAT_RANGE), min_size=1, max_size=3),
+        count=st.integers(1, 12),
+        n_in=FLOAT_RANGE,
+        n_out=FLOAT_RANGE,
+        omega=FLOAT_RANGE,
+    )
+    def test_finite_or_named(self, cell, count, n_in, n_out, omega):
+        # indices, thicknesses and frequencies across the float range: every
+        # field finite or None, or a named TunnelTimeError, and no
+        # RuntimeWarning (an error under this suite's filter).  Every drawn
+        # argument is in its domain, so a ValueError fails the draw
+        stack = photonic.LayeredStack(tuple(cell) * count, n_in=n_in, n_out=n_out)
+        try:
+            report = analysis.skc_report(stack, omega)
+        except TunnelTimeError:
+            return
+        fields = dataclasses.asdict(report)
+        assert all(value is None or math.isfinite(value) for value in fields.values())
 
     def test_passband_probe_rejected(self, skc_stack):
         band = photonic.find_stopband(skc_stack, OMEGA0)

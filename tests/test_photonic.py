@@ -164,6 +164,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             photonic.UniformGrating(0.1, 0.0, 1.0, 1.0)
 
+    def test_grating_holds_python_floats(self):
+        grating = photonic.UniformGrating(*np.float64([0.1, 1.0, 1.0, 1.0]))
+        assert all(type(getattr(grating, f.name)) is float for f in dataclasses.fields(grating))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, bad):
         good = (0.1, 1.0, 1.0, 1.0)
@@ -1048,6 +1052,35 @@ class TestGratingResponse:
         for quantity in (photonic.grating_stored_energy, photonic.grating_group_delay):
             assert quantity(grating, 6.0) == pytest.approx(0.5, rel=2 * EPS, abs=0.0)
 
+    def test_tiny_coupling_at_bragg(self):
+        # kappa^2 underflows to 0, but no square of kappa is formed: kappa L = 1
+        grating = photonic.UniformGrating(1e-300, 1e300, 1.0, 1.0)
+        t, r = photonic.grating_response(grating, 1.0)
+        assert abs(t) == pytest.approx(1.0 / math.cosh(1.0), rel=4 * EPS, abs=0.0)
+        assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1.0, rel=4 * EPS, abs=0.0)
+        for quantity in (photonic.grating_group_delay, photonic.grating_stored_energy):
+            assert quantity(grating, 1.0) == pytest.approx(math.tanh(1.0) / 1e-300, rel=1e-15,
+                                                           abs=0.0)
+
+    @pytest.mark.parametrize("m", [-997, -664, 600], ids=["1e-300", "1e-200", "4e180"])
+    @pytest.mark.parametrize("kappa, length, delta", [
+        (0.25, 20.0, 0.0), (0.25, 20.0, 0.05), (0.25, 20.0, 0.25), (0.25, 20.0, -0.4),
+        (0.25, 1.0, 0.1), (0.0, 3.0, 0.3)])
+    def test_scaling_kappa_and_delta_by_a_power_of_two(self, m, kappa, length, delta):
+        # kappa, delta and omega times 2^m and L times 2^-m leave t and r as
+        # they are and divide tau_g and U/P_in by 2^m: inside, at the edge of
+        # and outside the stopband, on the series branch and at kappa = 0
+        omega_b, n_bar = 4.0, 1.0
+        unit = photonic.UniformGrating(kappa, length, n_bar, omega_b)
+        scaled = photonic.UniformGrating(math.ldexp(kappa, m), math.ldexp(length, -m), n_bar,
+                                         math.ldexp(omega_b, m))
+        omega = omega_b + delta
+        assert photonic.grating_response(scaled, math.ldexp(omega, m)) == pytest.approx(
+            photonic.grating_response(unit, omega), rel=4 * EPS, abs=0.0)
+        for quantity in (photonic.grating_group_delay, photonic.grating_stored_energy):
+            assert math.ldexp(quantity(scaled, math.ldexp(omega, m)), m) == pytest.approx(
+                quantity(unit, omega), rel=4 * EPS, abs=0.0)
+
     def test_zero_coupling_is_the_transit_time(self):
         grating = photonic.UniformGrating(0.0, 7.0, 1.3, 2.0 * np.pi)
         for omega in (grating.omega_b, 1.1 * grating.omega_b):
@@ -1072,11 +1105,12 @@ class TestGratingResponse:
 
     @pytest.mark.parametrize("quantity", [photonic.grating_group_delay, photonic.grating_stored_energy],
                              ids=lambda f: f.__name__)
-    def test_coupling_too_large_to_square_raises_named(self, quantity):
-        # kappa^2 overflows a Python float: a named failure, not an OverflowError
+    def test_coupling_too_large_to_square_gives_the_opaque_limit(self, quantity):
+        # kappa^2 overflows a Python float, but no square is formed: at Bragg
+        # tau_g = U/P_in = tanh(kappa L)/kappa
         grating = photonic.UniformGrating(2e171, 5.0, 1.0, 2.0 * np.pi)
-        with pytest.raises(NonFiniteResultError, match="OverflowError"):
-            quantity(grating, grating.omega_b)
+        limit = math.tanh(2e171 * 5.0) / 2e171
+        assert quantity(grating, grating.omega_b) == pytest.approx(limit, rel=1e-15, abs=0.0)
 
 
 class TestStoredEnergy:

@@ -22,6 +22,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             quantum.QuantumBarrier(1.0, -1.0)
 
+    def test_numpy_fields_are_held_as_python_floats(self):
+        # a numpy length would run the kernel in numpy scalars, whose overflow
+        # is a RuntimeWarning (an error under this suite's filter), not an inf
+        barrier = quantum.QuantumBarrier(5e-324, np.float64(2.542322008807814e158))
+        assert type(barrier.v0) is float and type(barrier.length) is float
+        with pytest.raises(NonFiniteResultError):
+            quantum.group_delay(barrier, 1e-300)
+
     def test_scatter_rejects_nonpositive_energy(self):
         # one bad energy in an array fails the whole call
         for energy in (0.0, np.inf, np.array([1.0, 0.0, 3.0]), np.array([1.0, np.nan])):

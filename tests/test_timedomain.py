@@ -7,11 +7,14 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LAMBDA0, OMEGA0
+from conftest import FLOAT_RANGE, LAMBDA0, OMEGA0
 from tunneltime import photonic, quantum, spectral, timedomain
 from tunneltime.errors import (
     BandTooNarrowError,
@@ -19,6 +22,7 @@ from tunneltime.errors import (
     NormDriftError,
     NotInStopbandError,
     RecordTruncatedError,
+    TunnelTimeError,
     WraparoundDetectedError,
 )
 
@@ -334,6 +338,48 @@ def five_smooth_at_least(counts: np.ndarray) -> np.ndarray:
             rest = np.where(rest % p, rest, rest // p)
     smooth = np.flatnonzero(rest == 1)
     return smooth[np.searchsorted(smooth, counts)]
+
+
+class Marched(Exception):
+    """Raised in place of the stack march: the arguments passed every check before it."""
+
+
+def no_march(stack, omegas):
+    raise Marched
+
+
+class TestChecksBeforeTheMarch:
+    """The arguments a call checks before it marches the stack, across the float range.
+
+    Each draw reaches the march or raises ValueError or a named
+    TunnelTimeError, and no RuntimeWarning (an error under this suite's
+    filter); the march itself is replaced, so no draw runs one.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(omega0=st.floats(), bandwidth=st.one_of(FLOAT_RANGE, st.floats()),
+           samples=st.integers(-1, 4096))
+    def test_propagate_spectral(self, omega0, bandwidth, samples):
+        stack = photonic.LayeredStack(((2.0, 1.0),))
+        with mock.patch.object(photonic, "stack_t_r_samples", no_march), \
+                pytest.raises((Marched, ValueError, TunnelTimeError)):
+            timedomain.propagate_spectral(stack, omega0, bandwidth, samples)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(omega_mid=FLOAT_RANGE, length=FLOAT_RANGE, width=FLOAT_RANGE,
+           n_cycles=st.one_of(FLOAT_RANGE, st.floats()),
+           hold_cycles=st.one_of(FLOAT_RANGE, st.floats()),
+           band_factor=st.one_of(FLOAT_RANGE, st.floats()))
+    def test_front_causality(self, omega_mid, length, width, n_cycles, hold_cycles, band_factor):
+        # the stopband search is a march too: it returns a band of the drawn
+        # width (the only field the record sizing reads), and the synthesis
+        # march is replaced
+        stack = photonic.LayeredStack(((2.0, length),))
+        band = photonic.Stopband(0.0, width)
+        with mock.patch.object(photonic, "find_stopband", lambda stack, omega: band), \
+                mock.patch.object(photonic, "stack_t_r_samples", no_march), \
+                pytest.raises((Marched, ValueError, TunnelTimeError)):
+            timedomain.front_causality(stack, omega_mid, n_cycles, hold_cycles, band_factor)
 
 
 class TestFrontRecord:
