@@ -26,10 +26,14 @@ _SLICES_PER_PERIOD = 30
 
 @dataclass(frozen=True)
 class QuantumBarrierFamily:
-    """Rectangular barriers of fixed height and energy, scalable in length."""
+    """Rectangular barriers of fixed height and energy, scalable in length; a v0 or energy
+    that no barrier takes raises ValueError or a TunnelTimeError when the family is made."""
 
     v0: float
     energy: float
+
+    def __post_init__(self):
+        self.field_penetration_depth()
 
     def delay(self, length: float) -> float:
         return quantum.group_delay(QuantumBarrier(self.v0, length), self.energy)
@@ -40,9 +44,8 @@ class QuantumBarrierFamily:
 
     def field_penetration_depth(self) -> Optional[float]:
         """1/e depth of the interior amplitude envelope, 1/kappa (None above barrier)."""
-        if self.energy >= self.v0:
-            return None
-        return 1.0 / np.sqrt(2.0 * (self.v0 - self.energy))
+        _, kappa, _ = quantum._wave_numbers(QuantumBarrier(self.v0, 1.0), self.energy)
+        return 1.0 / kappa.real if self.energy < self.v0 else None
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from . import __version__, analysis, photonic, quantum, spectral, timedomain
 from .errors import NonFiniteResultError, TunnelTimeError
 
 _SPEED_OF_LIGHT_M_PER_S = 299792458.0
+_FORMATS = ("csv", "json", "both")  # what `run` writes: the CSV, the JSON report, or both
 
 
 class ConfigError(Exception):
@@ -417,7 +418,7 @@ def run(config_path: str, output_dir: str = ".", threads: int = 1,
         values = _read(cfg, _CONFIG)
         if threads < 1:
             raise ConfigError("threads must be >= 1")
-        if out_format not in ("csv", "json", "both"):
+        if out_format not in _FORMATS:
             raise ConfigError("format must be csv, json or both")
         kind, basename, units = (values.pop(k) for k in ("kind", "basename", "report_units"))
         if basename is None:
@@ -466,9 +467,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument(
         "--threads", type=int, default=1, help="accepted and validated; sweeps run serially"
     )
-    run_parser.add_argument(
-        "--format", choices=("csv", "json", "both"), default="both", dest="out_format"
-    )
+    run_parser.add_argument("--format", choices=_FORMATS, default="both", dest="out_format")
     sub.add_parser("list", help="list experiment kinds and their config keys")
     args = parser.parse_args(argv)
     if args.command == "list":

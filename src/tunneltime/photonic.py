@@ -177,10 +177,6 @@ class UniformGrating:
         if self.omega_b <= 0.0 or self.n_bar <= 0.0:
             raise ValueError("omega_b and n_bar must be positive")
 
-    def detuning(self, omega) -> np.ndarray:
-        """delta = n_bar * (omega - omega_b)."""
-        return self.n_bar * (np.asarray(omega, dtype=float) - self.omega_b)
-
     def as_layered_stack(self, slices_per_period: int = 40) -> LayeredStack:
         """Finely sliced piecewise-constant version of the sinusoidal profile.
 
@@ -501,18 +497,14 @@ def _split_waves(e, h, n):
     return 0.5 * (e + ratio), 0.5 * (e - ratio)
 
 
-def _front_face(stack: LayeredStack, omegas, slope: bool = False):
+def _front_face(stack: LayeredStack, omegas):
     """Incident and reflected amplitudes a, b and the exponent k at the front face.
 
-    Each amplitude is 2^(-k) times the true one; with ``slope`` each is a
-    pair of it and its w-derivative.
+    Each amplitude is 2^(-k) times the true one.
     """
-    for e, h, k in _backward_march(stack, omegas, slope, cells=True):
+    for e, h, k in _backward_march(stack, omegas, cells=True):
         pass  # only the front face is needed
-    if not slope:
-        return (*_split_waves(e, h, stack.n_in), k)
-    (a, b), (da, db) = (_split_waves(*fields, stack.n_in) for fields in zip(e, h))
-    return (a, da), (b, db), k
+    return (*_split_waves(e, h, stack.n_in), k)
 
 
 def _stack_t_r(stack: LayeredStack, omegas: np.ndarray):

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import photonic, spectral
+from . import photonic, quantum, spectral
 from .errors import (
     BandTooNarrowError,
     BoundaryContaminationError,
@@ -136,10 +136,10 @@ class GaussianPacket:
     x0: float
 
     def __post_init__(self):
-        if self.k0 <= 0 or self.delta_k <= 0:
-            raise ValueError("k0 and delta_k must be positive")
-        if self.x0 >= 0:
-            raise ValueError("packet must launch on the incident side (x0 < 0)")
+        if not (0.0 < self.k0 < math.inf and 0.0 < self.delta_k < math.inf):
+            raise ValueError("k0 and delta_k must be positive and finite")
+        if not -math.inf < self.x0 < 0.0:
+            raise ValueError("packet must launch on the incident side, at a finite x0 < 0")
 
     @property
     def sigma_x(self) -> float:
@@ -655,39 +655,41 @@ def tdse_oracle(
     precondition: delta_k <= 0.05 * kappa in the tunneling regime.  Defaults
     are dx = L / ceil(20 k0 L) <= 1/(20 k0) and a finest step
     dt = 128 (1/(20 k0))^2 = 0.32 / k0^2, which does not follow dx; an
-    explicit dx is an upper bound and an explicit dt the finest step.
+    explicit dx is an upper bound and an explicit dt the finest step, each
+    positive and finite; sizing past the float range raises NonFiniteResultError.
     """
+    if not all(step is None or 0.0 < step < math.inf for step in (dx, dt)):
+        raise ValueError("an explicit dx or dt must be positive and finite")
     k0, sigma_x = packet.k0, packet.sigma_x
-    energy = 0.5 * k0 ** 2
-    if energy < barrier.v0:
-        kappa = np.sqrt(2.0 * (barrier.v0 - energy))
-        if packet.delta_k > 0.05 * kappa:
+    with spectral.named_float_errors("oracle grid"):
+        energy = 0.5 * k0 * k0
+        _, kappa, _ = quantum._wave_numbers(barrier, energy)
+        if energy < barrier.v0 and packet.delta_k > 0.05 * kappa.real:
             raise ValueError("quasi-static run needs delta_k <= 0.05 * kappa")
-    # launch overlap with the barrier must be negligible
-    overlap = 0.5 * math.erfc(-packet.x0 / (np.sqrt(2.0) * sigma_x))
-    if overlap > 1e-12:
-        raise ValueError("launch position overlaps the barrier (needs < 1e-12)")
+        # launch overlap with the barrier must be negligible
+        overlap = 0.5 * math.erfc(-packet.x0 / (np.sqrt(2.0) * sigma_x))
+        if overlap > 1e-12:
+            raise ValueError("launch position overlaps the barrier (needs < 1e-12)")
 
-    def free_width(t: float) -> float:
-        return sigma_x * math.sqrt(1.0 + (t / (2.0 * sigma_x ** 2)) ** 2)
+        def free_width(t: float) -> float:
+            return sigma_x * math.sqrt(1.0 + (t / (2.0 * sigma_x ** 2)) ** 2)
 
-    v = k0
-    x_det = barrier.length + 5.0 * sigma_x
-    t_arrival = (x_det - packet.x0) / v
-    t_end = t_arrival + _WINDOW_WIDTHS * free_width(t_arrival) / v
-    # free-packet dispersion over the run sets the box margins
-    sigma_end = free_width(t_end)
-    x_refl_end = -v * t_end - packet.x0  # reflected peak position at t_end
-    x, potential, dx = _anchored_grid(
-        barrier,
-        min(packet.x0, x_refl_end) - 10.0 * sigma_end,
-        packet.x0 + v * t_end + 10.0 * sigma_end,
-        1.0 / (20.0 * k0) if dx is None else dx,
-    )
-    if dt is None:
-        dt = _DEFAULT_DT_PER_CELL2 / (20.0 * k0) ** 2
-    clock = 4.0 * dt
-    records = math.ceil(t_end / clock)
+        v = k0
+        x_det = barrier.length + 5.0 * sigma_x
+        t_arrival = (x_det - packet.x0) / v
+        t_end = t_arrival + _WINDOW_WIDTHS * free_width(t_arrival) / v
+        # free-packet dispersion over the run sets the box margins
+        sigma_end = free_width(t_end)
+        x_refl_end = -v * t_end - packet.x0  # reflected peak position at t_end
+        x_lo = min(packet.x0, x_refl_end) - 10.0 * sigma_end
+        x_hi = packet.x0 + v * t_end + 10.0 * sigma_end
+        if dt is None:
+            dt = _DEFAULT_DT_PER_CELL2 / (20.0 * k0) ** 2
+        clock = spectral._finite(4.0 * dt, "record clock 4 dt")
+        # an infinite run time, which an infinite box end needs, overflows here
+        records = math.ceil(t_end / clock)
+        dx_max = 1.0 / (20.0 * k0) if dx is None else dx
+        x, potential, dx = _anchored_grid(barrier, x_lo, x_hi, dx_max)
 
     # x - x0 counted in whole cells from the node nearest x0, so each cell's
     # phase roundoff grows with its distance from the launch point, not with

@@ -144,7 +144,7 @@ def grating_envelopes(grating: photonic.UniformGrating, omega: float, z: np.ndar
     with s = L - z and D the bracket of R at s = L.  Independent of the
     scaled two-wave closed form of :mod:`spectral` that the package uses.
     """
-    delta = float(grating.detuning(omega))
+    delta = grating.n_bar * (float(omega) - grating.omega_b)
     gamma = np.sqrt(complex(grating.kappa ** 2 - delta ** 2))
 
     def envelopes(s):

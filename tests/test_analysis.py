@@ -66,10 +66,10 @@ class TestHartmanSweep:
     def test_finite_or_named(self, quantum_family, a, b, kappa, n_bar, lengths):
         # both families across the float range: every field finite, or a
         # named TunnelTimeError, and no RuntimeWarning (an error under this
-        # suite's filter)
-        family = (analysis.QuantumBarrierFamily(v0=a, energy=b) if quantum_family
-                  else analysis.GratingFamily(kappa=kappa, n_bar=n_bar, omega_b=b))
+        # suite's filter); a family checks itself when it is made
         try:
+            family = (analysis.QuantumBarrierFamily(v0=a, energy=b) if quantum_family
+                      else analysis.GratingFamily(kappa=kappa, n_bar=n_bar, omega_b=b))
             sweep = analysis.hartman_sweep(family, lengths)
         except TunnelTimeError:
             return
@@ -133,10 +133,10 @@ class TestEnergySaturation:
         # both families across the float range: every field finite or None,
         # or a ValueError (twice the longest length may pass the float range)
         # or a named TunnelTimeError, and no RuntimeWarning (an error under
-        # this suite's filter)
-        family = (analysis.QuantumBarrierFamily(v0=a, energy=b) if quantum_family
-                  else analysis.GratingFamily(kappa=kappa, n_bar=n_bar, omega_b=b))
+        # this suite's filter); a family checks itself when it is made
         try:
+            family = (analysis.QuantumBarrierFamily(v0=a, energy=b) if quantum_family
+                      else analysis.GratingFamily(kappa=kappa, n_bar=n_bar, omega_b=b))
             curve = analysis.energy_saturation(family, lengths)
         except (ValueError, TunnelTimeError):
             return
@@ -158,6 +158,17 @@ class TestQuantumPenetrationDepth:
     @pytest.mark.parametrize("energy", [2.0, 3.5])
     def test_none_at_and_above_the_top(self, energy):
         assert analysis.QuantumBarrierFamily(2.0, energy).field_penetration_depth() is None
+
+    def test_depth_is_a_python_float(self):
+        depth = analysis.QuantumBarrierFamily(2.0, 1.0).field_penetration_depth()
+        assert type(depth) is float and depth == 1.0 / math.sqrt(2.0)
+
+    @pytest.mark.parametrize("v0, energy", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan),
+                                            (2.0, -1.0), (-1.0, 5.0), (1e308, -1e308)])
+    def test_rejects_what_no_barrier_takes(self, v0, energy):
+        # the family checks itself when it is made, as GratingFamily does
+        with pytest.raises((ValueError, TunnelTimeError)):
+            analysis.QuantumBarrierFamily(v0, energy)
 
     def test_saturation_fit_matches_it(self):
         # the fit reads 0.7197 against 1/kappa = 1/sqrt(2) = 0.7071

@@ -19,6 +19,8 @@ from tunneltime import photonic, quantum, spectral, timedomain
 from tunneltime.errors import (
     BandTooNarrowError,
     BoundaryContaminationError,
+    NonFiniteResultError,
+    NonPositiveEnergyError,
     NormDriftError,
     NotInStopbandError,
     RecordTruncatedError,
@@ -341,19 +343,32 @@ def five_smooth_at_least(counts: np.ndarray) -> np.ndarray:
 
 
 class Marched(Exception):
-    """Raised in place of the stack march: the arguments passed every check before it."""
+    """Raised in place of the march: the arguments passed every check before it."""
 
 
 def no_march(stack, omegas):
     raise Marched
 
 
+def no_grid(barrier, x_lo, x_hi, dx_max):
+    """Stands in for the oracle's grid builder: a finite box and step, then no grid."""
+    assert math.isfinite(x_lo) and math.isfinite(x_hi)
+    assert dx_max > 0.0 and math.isfinite(dx_max)
+    raise Marched
+
+
+# mostly magnitudes of either sign, with any float (NaN, the infinities, zero) among them
+POSITIVE = st.one_of(FLOAT_RANGE, st.floats())
+NEGATIVE = st.one_of(FLOAT_RANGE.map(lambda x: -x), st.floats())
+
+
 class TestChecksBeforeTheMarch:
-    """The arguments a call checks before it marches the stack, across the float range.
+    """The arguments a call checks before it marches, across the float range.
 
     Each draw reaches the march or raises ValueError or a named
     TunnelTimeError, and no RuntimeWarning (an error under this suite's
-    filter); the march itself is replaced, so no draw runs one.
+    filter); the march (of the stack, or the oracle's grid) is replaced,
+    so no draw runs one.
     """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -380,6 +395,17 @@ class TestChecksBeforeTheMarch:
                 mock.patch.object(photonic, "stack_t_r_samples", no_march), \
                 pytest.raises((Marched, ValueError, TunnelTimeError)):
             timedomain.front_causality(stack, omega_mid, n_cycles, hold_cycles, band_factor)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(k0=POSITIVE, delta_k=POSITIVE, x0=NEGATIVE,
+           dx=st.one_of(st.none(), POSITIVE), dt=st.one_of(st.none(), POSITIVE),
+           v0=POSITIVE, length=POSITIVE)
+    def test_tdse_oracle(self, k0, delta_k, x0, dx, dt, v0, length):
+        # never run on drawn inputs: k0 = 1e4 alone asks for about 1e8 grid points
+        with mock.patch.object(timedomain, "_anchored_grid", no_grid), \
+                pytest.raises((Marched, ValueError, TunnelTimeError)):
+            packet = timedomain.GaussianPacket(k0, delta_k, x0)
+            timedomain.tdse_oracle(quantum.QuantumBarrier(v0, length), packet, dx, dt)
 
 
 class TestFrontRecord:
@@ -460,6 +486,36 @@ class TestTdseOracle:
             timedomain.GaussianPacket(k0=0.0, delta_k=0.1, x0=-10.0)
         with pytest.raises(ValueError):
             timedomain.GaussianPacket(k0=1.0, delta_k=0.1, x0=1.0)
+
+    @pytest.mark.parametrize("field", ["k0", "delta_k", "x0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_packet_fields_must_be_finite(self, field, value):
+        fields = {"k0": 1.0, "delta_k": 0.1, "x0": -40.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            timedomain.GaussianPacket(**fields)
+
+    @pytest.mark.parametrize("step", [{"dx": -1.0}, {"dt": -1.0}, {"dx": 0.0}, {"dt": math.nan},
+                                      {"dx": math.inf}])
+    def test_explicit_steps_must_be_positive_and_finite(self, step, monkeypatch):
+        monkeypatch.setattr(timedomain, "_anchored_grid", no_grid)
+        barrier = quantum.QuantumBarrier(8.0, 5.0 / math.sqrt(14.0))
+        packet = timedomain.GaussianPacket(k0=math.sqrt(2.0), delta_k=0.1, x0=-40.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            timedomain.tdse_oracle(barrier, packet, **step)
+
+    def test_energy_past_the_float_range_is_named(self):
+        barrier = quantum.QuantumBarrier(8.0, 5.0 / math.sqrt(14.0))
+        packet = timedomain.GaussianPacket(k0=1e200, delta_k=0.1, x0=-40.0)
+        with pytest.raises(NonPositiveEnergyError):
+            timedomain.tdse_oracle(barrier, packet)
+
+    def test_a_clock_past_the_float_range_is_named(self, monkeypatch):
+        # a finite finest step whose record clock 4 dt overflows: no record
+        # count of zero reaches the grid
+        monkeypatch.setattr(timedomain, "_anchored_grid", no_grid)
+        packet = timedomain.GaussianPacket(k0=1.0, delta_k=0.01, x0=-1e3)
+        with pytest.raises(NonFiniteResultError, match="clock"):
+            timedomain.tdse_oracle(quantum.QuantumBarrier(1.0, 1.0), packet, dt=1e308)
 
     def test_quasistatic_precondition(self):
         barrier = quantum.QuantumBarrier(2.0, 1.0)
